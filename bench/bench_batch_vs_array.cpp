@@ -24,7 +24,6 @@
 #include "analysis/experiments.h"
 #include "core/batch_simulation.h"
 #include "core/engine.h"
-#include "core/sharded_simulation.h"
 #include "core/stats.h"
 #include "core/table.h"
 #include "protocols/silent_nstate.h"
@@ -51,18 +50,7 @@ void experiment_fixed_budget(const BenchScale& scale, BenchReport& report) {
   Table t({"n", "array s", "batch s", "speedup", "batch eff. events",
            "batch null-skipped"});
   std::vector<double> ns, speedups;
-  auto sizes = scale.sizes({10'000, 100'000, 1'000'000});
-  if (strategy == BatchStrategy::kSharded && sizes.size() > 1) {
-    // The worst-case config occupies ~n states and is silent-heavy — the
-    // sharded engine's anti-regime (its per-round split is
-    // O(shards x occupied)); keep the smallest size for the A/B and point
-    // at bench_optimal_silent's sharded_scaling leg for its target regime.
-    sizes = std::vector<std::uint32_t>{sizes.front()};
-    std::cout << "(sharded forced on a ~n-occupied silent-heavy workload: "
-                 "larger sizes skipped; the sharded target regime is "
-                 "bench_optimal_silent's sharded_scaling leg)\n";
-  }
-  for (std::uint32_t n : sizes) {
+  for (std::uint32_t n : scale.sizes({10'000, 100'000, 1'000'000})) {
     const std::uint64_t seed = derive_seed(42, n);
     const std::uint64_t budget = ptime_budget * n;
 
@@ -72,27 +60,12 @@ void experiment_fixed_budget(const BenchScale& scale, BenchReport& report) {
     array_sim.run(budget);
     const double array_s = t_array.seconds();
 
-    // --strategy=sharded A/Bs the intra-run parallel engine here
-    // (--shards=N, --threads=N cap the shard/worker counts).
     const WallTimer t_batch;
-    double batch_s;
-    BatchStepStats batch_stats;
-    if (strategy == BatchStrategy::kSharded) {
-      ShardedOptions options;
-      options.shards = scale.shards;
-      options.max_workers = scale.threads;
-      ShardedSimulation<SilentNStateSSR> batch_sim(
-          SilentNStateSSR(n), silent_nstate_worst_config(n), seed, options);
-      batch_sim.run(budget);
-      batch_s = t_batch.seconds();
-      batch_stats = batch_sim.stats();
-    } else {
-      BatchSimulation<SilentNStateSSR> batch_sim(
-          SilentNStateSSR(n), silent_nstate_worst_config(n), seed, strategy);
-      batch_sim.run(budget);
-      batch_s = t_batch.seconds();
-      batch_stats = batch_sim.stats();
-    }
+    BatchSimulation<SilentNStateSSR> batch_sim(
+        SilentNStateSSR(n), silent_nstate_worst_config(n), seed, strategy);
+    batch_sim.run(budget);
+    const double batch_s = t_batch.seconds();
+    const BatchStepStats& batch_stats = batch_sim.stats();
 
     const double speedup = array_s / batch_s;
     ns.push_back(static_cast<double>(n));
@@ -144,9 +117,7 @@ void experiment_run_to_silence(const BenchScale& scale, BenchReport& report) {
   // batch by batch while the diagonal skip jumps them — so a forced
   // --strategy=multinomial A/B keeps only the smallest size.
   auto sizes = scale.sizes({256, 512, 1024});
-  if ((strategy == BatchStrategy::kMultinomial ||
-       strategy == BatchStrategy::kSharded) &&
-      sizes.size() > 1) {
+  if (strategy == BatchStrategy::kMultinomial && sizes.size() > 1) {
     sizes = std::vector<std::uint32_t>{sizes.front()};
     std::cout << "(" << to_string(strategy)
               << " forced on a silent-heavy Theta(n^3) workload: larger "
@@ -169,22 +140,11 @@ void experiment_run_to_silence(const BenchScale& scale, BenchReport& report) {
 
     const WallTimer t_batch;
     for (std::uint32_t i = 0; i < trials; ++i) {
-      if (strategy == BatchStrategy::kSharded) {
-        ShardedOptions options;
-        options.shards = scale.shards;
-        options.max_workers = scale.threads;
-        ShardedSimulation<SilentNStateSSR> sim(
-            SilentNStateSSR(n), silent_nstate_worst_config(n),
-            derive_seed(200 + n, i), options);
-        sim.run_until([](const auto& s) { return s.silent(); }, 1ull << 62);
-        bt.push_back(sim.parallel_time());
-      } else {
-        BatchSimulation<SilentNStateSSR> sim(
-            SilentNStateSSR(n), silent_nstate_worst_config(n),
-            derive_seed(200 + n, i), strategy);
-        sim.run_until([](const auto& s) { return s.silent(); }, 1ull << 62);
-        bt.push_back(sim.parallel_time());
-      }
+      BatchSimulation<SilentNStateSSR> sim(
+          SilentNStateSSR(n), silent_nstate_worst_config(n),
+          derive_seed(200 + n, i), strategy);
+      sim.run_until([](const auto& s) { return s.silent(); }, 1ull << 62);
+      bt.push_back(sim.parallel_time());
     }
     const double batch_s = t_batch.seconds();
 

@@ -46,7 +46,6 @@ ScenarioSpec fault_spec(const BenchScale& scale, const char* protocol,
   spec.until = until;
   spec.engine = "batch";
   spec.strategy = scale.strategy_name.empty() ? "auto" : scale.strategy_name;
-  spec.shards = scale.shards;
   spec.n = n;
   spec.trials = trials;
   spec.seed = seed;

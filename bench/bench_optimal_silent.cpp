@@ -19,7 +19,6 @@
 #include <cmath>
 #include <iostream>
 #include <string>
-#include <thread>
 
 #include "analysis/bench_report.h"
 #include "analysis/scenarios.h"
@@ -137,74 +136,6 @@ void experiment_tree_ranking(const BenchScale& scale, BenchReport& report) {
   t.print();
   std::cout << "paper (Lemma 4.1 proof): level d costs O(2^d) time; the "
                "deltas should grow with the level size, summing to O(n)\n";
-}
-
-// ISSUE 5 acceptance leg: single-run wall clock vs shard count on the
-// timer-heavy dormant countdown window (the regime where the paper's O(n)
-// bound needs huge n and one run used to be single-threaded). Each cell is
-// one ScenarioSpec: strategy=sharded, shards=k, until=ptime — the metric is
-// per-trial *run* wall seconds, construction excluded. The >= 3x acceptance
-// criterion (8 shards vs 1 shard) is a thread-scaling claim, so the
-// PASS/FAIL verdict is only issued on hosts with >= 8 hardware threads;
-// fewer-core hosts record the curve for the trend and say so.
-void experiment_sharded_scaling(const BenchScale& scale,
-                                BenchReport& report) {
-  const std::uint32_t n =
-      scale.smoke ? 65'536 : (scale.full ? 10'000'000 : 1'000'000);
-  const double window = scale.smoke ? 0.1 : 0.25;
-  const std::uint32_t trials = scale.smoke ? 1 : 3;
-  std::cout << "\n== ISSUE 5: sharded single-run scaling (dormant-mix "
-               "window, n = "
-            << n << ", ptime " << window << ", " << trials
-            << " trial(s) per cell) ==\n";
-  Table t({"shards", "run s (mean)", "speedup vs 1 shard", "interactions"});
-  double base = 0.0;
-  double best_at_8 = 0.0;
-  for (std::uint32_t shards : {1u, 2u, 4u, 8u}) {
-    ScenarioSpec spec;
-    spec.protocol = "optimal-silent";
-    spec.init = "dormant-mix";
-    spec.engine = "batch";
-    spec.strategy = "sharded";
-    spec.shards = shards;
-    spec.until = "ptime";
-    spec.horizon_ptime = window;
-    spec.n = n;
-    spec.trials = trials;
-    spec.seed = 4242;
-    spec.threads = scale.threads;
-    const ScenarioResult r = run_scenario(spec);
-    if (shards == 1) base = r.summary.mean;
-    const double speedup = base / r.summary.mean;
-    if (shards == 8) best_at_8 = speedup;
-    t.add_row({std::to_string(shards), fmt(r.summary.mean, 4),
-               fmt(speedup, 2), fmt(r.interactions_mean, 0)});
-    report.add()
-        .set("experiment", "sharded_scaling")
-        .set("backend", "batch")
-        .set("strategy", "sharded")
-        .set("shards", static_cast<std::uint64_t>(shards))
-        .set("n", static_cast<std::uint64_t>(n))
-        .set("trials", static_cast<std::uint64_t>(trials))
-        .set("run_seconds_mean", r.summary.mean)
-        .set("speedup_vs_1_shard", speedup)
-        .set("wall_seconds", r.wall_seconds);
-  }
-  t.print();
-  const unsigned hw = std::thread::hardware_concurrency();
-  if (scale.smoke || scale.quick) {
-    std::cout << "(acceptance check skipped under --smoke/--quick; run "
-                 "without flags on an >= 8-core host)\n";
-  } else if (hw >= 8) {
-    std::cout << (best_at_8 >= 3.0 ? "PASS" : "FAIL")
-              << ": 8-shard speedup " << fmt(best_at_8, 2)
-              << "x (acceptance: >= 3x on >= 8 hardware threads)\n";
-  } else {
-    std::cout << "acceptance (>= 3x at 8 shards) needs >= 8 hardware "
-                 "threads; this host has "
-              << hw << " — speedups recorded for the trend only (measured "
-              << fmt(best_at_8, 2) << "x at 8 shards)\n";
-  }
 }
 
 // ISSUE 6 acceptance leg: the dense-regime cliff. A uniform-random start
@@ -424,7 +355,6 @@ int main(int argc, char** argv) {
   std::cout << "=== bench_optimal_silent: Protocols 3-4 / Theorem 4.3 "
                "(Table 1 row 2) ===\n";
   ppsim::experiment_stabilization(scale, report);
-  ppsim::experiment_sharded_scaling(scale, report);
   ppsim::experiment_dense_cliff(scale, report);
   ppsim::experiment_tau_tier(scale, report);
   ppsim::experiment_tree_ranking(scale, report);

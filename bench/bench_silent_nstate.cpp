@@ -32,7 +32,6 @@ ScenarioSpec base_spec(const BenchScale& scale, std::uint32_t n,
   spec.init = init;
   spec.engine = "batch";
   spec.strategy = scale.strategy_name.empty() ? "auto" : scale.strategy_name;
-  spec.shards = scale.shards;
   spec.n = n;
   spec.trials = trials;
   spec.seed = seed;

@@ -1,5 +1,6 @@
-// Shared helpers for the benchmark harness: seeded trial loops (serial and
-// multi-threaded), sweep tables, and scaling-exponent reports.
+// Shared helpers for the benchmark harness and the scenario runner: seeded
+// trial loops (serial, and the one multi-threaded trial fan-out), sweep
+// tables, and scaling-exponent reports.
 #pragma once
 
 #include <atomic>
@@ -9,11 +10,12 @@
 #include <exception>
 #include <functional>
 #include <mutex>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
 
-#include "common/cli.h"  // BenchScale (shared bench flag parsing)
+#include "common/cli.h"  // BenchScale, parse_thread_count
 #include "core/engine.h"  // BatchStrategy, parse_strategy
 #include "core/rng.h"
 #include "core/stats.h"
@@ -32,37 +34,38 @@ std::vector<double> run_trials(std::uint32_t trials, std::uint64_t base_seed,
   return xs;
 }
 
-// Thread count for run_trials_parallel: explicit argument, else the
+// Thread count for the trial fan-out: explicit argument, else the
 // PPSIM_THREADS environment variable, else the hardware concurrency.
+// PPSIM_THREADS is parsed strictly (a whole non-negative integer, 0 = the
+// hardware concurrency): a typo throws std::invalid_argument instead of
+// silently running on some other thread count.
 inline std::uint32_t resolve_thread_count(std::uint32_t requested = 0) {
   if (requested > 0) return requested;
   if (const char* env = std::getenv("PPSIM_THREADS")) {
-    const long v = std::strtol(env, nullptr, 10);
-    if (v > 0) return static_cast<std::uint32_t>(v);
+    std::uint32_t v = 0;
+    if (!parse_thread_count(env, v))
+      throw std::invalid_argument(std::string("bad PPSIM_THREADS value '") +
+                                  env + "' (want a non-negative integer)");
+    if (v > 0) return v;
   }
   const unsigned hw = std::thread::hardware_concurrency();
   return hw > 0 ? hw : 1;
 }
 
-// Multi-threaded seed fan-out. Deterministic by construction: trial t always
-// runs with derive_seed(base_seed, t) — an independent derived RNG stream —
-// and lands in slot t of the result vector, so the measurements are
-// bit-identical regardless of the thread count (validated in
-// tests/engine_equivalence_test.cpp). `one` must be self-contained: each
-// invocation constructs its own protocol and engine and shares no mutable
-// state with other trials. Threads defaults to resolve_thread_count()
-// (PPSIM_THREADS env var / hardware concurrency; benches plumb --threads).
-template <class F>
-std::vector<double> run_trials_parallel(std::uint32_t trials,
-                                        std::uint64_t base_seed, F&& one,
-                                        std::uint32_t threads = 0) {
+// The trial fan-out: runs body(t) once for every t in [0, trials) on
+// resolve_thread_count(threads) workers (never more than trials). Workers
+// claim trial indices from a shared counter, so the assignment of trials
+// to threads varies — callers make results thread-count independent by
+// deriving every trial's RNG streams from t alone and writing only to slot
+// t of their outputs. The first exception stops the remaining workers from
+// claiming more trials and is rethrown after every worker joins.
+inline void for_each_trial(std::uint32_t trials, std::uint32_t threads,
+                           const std::function<void(std::uint32_t)>& body) {
   threads = resolve_thread_count(threads);
   if (threads > trials) threads = trials;
-  std::vector<double> xs(trials, 0.0);
   if (threads <= 1) {
-    for (std::uint32_t t = 0; t < trials; ++t)
-      xs[t] = one(derive_seed(base_seed, t));
-    return xs;
+    for (std::uint32_t t = 0; t < trials; ++t) body(t);
+    return;
   }
   std::atomic<std::uint32_t> next{0};
   std::atomic<bool> failed{false};
@@ -74,7 +77,7 @@ std::vector<double> run_trials_parallel(std::uint32_t trials,
       const std::uint32_t t = next.fetch_add(1);
       if (t >= trials) return;
       try {
-        xs[t] = one(derive_seed(base_seed, t));
+        body(t);
       } catch (...) {
         failed.store(true, std::memory_order_relaxed);
         std::lock_guard<std::mutex> lock(error_mutex);
@@ -88,6 +91,24 @@ std::vector<double> run_trials_parallel(std::uint32_t trials,
   for (std::uint32_t i = 0; i < threads; ++i) pool.emplace_back(worker);
   for (auto& th : pool) th.join();
   if (first_error) std::rethrow_exception(first_error);
+}
+
+// Multi-threaded seed fan-out over for_each_trial: trial t always runs with
+// derive_seed(base_seed, t) and lands in slot t of the result vector, so
+// the measurements are bit-identical regardless of the thread count
+// (validated in tests/engine_equivalence_test.cpp). `one` must be
+// self-contained: each invocation constructs its own protocol and engine
+// and shares no mutable state with other trials. Threads defaults to
+// resolve_thread_count() (PPSIM_THREADS / hardware concurrency; benches
+// plumb --threads).
+template <class F>
+std::vector<double> run_trials_parallel(std::uint32_t trials,
+                                        std::uint64_t base_seed, F&& one,
+                                        std::uint32_t threads = 0) {
+  std::vector<double> xs(trials, 0.0);
+  for_each_trial(trials, threads, [&](std::uint32_t t) {
+    xs[t] = one(derive_seed(base_seed, t));
+  });
   return xs;
 }
 

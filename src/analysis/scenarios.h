@@ -34,13 +34,9 @@
 // enumerable protocols and the agent array otherwise; "batch" on a
 // non-enumerable protocol is a hard error. Trial t always runs the RNG
 // streams derived from derive_seed(spec.seed, t) (init and engine streams
-// split one level deeper), so results are bit-identical for any thread
-// count, exactly like run_trials_parallel.
-//
-// strategy = "sharded" (+ shards=N) runs each trial on the sharded
-// single-run engine (core/sharded_simulation.h): the trial fan-out goes
-// serial and spec.threads caps the shard workers instead. Results are a
-// pure function of (seed, shards) — never of the thread count.
+// split one level deeper) on the shared trial fan-out (for_each_trial in
+// analysis/experiments.h), so results are bit-identical for any thread
+// count.
 //
 // APPROXIMATE tier (opt-in, never auto-chosen):
 //   strategy = "tau" (+ tau.eps=E) runs trials on the tau-leaping count
@@ -60,14 +56,11 @@
 #pragma once
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 #include <cstdint>
-#include <exception>
-#include <mutex>
+#include <functional>
 #include <stdexcept>
 #include <string>
-#include <thread>
 #include <utility>
 #include <vector>
 
@@ -78,7 +71,6 @@
 #include "core/mean_field.h"
 #include "core/registry.h"
 #include "core/ring_simulation.h"
-#include "core/sharded_simulation.h"
 #include "core/simulation.h"
 #include "core/tau_leap_simulation.h"
 #include "core/topology.h"
@@ -144,41 +136,9 @@ bool resolve_use_batch(const ScenarioSpec& spec) {
   }
 }
 
-// Indexed deterministic trial fan-out (same contract as
-// run_trials_parallel: slot t is trial t whatever the thread count).
-inline void for_each_trial(std::uint32_t trials, std::uint32_t threads,
-                           const std::function<void(std::uint32_t)>& body) {
-  threads = resolve_thread_count(threads);
-  if (threads > trials) threads = trials;
-  if (threads <= 1) {
-    for (std::uint32_t t = 0; t < trials; ++t) body(t);
-    return;
-  }
-  std::atomic<std::uint32_t> next{0};
-  std::atomic<bool> failed{false};
-  std::mutex error_mutex;
-  std::exception_ptr first_error;
-  auto worker = [&] {
-    for (;;) {
-      if (failed.load(std::memory_order_relaxed)) return;
-      const std::uint32_t t = next.fetch_add(1);
-      if (t >= trials) return;
-      try {
-        body(t);
-      } catch (...) {
-        failed.store(true, std::memory_order_relaxed);
-        std::lock_guard<std::mutex> lock(error_mutex);
-        if (!first_error) first_error = std::current_exception();
-        return;
-      }
-    }
-  };
-  std::vector<std::thread> pool;
-  pool.reserve(threads);
-  for (std::uint32_t i = 0; i < threads; ++i) pool.emplace_back(worker);
-  for (auto& th : pool) th.join();
-  if (first_error) std::rethrow_exception(first_error);
-}
+// The trial fan-out lives in analysis/experiments.h; re-exported here so
+// scenario-level callers keep naming it scenario_detail::for_each_trial.
+using ppsim::for_each_trial;
 
 // Shared trial driver: materializes the named initial condition for the
 // resolved engine, runs `run_one(sim) -> {value, fired}` per trial, and
@@ -199,6 +159,15 @@ ScenarioResult drive(const ScenarioSpec& spec, const P& proto,
     throw std::invalid_argument(
         "engine=ode supports until=ptime only (the mean-field drift has no "
         "per-trial stopping events)");
+  // The strategy name is checked even where the resolved engine ignores it
+  // (the agent array), so an unknown name never runs silently.
+  const std::string strat_name =
+      spec.strategy.empty() ? "auto" : spec.strategy;
+  BatchStrategy strategy = BatchStrategy::kAuto;
+  if (!parse_strategy(strat_name, strategy))
+    throw std::invalid_argument(
+        "unknown strategy '" + strat_name +
+        "' (geometric_skip | multinomial | auto | tau)");
   // Interaction graph (core/topology.h). "" = complete = the classical
   // scheduler, bit for bit. The clique count engines compile the complete
   // graph's pair law, so a non-complete topology demotes engine=auto to
@@ -232,11 +201,11 @@ ScenarioResult drive(const ScenarioSpec& spec, const P& proto,
     }
   }
   if (use_ring) {
-    const std::string sname = spec.strategy.empty() ? "auto" : spec.strategy;
-    if (sname != "auto" && sname != "geometric_skip")
+    if (strategy != BatchStrategy::kAuto &&
+        strategy != BatchStrategy::kGeometricSkip)
       throw std::invalid_argument(
           "the ring count path runs its own run-length-compressed geometric "
-          "skip; strategy '" + sname +
+          "skip; strategy '" + strat_name +
           "' is not available on topology=ring (use auto, geometric_skip, "
           "or engine=array)");
   }
@@ -250,9 +219,8 @@ ScenarioResult drive(const ScenarioSpec& spec, const P& proto,
   std::string engine_arm;
   if constexpr (EnumerableProtocol<P>) {
     const std::string engine_name = spec.engine.empty() ? "auto" : spec.engine;
-    const std::string strat_name =
-        spec.strategy.empty() ? "auto" : spec.strategy;
-    if (use_batch && engine_name == "auto" && strat_name == "auto") {
+    if (use_batch && engine_name == "auto" &&
+        strategy == BatchStrategy::kAuto) {
       const std::vector<std::uint64_t> probe = inits.counts(
           proto, init_name, derive_seed(derive_seed(spec.seed, 0), 1));
       std::uint64_t occupancy = 0;
@@ -264,14 +232,7 @@ ScenarioResult drive(const ScenarioSpec& spec, const P& proto,
       if (arm == StrategyArm::kArray) use_batch = false;
     }
   }
-  BatchStrategy strategy = BatchStrategy::kAuto;
-  if (use_batch) {
-    const std::string sname = spec.strategy.empty() ? "auto" : spec.strategy;
-    if (!parse_strategy(sname, strategy))
-      throw std::invalid_argument(
-          "unknown strategy '" + sname +
-          "' (geometric_skip | multinomial | auto | sharded | tau)");
-  } else if (spec.strategy == "tau" || spec.strategy == "tau_leap") {
+  if (!use_batch && strategy == BatchStrategy::kTauLeap) {
     // The array engine silently ignores pinned batch strategies (matrix
     // sweeps reuse one strategy list across engines), but running exact
     // while the spec asked for the approximate tier would mislabel the
@@ -292,7 +253,7 @@ ScenarioResult drive(const ScenarioSpec& spec, const P& proto,
   if (faulted && tau)
     throw std::invalid_argument(
         "fault injection is exact-tier only (strategy=tau is approximate; "
-        "use array, geometric_skip, multinomial, auto or sharded)");
+        "use array, geometric_skip, multinomial or auto)");
   double tau_eps = 0.0;
   if (tau) {
     if constexpr (!kTauCapable<P>) {
@@ -305,28 +266,6 @@ ScenarioResult drive(const ScenarioSpec& spec, const P& proto,
       throw std::invalid_argument("tau.eps must be finite and >= 0");
     tau_eps = spec.tau_eps > 0.0 ? spec.tau_eps : kDefaultTauEps;
   }
-  // strategy=sharded parallelizes *inside* one run, so the trial fan-out
-  // goes serial and --threads/PPSIM_THREADS caps the shard workers instead.
-  // The shard count itself comes from shards= (0 = the fixed default, NOT
-  // the worker count — results are a pure function of (seed, shards) and
-  // must never depend on threads or the machine).
-  const bool sharded = use_batch && strategy == BatchStrategy::kSharded;
-  std::uint32_t engine_workers = 0;
-  std::uint32_t shard_count = 0;
-  if (sharded) {
-    if constexpr (!ShardableProtocol<P>) {
-      throw std::invalid_argument(
-          "protocol '" + spec.protocol +
-          "' cannot run the sharded strategy (counters are not mergeable)");
-    }
-    engine_workers = resolve_thread_count(spec.threads);
-    shard_count =
-        spec.shards ? spec.shards : ShardedOptions::kDefaultShards;
-    // Mirror of the engine's clamp, so the report names the real count.
-    shard_count = std::max<std::uint32_t>(
-        1, std::min<std::uint32_t>(shard_count,
-                                   proto.population_size() / 2));
-  }
   const std::uint32_t trials = spec.trials ? spec.trials : 1;
   std::vector<double> values(trials, -1.0);
   std::vector<std::uint64_t> interactions(trials, 0);
@@ -334,7 +273,7 @@ ScenarioResult drive(const ScenarioSpec& spec, const P& proto,
   std::vector<StrategyTrace> traces(trials);
 
   const WallTimer total;
-  for_each_trial(trials, sharded ? 1 : spec.threads, [&](std::uint32_t t) {
+  for_each_trial(trials, spec.threads, [&](std::uint32_t t) {
     const std::uint64_t trial_seed = derive_seed(spec.seed, t);
     const std::uint64_t init_seed = derive_seed(trial_seed, 1);
     const std::uint64_t engine_seed = derive_seed(trial_seed, 2);
@@ -368,17 +307,6 @@ ScenarioResult drive(const ScenarioSpec& spec, const P& proto,
                                      engine_seed, tau_eps);
             record(sim);
           }
-        } else if (sharded) {
-          if constexpr (ShardableProtocol<P>) {
-            ShardedOptions options;
-            options.shards = shard_count;
-            options.max_workers = engine_workers;
-            ShardedSimulation<P> sim(
-                proto, inits.counts(proto, init_name, init_seed),
-                engine_seed, options);
-            if (faulted) sim.set_faults(spec.faults);
-            record(sim);
-          }
         } else {
           BatchSimulation<P> sim(proto,
                                  inits.counts(proto, init_name, init_seed),
@@ -409,7 +337,6 @@ ScenarioResult drive(const ScenarioSpec& spec, const P& proto,
   out.engine_arm = engine_arm;
   out.topology = topology.spec();
   for (const StrategyTrace& tr : traces) out.trace.merge(tr);
-  out.shards = shard_count;
   out.init = init_name;
   out.until = until_name;
   out.params = spec.params;
@@ -856,7 +783,7 @@ inline void register_sublinear_entry(ProtocolRegistry& reg,
 
 // One count-form entry (protocols/sublinear_count.h): the truncated
 // abstraction of the same parameter family, EnumerableProtocol and hence
-// batch/sharded/tau-capable. Every result is stamped abstracted = true —
+// batch/tau-capable. Every result is stamped abstracted = true —
 // the protocol itself is a quotient, whatever the engine.
 inline void register_sublinear_count_entry(
     ProtocolRegistry& reg, const std::string& name,
@@ -960,7 +887,7 @@ inline void register_sublinear(ProtocolRegistry& reg) {
 }
 
 // Count-form truncated abstraction of the same rows (Table 1 rows 3-4 on
-// the batch/sharded/tau stack). The h1 variant's TH = Theta(n^{1/2}) blows
+// the batch/tau stack). The h1 variant's TH = Theta(n^{1/2}) blows
 // the witness-age axis up with n, so it stays a small-to-mid-n entry; the
 // hlog variant's TH = Theta(log n) keeps the state space ~O(log^2 n * TH)
 // and reaches n = 10^6 (bench_sublinear's count detection cells).
@@ -1303,7 +1230,6 @@ inline BenchRecord& report_scenario(BenchReport& report,
         .set("arm_" + arm + "_interactions", r.trace.interactions[i]);
   }
   for (const auto& [key, value] : r.params) rec.set("param_" + key, value);
-  if (r.shards > 0) rec.set("shards", static_cast<std::uint64_t>(r.shards));
   // Interaction graph: stamped only when non-complete, so clique records
   // keep their committed baseline shape byte for byte. The topology joins
   // the record identity (a ring cell never compares against its clique

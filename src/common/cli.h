@@ -8,6 +8,7 @@
 // happily measure the wrong configuration.
 #pragma once
 
+#include <cstdint>
 #include <cstdlib>
 #include <iostream>
 #include <string>
@@ -19,21 +20,32 @@
 
 namespace ppsim {
 
+// Strict thread-count parse shared by --threads= and PPSIM_THREADS: the
+// whole text must be a decimal integer in [0, UINT32_MAX] (no sign, no
+// whitespace, no trailing characters). Returns false otherwise.
+inline bool parse_thread_count(const std::string& text, std::uint32_t& out) {
+  if (text.empty() || text.size() > 10) return false;
+  std::uint64_t v = 0;
+  for (char c : text) {
+    if (c < '0' || c > '9') return false;
+    v = v * 10 + static_cast<std::uint64_t>(c - '0');
+  }
+  if (v > UINT32_MAX) return false;
+  out = static_cast<std::uint32_t>(v);
+  return true;
+}
+
 // Scale/flag bundle for the bench binaries:
 //   --quick / --full   scale the trial counts down / up
 //   --smoke            CI mode: 1 trial, smallest population only (see
 //                      sizes()) — exercises every code path in seconds
-//   --threads=N        thread count for run_trials_parallel and for the
-//                      sharded engine's worker pool (also PPSIM_THREADS;
-//                      0 = hardware concurrency). Never changes results —
-//                      only wall clock.
+//   --threads=N        worker count for the trial fan-out (also
+//                      PPSIM_THREADS; 0 = hardware concurrency). Never
+//                      changes results — only wall clock.
 //   --strategy=S       batching strategy for the count-based engine
-//                      (geometric_skip | multinomial | auto | sharded);
+//                      (geometric_skip | multinomial | auto);
 //                      benches that honor it call strategy_or() and record
 //                      the choice in their BENCH_*.json metadata
-//   --shards=N         strategy=sharded: worker shard count (0 = the
-//                      engine's fixed default, 8). Results depend on
-//                      (seed, shards) — deliberately never on --threads.
 //   --fault.drop=P     fault injection (core/faults.h): interaction loss
 //   --fault.oneway=P   probability, one-way-delivery probability, and
 //   --fault.churn=R    crash-reset rate per unit parallel time. Benches
@@ -54,7 +66,6 @@ struct BenchScale {
   bool smoke = false;
   bool micro = false;
   std::uint32_t threads = 0;   // 0 = auto (env / hardware)
-  std::uint32_t shards = 0;    // 0 = auto (sharded strategy only)
   std::string strategy_name;   // empty = bench default
   std::string topology;        // empty = bench default (complete)
   FaultSpec faults;            // all-zero = fault-free
@@ -94,18 +105,18 @@ struct BenchScale {
       } else if (a == "--micro") {
         s.micro = true;
       } else if (a.rfind("--threads=", 0) == 0) {
-        const long v = std::strtol(a.c_str() + 10, nullptr, 10);
-        if (v > 0) s.threads = static_cast<std::uint32_t>(v);
-      } else if (a.rfind("--shards=", 0) == 0) {
-        const long v = std::strtol(a.c_str() + 9, nullptr, 10);
-        if (v > 0) s.shards = static_cast<std::uint32_t>(v);
+        // Strict like the fault knobs: --threads=4x must not mean 4.
+        if (!parse_thread_count(a.substr(10), s.threads)) {
+          std::cerr << "bad --threads value '" << a.substr(10)
+                    << "' (want a non-negative integer)\n";
+          std::exit(2);
+        }
       } else if (a.rfind("--strategy=", 0) == 0) {
         s.strategy_name = a.substr(11);
         BatchStrategy ignored;
         if (!parse_strategy(s.strategy_name, ignored)) {
           std::cerr << "unknown --strategy value '" << s.strategy_name
-                    << "' (want geometric_skip | multinomial | auto | "
-                       "sharded)\n";
+                    << "' (want geometric_skip | multinomial | auto)\n";
           std::exit(2);
         }
       } else if (a.rfind("--fault.drop=", 0) == 0) {
@@ -128,7 +139,7 @@ struct BenchScale {
       } else {
         std::cerr << argv[0] << ": unknown flag '" << a
                   << "' (known: --quick --full --smoke --micro --threads=N "
-                     "--shards=N --strategy=S --fault.drop=P "
+                     "--strategy=S --fault.drop=P "
                      "--fault.oneway=P --fault.churn=R --topology=G)\n";
         std::exit(2);
       }

@@ -24,16 +24,12 @@
 //                           substrate (weighted draws walk a Fenwick tree
 //                           over O(segments) subtotals plus one short
 //                           in-segment scan, instead of a deep tree over
-//                           O(occupied) raw codes); also the sharded
-//                           engine's per-shard count store (reset() +
+//                           O(occupied) raw codes); also the tau-leaping
+//                           engine's active-unit pool (reset() +
 //                           apply_delta reloads in O(occupied))
-//   merge_signed_deltas   - folds per-shard code -> net-delta maps into the
-//                           global one in deterministic order (the sharded
-//                           engine's reconciliation kernel)
 //   ScalarActiveWeight    - the structured active weight W as scalars only
-//                           (no Fenwick trees): silence certification and
-//                           skip-vs-batch density decisions for the sharded
-//                           engine's merged view and its shard workers
+//                           (no Fenwick trees): the tau-leaping engine's
+//                           silence certification and leap-size input
 //   sample_collision_free_prefix
 //                         - exact birthday-problem draw of how many
 //                           consecutive interactions touch fresh agents
@@ -259,18 +255,6 @@ class FlatMap64 {
 
 inline std::uint64_t pair_code_key(std::uint32_t a, std::uint32_t b) {
   return (static_cast<std::uint64_t>(a) << 32) | b;
-}
-
-// Accumulates one map of signed count deltas (values are int64 bit patterns,
-// the FlatMap64::add convention) into another. This is the sharded engine's
-// merge kernel: each worker shard reports its round as a code -> net-delta
-// map, and the merge folds them into the global map in shard order, so the
-// merged iteration order — and everything downstream of it — is a pure
-// function of (seed, shard count), never of the worker thread count.
-inline void merge_signed_deltas(FlatMap64& into, const FlatMap64& from) {
-  for (std::uint32_t slot : from.entry_slots())
-    into.add(from.key_at(slot),
-             static_cast<std::int64_t>(from.value_at(slot)));
 }
 
 // The scheduler's exact ordered state-pair draw from a count Fenwick:
@@ -607,24 +591,17 @@ class UnkeyedPassiveKernel {
 // Fenwick trees, no O(|Q|) arrays — in O(1) per count change and O(occupied)
 // to rebuild. The full geometric-skip kernels above also need to *sample*
 // the active pair, which costs them Fenwick trees over the whole code
-// space; the sharded engine (core/sharded_simulation.h) only needs W for
-// silence certification, the skip-vs-batch density decision, and the wait
-// geometric, and samples active pairs by linear scans over its (small)
-// occupied sets instead. Keyed key counts live in a FlatMap64 so clearing
-// between rounds is O(1).
+// space; the tau-leaping engine (core/tau_leap_simulation.h) only needs W
+// (and its restless / key-diagonal parts) for silence certification and
+// the leap-size bound, and samples active units from its own occupied
+// pools instead. Keyed key counts live in a FlatMap64 keyed by the
+// occupied passive keys.
 template <EnumerableProtocol P>
 class ScalarActiveWeight {
  public:
   static constexpr bool kStructured = DiagonalActiveProtocol<P> ||
                                       KeyedPassiveProtocol<P> ||
                                       UnkeyedPassiveProtocol<P>;
-
-  void clear() {
-    diag_total_ = 0;
-    restless_ = 0;
-    key_diag_ = 0;
-    key_counts_.clear();
-  }
 
   // counts[code] moved old_count -> new_count.
   void on_count_change(const P& protocol, std::uint32_t code,
@@ -709,12 +686,12 @@ class ScalarActiveWeight {
 // sorted by code, and the sampling Fenwick tree runs over the O(segments)
 // subtotals rather than the O(occupied) raw codes. A weighted draw is one
 // shallow Fenwick walk plus a short in-segment scan; bulk multiset splits
-// (multinomial categories, shard partitions) chain hypergeometrics over
-// the subtotals first and touch member weights only inside segments that
-// actually received mass. Dense regimes — uniform-random starts with ~n
-// distinct occupied states, the paper's adversarial worst case — are where
-// the two-level layout pays: the per-draw structure shrinks by the mean
-// segment fill, and splits skip empty segments wholesale.
+// (multinomial categories) chain hypergeometrics over the subtotals first
+// and touch member weights only inside segments that actually received
+// mass. Dense regimes — uniform-random starts with ~n distinct occupied
+// states, the paper's adversarial worst case — are where the two-level
+// layout pays: the per-draw structure shrinks by the mean segment fill,
+// and splits skip empty segments wholesale.
 //
 // Slot handles remain stable between structural mutations (apply_delta /
 // build / reset); draw/remove/restore never move slots.
@@ -727,9 +704,9 @@ class SegmentedPool {
 
   bool built() const { return built_; }
 
-  // Resets to a built-but-empty pool. The sharded engine's workers reload
-  // their pool from each round's shard allocation this way: O(occupied)
-  // apply_delta calls instead of an O(|Q|) dense scan.
+  // Resets to a built-but-empty pool. The tau-leaping engine loads its
+  // active-unit pool this way: O(occupied) apply_delta calls instead of an
+  // O(|Q|) dense scan.
   void reset() {
     codes_.clear();
     weights_.clear();
@@ -1176,72 +1153,33 @@ class MultinomialKernel {
     return pool_.built() && pool_.single_occupied(code);
   }
 
-  // Sparse mode for the sharded engine's shard workers: the counts live
-  // entirely in the kernel's occupied pool — reset_sparse() then
-  // pool().apply_delta(code, count) per occupied code loads a shard's
-  // round allocation in O(occupied) — and the batch runs over a *shard*
-  // population rather than protocol.population_size().
-  void reset_sparse() { pool_.reset(); }
-  OccupiedPool& pool() { return pool_; }
-  const OccupiedPool& pool() const { return pool_; }
+  // Occupied segments of the pool (0 before the first batch builds it) —
+  // the strategy controller's batch-amortization signal.
+  std::uint32_t segment_count() const { return pool_.segment_count(); }
 
   // Runs one batch: mutates `counts`, accumulates protocol counters,
   // appends the net per-code deltas to `out_deltas`, and returns the number
-  // of interactions consumed (L + 1). Requires n >= 2. `cap` > 0 truncates
-  // the batch exactly as in run_batch_sparse — the engine uses it to land
-  // a batch on the churn crash countdown with zero overshoot.
-  std::uint64_t run_batch(const P& protocol, std::vector<std::uint64_t>& counts,
-                          Rng& rng, Counters& counters,
-                          std::vector<CountDelta>& out_deltas,
-                          std::uint64_t cap = 0) {
-    ensure_built(counts);
-    return run_batch_impl(protocol, protocol.population_size(),
-                          DenseCounts{&counts}, rng, counters, out_deltas,
-                          cap);
-  }
-
-  // Sparse front door (see reset_sparse above): identical batch logic and
-  // randomness order, but the only count store updated is the pool.
+  // of interactions consumed (L + 1). Requires n >= 2.
   //
   // `cap` > 0 truncates the batch exactly: when the drawn collision-free
   // prefix would overshoot (l + 1 > cap), the event "the first cap
   // interactions touch only fresh agents" has occurred — it is exactly
   // {L >= cap} — so the kernel simulates precisely cap collision-free
-  // interactions, skips the collision replay, and returns cap. The sharded
-  // engine uses this to land each shard on its round quota with zero
-  // overshoot instead of up to one whole ~sqrt(m)-interaction batch.
-  std::uint64_t run_batch_sparse(const P& protocol, std::uint64_t n, Rng& rng,
-                                 Counters& counters,
-                                 std::vector<CountDelta>& out_deltas,
-                                 std::uint64_t cap = 0) {
-    return run_batch_impl(protocol, n, NullCounts{}, rng, counters,
-                          out_deltas, cap);
-  }
-
- private:
-  // Count-store sinks for run_batch_impl's fold phase.
-  struct DenseCounts {
-    std::vector<std::uint64_t>* counts;
-    void add(std::uint32_t code, std::int64_t d) const {
-      (*counts)[code] = static_cast<std::uint64_t>(
-          static_cast<std::int64_t>((*counts)[code]) + d);
-    }
-  };
-  struct NullCounts {
-    void add(std::uint32_t, std::int64_t) const {}
-  };
-
-  template <class CountsSink>
-  std::uint64_t run_batch_impl(const P& protocol, std::uint64_t n,
-                               CountsSink sink, Rng& rng, Counters& counters,
-                               std::vector<CountDelta>& out_deltas,
-                               std::uint64_t cap = 0) {
+  // interactions, skips the collision replay, and returns cap. The engine
+  // uses this to land a batch on the churn crash countdown with zero
+  // overshoot.
+  std::uint64_t run_batch(const P& protocol, std::vector<std::uint64_t>& counts,
+                          Rng& rng, Counters& counters,
+                          std::vector<CountDelta>& out_deltas,
+                          std::uint64_t cap = 0) {
+    ensure_built(counts);
+    const std::uint64_t n = protocol.population_size();
     if (!prefix_.built_for(n)) prefix_.build(n);
     const std::uint64_t l = prefix_.sample(rng);
-    // Exact truncation (see run_batch_sparse): l >= cap is the event that
-    // the first cap interactions are collision-free, so conditioned on the
-    // drawn l the truncated batch is cap collision-free interactions and
-    // no collision replay.
+    // Exact truncation: l >= cap is the event that the first cap
+    // interactions are collision-free, so conditioned on the drawn l the
+    // truncated batch is cap collision-free interactions and no collision
+    // replay.
     const bool truncated = cap > 0 && l + 1 > cap;
     const std::uint64_t use_l = truncated ? cap : l;
 
@@ -1315,13 +1253,15 @@ class MultinomialKernel {
       const auto code = static_cast<std::uint32_t>(net_.key_at(slot));
       const auto d = static_cast<std::int64_t>(net_.value_at(slot));
       if (d == 0) continue;
-      sink.add(code, d);
+      counts[code] = static_cast<std::uint64_t>(
+          static_cast<std::int64_t>(counts[code]) + d);
       pool_.apply_delta(code, d);
       out_deltas.push_back(CountDelta{code, static_cast<std::int32_t>(d)});
     }
     return truncated ? cap : l + 1;
   }
 
+ private:
   struct PairCount {
     std::uint32_t a;
     std::uint32_t b;

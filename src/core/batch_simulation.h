@@ -136,7 +136,7 @@ class BatchSimulation {
 
   BatchStrategy strategy() const { return strategy_; }
   void set_strategy(BatchStrategy s) {
-    reject_sharded(s);
+    reject_tau(s);
     strategy_ = s;
   }
 
@@ -191,7 +191,7 @@ class BatchSimulation {
       if (!multi_kernel_.built()) return BatchStrategy::kGeometricSkip;
       return StrategyController::step_strategy(
           population_size(), active_weight(),
-          multi_kernel_.pool().segment_count());
+          multi_kernel_.segment_count());
     } else if constexpr (NullPairProtocol<P>) {
       return BatchStrategy::kGeometricSkip;
     } else {
@@ -262,16 +262,11 @@ class BatchSimulation {
   }
 
  private:
-  // kSharded and kTauLeap are whole-engine choices, not per-step paths:
-  // intra-run parallelism lives in ShardedSimulation
-  // (core/sharded_simulation.h) and the approximate macro-leap tier in
-  // TauLeapSimulation (core/tau_leap_simulation.h); each owns machinery
-  // this exact single-threaded engine has no counterpart for.
-  static void reject_sharded(BatchStrategy s) {
-    if (s == BatchStrategy::kSharded)
-      throw std::invalid_argument(
-          "strategy 'sharded' runs on ShardedSimulation "
-          "(core/sharded_simulation.h), not BatchSimulation");
+  // kTauLeap is a whole-engine choice, not a per-step path: the
+  // approximate macro-leap tier lives in TauLeapSimulation
+  // (core/tau_leap_simulation.h), which owns machinery this exact engine
+  // has no counterpart for.
+  static void reject_tau(BatchStrategy s) {
     if (s == BatchStrategy::kTauLeap)
       throw std::invalid_argument(
           "strategy 'tau' runs on TauLeapSimulation "
@@ -279,7 +274,7 @@ class BatchSimulation {
   }
 
   void init_samplers() {
-    reject_sharded(strategy_);
+    reject_tau(strategy_);
     const std::uint32_t q = protocol_.num_states();
     if (counts_.size() != q)
       throw std::invalid_argument("counts size != num_states");

@@ -432,36 +432,6 @@ inline void sample_multivariate_hypergeometric(
   }
 }
 
-// Uniformly random partition of a population into fixed-size shards,
-// projected onto category counts: shard t's per-category counts are a
-// multivariate-hypergeometric draw of size `sizes[t]` from the population
-// left by shards 0..t-1 (exact chain rule, so the joint distribution is the
-// uniform partition and every shard's marginal is exchangeable — shard t's
-// count of category c is Hyp(counts[c], total - counts[c], sizes[t]) for
-// every t, validated in tests/discrete_samplers_test.cpp). `out[t]` is
-// parallel to `counts`. The sharded engine's per-round split
-// (core/sharded_simulation.h) is this draw with quota-0 shards integrated
-// out.
-inline void sample_shard_partition(
-    Rng& rng, const std::vector<std::uint64_t>& counts,
-    const std::vector<std::uint64_t>& sizes,
-    std::vector<std::vector<std::uint64_t>>& out) {
-  std::uint64_t total = 0;
-  for (std::uint64_t c : counts) total += c;
-  std::uint64_t claimed = 0;
-  for (std::uint64_t s : sizes) claimed += s;
-  if (claimed != total)
-    throw std::invalid_argument("shard sizes must sum to the population");
-  out.assign(sizes.size(), {});
-  std::vector<std::uint64_t> remaining = counts;
-  for (std::size_t t = 0; t + 1 < sizes.size(); ++t) {
-    sample_multivariate_hypergeometric(rng, remaining, sizes[t], out[t]);
-    for (std::size_t c = 0; c < remaining.size(); ++c)
-      remaining[c] -= out[t][c];
-  }
-  if (!sizes.empty()) out.back() = std::move(remaining);
-}
-
 // Category counts of `trials` independent draws from the distribution
 // `probs` (need not be normalized; weights must be >= 0 with positive sum).
 // Chained conditional binomials; exact. `out` is resized and overwritten.

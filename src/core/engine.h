@@ -43,11 +43,6 @@ namespace ppsim {
 //   kAuto          - pick per step from the measured effective-interaction
 //                    density (the active-weight fraction W / n(n-1) when the
 //                    protocol exposes an exact active weight)
-//   kSharded       - intra-run parallelism: split the count vector across T
-//                    worker shards per round (multivariate-hypergeometric
-//                    partition), run each shard's batches concurrently, and
-//                    merge (core/sharded_simulation.h's ShardedSimulation;
-//                    BatchSimulation itself rejects this value)
 //   kTauLeap       - APPROXIMATE: freeze the pair rates and advance a whole
 //                    macro-leap at once by drawing Poisson interaction
 //                    counts per (s1, s2) category
@@ -60,7 +55,6 @@ enum class BatchStrategy : std::uint8_t {
   kGeometricSkip,
   kMultinomial,
   kAuto,
-  kSharded,
   kTauLeap,
 };
 
@@ -69,7 +63,6 @@ inline const char* to_string(BatchStrategy s) {
     case BatchStrategy::kGeometricSkip: return "geometric_skip";
     case BatchStrategy::kMultinomial: return "multinomial";
     case BatchStrategy::kAuto: return "auto";
-    case BatchStrategy::kSharded: return "sharded";
     case BatchStrategy::kTauLeap: return "tau";
   }
   return "?";
@@ -83,8 +76,6 @@ inline bool parse_strategy(const std::string& name, BatchStrategy& out) {
     out = BatchStrategy::kMultinomial;
   } else if (name == "auto") {
     out = BatchStrategy::kAuto;
-  } else if (name == "sharded") {
-    out = BatchStrategy::kSharded;
   } else if (name == "tau" || name == "tau_leap") {
     out = BatchStrategy::kTauLeap;
   } else {
@@ -101,18 +92,16 @@ enum class StrategyArm : std::uint8_t {
   kArray = 0,
   kGeometricSkip = 1,
   kMultinomial = 2,
-  kSharded = 3,
-  kTauLeap = 4,
+  kTauLeap = 3,
 };
 
-inline constexpr std::size_t kStrategyArmCount = 5;
+inline constexpr std::size_t kStrategyArmCount = 4;
 
 inline const char* to_string(StrategyArm a) {
   switch (a) {
     case StrategyArm::kArray: return "array";
     case StrategyArm::kGeometricSkip: return "geometric_skip";
     case StrategyArm::kMultinomial: return "multinomial";
-    case StrategyArm::kSharded: return "sharded";
     case StrategyArm::kTauLeap: return "tau";
   }
   return "?";
@@ -153,12 +142,8 @@ struct StrategyTrace {
 // deterministic simulation state (never wall-clock), so decisions are a
 // pure function of the seed and all bit-determinism contracts survive.
 //
-// The sharded arm is never auto-chosen: picking it from a machine property
-// (core count) would make results machine-dependent, which the repo's
-// determinism contract forbids. It runs only when requested explicitly.
-//
-// The tau-leap arm is likewise never auto-chosen, for a stronger reason:
-// it is approximate, and `auto` promises an exact-in-distribution result.
+// The tau-leap arm is never auto-chosen: it is approximate, and `auto`
+// promises an exact-in-distribution result.
 // Approximation is opt-in only (strategy=tau), and everything it produces
 // is stamped approximate downstream.
 struct StrategyController {
@@ -218,26 +203,6 @@ struct StrategyController {
         prefix)
       return BatchStrategy::kGeometricSkip;
     return BatchStrategy::kMultinomial;
-  }
-
-  // Per-step choice inside a shard worker. The tradeoff differs from
-  // step_strategy() because the geometric path's costs differ: the merged
-  // engine draws its active pair through full-|Q| Fenwick walks (O(log |Q|)
-  // per effective interaction), while a shard worker draws by linear scans
-  // over its occupied pool — O(occupied) per *effective* interaction. So
-  // inside a shard the skip path pays only while active arrivals are rare
-  // enough that scans are amortized by the jumps; at higher density the
-  // multinomial batch wins regardless of segment spread (the sparse
-  // kernel's per-draw fallback is O(log segments + segment fill) per draw,
-  // never O(occupied)). Without this a dense uniform-random pool pinned to
-  // strategy=sharded paid ~n scans per interaction — quadratic rounds.
-  static BatchStrategy shard_step_strategy(std::uint64_t m,
-                                           std::uint64_t active_weight) {
-    const double density =
-        static_cast<double>(active_weight) /
-        (static_cast<double>(m) * static_cast<double>(m - 1));
-    return density < kSkipDensity ? BatchStrategy::kGeometricSkip
-                                  : BatchStrategy::kMultinomial;
   }
 };
 

@@ -34,15 +34,14 @@
 // bit for bit.
 //
 // Per-slot law (identical on every engine; the count engines compile it
-// exactly — see core/batch_simulation.h and core/sharded_simulation.h):
+// exactly — see core/batch_simulation.h and core/ring_simulation.h):
 //   1. an ordered pair is scheduled uniformly;
 //   2. with prob `drop` the interaction is lost, else with prob `oneway`
 //      it is delivered one-way, else it is delivered in full;
 //   3. with prob q = churn / n one uniformly random agent crashes.
 // The crash times are materialized as a geometric countdown over slots
 // (memoryless, so truncating a count-engine batch at the countdown and
-// redrawing is exact — the same argument the sharded engine already uses
-// for its per-round geometric waits).
+// redrawing is exact).
 #pragma once
 
 #include <cstdint>

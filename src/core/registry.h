@@ -38,13 +38,7 @@ struct ScenarioSpec {
   std::string engine = "auto";    // array | batch | auto (batch if able) |
                                   // ode (APPROXIMATE mean-field drift)
   std::string strategy = "auto";  // geometric_skip | multinomial | auto |
-                                  // sharded (intra-run parallelism) |
                                   // tau (APPROXIMATE tau-leaping)
-  std::uint32_t shards = 0;    // strategy=sharded: worker shard count
-                               // (0 = the engine's fixed default, 8;
-                               // clamped to n/2). Results depend on
-                               // (seed, shards), never on the executing
-                               // thread count.
   std::string until;           // stop condition name ("" = entry default)
   std::uint64_t max_interactions = 0;  // hard horizon (0 = entry default)
   double horizon_ptime = 0.0;  // until=ptime: the fixed parallel-time budget
@@ -60,7 +54,7 @@ struct ScenarioSpec {
                                // (seed, tau_eps) and stamped as such.
   FaultSpec faults;            // fault.drop= / fault.oneway= / fault.churn=
                                // (core/faults.h). Exact on array, batch and
-                               // sharded; rejected on the approximate tier
+                               // ring; rejected on the approximate tier
                                // (tau / ode), whose error bounds assume the
                                // fault-free transition rates. Any non-zero
                                // knob stamps the result `faulted`.
@@ -172,7 +166,6 @@ struct ScenarioResult {
                                // choice ("" when the spec pinned it)
   StrategyTrace trace;         // per-arm steps/interactions, merged over
                                // all trials (the controller decision trace)
-  std::uint32_t shards = 0;    // resolved shard count (sharded runs only)
   std::string init;            // resolved initial-condition name
   std::string until;           // resolved stop-condition name
   std::string topology;        // resolved interaction graph ("complete"

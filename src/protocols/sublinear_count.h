@@ -5,8 +5,8 @@
 // interaction-history tree) is quasi-exponential, which defeats the
 // EnumerableProtocol coding every fast engine depends on. This file defines
 // a canonical truncated quotient of that state with a state space polynomial
-// in n, so the dynamics run on BatchSimulation (geometric/multinomial/auto),
-// ShardedSimulation, and the tau tier.
+// in n, so the dynamics run on BatchSimulation (geometric/multinomial/auto)
+// and the tau tier.
 //
 // The abstraction, field by field:
 //

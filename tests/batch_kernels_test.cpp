@@ -3,9 +3,8 @@
 // sampler, the extracted pair sampler, the multinomial batch kernel's
 // conservation/bookkeeping invariants (its distributional exactness is
 // cross-validated against the other engines in
-// tests/engine_equivalence_test.cpp), and the ISSUE 5 shard merge kernels
-// (merge_signed_deltas, OccupiedPool split/rejoin, ShardWorker population
-// conservation).
+// tests/engine_equivalence_test.cpp), and the occupied pool's reset/reload
+// path (the tau-leaping engine loads its active-unit pool through it).
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -16,7 +15,6 @@
 #include "core/batch_simulation.h"
 #include "core/discrete_samplers.h"
 #include "core/rng.h"
-#include "core/sharded_simulation.h"
 #include "processes/epidemic.h"
 #include "protocols/optimal_silent.h"
 
@@ -126,7 +124,7 @@ TEST(OccupiedPool, SingleOccupied) {
 // total exactly, every member of a segment shares code >> kSegShift, and
 // members are sorted by code within their segment. Checked after every
 // mutation phase below — the subtotals are what the segmented samplers
-// (split_segmented, the sharded partition) trust blindly.
+// (split_segmented) trust blindly.
 void expect_segment_invariants(const OccupiedPool& pool) {
   std::uint64_t total = 0;
   for (std::uint32_t seg = 0; seg < pool.segment_count(); ++seg) {
@@ -192,7 +190,7 @@ TEST(SegmentedPool, PickInSegmentCoversEveryMember) {
 }
 
 // Split / merge / rejoin round trip through the segment API: dealing a
-// pool's members into two shard pools and folding them back conserves
+// pool's members into two part pools and folding them back conserves
 // every per-code weight, and all three pools keep consistent subtotals
 // throughout.
 TEST(SegmentedPool, SplitMergeRejoinConserves) {
@@ -200,10 +198,10 @@ TEST(SegmentedPool, SplitMergeRejoinConserves) {
   Rng fill(71);
   for (int i = 0; i < 120; ++i)
     counts[fill.below(2048)] += 1 + fill.below(9);
-  OccupiedPool pool, shard_a, shard_b, rejoined;
+  OccupiedPool pool, part_a, part_b, rejoined;
   pool.build(counts);
-  shard_a.reset();
-  shard_b.reset();
+  part_a.reset();
+  part_b.reset();
   rejoined.reset();
   expect_segment_invariants(pool);
 
@@ -214,29 +212,29 @@ TEST(SegmentedPool, SplitMergeRejoinConserves) {
       const std::uint32_t code = pool.code_at(slot);
       const std::uint64_t w = pool.weight_at(slot);
       if (w == 0) continue;
-      // Random split of this member's weight between the two shards.
+      // Random split of this member's weight between the two parts.
       const std::uint64_t to_a = rng.below(w + 1);
-      if (to_a) shard_a.apply_delta(code, static_cast<std::int64_t>(to_a));
+      if (to_a) part_a.apply_delta(code, static_cast<std::int64_t>(to_a));
       if (w - to_a)
-        shard_b.apply_delta(code, static_cast<std::int64_t>(w - to_a));
+        part_b.apply_delta(code, static_cast<std::int64_t>(w - to_a));
       moved_a += to_a;
       moved_b += w - to_a;
     }
   }
-  EXPECT_EQ(shard_a.total(), moved_a);
-  EXPECT_EQ(shard_b.total(), moved_b);
+  EXPECT_EQ(part_a.total(), moved_a);
+  EXPECT_EQ(part_b.total(), moved_b);
   EXPECT_EQ(moved_a + moved_b, pool.total());
-  expect_segment_invariants(shard_a);
-  expect_segment_invariants(shard_b);
+  expect_segment_invariants(part_a);
+  expect_segment_invariants(part_b);
 
-  // Rejoin both shards; per-code weights must match the original exactly.
-  for (const OccupiedPool* shard : {&shard_a, &shard_b})
-    for (std::uint32_t seg = 0; seg < shard->segment_count(); ++seg)
-      for (std::uint32_t slot : shard->segment_slots(seg))
-        if (shard->weight_at(slot) > 0)
+  // Rejoin both parts; per-code weights must match the original exactly.
+  for (const OccupiedPool* part : {&part_a, &part_b})
+    for (std::uint32_t seg = 0; seg < part->segment_count(); ++seg)
+      for (std::uint32_t slot : part->segment_slots(seg))
+        if (part->weight_at(slot) > 0)
           rejoined.apply_delta(
-              shard->code_at(slot),
-              static_cast<std::int64_t>(shard->weight_at(slot)));
+              part->code_at(slot),
+              static_cast<std::int64_t>(part->weight_at(slot)));
   expect_segment_invariants(rejoined);
   EXPECT_EQ(rejoined.total(), pool.total());
   for (std::uint32_t code = 0; code < 2048; ++code)
@@ -452,40 +450,14 @@ TEST(MultinomialKernel, OptimalSilentBatchesPreserveInvariants) {
 static_assert(MultinomialKernel<OptimalSilentSSR>::kCacheable);
 static_assert(MultinomialKernel<OneWayEpidemic>::kCacheable);
 
-// --- Shard merge kernels (ISSUE 5) ------------------------------------------
+// --- Occupied pool reset / reload ------------------------------------------
+// (The ShardMerge suite name is kept from the shard merge kernels these
+// tests were first written against.)
 
-// merge_signed_deltas folds shard net-delta maps in deterministic order:
-// sums are per-code exact (including cancellation to zero) and the merged
-// map's iteration order follows first insertion.
-TEST(ShardMerge, MergeSignedDeltasConservesAndOrders) {
-  FlatMap64 a, b, merged;
-  a.add(3, +5);
-  a.add(900, -2);
-  a.add(41, +1);
-  b.add(900, +2);  // cancels a's entry exactly
-  b.add(3, -1);
-  b.add(7, +4);
-  merge_signed_deltas(merged, a);
-  merge_signed_deltas(merged, b);
-  EXPECT_EQ(static_cast<std::int64_t>(*merged.find(3)), 4);
-  EXPECT_EQ(static_cast<std::int64_t>(*merged.find(900)), 0);
-  EXPECT_EQ(static_cast<std::int64_t>(*merged.find(41)), 1);
-  EXPECT_EQ(static_cast<std::int64_t>(*merged.find(7)), 4);
-  // Net of all deltas is conserved through the merge.
-  std::int64_t total = 0;
-  for (std::uint32_t slot : merged.entry_slots())
-    total += static_cast<std::int64_t>(merged.value_at(slot));
-  EXPECT_EQ(total, 9);
-  // Insertion order: a's keys first, then b's new key.
-  std::vector<std::uint64_t> order;
-  for (std::uint32_t slot : merged.entry_slots())
-    order.push_back(merged.key_at(slot));
-  EXPECT_EQ(order, (std::vector<std::uint64_t>{3, 900, 41, 7}));
-}
-
-// OccupiedPool split/rejoin round trip: partitioning a pool's occupied
-// counts into shards and folding them back conserves every count, and no
-// phantom occupied codes appear on either side.
+// Split/rejoin round trip through reset(): partitioning a pool's occupied
+// counts uniformly at random into parts, reloading each part into an empty
+// pool, and folding them back conserves every count, and no phantom
+// occupied codes appear on either side.
 TEST(ShardMerge, OccupiedPoolSplitRejoinInvariants) {
   std::vector<std::uint64_t> counts(500, 0);
   counts[2] = 40;
@@ -498,7 +470,7 @@ TEST(ShardMerge, OccupiedPoolSplitRejoinInvariants) {
   EXPECT_EQ(pool.weight_of(2), 40u);
   EXPECT_EQ(pool.weight_of(3), 0u);  // unoccupied code has no weight
 
-  // Occupied snapshot (what the sharded engine splits each round).
+  // Occupied snapshot.
   std::vector<std::uint32_t> occ_codes;
   std::vector<std::uint64_t> occ_counts;
   for (std::uint32_t slot = 0; slot < pool.slots(); ++slot)
@@ -508,32 +480,38 @@ TEST(ShardMerge, OccupiedPoolSplitRejoinInvariants) {
     }
   ASSERT_EQ(occ_codes.size(), 4u);
 
+  // Uniform partition into fixed-size parts: chained multivariate
+  // hypergeometric draws from what the earlier parts left.
   Rng rng(99);
   const std::vector<std::uint64_t> sizes = {26, 25, 25, 24};
-  std::vector<std::vector<std::uint64_t>> shards;
-  sample_shard_partition(rng, occ_counts, sizes, shards);
+  std::vector<std::uint64_t> left = occ_counts;
+  std::vector<std::vector<std::uint64_t>> parts(sizes.size());
+  for (std::size_t t = 0; t < sizes.size(); ++t) {
+    sample_multivariate_hypergeometric(rng, left, sizes[t], parts[t]);
+    for (std::size_t i = 0; i < left.size(); ++i) left[i] -= parts[t][i];
+  }
 
-  // Load each shard into its own pool via reset(): per-shard totals match
-  // the shard sizes and only allocated codes are occupied.
+  // Load each part into its own pool via reset(): per-part totals match
+  // the part sizes and only allocated codes are occupied.
   std::vector<std::uint64_t> recombined(occ_codes.size(), 0);
-  for (std::size_t t = 0; t < shards.size(); ++t) {
-    OccupiedPool shard_pool;
-    shard_pool.reset();
+  for (std::size_t t = 0; t < parts.size(); ++t) {
+    OccupiedPool part_pool;
+    part_pool.reset();
     std::uint64_t loaded = 0;
     for (std::size_t i = 0; i < occ_codes.size(); ++i) {
-      if (shards[t][i] == 0) continue;
-      shard_pool.apply_delta(occ_codes[i],
-                             static_cast<std::int64_t>(shards[t][i]));
-      loaded += shards[t][i];
-      recombined[i] += shards[t][i];
+      if (parts[t][i] == 0) continue;
+      part_pool.apply_delta(occ_codes[i],
+                            static_cast<std::int64_t>(parts[t][i]));
+      loaded += parts[t][i];
+      recombined[i] += parts[t][i];
     }
-    EXPECT_EQ(shard_pool.total(), sizes[t]) << "shard " << t;
-    EXPECT_EQ(loaded, sizes[t]) << "shard " << t;
-    EXPECT_EQ(shard_pool.weight_of(3), 0u);  // no phantom codes
+    EXPECT_EQ(part_pool.total(), sizes[t]) << "part " << t;
+    EXPECT_EQ(loaded, sizes[t]) << "part " << t;
+    EXPECT_EQ(part_pool.weight_of(3), 0u);  // no phantom codes
     std::uint64_t occupied_weight = 0;
-    for (std::uint32_t slot = 0; slot < shard_pool.slots(); ++slot)
-      occupied_weight += shard_pool.weight_at(slot);
-    EXPECT_EQ(occupied_weight, sizes[t]) << "shard " << t;
+    for (std::uint32_t slot = 0; slot < part_pool.slots(); ++slot)
+      occupied_weight += part_pool.weight_at(slot);
+    EXPECT_EQ(occupied_weight, sizes[t]) << "part " << t;
   }
   // Rejoin: per-code counts conserved exactly.
   EXPECT_EQ(recombined, occ_counts);
@@ -554,36 +532,6 @@ TEST(ShardMerge, OccupiedPoolResetClearsEverything) {
   pool.apply_delta(9, 4);
   EXPECT_EQ(pool.total(), 4u);
   EXPECT_EQ(pool.weight_of(9), 4u);
-}
-
-// A ShardWorker round conserves its shard population: the pool total stays
-// m, and the net-delta map sums to zero (a closed rearrangement).
-TEST(ShardMerge, ShardWorkerConservesPopulation) {
-  const std::uint32_t n = 256;  // shard of a notionally larger run
-  OneWayEpidemic proto(1024);
-  ShardWorker<OneWayEpidemic> worker;
-  const std::vector<std::uint32_t> codes = {0, 1};
-  const std::vector<std::uint64_t> alloc = {n - 8, 8};
-  worker.prepare(proto, codes, alloc, n, /*seed=*/31);
-  const std::uint64_t consumed = worker.run(proto, 2'000);
-  EXPECT_GE(consumed, 2'000u);
-  std::int64_t net = 0;
-  std::uint64_t infected_delta = 0;
-  for (std::uint32_t slot : worker.net_deltas().entry_slots()) {
-    const auto d =
-        static_cast<std::int64_t>(worker.net_deltas().value_at(slot));
-    net += d;
-    if (worker.net_deltas().key_at(slot) == 1)
-      infected_delta = static_cast<std::uint64_t>(d);
-  }
-  EXPECT_EQ(net, 0);               // rearrangement, no creation
-  EXPECT_GT(infected_delta, 0u);   // the epidemic progressed
-  // A fully-infected (silent) shard fast-forwards its quota for free.
-  ShardWorker<OneWayEpidemic> silent_worker;
-  const std::vector<std::uint64_t> all_infected = {0, n};
-  silent_worker.prepare(proto, codes, all_infected, n, 32);
-  EXPECT_EQ(silent_worker.run(proto, 5'000), 5'000u);
-  EXPECT_TRUE(silent_worker.net_deltas().empty());
 }
 
 }  // namespace

@@ -1,8 +1,15 @@
-// Tests for the shared CLI parsing (common/cli.h): flag semantics, and the
+// Tests for the shared CLI parsing (common/cli.h): flag semantics, the
 // hard-error-on-unknown-flag contract that replaced the old silently
-// ignoring parsers.
+// ignoring parsers, and the strict thread-count parse shared by --threads=
+// and PPSIM_THREADS (analysis/experiments.h resolve_thread_count).
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+#include <optional>
+#include <stdexcept>
+#include <string>
+
+#include "analysis/experiments.h"
 #include "common/cli.h"
 
 namespace ppsim {
@@ -105,6 +112,40 @@ TEST(CliDeath, FaultEmptyValueIsAHardError) {
   EXPECT_EXIT(
       BenchScale::from_args(static_cast<int>(args.size()), make_argv(args)),
       ::testing::ExitedWithCode(2), "bad --fault.drop value");
+}
+
+TEST(CliDeath, MalformedThreadsIsAHardError) {
+  for (const char* bad : {"--threads=abc", "--threads=4x", "--threads=-2",
+                          "--threads=", "--threads=4294967296"}) {
+    std::vector<std::string> args = {"bench", bad};
+    EXPECT_EXIT(
+        BenchScale::from_args(static_cast<int>(args.size()), make_argv(args)),
+        ::testing::ExitedWithCode(2), "bad --threads value")
+        << bad;
+  }
+}
+
+// PPSIM_THREADS is parsed as strictly as --threads=: a malformed value
+// throws instead of falling back to the hardware concurrency, and an
+// explicit request still wins over the environment.
+TEST(ThreadCount, PpsimThreadsIsParsedStrictly) {
+  const char* old = std::getenv("PPSIM_THREADS");
+  const std::optional<std::string> saved =
+      old ? std::optional<std::string>(old) : std::nullopt;
+  for (const char* bad : {"abc", "4x", "-1", "", " 4", "99999999999"}) {
+    setenv("PPSIM_THREADS", bad, 1);
+    EXPECT_THROW(resolve_thread_count(), std::invalid_argument) << bad;
+    EXPECT_EQ(resolve_thread_count(2), 2u) << bad;
+  }
+  setenv("PPSIM_THREADS", "3", 1);
+  EXPECT_EQ(resolve_thread_count(), 3u);
+  setenv("PPSIM_THREADS", "0", 1);  // 0 = hardware concurrency
+  EXPECT_GE(resolve_thread_count(), 1u);
+  if (saved) {
+    setenv("PPSIM_THREADS", saved->c_str(), 1);
+  } else {
+    unsetenv("PPSIM_THREADS");
+  }
 }
 
 TEST(CliDeath, MisspelledFaultFlagIsAHardError) {

@@ -11,10 +11,8 @@
 //    family-controlled CIs via tests/stat_harness.h, mirroring
 //    tests/batch_simulation_test.cpp) and Obs25SSLE (n = 3 by definition of
 //    the Observation 2.5 protocol);
-//  * ISSUE 5: the sharded single-run engine against every other strategy
-//    (OptimalSilent + ResetProcess, n in {8, 64, 512}, 30 seeds), plus its
-//    determinism contract — bit-identical output for a fixed (seed, shard
-//    count) at shard counts {1, 2, 4, 8}, whatever the worker thread count;
+//  * cross-strategy equivalence (array vs geometric skip vs multinomial vs
+//    auto) for OptimalSilent and ResetProcess, n in {8, 64, 512}, 30 seeds;
 //  * the keyed-passive geometric skip against the analytic detection
 //    latency of a duplicated rank (Observation 2.6's quantity);
 //  * run_trials_parallel determinism: bit-identical per-seed measurements
@@ -29,7 +27,6 @@
 #include "analysis/experiments.h"
 #include "core/batch_simulation.h"
 #include "core/engine.h"
-#include "core/sharded_simulation.h"
 #include "core/simulation.h"
 #include "core/stats.h"
 #include "init/optimal_silent_init.h"
@@ -91,18 +88,6 @@ static_assert(StrategyEngine<BatchSimulation<OptimalSilentSSR>>);
 static_assert(StrategyEngine<BatchSimulation<SilentNStateSSR>>);
 static_assert(StrategyEngine<BatchSimulation<ResetProcess>>);
 static_assert(!StrategyEngine<Simulation<OptimalSilentSSR>>);
-
-// ISSUE 5: the sharded single-run engine is a full count/strategy engine
-// for every shardable protocol (enumerable, mergeable counters).
-static_assert(ShardableProtocol<OptimalSilentSSR>);
-static_assert(ShardableProtocol<SilentNStateSSR>);
-static_assert(ShardableProtocol<ResetProcess>);
-static_assert(ShardableProtocol<OneWayEpidemic>);
-static_assert(ShardableProtocol<Obs25SSLE>);
-static_assert(!ShardableProtocol<SublinearTimeSSR>);  // not enumerable
-static_assert(CountEngine<ShardedSimulation<OptimalSilentSSR>>);
-static_assert(StrategyEngine<ShardedSimulation<OptimalSilentSSR>>);
-static_assert(!AgentArrayEngine<ShardedSimulation<OptimalSilentSSR>>);
 
 static_assert(Engine<Simulation<SilentNStateSSR>>);
 static_assert(Engine<Simulation<OptimalSilentSSR>>);
@@ -220,34 +205,16 @@ double optimal_batch_time(std::uint32_t n, std::uint64_t seed,
   return r.stabilization_ptime;
 }
 
-double optimal_sharded_time(std::uint32_t n, std::uint64_t seed,
-                            std::uint32_t shards,
-                            std::uint32_t max_workers = 1) {
-  const auto params = OptimalSilentParams::standard(n);
-  OptimalSilentSSR proto(params);
-  auto init = optimal_silent_config(params, OsAdversary::kUniformRandom, seed);
-  ShardedOptions options;
-  options.shards = shards;
-  options.max_workers = max_workers;
-  ShardedSimulation<OptimalSilentSSR> sim(proto, init, derive_seed(seed, 1),
-                                          options);
-  const RunResult r = run_engine_until_ranked(sim, optimal_silent_opts(n));
-  EXPECT_TRUE(r.stabilized);
-  return r.stabilization_ptime;
-}
-
 class OptimalSilentBackendEquivalence
     : public ::testing::TestWithParam<std::uint32_t> {};
 
-// ISSUE 3 / ISSUE 5 cross-strategy equivalence: agent array vs geometric
-// skip vs multinomial vs auto vs sharded all measure the same
-// stabilization-time distribution (family-controlled CI overlap over 30
-// independent seeds per engine).
+// Cross-strategy equivalence: agent array vs geometric skip vs
+// multinomial vs auto all measure the same stabilization-time distribution
+// (family-controlled CI overlap over 30 independent seeds per engine).
 TEST_P(OptimalSilentBackendEquivalence, OverlappingStabilizationCIs) {
   const std::uint32_t n = GetParam();
   const std::uint32_t seeds = 30;
-  std::vector<double> array_times, skip_times, multi_times, auto_times,
-      sharded_times;
+  std::vector<double> array_times, skip_times, multi_times, auto_times;
   for (std::uint32_t i = 0; i < seeds; ++i) {
     array_times.push_back(optimal_array_time(n, derive_seed(5000 + n, i)));
     skip_times.push_back(optimal_batch_time(n, derive_seed(6000 + n, i),
@@ -256,21 +223,15 @@ TEST_P(OptimalSilentBackendEquivalence, OverlappingStabilizationCIs) {
                                              BatchStrategy::kMultinomial));
     auto_times.push_back(optimal_batch_time(n, derive_seed(6800 + n, i),
                                             BatchStrategy::kAuto));
-    sharded_times.push_back(
-        optimal_sharded_time(n, derive_seed(7100 + n, i), /*shards=*/4));
   }
-  const double widen = stat_harness::family_widen(7);
+  const double widen = stat_harness::family_widen(4);
   const Summary array = summarize(array_times);
   const Summary skip = summarize(skip_times);
   const Summary multi = summarize(multi_times);
-  const Summary sharded = summarize(sharded_times);
   expect_overlapping_ci(array, skip, widen);
   expect_overlapping_ci(array, multi, widen);
   expect_overlapping_ci(array, summarize(auto_times), widen);
   expect_overlapping_ci(skip, multi, widen);
-  expect_overlapping_ci(array, sharded, widen);
-  expect_overlapping_ci(skip, sharded, widen);
-  expect_overlapping_ci(multi, sharded, widen);
 }
 
 INSTANTIATE_TEST_SUITE_P(OptimalSilent, OptimalSilentBackendEquivalence,
@@ -382,21 +343,6 @@ double reset_batch_time(std::uint32_t n, std::uint32_t rmax,
   return sim.parallel_time();
 }
 
-double reset_sharded_time(std::uint32_t n, std::uint32_t rmax,
-                          std::uint32_t dmax, std::uint64_t seed,
-                          std::uint32_t shards) {
-  ResetProcess proto(n, rmax, dmax);
-  ShardedOptions options;
-  options.shards = shards;
-  options.max_workers = 1;
-  ShardedSimulation<ResetProcess> sim(proto, reset_trigger_counts(proto, n),
-                                      seed, options);
-  EXPECT_TRUE(sim.run_until([](const auto& s) { return s.silent(); },
-                            1ull << 34));
-  EXPECT_EQ(sim.counts()[0], n);  // silent == all Computing
-  return sim.parallel_time();
-}
-
 class ResetProcessStrategyEquivalence
     : public ::testing::TestWithParam<std::uint32_t> {};
 
@@ -407,8 +353,7 @@ TEST_P(ResetProcessStrategyEquivalence, OverlappingDrainTimeCIs) {
                     4;
   const std::uint32_t dmax = 4 * rmax;
   const std::uint32_t seeds = 30;
-  std::vector<double> array_times, skip_times, multi_times, auto_times,
-      sharded_times;
+  std::vector<double> array_times, skip_times, multi_times, auto_times;
   for (std::uint32_t i = 0; i < seeds; ++i) {
     array_times.push_back(
         reset_array_time(n, rmax, dmax, derive_seed(9100 + n, i)));
@@ -421,103 +366,19 @@ TEST_P(ResetProcessStrategyEquivalence, OverlappingDrainTimeCIs) {
     auto_times.push_back(reset_batch_time(n, rmax, dmax,
                                           derive_seed(9400 + n, i),
                                           BatchStrategy::kAuto));
-    sharded_times.push_back(reset_sharded_time(
-        n, rmax, dmax, derive_seed(9500 + n, i), /*shards=*/4));
   }
-  const double widen = stat_harness::family_widen(7);
+  const double widen = stat_harness::family_widen(4);
   const Summary array = summarize(array_times);
   const Summary skip = summarize(skip_times);
   const Summary multi = summarize(multi_times);
-  const Summary sharded = summarize(sharded_times);
   expect_overlapping_ci(array, skip, widen);
   expect_overlapping_ci(array, multi, widen);
   expect_overlapping_ci(array, summarize(auto_times), widen);
   expect_overlapping_ci(skip, multi, widen);
-  expect_overlapping_ci(array, sharded, widen);
-  expect_overlapping_ci(skip, sharded, widen);
-  expect_overlapping_ci(multi, sharded, widen);
 }
 
 INSTANTIATE_TEST_SUITE_P(ResetProcess, ResetProcessStrategyEquivalence,
                          ::testing::Values(8u, 64u, 512u));
-
-// --- Sharded engine contract -------------------------------------------------
-
-// Determinism: the sharded engine is a pure function of (seed, shard
-// count). For each shard count in {1, 2, 4, 8}, two runs with the same seed
-// but different worker thread counts must be bit-identical in interactions,
-// counts and counters (the satellite contract the README documents:
-// shards= changes the stream decomposition, --threads never changes
-// results).
-TEST(ShardedDeterminism, BitIdenticalForFixedSeedAcrossWorkerCounts) {
-  // n large enough that the 8-worker run really executes rounds on the
-  // thread pool (rounds of n/8 interactions >= the inline threshold).
-  const std::uint32_t n = 65'536;
-  const auto params = OptimalSilentParams::standard(n);
-  OptimalSilentSSR proto(params);
-  const auto init = optimal_silent_dormant_counts(params);
-  for (std::uint32_t shards : {1u, 2u, 4u, 8u}) {
-    ShardedOptions one_worker;
-    one_worker.shards = shards;
-    one_worker.max_workers = 1;
-    ShardedOptions many_workers;
-    many_workers.shards = shards;
-    many_workers.max_workers = 8;
-    ShardedSimulation<OptimalSilentSSR> a(proto, init, 777, one_worker);
-    ShardedSimulation<OptimalSilentSSR> b(proto, init, 777, many_workers);
-    a.run(40'000);
-    b.run(40'000);
-    EXPECT_EQ(a.shards(), shards);
-    EXPECT_EQ(a.interactions(), b.interactions()) << shards << " shards";
-    EXPECT_EQ(a.counts(), b.counts()) << shards << " shards";
-    EXPECT_EQ(a.counters().resets_executed, b.counters().resets_executed)
-        << shards << " shards";
-    // And a re-run with identical options reproduces itself exactly.
-    ShardedSimulation<OptimalSilentSSR> c(proto, init, 777, one_worker);
-    c.run(40'000);
-    EXPECT_EQ(a.interactions(), c.interactions()) << shards << " shards";
-    EXPECT_EQ(a.counts(), c.counts()) << shards << " shards";
-  }
-}
-
-// The shard count is clamped so every shard holds >= 2 agents, and the
-// strategy surface reports kSharded.
-TEST(ShardedDeterminism, ClampsShardsAndReportsStrategy) {
-  const std::uint32_t n = 8;
-  const auto params = OptimalSilentParams::standard(n);
-  OptimalSilentSSR proto(params);
-  const auto init =
-      optimal_silent_config(params, OsAdversary::kUniformRandom, 3);
-  ShardedOptions options;
-  options.shards = 64;  // > n / 2: clamped to 4
-  options.max_workers = 2;
-  ShardedSimulation<OptimalSilentSSR> sim(proto, init, 5, options);
-  EXPECT_EQ(sim.shards(), 4u);
-  EXPECT_EQ(sim.strategy(), BatchStrategy::kSharded);
-  EXPECT_EQ(sim.resolved_strategy(), BatchStrategy::kSharded);
-  EXPECT_THROW(sim.set_strategy(BatchStrategy::kAuto),
-               std::invalid_argument);
-  // BatchSimulation, conversely, rejects the sharded strategy outright.
-  EXPECT_THROW(BatchSimulation<OptimalSilentSSR>(proto, init, 5,
-                                                 BatchStrategy::kSharded),
-               std::invalid_argument);
-}
-
-// A correct ranking has zero merged active weight: the sharded engine
-// certifies silence exactly like the keyed geometric path.
-TEST(ShardedDeterminism, CorrectRankingIsSilent) {
-  const std::uint32_t n = 32;
-  const auto params = OptimalSilentParams::standard(n);
-  OptimalSilentSSR proto(params);
-  const auto init =
-      optimal_silent_config(params, OsAdversary::kCorrectRanking, 1);
-  ShardedOptions options;
-  options.shards = 4;
-  ShardedSimulation<OptimalSilentSSR> sim(proto, init, 3, options);
-  EXPECT_TRUE(sim.silent());
-  EXPECT_EQ(sim.step(), 0u);
-  EXPECT_EQ(sim.interactions(), 0u);
-}
 
 // stat_harness sanity: the widening factor is the right normal quantile.
 TEST(StatHarness, FamilyWidenMatchesNormalQuantiles) {

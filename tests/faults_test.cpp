@@ -4,8 +4,8 @@
 //  * contract checks: ChurnableProtocol / ChurnReportingEngine concepts,
 //    FaultySimulation is a full AgentArrayEngine;
 //  * bit-transparency: an all-zero FaultSpec (fault.drop=0) reproduces the
-//    undecorated engine bit for bit on array, geometric_skip, multinomial
-//    and sharded — the fault layer consumes zero extra randomness;
+//    undecorated engine bit for bit on array, geometric_skip and
+//    multinomial — the fault layer consumes zero extra randomness;
 //  * degenerate knobs: fault.drop=1 makes zero state changes on every
 //    engine; churn conserves the population size exactly;
 //  * hard errors: out-of-range knobs, churn > n, churn without a
@@ -17,7 +17,7 @@
 //    both engine families, and a fault-free silent run reports failed
 //    (holds forever) instead of inventing a number;
 //  * cross-engine equivalence under faults: array vs geometric_skip vs
-//    multinomial vs sharded measure the same distribution with faults
+//    multinomial measure the same distribution with faults
 //    active — (optimal-silent, drop in {0.1, 0.5}) stabilization and
 //    (silent-nstate, oneway) thinning, n in {8, 64, 512}, 30 seeds per
 //    engine, family-controlled CI overlap via tests/stat_harness.h.
@@ -30,7 +30,6 @@
 #include "analysis/scenarios.h"
 #include "core/batch_simulation.h"
 #include "core/faults.h"
-#include "core/sharded_simulation.h"
 #include "core/simulation.h"
 #include "init/obs25_init.h"
 #include "init/optimal_silent_init.h"
@@ -137,26 +136,6 @@ TEST(FaultTransparency, ZeroSpecBatchMatchesPlainBatchBitForBit) {
   }
 }
 
-TEST(FaultTransparency, ZeroSpecShardedMatchesPlainShardedBitForBit) {
-  const std::uint32_t n = 64;
-  const SilentNStateSSR proto(n);
-  const auto counts = counts_of(proto, silent_nstate_worst_config(n));
-  ShardedOptions options;
-  options.shards = 4;
-  options.max_workers = 2;
-  ShardedSimulation<SilentNStateSSR> plain(proto, counts, 31337, options);
-  ShardedSimulation<SilentNStateSSR> faulty(proto, counts, 31337, options);
-  faulty.set_faults(FaultSpec{});
-  for (int k = 0; k < 500; ++k) {
-    const std::uint64_t a = plain.step();
-    const std::uint64_t b = faulty.step();
-    ASSERT_EQ(a, b) << "round " << k;
-    if (a == 0) break;
-  }
-  EXPECT_EQ(plain.interactions(), faulty.interactions());
-  EXPECT_EQ(plain.state_counts(), faulty.state_counts());
-}
-
 // --- Degenerate knobs -------------------------------------------------------
 
 // drop=1 loses every interaction: the configuration never changes, but the
@@ -205,21 +184,6 @@ TEST(FaultDegenerate, DropOneIsProvableSilenceOnBatch) {
   }
 }
 
-TEST(FaultDegenerate, DropOneFreezesShardedConfiguration) {
-  const std::uint32_t n = 32;
-  const SilentNStateSSR proto(n);
-  const auto counts = counts_of(proto, silent_nstate_worst_config(n));
-  ShardedOptions options;
-  options.shards = 4;
-  FaultSpec spec;
-  spec.drop = 1.0;
-  ShardedSimulation<SilentNStateSSR> sim(proto, counts, 17, options);
-  sim.set_faults(spec);
-  for (int k = 0; k < 5; ++k) sim.step();
-  EXPECT_GT(sim.interactions(), 0u);  // null slots are still scheduled
-  EXPECT_EQ(sim.state_counts(), counts);
-}
-
 // Churn is crash-reset under the fixed-n population model: whatever the
 // engine, the counts always sum to exactly n.
 TEST(FaultDegenerate, ChurnConservesPopulationOnEveryEngine) {
@@ -246,14 +210,6 @@ TEST(FaultDegenerate, ChurnConservesPopulationOnEveryEngine) {
     sim.set_faults(spec);
     sim.run(20000);
     EXPECT_EQ(total_count(sim.state_counts()), n) << to_string(strategy);
-  }
-  {
-    ShardedOptions options;
-    options.shards = 4;
-    ShardedSimulation<OptimalSilentSSR> sim(proto, counts, 53, options);
-    sim.set_faults(spec);
-    sim.run(20000);
-    EXPECT_EQ(total_count(sim.state_counts()), n);
   }
 }
 
@@ -469,12 +425,12 @@ TEST(FaultHeld, FaultFreeSilentRunHoldsForeverAndFails) {
 //
 // The acceptance check for the count-engine fault compilations: with
 // faults active, every strategy must still measure the same distribution
-// as the FaultySimulation ground truth. 27 simultaneous CI-overlap
+// as the FaultySimulation ground truth. 18 simultaneous CI-overlap
 // comparisons across the two suites: Bonferroni widening via
 // stat_harness::family_widen.
 
 using stat_harness::expect_overlapping_ci;
-const double kFaultWiden = stat_harness::family_widen(27);
+const double kFaultWiden = stat_harness::family_widen(18);
 
 ScenarioResult run_fault_cell(const std::string& protocol,
                               const std::string& init,
@@ -517,8 +473,7 @@ TEST_P(FaultCrossEngine, OptimalSilentStabilizationUnderDrop) {
         faults);
     EXPECT_EQ(array_r.failed, 0u);
     EXPECT_TRUE(array_r.faulted);
-    for (const char* strategy :
-         {"geometric_skip", "multinomial", "sharded"}) {
+    for (const char* strategy : {"geometric_skip", "multinomial"}) {
       const ScenarioResult r = run_fault_cell(
           "optimal-silent", init, until, n, "batch", strategy,
           62000 + n + tag, faults);
@@ -541,7 +496,7 @@ TEST_P(FaultCrossEngine, SilentNStateThinningUnderOneway) {
                      "auto", 71000 + n, faults);
   EXPECT_EQ(array_r.failed, 0u);
   EXPECT_TRUE(array_r.faulted);
-  for (const char* strategy : {"geometric_skip", "multinomial", "sharded"}) {
+  for (const char* strategy : {"geometric_skip", "multinomial"}) {
     const ScenarioResult r =
         run_fault_cell("silent-nstate", "duplicate-rank", "thinned", n,
                        "batch", strategy, 72000 + n, faults);

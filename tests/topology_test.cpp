@@ -60,7 +60,7 @@ static_assert(!LeaderReportingProtocol<OneWayEpidemic>);
 static_assert(CountEngine<RingSimulation<RingSSLE>>);
 static_assert(CountEngine<RingSimulation<OneWayEpidemic>>);
 // The ring engine has exactly one strategy; it must stay invisible to the
-// strategy controller (same design as RingSimulation not being sharded).
+// strategy controller.
 static_assert(!StrategyEngine<RingSimulation<RingSSLE>>);
 
 // --- shape ------------------------------------------------------------------
@@ -240,7 +240,7 @@ TEST(CompleteTransparency, PairedStepUnderFaults) {
 // keeps the baseline shape (topology resolved to "complete").
 TEST(CompleteTransparency, ScenarioMetricsBitIdentical) {
   for (const char* strategy :
-       {"auto", "geometric_skip", "multinomial", "sharded", "tau"}) {
+       {"auto", "geometric_skip", "multinomial", "tau"}) {
     ScenarioSpec spec;
     spec.protocol = "one-way-epidemic";
     spec.n = 256;

@@ -13,9 +13,11 @@
 //       initial conditions and stop conditions.
 //   ppsle_run --scenario key=val [key=val ...]
 //       Run one scenario. Keys: protocol, n, init, engine, strategy,
-//       shards, until, trials, seed, threads, max_interactions, ptime,
-//       tail, topology, label, param.<name> (protocol-constant override,
-//       e.g. param.rmax_factor=2). Unknown keys/values are hard errors.
+//       until, trials, seed, threads, max_interactions, ptime, tail,
+//       tau.eps, fault.drop, fault.oneway, fault.churn, topology, label,
+//       param.<name> (protocol-constant override, e.g.
+//       param.rmax_factor=2). Unknown keys/values are hard errors, and so
+//       are n, trials and threads above UINT32_MAX.
 //   ppsle_run --matrix file.json
 //       Run a sweep matrix: the JSON's "matrix" object maps spec keys to
 //       value lists (full cross product), "defaults" seeds every cell, and
@@ -62,6 +64,16 @@ std::uint64_t parse_u64(const std::string& key, const std::string& value) {
   }
 }
 
+// The 32-bit spec fields (n, trials, threads): a value above UINT32_MAX is
+// a hard error, never a silent truncation to its low 32 bits.
+std::uint32_t parse_u32(const std::string& key, const std::string& value) {
+  const std::uint64_t v = parse_u64(key, value);
+  if (v > UINT32_MAX)
+    usage_error("value of '" + key + "' exceeds " +
+                std::to_string(UINT32_MAX) + ": '" + value + "'");
+  return static_cast<std::uint32_t>(v);
+}
+
 double parse_double(const std::string& key, const std::string& value) {
   try {
     std::size_t pos = 0;
@@ -80,23 +92,21 @@ void apply_kv(ScenarioSpec& spec, std::string& label, const std::string& key,
   if (key == "protocol") {
     spec.protocol = value;
   } else if (key == "n") {
-    spec.n = static_cast<std::uint32_t>(parse_u64(key, value));
+    spec.n = parse_u32(key, value);
   } else if (key == "init") {
     spec.init = value;
   } else if (key == "engine") {
     spec.engine = value;
   } else if (key == "strategy") {
     spec.strategy = value;
-  } else if (key == "shards") {
-    spec.shards = static_cast<std::uint32_t>(parse_u64(key, value));
   } else if (key == "until") {
     spec.until = value;
   } else if (key == "trials") {
-    spec.trials = static_cast<std::uint32_t>(parse_u64(key, value));
+    spec.trials = parse_u32(key, value);
   } else if (key == "seed") {
     spec.seed = parse_u64(key, value);
   } else if (key == "threads") {
-    spec.threads = static_cast<std::uint32_t>(parse_u64(key, value));
+    spec.threads = parse_u32(key, value);
   } else if (key == "max_interactions") {
     spec.max_interactions = parse_u64(key, value);
   } else if (key == "ptime") {
@@ -135,7 +145,7 @@ void apply_kv(ScenarioSpec& spec, std::string& label, const std::string& key,
     spec.params.emplace_back(key.substr(6), value);
   } else {
     usage_error("unknown scenario key '" + key +
-                "' (known: protocol n init engine strategy shards until "
+                "' (known: protocol n init engine strategy until "
                 "trials seed threads max_interactions ptime tail tau.eps "
                 "fault.drop fault.oneway fault.churn topology label "
                 "param.<name>)");
@@ -342,9 +352,6 @@ int run_matrix(const std::string& path, std::string out_name) {
              ? "ode"
              : (batch ? "batch/" + cell.spec.strategy : "array")) +
         "|" +
-        (batch && cell.spec.strategy == "sharded"
-             ? "shards=" + std::to_string(cell.spec.shards) + "|"
-             : "") +
         (approx ? "tau_eps=" + std::to_string(cell.spec.tau_eps) + "|"
                 : "") +
         (cell.spec.faults.active()
