@@ -7,9 +7,9 @@
 // index for repeated keys); everything else is measurement. The
 // `approximate`, `tau_eps`, and `abstracted` fields are part of the
 // *identity*, not the measurement: a record produced by the approximate
-// tier (strategy=tau / engine=ode, stamped "approximate": true by the
-// scenario API) or by an abstracted protocol (a count-form quotient,
-// stamped "abstracted": true) is a different experiment class from an
+// tier (strategy=tau, stamped "approximate": true by the scenario API)
+// or by an abstracted protocol (a count-form quotient, stamped
+// "abstracted": true) is a different experiment class from an
 // exact record of the same shape, so the two never silently compare
 // against each other when a bench cell migrates between tiers.
 //

@@ -41,10 +41,9 @@
 // APPROXIMATE tier (opt-in, never auto-chosen):
 //   strategy = "tau" (+ tau.eps=E) runs trials on the tau-leaping count
 //   engine (core/tau_leap_simulation.h) — exact only in the small-leap
-//   limit. engine = "ode" (until=ptime only) integrates the mean-field
-//   drift (core/mean_field.h). Both stamp ScenarioResult.approximate =
-//   true + the resolved tau_eps; bench_compare exempts such records from
-//   strict drift checks against exact baselines.
+//   limit. It stamps ScenarioResult.approximate = true + the resolved
+//   tau_eps; bench_compare exempts such records from strict drift checks
+//   against exact baselines.
 //
 // ABSTRACTED protocols: the sublinear-*-count entries run the truncated
 // count-form quotient of Sublinear-Time-SSR (protocols/sublinear_count.h)
@@ -68,7 +67,6 @@
 #include "analysis/convergence.h"
 #include "analysis/experiments.h"
 #include "core/batch_simulation.h"
-#include "core/mean_field.h"
 #include "core/registry.h"
 #include "core/ring_simulation.h"
 #include "core/simulation.h"
@@ -108,6 +106,24 @@ inline std::uint32_t resolve_population(const ScenarioSpec& spec,
   return spec.n != 0 ? spec.n : default_n;
 }
 
+// A Theta-constant override "param.<name>=<factor>": the constant is
+// make(factor), computed in double precision. The factor must be > 0 and
+// the constant must land in [1, UINT32_MAX]; both are checked before the
+// cast, since converting an out-of-range double to an integer is undefined.
+template <class Make>
+std::uint32_t factor_constant(ParamReader& params, const std::string& name,
+                              double fallback, Make make) {
+  const double factor = params.number(name, fallback);
+  if (!(factor > 0.0))
+    throw std::invalid_argument("param '" + name + "' must be > 0");
+  const double constant = make(factor);
+  if (!(constant >= 1.0 && constant <= static_cast<double>(UINT32_MAX)))
+    throw std::invalid_argument("param '" + name +
+                                "' gives a constant outside [1, " +
+                                std::to_string(UINT32_MAX) + "]");
+  return static_cast<std::uint32_t>(constant);
+}
+
 // Compile-time gate for the tau-leaping engine: deterministic transitions
 // (bulk application replays the cache), passive-structured null knowledge
 // (category enumeration), and — when observable — scalable counters.
@@ -123,8 +139,7 @@ bool resolve_use_batch(const ScenarioSpec& spec) {
   if (engine == "array") return false;
   if (engine != "batch" && engine != "auto")
     throw std::invalid_argument("unknown engine '" + engine +
-                                "' (array | batch | auto; ode needs "
-                                "until=ptime)");
+                                "' (array | batch | auto)");
   if constexpr (EnumerableProtocol<P>) {
     return true;
   } else {
@@ -153,12 +168,6 @@ ScenarioResult drive(const ScenarioSpec& spec, const P& proto,
   if (inits.find(init_name) == nullptr)
     throw std::invalid_argument("unknown initial condition '" + init_name +
                                 "' for protocol '" + spec.protocol + "'");
-  // execute_ptime intercepts engine=ode before reaching here, so seeing it
-  // means a stop condition the drift-only integrator cannot answer.
-  if (spec.engine == "ode")
-    throw std::invalid_argument(
-        "engine=ode supports until=ptime only (the mean-field drift has no "
-        "per-trial stopping events)");
   // The strategy name is checked even where the resolved engine ignores it
   // (the agent array), so an unknown name never runs silently.
   const std::string strat_name =
@@ -446,82 +455,6 @@ ScenarioResult execute_predicate(const ScenarioSpec& spec, const P& proto,
       });
 }
 
-// APPROXIMATE drift-only tier: engine=ode integrates the mean-field ODE
-// (core/mean_field.h) over the fixed parallel-time budget. Deterministic
-// given the init (trials differ only through their derived init seeds);
-// metric = per-trial run wall seconds like every until=ptime cell, and the
-// result is stamped approximate with the resolved step (tau_eps doubles as
-// the RK4 dt here; 0 = kDefaultOdeDt).
-template <class P>
-ScenarioResult drive_ode(const ScenarioSpec& spec, const P& proto,
-                         const InitialConditionSet<P>& inits,
-                         const std::string& until_name) {
-  if constexpr (!(EnumerableProtocol<P> && DeterministicProtocol<P> &&
-                  (KeyedPassiveProtocol<P> || UnkeyedPassiveProtocol<P>))) {
-    throw std::invalid_argument(
-        "protocol '" + spec.protocol +
-        "' cannot run the mean-field engine (needs deterministic, "
-        "passive-structured transitions)");
-  } else {
-    if (spec.horizon_ptime <= 0)
-      throw std::invalid_argument(
-          "until=ptime needs a positive ptime=<parallel-time budget>");
-    if (!spec.strategy.empty() && spec.strategy != "auto")
-      throw std::invalid_argument(
-          "engine=ode has no batching strategy; drop strategy='" +
-          spec.strategy + "'");
-    const std::string init_name =
-        spec.init.empty() ? inits.default_name() : spec.init;
-    if (inits.find(init_name) == nullptr)
-      throw std::invalid_argument("unknown initial condition '" + init_name +
-                                  "' for protocol '" + spec.protocol + "'");
-    if (spec.faults.active())
-      throw std::invalid_argument(
-          "fault injection is exact-tier only (engine=ode is the mean-field "
-          "drift; use engine=array|batch)");
-    if (!spec.topology.empty() && spec.topology != "complete")
-      throw std::invalid_argument(
-          "engine=ode assumes complete mixing; topology '" + spec.topology +
-          "' has no mean-field drift here");
-    if (!std::isfinite(spec.tau_eps) || spec.tau_eps < 0.0)
-      throw std::invalid_argument("tau.eps must be finite and >= 0");
-    const double dt = spec.tau_eps > 0.0 ? spec.tau_eps : kDefaultOdeDt;
-    const std::uint32_t trials = spec.trials ? spec.trials : 1;
-    std::vector<double> values(trials, -1.0);
-    std::vector<std::uint64_t> interactions(trials, 0);
-    const WallTimer total;
-    for_each_trial(trials, spec.threads, [&](std::uint32_t t) {
-      const std::uint64_t trial_seed = derive_seed(spec.seed, t);
-      const std::uint64_t init_seed = derive_seed(trial_seed, 1);
-      MeanFieldSimulation<P> sim(
-          proto, inits.counts(proto, init_name, init_seed), dt);
-      const WallTimer run_wall;
-      sim.run_ptime(spec.horizon_ptime);
-      values[t] = run_wall.seconds();
-      interactions[t] = sim.interactions();
-    });
-    ScenarioResult out;
-    out.metric = "wall_seconds";
-    out.values = values;
-    out.summary = summarize(out.values);
-    out.backend = "ode";
-    out.topology = "complete";
-    out.init = init_name;
-    out.until = until_name;
-    out.params = spec.params;
-    out.n = proto.population_size();
-    out.trials = trials;
-    double inter_sum = 0;
-    for (std::uint64_t i : interactions)
-      inter_sum += static_cast<double>(i);
-    out.interactions_mean = inter_sum / static_cast<double>(trials);
-    out.wall_seconds = total.seconds();
-    out.approximate = true;
-    out.tau_eps = dt;
-    return out;
-  }
-}
-
 // Fixed parallel-time budget: the perf-measurement mode. Metric = per-trial
 // *run* wall seconds (engine construction excluded, so strategy
 // head-to-heads measure the stepping code); ScenarioResult.wall_seconds
@@ -530,8 +463,6 @@ template <class P>
 ScenarioResult execute_ptime(const ScenarioSpec& spec, const P& proto,
                              const InitialConditionSet<P>& inits,
                              const std::string& until_name) {
-  if (spec.engine == "ode")
-    return drive_ode(spec, proto, inits, until_name);
   if (spec.horizon_ptime <= 0)
     throw std::invalid_argument(
         "until=ptime needs a positive ptime=<parallel-time budget>");
@@ -634,16 +565,18 @@ inline void register_optimal_silent(ProtocolRegistry& reg) {
     // Timer-constant overrides: the standard() defaults are Emax = 16n,
     // Dmax = 8n, Rmax = ceil(8 ln n) + 4; the factors scale each Theta
     // constant (bench_ablations' failure-boundary sweeps drive these).
+    // The constructor checks the resulting code space fits 32-bit codes.
     ParamReader params(spec);
-    OptimalSilentParams op = OptimalSilentParams::standard(n);
-    op.emax = static_cast<std::uint32_t>(
-        params.number("emax_factor", 16.0) * static_cast<double>(n));
-    op.dmax = static_cast<std::uint32_t>(
-        params.number("dmax_factor", 8.0) * static_cast<double>(n));
-    op.rmax = static_cast<std::uint32_t>(
-                  std::ceil(params.number("rmax_factor", 8.0) *
-                            std::log(static_cast<double>(n)))) +
-              4;
+    const double nd = static_cast<double>(n);
+    OptimalSilentParams op;
+    op.n = n;
+    op.emax = sd::factor_constant(params, "emax_factor", 16.0,
+                                  [&](double f) { return f * nd; });
+    op.dmax = sd::factor_constant(params, "dmax_factor", 8.0,
+                                  [&](double f) { return f * nd; });
+    op.rmax = sd::factor_constant(params, "rmax_factor", 8.0, [&](double f) {
+      return std::ceil(f * std::log(nd)) + 4.0;
+    });
     params.finish();
     const OptimalSilentSSR proto(op);
     const auto& inits = optimal_silent_inits();
@@ -726,12 +659,12 @@ inline void register_sublinear_entry(ProtocolRegistry& reg,
     // variant.
     ParamReader params(spec);
     const auto h_override =
-        static_cast<std::uint32_t>(params.integer("h", 0));
+        static_cast<std::uint32_t>(params.integer("h", 0, UINT32_MAX));
     SublinearParams p = h_override > 0
                             ? SublinearParams::constant_h(n, h_override)
                             : make_params(n);
     p.smax = params.integer("smax", p.smax);
-    p.th = static_cast<std::uint32_t>(params.integer("th", p.th));
+    p.th = static_cast<std::uint32_t>(params.integer("th", p.th, UINT32_MAX));
     p.use_synthetic_coin =
         params.flag("synthetic_coin", p.use_synthetic_coin);
     p.direct_check = params.flag("direct_check", p.direct_check);
@@ -813,16 +746,16 @@ inline void register_sublinear_count_entry(
     // about expressibility, not an unknown param.
     ParamReader params(spec);
     const auto h_override =
-        static_cast<std::uint32_t>(params.integer("h", 0));
+        static_cast<std::uint32_t>(params.integer("h", 0, UINT32_MAX));
     SublinearParams p = h_override > 0
                             ? SublinearParams::constant_h(n, h_override)
                             : make_params(n);
     p.smax = params.integer("smax", p.smax);
-    p.th = static_cast<std::uint32_t>(params.integer("th", p.th));
+    p.th = static_cast<std::uint32_t>(params.integer("th", p.th, UINT32_MAX));
     p.use_synthetic_coin = params.flag("synthetic_coin", false);
     p.direct_check = params.flag("direct_check", p.direct_check);
-    const auto trunc_depth =
-        static_cast<std::uint32_t>(params.integer("trunc.depth", 1));
+    const auto trunc_depth = static_cast<std::uint32_t>(
+        params.integer("trunc.depth", 1, UINT32_MAX));
     params.finish();
     const SublinearCountSSR proto(p, trunc_depth);
     const auto& inits = sublinear_count_inits();
@@ -925,13 +858,14 @@ inline void register_reset_process(ProtocolRegistry& reg) {
     // The Section 3 experiment constants: Rmax = 8 ln n + 4, Dmax = 4 Rmax;
     // rmax_factor / dmax_factor override the two Theta constants.
     ParamReader params(spec);
-    const auto rmax =
-        static_cast<std::uint32_t>(
-            std::ceil(params.number("rmax_factor", 8.0) *
-                      std::log(static_cast<double>(n)))) +
-        4;
-    const auto dmax = static_cast<std::uint32_t>(
-        params.number("dmax_factor", 4.0) * static_cast<double>(rmax));
+    const std::uint32_t rmax =
+        sd::factor_constant(params, "rmax_factor", 8.0, [&](double f) {
+          return std::ceil(f * std::log(static_cast<double>(n))) + 4.0;
+        });
+    const std::uint32_t dmax =
+        sd::factor_constant(params, "dmax_factor", 4.0, [&](double f) {
+          return f * static_cast<double>(rmax);
+        });
     params.finish();
     const ResetProcess proto(n, rmax, dmax);
     const auto& inits = reset_process_inits();
@@ -1075,7 +1009,8 @@ inline void register_ring_ssle(ProtocolRegistry& reg) {
     namespace sd = scenario_detail;
     const std::uint32_t n = sd::resolve_population(raw, 64, 0);
     ParamReader params(raw);
-    const auto cap = static_cast<std::uint32_t>(params.integer("cap", 0));
+    const auto cap =
+        static_cast<std::uint32_t>(params.integer("cap", 0, UINT32_MAX));
     params.finish();
     const RingSSLE proto(n, cap);
     const auto& inits = ring_ssle_inits();
@@ -1245,7 +1180,7 @@ inline BenchRecord& report_scenario(BenchReport& report,
       .set(r.metric + "_p99", r.summary.p99)
       .set("interactions_mean", r.interactions_mean)
       .set("wall_seconds", r.wall_seconds);
-  // Approximate-tier honesty stamp (strategy=tau / engine=ode): consumers
+  // Approximate-tier honesty stamp (strategy=tau): consumers
   // (bench_compare) must never strict-diff these records' metric values
   // against exact baselines.
   if (r.approximate)

@@ -20,10 +20,6 @@
 //                              dominates segment-split draws in
 //                              core/batch_kernels.h), HRUA (Stadlober's
 //                              ratio-of-uniforms with squeeze) for large
-//   sample_multivariate_hypergeometric
-//                            - conditional univariate draws, category by
-//                              category (exact chain rule)
-//   sample_multinomial       - conditional binomial draws
 //   sample_poisson           - cdf inversion for small means, PTRS
 //                              (Hörmann's transformed rejection) for large:
 //                              exact for all finite means; the arrival-count
@@ -40,7 +36,6 @@
 #include <cmath>
 #include <cstdint>
 #include <stdexcept>
-#include <vector>
 
 #include "core/rng.h"
 
@@ -406,58 +401,6 @@ inline std::uint64_t sample_hypergeometric(Rng& rng, std::uint64_t good,
   if (sd <= kHypergeometricTwoSidedMaxSd)
     return detail::hypergeometric_two_sided(rng, good, bad, sample);
   return detail::hypergeometric_hrua(rng, good, bad, sample);
-}
-
-// The multiset of categories in a uniform without-replacement sample of
-// `sample` items from a population with `counts[i]` items of category i:
-// out[i] ~ conditional hypergeometric, chained exactly. `out` is resized
-// and overwritten. Cost: one univariate draw per category (early exit once
-// the sample is exhausted).
-inline void sample_multivariate_hypergeometric(
-    Rng& rng, const std::vector<std::uint64_t>& counts, std::uint64_t sample,
-    std::vector<std::uint64_t>& out) {
-  std::uint64_t total = 0;
-  for (std::uint64_t c : counts) total += c;
-  if (sample > total)
-    throw std::invalid_argument("multivariate hypergeometric sample > total");
-  out.assign(counts.size(), 0);
-  std::uint64_t remaining = total;
-  std::uint64_t left = sample;
-  for (std::size_t i = 0; i < counts.size() && left > 0; ++i) {
-    const std::uint64_t x =
-        sample_hypergeometric(rng, counts[i], remaining - counts[i], left);
-    out[i] = x;
-    left -= x;
-    remaining -= counts[i];
-  }
-}
-
-// Category counts of `trials` independent draws from the distribution
-// `probs` (need not be normalized; weights must be >= 0 with positive sum).
-// Chained conditional binomials; exact. `out` is resized and overwritten.
-inline void sample_multinomial(Rng& rng, std::uint64_t trials,
-                               const std::vector<double>& probs,
-                               std::vector<std::uint64_t>& out) {
-  double total = 0.0;
-  for (double p : probs) {
-    if (!(p >= 0.0)) throw std::invalid_argument("multinomial weight < 0");
-    total += p;
-  }
-  if (!(total > 0.0) && trials > 0)
-    throw std::invalid_argument("multinomial weights sum to zero");
-  out.assign(probs.size(), 0);
-  std::uint64_t left = trials;
-  double mass = total;
-  for (std::size_t i = 0; i + 1 < probs.size() && left > 0; ++i) {
-    double p = probs[i] / mass;
-    if (p > 1.0) p = 1.0;
-    const std::uint64_t x = sample_binomial(rng, left, p);
-    out[i] = x;
-    left -= x;
-    mass -= probs[i];
-    if (!(mass > 0.0)) mass = 0.0;
-  }
-  if (!probs.empty()) out[probs.size() - 1] += left;
 }
 
 namespace detail {

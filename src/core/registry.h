@@ -16,6 +16,7 @@
 // where the template machinery that builds an entry's run() lives.
 #pragma once
 
+#include <cmath>
 #include <cstdint>
 #include <functional>
 #include <stdexcept>
@@ -35,8 +36,7 @@ struct ScenarioSpec {
   std::string protocol;        // registry name (required)
   std::uint32_t n = 0;         // population size (0 = entry default_n)
   std::string init;            // initial-condition name ("" = entry default)
-  std::string engine = "auto";    // array | batch | auto (batch if able) |
-                                  // ode (APPROXIMATE mean-field drift)
+  std::string engine = "auto";    // array | batch | auto (batch if able)
   std::string strategy = "auto";  // geometric_skip | multinomial | auto |
                                   // tau (APPROXIMATE tau-leaping)
   std::string until;           // stop condition name ("" = entry default)
@@ -48,14 +48,13 @@ struct ScenarioSpec {
   std::uint64_t seed = 1;      // base seed; trial t runs derive_seed(seed, t)
   std::uint32_t threads = 0;   // trial fan-out (0 = env/hardware)
   double tau_eps = 0.0;        // strategy=tau: leap-size knob ("tau.eps=",
-                               // 0 = kDefaultTauEps); engine=ode reuses it
-                               // as the RK4 step in parallel-time units.
-                               // Approximate results are pure functions of
-                               // (seed, tau_eps) and stamped as such.
+                               // 0 = kDefaultTauEps). Approximate results
+                               // are pure functions of (seed, tau_eps) and
+                               // stamped as such.
   FaultSpec faults;            // fault.drop= / fault.oneway= / fault.churn=
                                // (core/faults.h). Exact on array, batch and
                                // ring; rejected on the approximate tier
-                               // (tau / ode), whose error bounds assume the
+                               // (tau), whose error bounds assume the
                                // fault-free transition rates. Any non-zero
                                // knob stamps the result `faulted`.
   std::string topology;        // interaction graph (core/topology.h):
@@ -82,32 +81,48 @@ class ParamReader {
   explicit ParamReader(const ScenarioSpec& spec)
       : params_(spec.params), used_(spec.params.size(), false) {}
 
+  // Finite values only: a nan or inf override would reach the runner's
+  // double -> integer conversions, which are undefined out of range.
   double number(const std::string& name, double fallback) {
     const std::string* v = find(name);
     if (v == nullptr) return fallback;
+    double d = 0.0;
     try {
       std::size_t pos = 0;
-      const double d = std::stod(*v, &pos);
+      d = std::stod(*v, &pos);
       if (pos != v->size()) throw std::invalid_argument(*v);
-      return d;
     } catch (...) {
       throw std::invalid_argument("param '" + name + "' is not a number: '" +
                                   *v + "'");
     }
+    if (!std::isfinite(d))
+      throw std::invalid_argument("param '" + name + "' is not finite: '" +
+                                  *v + "'");
+    return d;
   }
 
-  std::uint64_t integer(const std::string& name, std::uint64_t fallback) {
+  // `max` is the largest value the target field holds (UINT32_MAX for a
+  // 32-bit constant): a larger override is a hard error, never a silent
+  // truncation to its low bits. A leading '-' is rejected rather than
+  // wrapped the way std::stoull would.
+  std::uint64_t integer(const std::string& name, std::uint64_t fallback,
+                        std::uint64_t max = UINT64_MAX) {
     const std::string* v = find(name);
     if (v == nullptr) return fallback;
+    std::uint64_t u = 0;
     try {
       std::size_t pos = 0;
-      const unsigned long long u = std::stoull(*v, &pos);
+      if (v->find('-') != std::string::npos) throw std::invalid_argument(*v);
+      u = std::stoull(*v, &pos);
       if (pos != v->size()) throw std::invalid_argument(*v);
-      return u;
     } catch (...) {
       throw std::invalid_argument("param '" + name +
                                   "' is not an integer: '" + *v + "'");
     }
+    if (u > max)
+      throw std::invalid_argument("param '" + name + "' exceeds " +
+                                  std::to_string(max) + ": '" + *v + "'");
+    return u;
   }
 
   bool flag(const std::string& name, bool fallback) {
@@ -178,7 +193,7 @@ struct ScenarioResult {
   double wall_seconds = 0.0;           // whole scenario (all trials)
   double interactions_mean = 0.0;      // per trial
 
-  // Honesty stamp for the approximate tier (strategy=tau / engine=ode):
+  // Honesty stamp for the approximate tier (strategy=tau):
   // true means the values are NOT exact-in-distribution and must never be
   // strict-diffed against exact baselines (bench_compare exempts them).
   bool approximate = false;

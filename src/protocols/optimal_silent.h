@@ -35,6 +35,7 @@
 #include <cmath>
 #include <cstdint>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "core/rng.h"
@@ -56,13 +57,32 @@ struct OptimalSilentParams {
   // per-epoch success probability stays high at simulable sizes.
   static OptimalSilentParams standard(std::uint32_t n) {
     if (n < 2) throw std::invalid_argument("population size must be >= 2");
+    const std::uint64_t emax = 16ull * n;
+    const std::uint64_t dmax = 8ull * n;
+    const std::uint64_t rmax = static_cast<std::uint64_t>(
+        std::ceil(8.0 * std::log(static_cast<double>(n)))) + 4;
+    check_code_space(n, emax, dmax, rmax);
     OptimalSilentParams p;
     p.n = n;
-    p.emax = 16 * n;
-    p.dmax = 8 * n;
-    p.rmax = static_cast<std::uint32_t>(
-        std::ceil(8.0 * std::log(static_cast<double>(n)))) + 4;
+    p.emax = static_cast<std::uint32_t>(emax);
+    p.dmax = static_cast<std::uint32_t>(dmax);
+    p.rmax = static_cast<std::uint32_t>(rmax);
     return p;
+  }
+
+  // State codes are 32-bit. The code space 3n + (Emax+1) + 2 Rmax +
+  // 2 (Dmax+1) (OptimalSilentSSR::encode) is computed in 64 bits and must
+  // fit, which also bounds every constant; with the standard constants it
+  // stops fitting just past n = 1.227e8.
+  static void check_code_space(std::uint64_t n, std::uint64_t emax,
+                               std::uint64_t dmax, std::uint64_t rmax) {
+    const std::uint64_t codes =
+        3 * n + (emax + 1) + 2 * rmax + 2 * (dmax + 1);
+    if (codes > UINT32_MAX)
+      throw std::invalid_argument(
+          "optimal-silent needs " + std::to_string(codes) +
+          " state codes at n = " + std::to_string(n) +
+          "; 32-bit codes stop at " + std::to_string(UINT32_MAX));
   }
 };
 
@@ -107,6 +127,8 @@ class OptimalSilentSSR {
     if (params.n < 2) throw std::invalid_argument("population size >= 2");
     if (params.emax == 0 || params.dmax == 0 || params.rmax == 0)
       throw std::invalid_argument("constants must be positive");
+    OptimalSilentParams::check_code_space(params.n, params.emax, params.dmax,
+                                          params.rmax);
   }
 
   std::uint32_t population_size() const { return params_.n; }

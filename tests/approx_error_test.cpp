@@ -1,8 +1,8 @@
 // The approximate tier's honesty harness (ISSUE 7 layer 4).
 //
-// The tau-leaping count engine (core/tau_leap_simulation.h) and the
-// mean-field ODE (core/mean_field.h) trade exactness for speed; this file
-// quantifies the trade instead of asserting bit-level agreement:
+// The tau-leaping count engine (core/tau_leap_simulation.h) trades
+// exactness for speed; this file quantifies the trade instead of asserting
+// bit-level agreement:
 //
 //   * CI-overlap cells: at n in {8, 64, 512} x 30 paired seeds, the
 //     tau engine's stabilization-time summary must overlap the exact
@@ -24,7 +24,7 @@
 //     on those fields (analysis/bench_records.h), so the stamps are the
 //     contract that keeps approximate records out of strict drift gates.
 //
-// Plus determinism, silence certification, mass conservation, and the
+// Plus determinism, silence certification, trace accounting, and the
 // error paths that keep the approximate tier strictly opt-in.
 #include <cmath>
 #include <cstdint>
@@ -34,7 +34,6 @@
 
 #include "analysis/scenarios.h"
 #include "core/batch_simulation.h"
-#include "core/mean_field.h"
 #include "core/rng.h"
 #include "core/tau_leap_simulation.h"
 #include "init/optimal_silent_init.h"
@@ -305,58 +304,6 @@ TEST(ApproxOptIn, NegativeTauEpsIsRejected) {
   spec.engine = "batch";
   spec.strategy = "tau";
   spec.tau_eps = -0.5;
-  spec.trials = 1;
-  EXPECT_THROW(run_scenario(spec), std::invalid_argument);
-}
-
-// ---------------------------------------------------------------------------
-// Mean-field ODE companion.
-
-TEST(MeanFieldOde, DeterministicAndMassConserving) {
-  const OptimalSilentSSR proto(OptimalSilentParams::standard(64));
-  const auto counts0 = optimal_silent_dormant_counts(proto.params());
-  MeanFieldSimulation<OptimalSilentSSR> a(proto, counts0);
-  MeanFieldSimulation<OptimalSilentSSR> b(proto, counts0);
-  a.run_ptime(8.0);
-  b.run_ptime(8.0);
-  double total = 0.0;
-  for (std::uint32_t code : a.occupied()) {
-    EXPECT_EQ(a.mass(code), b.mass(code)) << "ODE is not deterministic";
-    total += a.mass(code);
-  }
-  // Mass is conserved up to the explicitly tracked support-floor pruning.
-  EXPECT_NEAR(total + a.pruned_mass(), 64.0, 1e-6);
-}
-
-TEST(MeanFieldOde, ScenarioStampsApproximateWithResolvedStep) {
-  ScenarioSpec spec;
-  spec.protocol = "reset-process";
-  spec.init = "trigger-one";
-  spec.until = "ptime";
-  spec.horizon_ptime = 2.0;
-  spec.n = 100000;
-  spec.engine = "ode";
-  spec.trials = 2;
-  spec.seed = 9;
-  const ScenarioResult r = run_scenario(spec);
-  EXPECT_TRUE(r.approximate);
-  EXPECT_EQ(r.tau_eps, kDefaultOdeDt);  // resolved RK4 step
-  EXPECT_EQ(r.backend, "ode");
-  // until=ptime reports per-trial run wall seconds (the perf metric); the
-  // integrator must still account the full fixed budget of interactions.
-  EXPECT_EQ(r.metric, "wall_seconds");
-  ASSERT_EQ(r.values.size(), 2u);
-  EXPECT_GT(r.values[0], 0.0);
-  EXPECT_NEAR(r.interactions_mean, 2.0 * 100000.0, 1.0);
-}
-
-TEST(MeanFieldOde, RequiresPtimeStop) {
-  ScenarioSpec spec;
-  spec.protocol = "reset-process";
-  spec.init = "trigger-one";
-  spec.until = "drained";
-  spec.n = 1000;
-  spec.engine = "ode";
   spec.trials = 1;
   EXPECT_THROW(run_scenario(spec), std::invalid_argument);
 }

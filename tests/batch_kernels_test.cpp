@@ -480,15 +480,24 @@ TEST(ShardMerge, OccupiedPoolSplitRejoinInvariants) {
     }
   ASSERT_EQ(occ_codes.size(), 4u);
 
-  // Uniform partition into fixed-size parts: chained multivariate
-  // hypergeometric draws from what the earlier parts left.
+  // Uniform partition into fixed-size parts: each part draws its codes
+  // from what the earlier parts left, one conditional hypergeometric per
+  // code (the exact chain rule).
   Rng rng(99);
   const std::vector<std::uint64_t> sizes = {26, 25, 25, 24};
   std::vector<std::uint64_t> left = occ_counts;
   std::vector<std::vector<std::uint64_t>> parts(sizes.size());
   for (std::size_t t = 0; t < sizes.size(); ++t) {
-    sample_multivariate_hypergeometric(rng, left, sizes[t], parts[t]);
-    for (std::size_t i = 0; i < left.size(); ++i) left[i] -= parts[t][i];
+    std::uint64_t rest = 0;
+    for (std::uint64_t c : left) rest += c;
+    std::uint64_t want = sizes[t];
+    parts[t].assign(left.size(), 0);
+    for (std::size_t i = 0; i < left.size(); ++i) {
+      rest -= left[i];
+      parts[t][i] = sample_hypergeometric(rng, left[i], rest, want);
+      want -= parts[t][i];
+      left[i] -= parts[t][i];
+    }
   }
 
   // Load each part into its own pool via reset(): per-part totals match

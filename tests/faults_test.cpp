@@ -10,7 +10,7 @@
 //    engine; churn conserves the population size exactly;
 //  * hard errors: out-of-range knobs, churn > n, churn without a
 //    churn_state(), count-engine faults on an unstructured protocol,
-//    faults on the approximate tier (tau / ode);
+//    faults on the approximate tier (tau);
 //  * scenario plumbing: faulted runs are stamped `faulted` with the knobs
 //    echoed, fault-free runs are not;
 //  * the `held` stop condition: holding time is measured under churn on
@@ -291,16 +291,6 @@ TEST(FaultErrors, ApproximateTierRejectsFaults) {
   spec.n = 64;
   spec.engine = "batch";
   spec.strategy = "tau";
-  spec.trials = 1;
-  spec.faults.drop = 0.1;
-  EXPECT_THROW(run_scenario(spec), std::invalid_argument);
-
-  spec = ScenarioSpec{};
-  spec.protocol = "optimal-silent";
-  spec.n = 64;
-  spec.engine = "ode";
-  spec.until = "ptime";
-  spec.horizon_ptime = 0.05;
   spec.trials = 1;
   spec.faults.drop = 0.1;
   EXPECT_THROW(run_scenario(spec), std::invalid_argument);

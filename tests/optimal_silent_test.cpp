@@ -334,5 +334,20 @@ TEST(OptimalSilent, StateSpaceIsLinear) {
   }
 }
 
+// State codes are 32-bit: the ~35n code space fits up to n ~ 1.227e8 and
+// is rejected past it instead of wrapping num_states(). Neither the
+// parameters nor the constructor allocate, so both sizes are cheap.
+TEST(OptimalSilent, CodeSpaceMustFitThirtyTwoBits) {
+  const OptimalSilentSSR fits(params_for(120'000'000));
+  EXPECT_GT(fits.num_states(), 4'000'000'000u);
+  EXPECT_THROW(params_for(130'000'000), std::invalid_argument);
+  OptimalSilentParams p;
+  p.n = 130'000'000;
+  p.emax = 16 * p.n;
+  p.dmax = 8 * p.n;
+  p.rmax = 154;
+  EXPECT_THROW(OptimalSilentSSR{p}, std::invalid_argument);
+}
+
 }  // namespace
 }  // namespace ppsim

@@ -108,6 +108,48 @@ TEST(Registry, RetiredStrategyNameIsRejected) {
   }
   BatchStrategy parsed;
   EXPECT_FALSE(parse_strategy(retired, parsed));
+
+  // The retired mean-field engine name is an unknown engine.
+  spec = ScenarioSpec{};
+  spec.protocol = "reset-process";
+  spec.engine = "ode";
+  spec.until = "ptime";
+  spec.horizon_ptime = 1.0;
+  EXPECT_THROW(run_scenario(spec), std::invalid_argument);
+}
+
+// Protocol-constant overrides that do not fit their 32-bit field are hard
+// errors: a negative or huge factor, and an integer above UINT32_MAX,
+// must neither crash the runner nor run silently truncated.
+TEST(Registry, HostileParamOverridesAreRejected) {
+  const struct {
+    const char* protocol;
+    const char* name;
+    const char* value;
+  } cases[] = {
+      {"optimal-silent", "emax_factor", "-1"},
+      {"optimal-silent", "rmax_factor", "-3"},
+      {"optimal-silent", "emax_factor", "1e12"},
+      {"reset-process", "rmax_factor", "-3"},
+      {"ring-ssle", "cap", "4294967360"},
+      {"sublinear-h1", "th", "4294967297"},
+  };
+  for (const auto& c : cases) {
+    ScenarioSpec spec;
+    spec.protocol = c.protocol;
+    spec.n = 64;
+    spec.params = {{c.name, c.value}};
+    EXPECT_THROW(run_scenario(spec), std::invalid_argument)
+        << c.protocol << " param." << c.name << "=" << c.value;
+  }
+  // A positive fractional factor still scales its constant.
+  ScenarioSpec spec;
+  spec.protocol = "optimal-silent";
+  spec.n = 64;
+  spec.until = "ptime";
+  spec.horizon_ptime = 1.0;
+  spec.params = {{"emax_factor", "0.5"}};
+  EXPECT_NO_THROW(run_scenario(spec));
 }
 
 // --- Initial-condition round trips ------------------------------------------

@@ -496,15 +496,6 @@ TEST(TopologyErrors, InexpressibleScenarioSpecs) {
   ring_multinomial.strategy = "multinomial";
   ring_multinomial.trials = 1;
   EXPECT_THROW(run_scenario(ring_multinomial), std::invalid_argument);
-
-  // The mean-field ODE assumes complete mixing.
-  ScenarioSpec ode;
-  ode.protocol = "one-way-epidemic";
-  ode.n = 32;
-  ode.engine = "ode";
-  ode.topology = "ring";
-  ode.trials = 1;
-  EXPECT_THROW(run_scenario(ode), std::invalid_argument);
 }
 
 // A non-ring topology on a batch-capable protocol demotes engine=auto to

@@ -16,11 +16,11 @@
 //                            so any change means the simulated process
 //                            changed and the baseline needs a deliberate
 //                            refresh. Records stamped "approximate": true
-//                            (the strategy=tau / engine=ode tier) are a
-//                            separate class: wall-time gated like everything
-//                            else, but never strict-diffed — the approximate
-//                            engines may re-tune between commits, and their
-//                            sampled values carry no bit-for-bit contract.
+//                            (the strategy=tau tier) are a separate class:
+//                            wall-time gated like everything else, but
+//                            never strict-diffed — the tau-leaping engine
+//                            may re-tune between commits, and its sampled
+//                            values carry no bit-for-bit contract.
 //                            Records stamped "abstracted": true (count-form
 //                            protocol quotients, e.g. sublinear-*-count) get
 //                            the same treatment: the abstraction itself may

@@ -114,8 +114,8 @@ void apply_kv(ScenarioSpec& spec, std::string& label, const std::string& key,
   } else if (key == "tail") {
     spec.tail_ptime = parse_double(key, value);
   } else if (key == "tau.eps") {
-    // Approximate-tier knob: the tau-leap size (strategy=tau) or the RK4
-    // step (engine=ode). 0 keeps the engine default.
+    // Approximate-tier knob: the tau-leap size (strategy=tau). 0 keeps the
+    // engine default.
     spec.tau_eps = parse_double(key, value);
   } else if (key == "fault.drop") {
     // Fault-injection knobs (core/faults.h); ranges are validated by
@@ -338,20 +338,21 @@ int run_matrix(const std::string& path, std::string out_name) {
     // Every other spec field joins the identity verbatim: cells differing
     // in seed/trials/horizon/... are distinct runs, never duplicates.
     const bool batch = entry.batch_capable && cell.spec.engine != "array";
-    const bool approx = cell.spec.engine == "ode" ||
-                        (batch && (cell.spec.strategy == "tau" ||
-                                   cell.spec.strategy == "tau_leap"));
+    // Strategy aliases (geometric / geometric_skip, tau / tau_leap,
+    // "" / auto) name one strategy, so they join under its canonical name;
+    // an unknown name stays verbatim for run_scenario to reject.
+    std::string strategy =
+        cell.spec.strategy.empty() ? "auto" : cell.spec.strategy;
+    BatchStrategy parsed;
+    if (parse_strategy(strategy, parsed)) strategy = to_string(parsed);
+    const bool approx = batch && strategy == "tau";
     const std::string identity =
         cell.spec.protocol + "|" +
         std::to_string(entry.fixed_n
                            ? entry.fixed_n
                            : (cell.spec.n ? cell.spec.n : entry.default_n)) +
         "|" + (cell.spec.init.empty() ? entry.default_init : cell.spec.init) +
-        "|" +
-        (cell.spec.engine == "ode"
-             ? "ode"
-             : (batch ? "batch/" + cell.spec.strategy : "array")) +
-        "|" +
+        "|" + (batch ? "batch/" + strategy : "array") + "|" +
         (approx ? "tau_eps=" + std::to_string(cell.spec.tau_eps) + "|"
                 : "") +
         (cell.spec.faults.active()
