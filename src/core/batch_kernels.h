@@ -118,6 +118,10 @@ class WeightedSampler {
     return pos;  // 0-based index
   }
 
+  // Equal trees hold equal weights: a Fenwick tree is a linear function of
+  // its weight vector, so incremental updates and a fresh build() agree.
+  bool operator==(const WeightedSampler&) const = default;
+
  private:
   std::vector<std::uint64_t> tree_;  // 1-based internal indexing
 };
@@ -322,6 +326,12 @@ class DiagonalKernel {
     return sampler_.find(rng.below(total_));
   }
 
+  // Same scalar and same sampled weights (engine audits compare a synced
+  // kernel against a fresh build from the counts).
+  bool same_weights(const DiagonalKernel& o) const {
+    return total_ == o.total_ && sampler_ == o.sampler_;
+  }
+
  private:
   WeightedSampler sampler_;
   std::vector<char> active_;
@@ -385,13 +395,21 @@ class KeyedPassiveKernel {
     return w;
   }
 
+  // When `lazy`, only the scalars and key counts move; resync_code() and
+  // resync_keys() repair the Fenwick trees later.
   void on_count_change(const P& protocol, std::uint32_t code,
                        std::int64_t delta, bool lazy) {
-    const typename P::State st = protocol.decode(code);
+    on_count_change(protocol, code, protocol.decode(code), delta, lazy);
+  }
+
+  // The same, for a caller that already holds a state st encoding to code
+  // (the declared structure is a function of the code).
+  void on_count_change(const P& protocol, std::uint32_t code,
+                       const typename P::State& st, std::int64_t delta,
+                       bool lazy) {
     if (protocol.is_passive(st)) {
       const std::uint32_t k = protocol.passive_key(st);
       const std::uint64_t old_kc = key_counts_[k];
-      if (lazy) dirty_keys_.find_or_insert(k, old_kc);  // first old value wins
       key_counts_[k] = static_cast<std::uint64_t>(
           static_cast<std::int64_t>(old_kc) + delta);
       diag_total_ = static_cast<std::uint64_t>(
@@ -411,19 +429,26 @@ class KeyedPassiveKernel {
   }
 
   // Repairs the restless Fenwick for one dirtied code (the engine tracks
-  // old counts); key Fenwick repairs happen in resync_keys().
+  // old counts); a passive code's change is summed per key here and the
+  // key Fenwick is repaired once per key in resync_keys().
   void resync_code(const P& protocol, std::uint32_t code,
                    std::uint64_t old_count, std::uint64_t new_count) {
-    if (protocol.is_passive(protocol.decode(code))) return;
     const std::int64_t d = static_cast<std::int64_t>(new_count) -
                            static_cast<std::int64_t>(old_count);
+    const typename P::State st = protocol.decode(code);
+    if (protocol.is_passive(st)) {
+      if (d != 0) dirty_keys_.add(protocol.passive_key(st), d);
+      return;
+    }
     if (d != 0) restless_.add(code, d);
   }
 
   void resync_keys() {
     for (std::uint32_t slot : dirty_keys_.entry_slots()) {
       const auto k = static_cast<std::uint32_t>(dirty_keys_.key_at(slot));
-      const std::uint64_t old_kc = dirty_keys_.value_at(slot);
+      const std::uint64_t old_kc = static_cast<std::uint64_t>(
+          static_cast<std::int64_t>(key_counts_[k]) -
+          static_cast<std::int64_t>(dirty_keys_.value_at(slot)));
       const std::int64_t dw =
           static_cast<std::int64_t>(pair_weight(key_counts_[k])) -
           static_cast<std::int64_t>(pair_weight(old_kc));
@@ -470,6 +495,12 @@ class KeyedPassiveKernel {
     return {a_code, b_code};
   }
 
+  bool same_weights(const KeyedPassiveKernel& o) const {
+    return restless_count_ == o.restless_count_ &&
+           diag_total_ == o.diag_total_ && key_counts_ == o.key_counts_ &&
+           restless_ == o.restless_ && key_sampler_ == o.key_sampler_;
+  }
+
  private:
   static std::size_t find_pos(const std::vector<std::uint32_t>& fiber,
                               std::uint32_t code) {
@@ -501,7 +532,7 @@ class KeyedPassiveKernel {
   std::vector<std::uint64_t> key_counts_;   // s_k: passive agents per key
   std::uint64_t restless_count_ = 0;        // A (scalar mirror, always live)
   std::uint64_t diag_total_ = 0;            // D (scalar mirror, always live)
-  FlatMap64 dirty_keys_;                    // key -> key_count at dirtying
+  FlatMap64 dirty_keys_;                    // key -> net change at resync
 };
 
 // Unkeyed passive fast path: the protocol guarantees that a pair of two
@@ -546,7 +577,15 @@ class UnkeyedPassiveKernel {
 
   void on_count_change(const P& protocol, std::uint32_t code,
                        std::int64_t delta, bool lazy) {
-    if (protocol.is_passive(protocol.decode(code))) return;
+    on_count_change(protocol, code, protocol.decode(code), delta, lazy);
+  }
+
+  // The same, for a caller that already holds a state st encoding to code
+  // (the declared structure is a function of the code).
+  void on_count_change(const P& protocol, std::uint32_t code,
+                       const typename P::State& st, std::int64_t delta,
+                       bool lazy) {
+    if (protocol.is_passive(st)) return;
     restless_count_ = static_cast<std::uint64_t>(
         static_cast<std::int64_t>(restless_count_) + delta);
     if (!lazy) restless_.add(code, delta);
@@ -578,6 +617,10 @@ class UnkeyedPassiveKernel {
       b_code = restless_.find(rng.below(kw.restless));
     }
     return {a_code, b_code};
+  }
+
+  bool same_weights(const UnkeyedPassiveKernel& o) const {
+    return restless_count_ == o.restless_count_ && restless_ == o.restless_;
   }
 
  private:
@@ -787,6 +830,12 @@ class SegmentedPool {
   }
   std::uint32_t code_at(std::uint32_t slot) const { return codes_[slot]; }
   std::uint64_t weight_at(std::uint32_t slot) const { return weights_[slot]; }
+
+  // Appends every code of non-zero weight, in slot order.
+  void occupied_codes(std::vector<std::uint32_t>& out) const {
+    for (std::size_t i = 0; i < codes_.size(); ++i)
+      if (weights_[i] != 0) out.push_back(codes_[i]);
+  }
 
   // --- Segment directory ---------------------------------------------------
   std::uint32_t segment_count() const {
@@ -1153,9 +1202,25 @@ class MultinomialKernel {
     return pool_.built() && pool_.single_occupied(code);
   }
 
-  // Occupied segments of the pool (0 before the first batch builds it) —
-  // the strategy controller's batch-amortization signal.
-  std::uint32_t segment_count() const { return pool_.segment_count(); }
+  // Appends the pool's occupied codes (slot order; requires built()).
+  void occupied_codes(std::vector<std::uint32_t>& out) const {
+    pool_.occupied_codes(out);
+  }
+
+  // True iff the pool is unbuilt or holds exactly `counts` (an O(|Q|)
+  // audit check).
+  bool pool_matches(const std::vector<std::uint64_t>& counts) const {
+    if (!pool_.built()) return true;
+    std::uint64_t total = 0;
+    std::uint32_t occupied = 0;
+    for (std::uint32_t code = 0; code < counts.size(); ++code) {
+      if (counts[code] == 0) continue;
+      if (pool_.weight_of(code) != counts[code]) return false;
+      total += counts[code];
+      ++occupied;
+    }
+    return pool_.total() == total && pool_.occupied() == occupied;
+  }
 
   // Runs one batch: mutates `counts`, accumulates protocol counters,
   // appends the net per-code deltas to `out_deltas`, and returns the number

@@ -42,18 +42,27 @@
 //    timer-heavy regimes where nearly every interaction is effective and
 //    the geometric skip degenerates to one-by-one simulation.
 //  * kAuto — delegate per step to core/engine.h's StrategyController: the
-//    exact active-weight density W / n(n-1) decides skip vs batch, and the
-//    occupied pool's segment count guards batch amortization (protocols
-//    with only the generic null-pair predicate stay on the geometric path;
-//    protocols with no null knowledge always batch multinomially). Every
-//    step's resolved arm is recorded in strategy_trace().
+//    exact active-weight density W / n(n-1) decides skip vs the dense
+//    arms, and the occupied-code count decides whether a multinomial batch
+//    can amortize. Dense rounds it cannot (every dense round below
+//    kAutoPoolMinPopulation, and fragmented configurations above it) run
+//    on the *array arm*: an agent-code array held inside this engine,
+//    filled from the counts in code order on entry (no randomness: the
+//    scheduler is anonymous), that draws uniform ordered agent pairs — one
+//    draw per interaction slot, faults drawn per slot as in
+//    FaultySimulation — until one changes state. Protocols with only the
+//    generic null-pair predicate stay on the geometric path; protocols
+//    with no null knowledge always batch multinomially. Every step's
+//    resolved arm is recorded in strategy_trace().
 //
-// While the multinomial kernel drives the run it never touches the
-// geometric paths' Fenwick trees (the full-|Q| count tree is hundreds of MB
-// for Optimal-Silent-SSR at n >= 10^6, so per-delta updates there would
-// dominate); the engine instead keeps the active-weight *scalars* current,
-// records which codes diverged, and replays them into the trees before the
-// next geometric-skip step.
+// Neither the multinomial kernel nor the array arm touches the geometric
+// paths' Fenwick trees (the full-|Q| count tree is hundreds of MB for
+// Optimal-Silent-SSR at n >= 10^6, so per-delta updates there would
+// dominate). Both keep counts_, the occupied-code count and the
+// active-weight *scalars* current; the multinomial kernel records which
+// codes diverged as it goes, the array arm diffs its entry histogram
+// against the counts once when it is left, and the diverged codes are
+// replayed into the trees before the next geometric-skip step.
 //
 // BatchSimulation<P> satisfies the Engine, CountEngine and StrategyEngine
 // concepts of core/engine.h; protocol event counters live engine-side
@@ -63,6 +72,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <stdexcept>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -176,26 +186,28 @@ class BatchSimulation {
   }
   const FaultSpec& faults() const { return faults_; }
 
-  // The strategy the next step will actually run: kAuto delegates to the
-  // StrategyController with the measured per-round inputs (population,
-  // exact active weight, occupied-segment count). Protocols with only the
-  // generic null-pair predicate stay on the geometric path; protocols with
-  // no null knowledge always batch multinomially. When the occupied pool
-  // was never built (small populations under kAuto — see init_samplers),
-  // the controller has no segment signal and the engine stays on the
-  // cache-hot geometric path, which is what wins there anyway.
-  BatchStrategy resolved_strategy() const {
-    if (strategy_ != BatchStrategy::kAuto) return strategy_;
+  // The arm the next step will actually run: a pinned strategy runs its
+  // own arm; kAuto delegates to the StrategyController with the measured
+  // per-round inputs (population, exact active weight, occupied-code
+  // count). Protocols with only the generic null-pair predicate stay on
+  // the geometric path; protocols with no null knowledge always batch
+  // multinomially. With every interaction dropped (fault.drop = 1) the
+  // geometric path certifies the freeze, so auto goes there.
+  StrategyArm resolved_arm() const {
+    if (strategy_ == BatchStrategy::kGeometricSkip)
+      return StrategyArm::kGeometricSkip;
+    if (strategy_ == BatchStrategy::kMultinomial)
+      return StrategyArm::kMultinomial;
     if constexpr (DiagonalActiveProtocol<P> || KeyedPassiveProtocol<P> ||
                   UnkeyedPassiveProtocol<P>) {
-      if (!multi_kernel_.built()) return BatchStrategy::kGeometricSkip;
-      return StrategyController::step_strategy(
-          population_size(), active_weight(),
-          multi_kernel_.segment_count());
+      if (faults_active_ && faults_.drop >= 1.0)
+        return StrategyArm::kGeometricSkip;
+      return StrategyController::step_strategy(population_size(),
+                                               active_weight(), occupied_);
     } else if constexpr (NullPairProtocol<P>) {
-      return BatchStrategy::kGeometricSkip;
+      return StrategyArm::kGeometricSkip;
     } else {
-      return BatchStrategy::kMultinomial;
+      return StrategyArm::kMultinomial;
     }
   }
 
@@ -219,7 +231,17 @@ class BatchSimulation {
   // zero active weight (structured protocols), or every agent in one null
   // self-pairing state (null-aware general protocols).
   std::uint64_t step() {
-    if (resolved_strategy() == BatchStrategy::kMultinomial) {
+    const StrategyArm arm = resolved_arm();
+    if (arm != StrategyArm::kArray) leave_array_arm();
+    if constexpr (DiagonalActiveProtocol<P> || KeyedPassiveProtocol<P> ||
+                  UnkeyedPassiveProtocol<P>) {
+      if (arm == StrategyArm::kArray) {
+        const std::uint64_t consumed = step_array();
+        trace_.note(StrategyArm::kArray, consumed);
+        return consumed;
+      }
+    }
+    if (arm == StrategyArm::kMultinomial) {
       const std::uint64_t consumed = step_multinomial();
       if (consumed != 0) trace_.note(StrategyArm::kMultinomial, consumed);
       return consumed;
@@ -261,6 +283,57 @@ class BatchSimulation {
     return false;
   }
 
+  // Recomputes the engine's invariants from scratch and throws
+  // std::logic_error naming the first that fails: the counts sum to n and
+  // the occupied-code count matches them; inside the array arm, the agent
+  // array's histogram equals the counts; the active-weight scalars, the
+  // Fenwick trees (once the pending lazy repairs are applied, on a copy)
+  // and the occupied pool equal a fresh build from the counts. O(|Q| + n)
+  // per call, for tests; it consumes no randomness and changes nothing.
+  void audit() const {
+    auto fail = [](const char* what) {
+      throw std::logic_error(std::string("BatchSimulation audit: ") + what);
+    };
+    std::uint64_t total = 0;
+    std::uint64_t occupied = 0;
+    for (std::uint64_t c : counts_) {
+      total += c;
+      if (c != 0) ++occupied;
+    }
+    if (total != population_size()) fail("counts do not sum to n");
+    if (occupied != occupied_) fail("occupied-code count is stale");
+    if (in_array_) {
+      std::vector<std::uint64_t> histogram(counts_.size(), 0);
+      for (std::uint32_t code : agents_) ++histogram[code];
+      if (histogram != counts_) fail("agent array histogram != counts");
+    }
+    BatchSimulation synced = *this;
+    synced.leave_array_arm();
+    synced.resync_fenwicks();
+    if (!synced.multi_kernel_.pool_matches(counts_))
+      fail("occupied pool != counts");
+    WeightedSampler fresh_counts;
+    fresh_counts.build(counts_);
+    if (!(synced.count_sampler_ == fresh_counts))
+      fail("count Fenwick != counts");
+    if constexpr (DiagonalActiveProtocol<P>) {
+      DiagonalKernel<P> fresh;
+      fresh.build(protocol_, counts_);
+      if (!synced.diag_kernel_.same_weights(fresh))
+        fail("diagonal kernel != fresh build");
+    } else if constexpr (KeyedPassiveProtocol<P>) {
+      KeyedPassiveKernel<P> fresh;
+      fresh.build(protocol_, counts_);
+      if (!synced.keyed_kernel_.same_weights(fresh))
+        fail("keyed kernel != fresh build");
+    } else if constexpr (UnkeyedPassiveProtocol<P>) {
+      UnkeyedPassiveKernel<P> fresh;
+      fresh.build(protocol_, counts_);
+      if (!synced.unkeyed_kernel_.same_weights(fresh))
+        fail("unkeyed kernel != fresh build");
+    }
+  }
+
  private:
   // kTauLeap is a whole-engine choice, not a per-step path: the
   // approximate macro-leap tier lives in TauLeapSimulation
@@ -279,7 +352,10 @@ class BatchSimulation {
     if (counts_.size() != q)
       throw std::invalid_argument("counts size != num_states");
     std::uint64_t total = 0;
-    for (std::uint32_t s = 0; s < q; ++s) total += counts_[s];
+    for (std::uint32_t s = 0; s < q; ++s) {
+      total += counts_[s];
+      if (counts_[s] != 0) ++occupied_;
+    }
     if (total != protocol_.population_size())
       throw std::invalid_argument("counts must sum to population size");
     count_sampler_.build(counts_);
@@ -293,13 +369,11 @@ class BatchSimulation {
     // The occupied pool costs one O(|Q|) scan to build and O(log segments)
     // per count change to maintain; pay that at construction (like the
     // Fenwick builds above) only when some step can actually resolve to
-    // the multinomial batch. Under kAuto with a structured protocol the
-    // pool doubles as the controller's segment-count signal, so it is
-    // built above the controller's pool floor and skipped below it (where
-    // the cache-hot geometric path wins regardless and resolved_strategy
-    // treats the missing pool as "skip"). An engine pinned to the
-    // geometric path never batches and skips the pool entirely. (A later
-    // set_strategy() is still safe: run_batch builds lazily.)
+    // the multinomial batch. Under kAuto with a structured protocol that
+    // is only at or above the controller's pool floor (below it,
+    // step_strategy never batches). An engine pinned to the geometric path
+    // never batches and skips the pool entirely. (A later set_strategy()
+    // is still safe: run_batch builds lazily.)
     constexpr bool structured = DiagonalActiveProtocol<P> ||
                                 KeyedPassiveProtocol<P> ||
                                 UnkeyedPassiveProtocol<P>;
@@ -351,6 +425,7 @@ class BatchSimulation {
     const std::uint64_t old_count = counts_[s];
     counts_[s] = static_cast<std::uint64_t>(
         static_cast<std::int64_t>(old_count) + delta);
+    note_occupancy(old_count, counts_[s]);
     count_sampler_.add(s, delta);
     if constexpr (DiagonalActiveProtocol<P>) {
       diag_kernel_.on_count_change(s, old_count, counts_[s], /*lazy=*/false);
@@ -363,6 +438,11 @@ class BatchSimulation {
     last_deltas_.push_back(CountDelta{s, static_cast<std::int32_t>(delta)});
   }
 
+  void note_occupancy(std::uint64_t old_count, std::uint64_t new_count) {
+    if (old_count == 0 && new_count != 0) ++occupied_;
+    if (old_count != 0 && new_count == 0) --occupied_;
+  }
+
   // Lazy count change: the multinomial kernel already updated counts_ and
   // its own pool; here the active-weight scalars are kept current and the
   // Fenwick divergence is recorded for resync_fenwicks().
@@ -371,6 +451,7 @@ class BatchSimulation {
     const std::uint64_t now = counts_[code];
     const std::uint64_t old_count = static_cast<std::uint64_t>(
         static_cast<std::int64_t>(now) - delta);
+    note_occupancy(old_count, now);
     dirty_codes_.find_or_insert(code, old_count);  // first old value wins
     if constexpr (DiagonalActiveProtocol<P>) {
       diag_kernel_.on_count_change(code, old_count, now, /*lazy=*/true);
@@ -469,6 +550,156 @@ class BatchSimulation {
       maybe_crash_after_slot();
     }
     return consumed;
+  }
+
+  // --- Array arm -----------------------------------------------------------
+
+  // One step on the agent-code array: uniform ordered agent pairs, drawn as
+  // UniformScheduler draws them, one interaction slot at a time until a
+  // slot changes some agent's state. Each slot runs FaultySimulation's
+  // per-slot law (drop, then one-way, then the end-of-slot crash). Pairs
+  // the protocol certifies null skip interact(), exactly as the geometric
+  // paths skip them. Returns the slots consumed. A step also ends after n
+  // slots without a change (positive active weight does not promise one:
+  // an unkeyed protocol's candidate pairs may all be null), so run()
+  // horizons are always reached; stopping at a fixed slot count is exact.
+  std::uint64_t step_array()
+    requires DiagonalActiveProtocol<P> || KeyedPassiveProtocol<P> ||
+             UnkeyedPassiveProtocol<P>
+  {
+    enter_array_arm();
+    last_deltas_.clear();
+    const std::uint32_t n = population_size();
+    const bool drop_on = faults_active_ && faults_.drop > 0.0;
+    const bool oneway_on = faults_active_ && faults_.oneway > 0.0;
+    const bool churn_on = crash_q_ > 0.0;
+    std::uint64_t slots = 0;
+    bool changed = false;
+    while (!changed && slots < n) {
+      ++slots;
+      const auto i = static_cast<std::uint32_t>(rng_.below(n));
+      auto j = static_cast<std::uint32_t>(rng_.below(n - 1));
+      if (j >= i) ++j;
+      const bool dropped = drop_on && rng_.unit() < faults_.drop;
+      if (!dropped) {
+        const bool one_way = oneway_on && rng_.unit() < faults_.oneway;
+        const std::uint32_t a = agents_[i];
+        const std::uint32_t b = agents_[j];
+        const State sa = protocol_.decode(a);
+        const State sb = protocol_.decode(b);
+        if (!protocol_.is_null_pair(sa, sb)) {
+          State ta = sa;
+          State tb = sb;
+          invoke_interact(protocol_, ta, tb, rng_, counters_);
+          const std::uint32_t na = protocol_.encode(ta);
+          const std::uint32_t nb = one_way ? b : protocol_.encode(tb);
+          if (na != a) {
+            set_agent(i, sa, na, ta);
+            changed = true;
+          }
+          if (nb != b) {
+            set_agent(j, sb, nb, tb);
+            changed = true;
+          }
+        }
+      }
+      if (churn_on && --crash_countdown_ == 0) {
+        if constexpr (ChurnableProtocol<P>) {
+          const auto victim = static_cast<std::uint32_t>(rng_.below(n));
+          const std::uint32_t old = agents_[victim];
+          if (old != churn_code_) {
+            set_agent(victim, protocol_.decode(old), churn_code_,
+                      protocol_.churn_state());
+            changed = true;
+          }
+        }
+        crash_countdown_ = sample_geometric(rng_, crash_q_);
+      }
+    }
+    interactions_ += slots;
+    stats_.batched += slots - 1;
+    ++stats_.effective;
+    return slots;
+  }
+
+  // Moves agent i from state `from` to `code` (state `to`), keeping
+  // counts_, the occupied-code count, the active-weight scalars and
+  // last_deltas_ current. The Fenwick trees and the occupied pool are left
+  // stale until leave_array_arm().
+  void set_agent(std::uint32_t i, const State& from, std::uint32_t code,
+                 const State& to) {
+    array_count_delta(agents_[i], from, -1);
+    array_count_delta(code, to, +1);
+    agents_[i] = code;
+  }
+
+  void array_count_delta(std::uint32_t code, const State& st,
+                         std::int32_t delta) {
+    const std::uint64_t old_count = counts_[code];
+    counts_[code] = static_cast<std::uint64_t>(
+        static_cast<std::int64_t>(old_count) + delta);
+    note_occupancy(old_count, counts_[code]);
+    if constexpr (DiagonalActiveProtocol<P>) {
+      diag_kernel_.on_count_change(code, old_count, counts_[code],
+                                   /*lazy=*/true);
+    } else if constexpr (KeyedPassiveProtocol<P>) {
+      keyed_kernel_.on_count_change(protocol_, code, st, delta,
+                                    /*lazy=*/true);
+    } else if constexpr (UnkeyedPassiveProtocol<P>) {
+      unkeyed_kernel_.on_count_change(protocol_, code, st, delta,
+                                      /*lazy=*/true);
+    }
+    last_deltas_.push_back(CountDelta{code, delta});
+  }
+
+  // Lays the agents out from the counts in code order. The scheduler is
+  // anonymous, so any fixed layout is exact, and this one consumes no
+  // randomness. Occupied codes come from the pool when it is built
+  // (O(occupied log occupied)), from a scan of counts_ otherwise; the
+  // entry histogram is kept for leave_array_arm()'s repair.
+  void enter_array_arm() {
+    if (in_array_) return;
+    array_entry_.clear();
+    if (multi_kernel_.built()) {
+      std::vector<std::uint32_t> codes;
+      multi_kernel_.occupied_codes(codes);
+      std::sort(codes.begin(), codes.end());
+      for (std::uint32_t code : codes)
+        array_entry_.push_back(CodeCount{code, counts_[code]});
+    } else {
+      for (std::uint32_t code = 0; code < counts_.size(); ++code)
+        if (counts_[code] != 0)
+          array_entry_.push_back(CodeCount{code, counts_[code]});
+    }
+    agents_.clear();
+    agents_.reserve(population_size());
+    for (const CodeCount& e : array_entry_)
+      agents_.insert(agents_.end(), e.count, e.code);
+    in_array_ = true;
+  }
+
+  // Repairs what the array arm left stale, once: every code whose count
+  // moved since entry (the entry histogram plus the codes the agents hold
+  // now) is applied to the occupied pool and handed to the dirty-code
+  // resync, which repairs the Fenwick trees before the next geometric
+  // step. O(n + occupied at entry) hash operations.
+  void leave_array_arm() {
+    if (!in_array_) return;
+    array_diff_.clear();
+    for (const CodeCount& e : array_entry_)
+      array_diff_.find_or_insert(e.code, e.count);
+    for (std::uint32_t code : agents_) array_diff_.find_or_insert(code, 0);
+    for (std::uint32_t slot : array_diff_.entry_slots()) {
+      const auto code = static_cast<std::uint32_t>(array_diff_.key_at(slot));
+      const std::uint64_t entry = array_diff_.value_at(slot);
+      if (counts_[code] == entry) continue;
+      multi_kernel_.on_external_change(
+          code, static_cast<std::int64_t>(counts_[code]) -
+                    static_cast<std::int64_t>(entry));
+      dirty_codes_.find_or_insert(code, entry);  // first old value wins
+      fenwicks_dirty_ = true;
+    }
+    in_array_ = false;
   }
 
   // --- Churn ---------------------------------------------------------------
@@ -650,6 +881,17 @@ class BatchSimulation {
   std::vector<CountDelta> last_deltas_;
   FlatMap64 dirty_codes_;  // code -> count the Fenwick trees still reflect
   bool fenwicks_dirty_ = false;
+  std::uint64_t occupied_ = 0;  // codes with a non-zero count
+  // Array arm (kAuto only): agent -> code while in_array_, the counts at
+  // entry, and leave_array_arm()'s scratch map.
+  struct CodeCount {
+    std::uint32_t code;
+    std::uint64_t count;
+  };
+  std::vector<std::uint32_t> agents_;
+  std::vector<CodeCount> array_entry_;
+  FlatMap64 array_diff_;
+  bool in_array_ = false;
   FaultSpec faults_{};  // all-zero (and bit-transparent) unless set_faults()
   bool faults_active_ = false;
   double crash_q_ = 0.0;  // per-slot crash probability churn / n

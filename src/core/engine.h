@@ -42,7 +42,11 @@ namespace ppsim {
 //                    countdowns)
 //   kAuto          - pick per step from the measured effective-interaction
 //                    density (the active-weight fraction W / n(n-1) when the
-//                    protocol exposes an exact active weight)
+//                    protocol exposes an exact active weight) and the
+//                    occupied-code count: geometric skip, multinomial batch,
+//                    or — for dense rounds no batch can amortize — an
+//                    agent-code array held inside the count engine (see
+//                    StrategyController::step_strategy)
 //   kTauLeap       - APPROXIMATE: freeze the pair rates and advance a whole
 //                    macro-leap at once by drawing Poisson interaction
 //                    counts per (s1, s2) category
@@ -85,9 +89,11 @@ inline bool parse_strategy(const std::string& name, BatchStrategy& out) {
 }
 
 // One executable arm of the occupancy-adaptive strategy controller: the
-// full space of ways a scenario step can be driven, including the
-// agent-array ground truth (which BatchStrategy cannot express — it is not
-// a count-engine strategy at all).
+// full space of ways a scenario step can be driven. kArray is the agent
+// array: a whole-run engine choice (engine_arm), and under kAuto also a
+// per-step arm of the count engine, which then simulates dense rounds on
+// an internal agent-code array (BatchStrategy cannot pin it: it is never
+// the faster arm outside the rounds the controller routes to it).
 enum class StrategyArm : std::uint8_t {
   kArray = 0,
   kGeometricSkip = 1,
@@ -135,8 +141,8 @@ struct StrategyTrace {
 };
 
 // The measured strategy controller behind `auto`: maps the configuration's
-// occupancy profile — population, occupied-state count, segment count and
-// the exact active weight when the protocol declares structure — onto the
+// occupancy profile — population, occupied-code count and the exact
+// active weight when the protocol declares structure — onto the
 // arm that the measurements in README.md ("Occupancy regimes and strategy
 // selection") show is fastest there. Every input is derived from the
 // deterministic simulation state (never wall-clock), so decisions are a
@@ -153,29 +159,31 @@ struct StrategyController {
   // agent array's two random array reads do not. Measured on the
   // uniform-random n = 10^6 worst case: array ~80 ns/interaction vs ~2 us
   // for the count engines. Below kDenseArrayMinPopulation the count
-  // engines' batches stay cache-resident regardless of occupancy, so the
-  // density signal alone decides.
+  // engine runs and step_strategy() routes its dense rounds, whatever the
+  // occupancy.
   static constexpr std::uint64_t kDenseArrayMinPopulation = 4096;
   static constexpr std::uint64_t kDenseOccupancyDivisor = 8;
 
   // Count-engine effective-interaction density below which geometric skip
-  // beats batching (most interactions are null: jump them).
+  // beats every arm that simulates interactions one by one or in bulk
+  // (most interactions are null: jump them).
   static constexpr double kSkipDensity = 1.0 / 16.0;
 
   // Below this population a structured protocol under `auto` never builds
-  // the occupied pool (no segment signal, no batching): the geometric
-  // path's Fenwick walks are cache-hot there and win even at density 1.
-  // Measured crossover on the Optimal-Silent dormant countdown is
-  // n ~ 1-2e4 (bench_table1's strategy head-to-head); the floor sits below
-  // it so the controller — not the floor — decides the contested range.
+  // the occupied pool, so it never batches: dense rounds there run on the
+  // count engine's internal agent-code array instead (step_strategy). The
+  // floor sits below the measured n ~ 1-2e4 batch crossover on the
+  // Optimal-Silent dormant countdown (bench_table1's strategy head-to-head),
+  // so the controller — not the floor — decides the contested range.
   static constexpr std::uint64_t kAutoPoolMinPopulation = 4096;
 
-  // Batch amortization guard: the multinomial batch spreads its O(segments)
-  // split cost over E[L] ~ 0.63 sqrt(n) interactions, so batching needs
-  // kBatchSegmentsPerPrefix * segments <= sqrt(n). This replaces the old
-  // fixed n >= 16384 floor with the occupancy-adaptive equivalent (at the
-  // old floor, sqrt(n) = 128: protocols with <= 32 segments batch exactly
-  // as before; fragmented configurations now correctly fall back to skip).
+  // Batch amortization guard: a multinomial batch spreads its split cost
+  // over E[L] ~ 0.63 sqrt(n) interactions, and that cost grows with the
+  // occupied codes it scans inside the touched segments, not only with
+  // the segment count (thousands of Settled codes in a dozen segments
+  // cost ~95 us per ~41-interaction batch at n = 4096). So batching needs
+  // kBatchSegmentsPerPrefix * occupied codes <= sqrt(n); dense rounds that
+  // fail it run on the agent-code array.
   static constexpr std::uint64_t kBatchSegmentsPerPrefix = 4;
 
   // Whole-run decision from the initial configuration, taken before an
@@ -189,20 +197,27 @@ struct StrategyController {
   }
 
   // Per-step count-engine choice for protocols with an exact structured
-  // active weight W (effective-interaction density W / n(n-1)).
-  static BatchStrategy step_strategy(std::uint64_t n,
-                                     std::uint64_t active_weight,
-                                     std::uint32_t segments) {
+  // active weight W (effective-interaction density W / n(n-1)) and
+  // `occupied` codes with a non-zero count:
+  //   - density < kSkipDensity: kGeometricSkip (jump the null stretches);
+  //   - dense, and a batch can amortize (n >= kAutoPoolMinPopulation and
+  //     kBatchSegmentsPerPrefix * occupied <= sqrt(n)): kMultinomial;
+  //   - dense otherwise: kArray, the count engine's internal agent-code
+  //     array (uniform agent pairs, one draw per interaction slot).
+  static StrategyArm step_strategy(std::uint64_t n,
+                                   std::uint64_t active_weight,
+                                   std::uint64_t occupied) {
     const double density =
         static_cast<double>(active_weight) /
         (static_cast<double>(n) * static_cast<double>(n - 1));
-    if (density < kSkipDensity) return BatchStrategy::kGeometricSkip;
+    if (density < kSkipDensity) return StrategyArm::kGeometricSkip;
+    if (n < kAutoPoolMinPopulation) return StrategyArm::kArray;
     const double prefix = std::sqrt(static_cast<double>(n));
     if (static_cast<double>(kBatchSegmentsPerPrefix) *
-            static_cast<double>(segments) >
+            static_cast<double>(occupied) >
         prefix)
-      return BatchStrategy::kGeometricSkip;
-    return BatchStrategy::kMultinomial;
+      return StrategyArm::kArray;
+    return StrategyArm::kMultinomial;
   }
 };
 
@@ -244,14 +259,15 @@ concept AgentArrayEngine = Engine<E> && requires(E e, const E ce) {
 };
 
 // Count engines with a runtime-selectable batching strategy. strategy() is
-// the requested strategy; resolved_strategy() is what the next step will
-// actually run (they differ only under kAuto, which switches on the
-// measured effective-interaction density).
+// the requested strategy; resolved_arm() is the arm the next step will
+// actually run (under kAuto the StrategyController picks it from the
+// measured effective-interaction density and occupancy; a pinned strategy
+// resolves to its own arm).
 template <class E>
 concept StrategyEngine = CountEngine<E> && requires(E e, const E ce,
                                                     BatchStrategy s) {
   { ce.strategy() } -> std::same_as<BatchStrategy>;
-  { ce.resolved_strategy() } -> std::same_as<BatchStrategy>;
+  { ce.resolved_arm() } -> std::same_as<StrategyArm>;
   { e.set_strategy(s) };
 };
 

@@ -25,11 +25,13 @@
 
 #include "analysis/convergence.h"
 #include "analysis/experiments.h"
+#include "analysis/scenarios.h"
 #include "core/batch_simulation.h"
 #include "core/engine.h"
 #include "core/simulation.h"
 #include "core/stats.h"
 #include "init/optimal_silent_init.h"
+#include "init/reset_init.h"
 #include "processes/epidemic.h"
 #include "protocols/leader.h"
 #include "protocols/obs25.h"
@@ -265,9 +267,10 @@ TEST(StrategyEquivalence, AutoIsBitStableForFixedSeed) {
   EXPECT_GT(a.stats().multinomial_batches, 0u);
 }
 
-// The auto rule's two sides: silent-heavy configurations resolve to the
-// geometric skip, timer-heavy ones (above the population floor) to the
-// multinomial batch; small populations stay geometric at any density.
+// The auto rule's three verdicts: silent-heavy configurations resolve to
+// the geometric skip, timer-heavy ones with few occupied codes (above the
+// pool floor) to the multinomial batch, and dense rounds no batch can
+// amortize — every dense round below the pool floor — to the array arm.
 TEST(StrategyEquivalence, AutoResolvesFromDensityAndScale) {
   {
     const auto params = OptimalSilentParams::standard(20'000);
@@ -275,13 +278,12 @@ TEST(StrategyEquivalence, AutoResolvesFromDensityAndScale) {
     BatchSimulation<OptimalSilentSSR> timer_heavy(
         proto, optimal_silent_dormant_counts(params), 1,
         BatchStrategy::kAuto);
-    EXPECT_EQ(timer_heavy.resolved_strategy(), BatchStrategy::kMultinomial);
+    EXPECT_EQ(timer_heavy.resolved_arm(), StrategyArm::kMultinomial);
     BatchSimulation<OptimalSilentSSR> silent_heavy(
         proto,
         optimal_silent_config(params, OsAdversary::kDuplicateRank, 1), 1,
         BatchStrategy::kAuto);
-    EXPECT_EQ(silent_heavy.resolved_strategy(),
-              BatchStrategy::kGeometricSkip);
+    EXPECT_EQ(silent_heavy.resolved_arm(), StrategyArm::kGeometricSkip);
     EXPECT_EQ(silent_heavy.strategy(), BatchStrategy::kAuto);
   }
   {
@@ -290,7 +292,98 @@ TEST(StrategyEquivalence, AutoResolvesFromDensityAndScale) {
     BatchSimulation<OptimalSilentSSR> small(
         proto, optimal_silent_dormant_counts(params), 1,
         BatchStrategy::kAuto);
-    EXPECT_EQ(small.resolved_strategy(), BatchStrategy::kGeometricSkip);
+    EXPECT_EQ(small.resolved_arm(), StrategyArm::kArray);
+    // Pinned strategies never leave their own arm.
+    BatchSimulation<OptimalSilentSSR> pinned(
+        proto, optimal_silent_dormant_counts(params), 1,
+        BatchStrategy::kGeometricSkip);
+    EXPECT_EQ(pinned.resolved_arm(), StrategyArm::kGeometricSkip);
+  }
+}
+
+// Deterministic routing under engine=auto / strategy=auto: optimal-silent
+// from a uniform-random start runs its dense reset and timer rounds on the
+// array arm; silent-nstate from the same kind of
+// start is sparse (density ~ 1/n) and never enters it; a pinned strategy
+// never leaves its own arm.
+TEST(StrategyEquivalence, AutoRoutesDenseRoundsToTheArrayArm) {
+  auto array_steps = [](const std::string& protocol,
+                        const std::string& strategy) {
+    ScenarioSpec spec;
+    spec.protocol = protocol;
+    spec.init = "uniform-random";
+    spec.until = "ptime";
+    spec.horizon_ptime = 20;
+    spec.n = 512;
+    spec.engine = strategy == "auto" ? "auto" : "batch";
+    spec.strategy = strategy;
+    spec.trials = 1;
+    spec.seed = 17;
+    const ScenarioResult r = run_scenario(spec);
+    EXPECT_EQ(r.backend, "batch") << protocol << " " << strategy;
+    EXPECT_GT(r.trace.total_steps(), 0u) << protocol << " " << strategy;
+    return r.trace.steps[static_cast<std::size_t>(StrategyArm::kArray)];
+  };
+  EXPECT_GT(array_steps("optimal-silent", "auto"), 0u);
+  EXPECT_EQ(array_steps("silent-nstate", "auto"), 0u);
+  EXPECT_EQ(array_steps("optimal-silent", "geometric_skip"), 0u);
+  EXPECT_EQ(array_steps("optimal-silent", "multinomial"), 0u);
+}
+
+// Runs `sim` step by step, auditing every step, until `steps` steps have
+// run or the configuration is silent. Every `pin_every` steps (0 = never)
+// the strategy cycles auto -> geometric_skip -> auto -> multinomial, which
+// forces the engine out of the array arm and back in. Returns how many
+// times the resolved arm switched into or out of the array arm.
+template <class P>
+int audit_each_step(BatchSimulation<P>& sim, int steps, int pin_every) {
+  constexpr BatchStrategy kCycle[] = {
+      BatchStrategy::kAuto, BatchStrategy::kGeometricSkip,
+      BatchStrategy::kAuto, BatchStrategy::kMultinomial};
+  int switches = 0;
+  bool was_array = sim.resolved_arm() == StrategyArm::kArray;
+  for (int k = 0; k < steps; ++k) {
+    if (pin_every > 0 && k % pin_every == 0)
+      sim.set_strategy(kCycle[(k / pin_every) % 4]);
+    const bool is_array = sim.resolved_arm() == StrategyArm::kArray;
+    if (is_array != was_array) ++switches;
+    was_array = is_array;
+    if (sim.step() == 0) break;
+    EXPECT_NO_THROW(sim.audit()) << "step " << k;
+  }
+  return switches;
+}
+
+// The array arm keeps the count-engine contract while it drives: after
+// every step the counts sum to n, the agent array's histogram equals the
+// counts, and the active-weight scalars, the Fenwick trees (repaired on
+// leaving the arm) and the occupied pool equal a fresh build.
+TEST(ArrayArm, InvariantsHoldAcrossArmSwitches) {
+  {
+    // Dense from the start; pinning forces eight exits and re-entries.
+    const auto params = OptimalSilentParams::standard(512);
+    const OptimalSilentSSR proto(params);
+    std::vector<std::uint64_t> counts(proto.num_states(), 0);
+    for (const auto& s : optimal_silent_config(
+             params, OsAdversary::kUniformRandom, 3))
+      ++counts[proto.encode(s)];
+    BatchSimulation<OptimalSilentSSR> sim(proto, counts, 5,
+                                          BatchStrategy::kAuto);
+    EXPECT_GE(audit_each_step(sim, 4000, 250), 8);
+  }
+  {
+    // Above the pool floor, left to the controller alone: the Resetting
+    // debris drains through array and multinomial rounds, so the pool
+    // repair on leaving the array arm is exercised too.
+    const ResetProcess proto(4096, 12, 40);
+    const auto& inits = reset_process_inits();
+    BatchSimulation<ResetProcess> sim(
+        proto, inits.counts(proto, "mid-reset-mix", 9), 9,
+        BatchStrategy::kAuto);
+    EXPECT_GE(audit_each_step(sim, 12500, 0), 4);
+    for (StrategyArm arm : {StrategyArm::kArray, StrategyArm::kMultinomial})
+      EXPECT_GT(sim.strategy_trace().steps[static_cast<std::size_t>(arm)], 0u)
+          << to_string(arm);
   }
 }
 

@@ -20,7 +20,10 @@
 //    multinomial measure the same distribution with faults
 //    active — (optimal-silent, drop in {0.1, 0.5}) stabilization and
 //    (silent-nstate, oneway) thinning, n in {8, 64, 512}, 30 seeds per
-//    engine, family-controlled CI overlap via tests/stat_harness.h.
+//    engine, family-controlled CI overlap via tests/stat_harness.h;
+//  * the count engine's array arm under faults: strategy=auto (whose dense
+//    rounds run on the arm) against engine=array under drop, oneway and
+//    churn, same sizes and seeds, plus zero-spec bit-transparency.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -134,6 +137,33 @@ TEST(FaultTransparency, ZeroSpecBatchMatchesPlainBatchBitForBit) {
     EXPECT_EQ(plain.state_counts(), faulty.state_counts())
         << to_string(strategy);
   }
+}
+
+// The array arm draws its fault Bernoullis only for knobs that are on, so
+// an all-zero spec replays the fault-free arm bit for bit.
+TEST(FaultTransparency, ZeroSpecArrayArmMatchesFaultFreeArmBitForBit) {
+  const std::uint32_t n = 512;
+  const OptimalSilentSSR proto(OptimalSilentParams::standard(n));
+  const auto counts = counts_of(
+      proto,
+      optimal_silent_config(proto.params(), OsAdversary::kUniformRandom, 8));
+  BatchSimulation<OptimalSilentSSR> plain(proto, counts, 31,
+                                          BatchStrategy::kAuto);
+  BatchSimulation<OptimalSilentSSR> faulty(proto, counts, 31,
+                                           BatchStrategy::kAuto);
+  faulty.set_faults(FaultSpec{});
+  for (int k = 0; k < 20000; ++k) {
+    const std::uint64_t a = plain.step();
+    ASSERT_EQ(a, faulty.step()) << "step " << k;
+    if (a == 0) break;
+  }
+  EXPECT_GT(plain.strategy_trace().steps[static_cast<std::size_t>(
+                StrategyArm::kArray)],
+            0u);
+  EXPECT_EQ(plain.interactions(), faulty.interactions());
+  EXPECT_EQ(plain.state_counts(), faulty.state_counts());
+  EXPECT_EQ(plain.counters().resets_executed,
+            faulty.counters().resets_executed);
 }
 
 // --- Degenerate knobs -------------------------------------------------------
@@ -498,6 +528,56 @@ TEST_P(FaultCrossEngine, SilentNStateThinningUnderOneway) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Sizes, FaultCrossEngine,
+                         ::testing::Values(8u, 64u, 512u));
+
+// --- The count engine's array arm under faults ------------------------------
+//
+// Below the pool floor, strategy=auto runs optimal-silent's dense reset and
+// timer rounds on the count engine's agent-code array, which draws the
+// fault law per slot. Full ranked stabilization from a uniform-random
+// start must match the FaultySimulation ground truth under each knob:
+// 3 sizes x 3 knobs = 9 simultaneous CI-overlap comparisons. One-way and
+// churn rates scale as 1/n (a lost reply can duplicate a rank, a crash can
+// time out into a reset, and either restarts the Theta(n) countdown), so
+// runs still stabilize while the faults visibly slow them.
+
+const double kArmFaultWiden = stat_harness::family_widen(9);
+
+class FaultArrayArm : public ::testing::TestWithParam<std::uint32_t> {};
+
+TEST_P(FaultArrayArm, AutoMatchesArrayUnderEachKnob) {
+  const std::uint32_t n = GetParam();
+  FaultSpec drop;
+  drop.drop = 0.5;
+  FaultSpec oneway;
+  oneway.oneway = 1.0 / static_cast<double>(n);
+  FaultSpec churn;
+  churn.churn = 0.5 / static_cast<double>(n);
+  const std::pair<const char*, FaultSpec> knobs[] = {
+      {"drop", drop}, {"oneway", oneway}, {"churn", churn}};
+  std::uint64_t tag = 0;
+  for (const auto& [name, faults] : knobs) {
+    ++tag;
+    const std::string what = std::string("optimal-silent ") + name +
+                             " auto vs array n=" + std::to_string(n);
+    const ScenarioResult array_r =
+        run_fault_cell("optimal-silent", "uniform-random", "ranked", n,
+                       "array", "auto", 81000 + 10 * n + tag, faults);
+    const ScenarioResult auto_r =
+        run_fault_cell("optimal-silent", "uniform-random", "ranked", n,
+                       "batch", "auto", 82000 + 10 * n + tag, faults);
+    EXPECT_EQ(array_r.failed, 0u) << what;
+    EXPECT_EQ(auto_r.failed, 0u) << what;
+    EXPECT_TRUE(auto_r.faulted) << what;
+    EXPECT_GT(auto_r.trace.steps[static_cast<std::size_t>(StrategyArm::kArray)],
+              0u)
+        << what;
+    expect_overlapping_ci(array_r.summary, auto_r.summary, what,
+                          kArmFaultWiden);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Sizes, FaultArrayArm,
                          ::testing::Values(8u, 64u, 512u));
 
 }  // namespace
