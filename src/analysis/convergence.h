@@ -22,7 +22,11 @@
 //     nothing. A multinomial batch step reports the whole batch's net
 //     deltas, so correctness is observed at batch granularity; tail-window
 //     runs (tail_ptime > 0) therefore require the geometric_skip strategy,
-//     whose batched stretches are provably null — enforced below.
+//     whose batched stretches are provably null — enforced below. The
+//     ranked harness drives engines with an observer form step(obs) (the
+//     array arm's bursts) through it: the tracker follows each agent change
+//     from the states handed over, and the burst ends at every change
+//     that the clock must see, so results equal a plain-step() loop's.
 // A count engine that reports step() == 0 is provably stuck (silent): if the
 // configuration is correct at that point it is stabilized forever.
 #pragma once
@@ -239,9 +243,29 @@ RunResult run_engine_until_ranked(E& sim, const RunOptions& opts) {
   detail::StabilizationClock clock(opts, n, out);
   clock.init(tracker.is_permutation());
 
+  // Burst observer: follows each agent change, and ends the burst whenever
+  // the clock has something to record — the ranking is or was correct
+  // (an entry, a break, or stabilization), or the horizon is reached. A
+  // burst therefore only runs on while the clock's verdict is a no-op.
+  bool observed = false;
+  auto on_agent_change = [&](const typename E::State& from,
+                             const typename E::State& to) {
+    observed = true;
+    tracker.on_change(protocol.rank_of(from), protocol.rank_of(to));
+    return clock.was_correct() || tracker.is_permutation() ||
+           sim.interactions() >= opts.max_interactions;
+  };
+  auto step = [&] {
+    observed = false;
+    if constexpr (requires { sim.step(on_agent_change); })
+      return sim.step(on_agent_change);
+    else
+      return sim.step();
+  };
+
   bool stuck = false;
   while (sim.interactions() < opts.max_interactions) {
-    if (sim.step() == 0) {
+    if (step() == 0) {
       stuck = true;  // provably silent: correctness is frozen forever
       break;
     }
@@ -258,8 +282,10 @@ RunResult run_engine_until_ranked(E& sim, const RunOptions& opts) {
         break;
       }
     }
-    for (const CountDelta& d : sim.last_deltas())
-      tracker.apply_delta(protocol.rank_of(protocol.decode(d.code)), d.delta);
+    if (!observed)  // the observer has seen a burst's changes already
+      for (const CountDelta& d : sim.last_deltas())
+        tracker.apply_delta(protocol.rank_of(protocol.decode(d.code)),
+                            d.delta);
     if (clock.on_state(tracker.is_permutation(), sim.parallel_time())) {
       out.stabilized = true;
       break;

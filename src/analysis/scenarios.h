@@ -223,8 +223,11 @@ ScenarioResult drive(const ScenarioSpec& spec, const P& proto,
   // occupancy (regenerated bit-identically from the derived init seed — no
   // randomness is consumed from any trial stream) and routes dense starts
   // to the agent array, which no count engine can beat there (see
-  // core/engine.h StrategyController). Pinning either field disables the
-  // override, so head-to-head strategy measurements stay pure.
+  // core/engine.h StrategyController). For a protocol with declared null
+  // structure a dense start must also be dense in effective pairs: its
+  // exact active weight W is summed in the same pass over the occupied
+  // codes. Pinning either field disables the override, so head-to-head
+  // strategy measurements stay pure.
   std::string engine_arm;
   if constexpr (EnumerableProtocol<P>) {
     const std::string engine_name = spec.engine.empty() ? "auto" : spec.engine;
@@ -232,11 +235,14 @@ ScenarioResult drive(const ScenarioSpec& spec, const P& proto,
         strategy == BatchStrategy::kAuto) {
       const std::vector<std::uint64_t> probe = inits.counts(
           proto, init_name, derive_seed(derive_seed(spec.seed, 0), 1));
-      std::uint64_t occupancy = 0;
-      for (std::uint64_t c : probe)
-        if (c != 0) ++occupancy;
-      const StrategyArm arm =
-          StrategyController::engine_arm(proto.population_size(), occupancy);
+      const std::uint32_t n = proto.population_size();
+      const OccupancyProfile profile = occupancy_profile(proto, probe);
+      StrategyArm arm;
+      if constexpr (ScalarActiveWeight<P>::kStructured)
+        arm = StrategyController::engine_arm(n, profile.occupied,
+                                             profile.active_weight);
+      else
+        arm = StrategyController::engine_arm(n, profile.occupied);
       engine_arm = to_string(arm);
       if (arm == StrategyArm::kArray) use_batch = false;
     }

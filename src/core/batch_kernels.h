@@ -713,6 +713,51 @@ class ScalarActiveWeight {
   FlatMap64 key_counts_;          // keyed: s_k per occupied key
 };
 
+// A count vector's occupied-code count and, for a protocol with declared
+// structure, the same W (0 otherwise), in one pass over the vector:
+// scalars plus, for keyed protocols, a dense per-key count array (no
+// Fenwick tree, no hash map). Used to classify a start before any engine
+// is built.
+struct OccupancyProfile {
+  std::uint64_t occupied = 0;
+  std::uint64_t active_weight = 0;
+};
+
+template <EnumerableProtocol P>
+OccupancyProfile occupancy_profile(const P& protocol,
+                                   const std::vector<std::uint64_t>& counts) {
+  const std::uint64_t n = protocol.population_size();
+  OccupancyProfile out;
+  std::uint64_t restless = 0;
+  std::uint64_t diag = 0;
+  std::vector<std::uint64_t> key_counts;
+  if constexpr (KeyedPassiveProtocol<P>)
+    key_counts.assign(protocol.num_passive_keys(), 0);
+  for (std::uint32_t code = 0; code < counts.size(); ++code) {
+    const std::uint64_t c = counts[code];
+    if (c == 0) continue;
+    ++out.occupied;
+    if constexpr (ScalarActiveWeight<P>::kStructured) {
+      const typename P::State st = protocol.decode(code);
+      if constexpr (DiagonalActiveProtocol<P>) {
+        if (!protocol.is_null_pair(st, st)) diag += pair_weight(c);
+      } else if constexpr (KeyedPassiveProtocol<P>) {
+        if (protocol.is_passive(st)) {
+          std::uint64_t& kc = key_counts[protocol.passive_key(st)];
+          diag += pair_weight(kc + c) - pair_weight(kc);
+          kc += c;
+        } else {
+          restless += c;
+        }
+      } else {
+        if (!protocol.is_passive(st)) restless += c;
+      }
+    }
+  }
+  out.active_weight = restless * (n - 1) + (n - restless) * restless + diag;
+  return out;
+}
+
 // --- Multinomial batch kernel -----------------------------------------------
 
 // Weighted pool over the occupied subset of a huge code space. Where the

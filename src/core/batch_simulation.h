@@ -50,8 +50,11 @@
 //    filled from the counts in code order on entry (no randomness: the
 //    scheduler is anonymous), that draws uniform ordered agent pairs — one
 //    draw per interaction slot, faults drawn per slot as in
-//    FaultySimulation — until one changes state. Protocols with only the
-//    generic null-pair predicate stay on the geometric path; protocols
+//    FaultySimulation. A step there is a *burst* of slots that runs
+//    across changes until the step's observer asks it to stop, the
+//    controller's verdict leaves the array arm, or n slots pass without a
+//    change; plain step() stops at the first change. Protocols with only
+//    the generic null-pair predicate stay on the geometric path; protocols
 //    with no null knowledge always batch multinomially. Every step's
 //    resolved arm is recorded in strategy_trace().
 //
@@ -83,6 +86,15 @@
 #include "core/rng.h"  // sample_geometric
 
 namespace ppsim {
+
+// Observer for BatchSimulation::step(obs) that ends every burst at its
+// first change: plain step() is step(StopAtFirstChange{}).
+struct StopAtFirstChange {
+  template <class State>
+  bool operator()(const State&, const State&) const {
+    return true;
+  }
+};
 
 struct BatchStepStats {
   std::uint64_t effective = 0;  // interactions simulated individually
@@ -141,7 +153,9 @@ class BatchSimulation {
 
   // Count changes applied by the most recent effective step (empty right
   // after construction and after a step() that returned 0). A multinomial
-  // step reports the whole batch's net change per code.
+  // step reports the whole batch's net change per code; an array-arm burst
+  // (step(obs)) reports its final changed slot only, having shown every
+  // change to the observer.
   const std::vector<CountDelta>& last_deltas() const { return last_deltas_; }
 
   BatchStrategy strategy() const { return strategy_; }
@@ -202,8 +216,8 @@ class BatchSimulation {
                   UnkeyedPassiveProtocol<P>) {
       if (faults_active_ && faults_.drop >= 1.0)
         return StrategyArm::kGeometricSkip;
-      return StrategyController::step_strategy(population_size(),
-                                               active_weight(), occupied_);
+      return StrategyController::step_strategy(thresholds_, active_weight(),
+                                               occupied_);
     } else if constexpr (NullPairProtocol<P>) {
       return StrategyArm::kGeometricSkip;
     } else {
@@ -226,20 +240,35 @@ class BatchSimulation {
   }
 
   // Advances the simulation by at least one interaction (a whole batched
-  // stretch counts as its true number of interactions). Returns the number
-  // of interactions consumed, 0 iff the configuration is provably stuck:
-  // zero active weight (structured protocols), or every agent in one null
-  // self-pairing state (null-aware general protocols).
-  std::uint64_t step() {
+  // stretch counts as its true number of interactions) and up to the first
+  // configuration change. Returns the number of interactions consumed, 0
+  // iff the configuration is provably stuck: zero active weight
+  // (structured protocols), or every agent in one null self-pairing state
+  // (null-aware general protocols).
+  std::uint64_t step() { return step(StopAtFirstChange{}); }
+
+  // The same step, except that an array-arm round runs as a burst: it
+  // calls obs(from_state, to_state) once per agent change (churn crashes
+  // included), with interactions() already counting the changing slot,
+  // and keeps drawing slots until obs returns true (the burst then ends
+  // with the current slot), the controller's verdict leaves the array arm,
+  // or n slots pass without a change. Every other arm runs exactly as in
+  // step(), reports through last_deltas() and never calls obs. The draw
+  // order does not depend on obs, so a burst replays the same sequence of
+  // step() calls, bit for bit.
+  template <class Observer>
+  std::uint64_t step(Observer&& obs) {
     const StrategyArm arm = resolved_arm();
     if (arm != StrategyArm::kArray) leave_array_arm();
     if constexpr (DiagonalActiveProtocol<P> || KeyedPassiveProtocol<P> ||
                   UnkeyedPassiveProtocol<P>) {
       if (arm == StrategyArm::kArray) {
-        const std::uint64_t consumed = step_array();
+        const std::uint64_t consumed = step_array(obs);
         trace_.note(StrategyArm::kArray, consumed);
         return consumed;
       }
+    } else {
+      (void)obs;
     }
     if (arm == StrategyArm::kMultinomial) {
       const std::uint64_t consumed = step_multinomial();
@@ -286,7 +315,8 @@ class BatchSimulation {
   // Recomputes the engine's invariants from scratch and throws
   // std::logic_error naming the first that fails: the counts sum to n and
   // the occupied-code count matches them; inside the array arm, the agent
-  // array's histogram equals the counts; the active-weight scalars, the
+  // array's histogram equals the counts and every cached agent state
+  // encodes to its agent's code; the active-weight scalars, the
   // Fenwick trees (once the pending lazy repairs are applied, on a copy)
   // and the occupied pool equal a fresh build from the counts. O(|Q| + n)
   // per call, for tests; it consumes no randomness and changes nothing.
@@ -306,6 +336,11 @@ class BatchSimulation {
       std::vector<std::uint64_t> histogram(counts_.size(), 0);
       for (std::uint32_t code : agents_) ++histogram[code];
       if (histogram != counts_) fail("agent array histogram != counts");
+      if (agent_states_.size() != agents_.size())
+        fail("agent state cache size != agent array size");
+      for (std::size_t i = 0; i < agents_.size(); ++i)
+        if (protocol_.encode(agent_states_[i]) != agents_[i])
+          fail("agent state cache does not encode to the agent array");
     }
     BatchSimulation synced = *this;
     synced.leave_array_arm();
@@ -348,6 +383,7 @@ class BatchSimulation {
 
   void init_samplers() {
     reject_tau(strategy_);
+    thresholds_ = StrategyController::thresholds(population_size());
     const std::uint32_t q = protocol_.num_states();
     if (counts_.size() != q)
       throw std::invalid_argument("counts size != num_states");
@@ -438,9 +474,11 @@ class BatchSimulation {
     last_deltas_.push_back(CountDelta{s, static_cast<std::int32_t>(delta)});
   }
 
+  // Branch-free: in the array arm's dense rounds a code's count crosses
+  // zero about as often as not.
   void note_occupancy(std::uint64_t old_count, std::uint64_t new_count) {
-    if (old_count == 0 && new_count != 0) ++occupied_;
-    if (old_count != 0 && new_count == 0) --occupied_;
+    occupied_ += static_cast<std::uint64_t>(old_count == 0);
+    occupied_ -= static_cast<std::uint64_t>(new_count == 0);
   }
 
   // Lazy count change: the multinomial kernel already updated counts_ and
@@ -554,83 +592,111 @@ class BatchSimulation {
 
   // --- Array arm -----------------------------------------------------------
 
-  // One step on the agent-code array: uniform ordered agent pairs, drawn as
-  // UniformScheduler draws them, one interaction slot at a time until a
-  // slot changes some agent's state. Each slot runs FaultySimulation's
-  // per-slot law (drop, then one-way, then the end-of-slot crash). Pairs
-  // the protocol certifies null skip interact(), exactly as the geometric
-  // paths skip them. Returns the slots consumed. A step also ends after n
-  // slots without a change (positive active weight does not promise one:
-  // an unkeyed protocol's candidate pairs may all be null), so run()
-  // horizons are always reached; stopping at a fixed slot count is exact.
-  std::uint64_t step_array()
+  // One burst on the agent-code array: uniform ordered agent pairs, drawn
+  // as UniformScheduler draws them, one interaction slot at a time. Each
+  // slot runs FaultySimulation's per-slot law (drop, then one-way, then the
+  // end-of-slot crash). Pairs the protocol certifies null skip interact(),
+  // exactly as the geometric paths skip them. After a slot that changed
+  // some agent the burst ends if obs asked it to or if the controller's
+  // verdict (re-checked from the live active weight and occupied-code
+  // count) is no longer the array arm. It also ends after n slots without
+  // a change (positive active weight does not promise one: an unkeyed
+  // protocol's candidate pairs may all be null), so run() horizons are
+  // always reached; stopping at a fixed slot count is exact. Returns the
+  // slots consumed; last_deltas() reports the final slot's changes. The
+  // stats count the burst as the one-change steps it replays: one
+  // effective slot per change (or per changeless n-slot run).
+  template <class Observer>
+  std::uint64_t step_array(Observer& obs)
     requires DiagonalActiveProtocol<P> || KeyedPassiveProtocol<P> ||
              UnkeyedPassiveProtocol<P>
   {
     enter_array_arm();
-    last_deltas_.clear();
     const std::uint32_t n = population_size();
     const bool drop_on = faults_active_ && faults_.drop > 0.0;
     const bool oneway_on = faults_active_ && faults_.oneway > 0.0;
     const bool churn_on = crash_q_ > 0.0;
+    const std::uint64_t start = interactions_;
     std::uint64_t slots = 0;
-    bool changed = false;
-    while (!changed && slots < n) {
+    std::uint64_t quiet = 0;     // slots since the last change
+    std::uint64_t replayed = 0;  // one-change steps this burst replays
+    bool stop = false;
+    while (!stop && quiet < n) {
       ++slots;
+      ++quiet;
+      slot_moves_ = 0;
       const auto i = static_cast<std::uint32_t>(rng_.below(n));
       auto j = static_cast<std::uint32_t>(rng_.below(n - 1));
       if (j >= i) ++j;
       const bool dropped = drop_on && rng_.unit() < faults_.drop;
       if (!dropped) {
         const bool one_way = oneway_on && rng_.unit() < faults_.oneway;
-        const std::uint32_t a = agents_[i];
-        const std::uint32_t b = agents_[j];
-        const State sa = protocol_.decode(a);
-        const State sb = protocol_.decode(b);
-        if (!protocol_.is_null_pair(sa, sb)) {
-          State ta = sa;
-          State tb = sb;
+        if (!protocol_.is_null_pair(agent_states_[i], agent_states_[j])) {
+          State ta = agent_states_[i];
+          State tb = agent_states_[j];
           invoke_interact(protocol_, ta, tb, rng_, counters_);
           const std::uint32_t na = protocol_.encode(ta);
-          const std::uint32_t nb = one_way ? b : protocol_.encode(tb);
-          if (na != a) {
-            set_agent(i, sa, na, ta);
-            changed = true;
-          }
-          if (nb != b) {
-            set_agent(j, sb, nb, tb);
-            changed = true;
+          if (na != agents_[i] && move_agent(i, na, ta, start + slots, obs))
+            stop = true;
+          if (!one_way) {
+            const std::uint32_t nb = protocol_.encode(tb);
+            if (nb != agents_[j] &&
+                move_agent(j, nb, tb, start + slots, obs))
+              stop = true;
           }
         }
       }
       if (churn_on && --crash_countdown_ == 0) {
         if constexpr (ChurnableProtocol<P>) {
           const auto victim = static_cast<std::uint32_t>(rng_.below(n));
-          const std::uint32_t old = agents_[victim];
-          if (old != churn_code_) {
-            set_agent(victim, protocol_.decode(old), churn_code_,
-                      protocol_.churn_state());
-            changed = true;
-          }
+          if (agents_[victim] != churn_code_ &&
+              move_agent(victim, churn_code_, protocol_.churn_state(),
+                         start + slots, obs))
+            stop = true;
         }
         crash_countdown_ = sample_geometric(rng_, crash_q_);
       }
+      if (slot_moves_ != 0) {
+        quiet = 0;
+        ++replayed;
+        if (!stop && StrategyController::step_strategy(
+                         thresholds_, active_weight(), occupied_) !=
+                         StrategyArm::kArray)
+          stop = true;
+      }
     }
-    interactions_ += slots;
-    stats_.batched += slots - 1;
-    ++stats_.effective;
+    if (quiet == n) ++replayed;  // a changeless n-slot run ended the burst
+    interactions_ = start + slots;
+    stats_.batched += slots - replayed;
+    stats_.effective += replayed;
+    last_deltas_.clear();
+    for (std::uint32_t k = 0; k < slot_moves_; ++k) {
+      last_deltas_.push_back(CountDelta{slot_move_[k].from, -1});
+      last_deltas_.push_back(CountDelta{slot_move_[k].to, +1});
+    }
     return slots;
   }
 
-  // Moves agent i from state `from` to `code` (state `to`), keeping
-  // counts_, the occupied-code count, the active-weight scalars and
-  // last_deltas_ current. The Fenwick trees and the occupied pool are left
-  // stale until leave_array_arm().
-  void set_agent(std::uint32_t i, const State& from, std::uint32_t code,
-                 const State& to) {
-    array_count_delta(agents_[i], from, -1);
+  // Moves agent i to `code` (state `to`, as interact() left it: a code
+  // drops only fields its state never reads before rewriting them, so the
+  // cache behaves as decode(code)), keeping counts_, the occupied-code
+  // count, the active-weight scalars and the agent state cache current,
+  // records the move for last_deltas(), and shows the change to obs with
+  // interactions() at `now`. Returns obs's stop request. The Fenwick trees
+  // and the occupied pool are left stale until leave_array_arm().
+  template <class Observer>
+  bool move_agent(std::uint32_t i, std::uint32_t code, const State& to,
+                  std::uint64_t now, Observer& obs) {
+    const std::uint32_t old = agents_[i];
+    State& cached = agent_states_[i];
+    slot_move_[slot_moves_++] = CodeMove{old, code};
+    array_count_delta(old, cached, -1);
     array_count_delta(code, to, +1);
     agents_[i] = code;
+    interactions_ = now;
+    const bool stop = obs(std::as_const(cached), to);
+    cached = to;
+    return stop;
   }
 
   void array_count_delta(std::uint32_t code, const State& st,
@@ -649,10 +715,10 @@ class BatchSimulation {
       unkeyed_kernel_.on_count_change(protocol_, code, st, delta,
                                       /*lazy=*/true);
     }
-    last_deltas_.push_back(CountDelta{code, delta});
   }
 
-  // Lays the agents out from the counts in code order. The scheduler is
+  // Lays the agents out from the counts in code order, each with its
+  // decoded state (one decode per occupied code). The scheduler is
   // anonymous, so any fixed layout is exact, and this one consumes no
   // randomness. Occupied codes come from the pool when it is built
   // (O(occupied log occupied)), from a scan of counts_ otherwise; the
@@ -673,8 +739,13 @@ class BatchSimulation {
     }
     agents_.clear();
     agents_.reserve(population_size());
-    for (const CodeCount& e : array_entry_)
+    agent_states_.clear();
+    agent_states_.reserve(population_size());
+    for (const CodeCount& e : array_entry_) {
       agents_.insert(agents_.end(), e.count, e.code);
+      agent_states_.insert(agent_states_.end(), e.count,
+                           protocol_.decode(e.code));
+    }
     in_array_ = true;
   }
 
@@ -882,13 +953,25 @@ class BatchSimulation {
   FlatMap64 dirty_codes_;  // code -> count the Fenwick trees still reflect
   bool fenwicks_dirty_ = false;
   std::uint64_t occupied_ = 0;  // codes with a non-zero count
-  // Array arm (kAuto only): agent -> code while in_array_, the counts at
-  // entry, and leave_array_arm()'s scratch map.
+  StrategyController::Thresholds thresholds_;  // the auto verdict's bounds
+  // Array arm (kAuto only): agent -> code and agent -> state while
+  // in_array_, the counts at entry, and leave_array_arm()'s scratch map.
   struct CodeCount {
     std::uint32_t code;
     std::uint64_t count;
   };
+  // The current slot's agent moves (a pair and a crash at most), kept in
+  // place of per-change last_deltas_ pushes (measured ~1.5x slower end to
+  // end on dormant-mix n = 4096): last_deltas() is built from them once,
+  // when the burst ends.
+  struct CodeMove {
+    std::uint32_t from;
+    std::uint32_t to;
+  };
   std::vector<std::uint32_t> agents_;
+  std::vector<State> agent_states_;
+  CodeMove slot_move_[3] = {};
+  std::uint32_t slot_moves_ = 0;
   std::vector<CodeCount> array_entry_;
   FlatMap64 array_diff_;
   bool in_array_ = false;

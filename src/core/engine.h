@@ -93,7 +93,9 @@ inline bool parse_strategy(const std::string& name, BatchStrategy& out) {
 // array: a whole-run engine choice (engine_arm), and under kAuto also a
 // per-step arm of the count engine, which then simulates dense rounds on
 // an internal agent-code array (BatchStrategy cannot pin it: it is never
-// the faster arm outside the rounds the controller routes to it).
+// the faster arm outside the rounds the controller routes to it). There a
+// step is one burst of interaction slots, which ends at the step's
+// observer, at a verdict change, or after n slots without a change.
 enum class StrategyArm : std::uint8_t {
   kArray = 0,
   kGeometricSkip = 1,
@@ -115,7 +117,10 @@ inline const char* to_string(StrategyArm a) {
 
 // Per-run record of which arm drove each step and how many interactions it
 // consumed — the controller's decision trace, surfaced through
-// ScenarioResult so benches can report what `auto` actually ran.
+// ScenarioResult so benches can report what `auto` actually ran. A step on
+// the count engine's array arm may be a burst (BatchSimulation::step(obs)):
+// it counts once in steps[kArray], however many changes it made, and its
+// interactions are counted in full.
 struct StrategyTrace {
   std::array<std::uint64_t, kStrategyArmCount> steps{};
   std::array<std::uint64_t, kStrategyArmCount> interactions{};
@@ -164,10 +169,10 @@ struct StrategyController {
   static constexpr std::uint64_t kDenseArrayMinPopulation = 4096;
   static constexpr std::uint64_t kDenseOccupancyDivisor = 8;
 
-  // Count-engine effective-interaction density below which geometric skip
-  // beats every arm that simulates interactions one by one or in bulk
-  // (most interactions are null: jump them).
-  static constexpr double kSkipDensity = 1.0 / 16.0;
+  // Count-engine effective-interaction density 1 / kSkipDensityDivisor
+  // below which geometric skip beats every arm that simulates interactions
+  // one by one or in bulk (most interactions are null: jump them).
+  static constexpr std::uint64_t kSkipDensityDivisor = 16;
 
   // Below this population a structured protocol under `auto` never builds
   // the occupied pool, so it never batches: dense rounds there run on the
@@ -186,6 +191,35 @@ struct StrategyController {
   // fail it run on the agent-code array.
   static constexpr std::uint64_t kBatchSegmentsPerPrefix = 4;
 
+  // step_strategy's two thresholds for one population, as exact integers
+  // (computed once per engine, then compared against the live active
+  // weight and occupied-code count with no floating point):
+  //   dense  <=> kSkipDensityDivisor * W >= n (n - 1)
+  //          <=> W >= dense_weight = ceil(n (n - 1) / kSkipDensityDivisor);
+  //   batch  <=> kBatchSegmentsPerPrefix * occupied <= sqrt(n)
+  //          <=> occupied <= batch_occupied
+  //                        = floor(isqrt(n) / kBatchSegmentsPerPrefix)
+  // (an integer exceeds sqrt(n) iff it exceeds isqrt(n)); batching also
+  // needs n >= kAutoPoolMinPopulation.
+  struct Thresholds {
+    std::uint64_t dense_weight = 0;
+    std::uint64_t batch_occupied = 0;
+    bool can_batch = false;
+  };
+
+  static Thresholds thresholds(std::uint64_t n) {
+    Thresholds t;
+    const std::uint64_t pairs = n < 2 ? 0 : n * (n - 1);
+    t.dense_weight = pairs / kSkipDensityDivisor +
+                     (pairs % kSkipDensityDivisor != 0 ? 1 : 0);
+    auto root = static_cast<std::uint64_t>(std::sqrt(static_cast<double>(n)));
+    while (root * root > n) --root;
+    while ((root + 1) * (root + 1) <= n) ++root;
+    t.batch_occupied = root / kBatchSegmentsPerPrefix;
+    t.can_batch = n >= kAutoPoolMinPopulation;
+    return t;
+  }
+
   // Whole-run decision from the initial configuration, taken before an
   // engine is constructed: dense starts go to the agent array, everything
   // else to a count engine refined per step by step_strategy().
@@ -196,27 +230,35 @@ struct StrategyController {
     return StrategyArm::kMultinomial;
   }
 
+  // The same decision for a protocol with an exact structured active
+  // weight W at the start: a start with many occupied codes but few
+  // effective pairs (density below 1 / kSkipDensityDivisor, e.g.
+  // Silent-n-state-SSR from uniform-random states) spends its run in null
+  // stretches that only the count engine's geometric skip can jump, so it
+  // stays on the count engine.
+  static StrategyArm engine_arm(std::uint64_t n, std::uint64_t occupancy,
+                                std::uint64_t active_weight) {
+    if (engine_arm(n, occupancy) == StrategyArm::kArray &&
+        active_weight >= thresholds(n).dense_weight)
+      return StrategyArm::kArray;
+    return StrategyArm::kMultinomial;
+  }
+
   // Per-step count-engine choice for protocols with an exact structured
   // active weight W (effective-interaction density W / n(n-1)) and
-  // `occupied` codes with a non-zero count:
-  //   - density < kSkipDensity: kGeometricSkip (jump the null stretches);
+  // `occupied` codes with a non-zero count, against the population's
+  // thresholds():
+  //   - density < 1 / kSkipDensityDivisor: kGeometricSkip (jump the null
+  //     stretches);
   //   - dense, and a batch can amortize (n >= kAutoPoolMinPopulation and
   //     kBatchSegmentsPerPrefix * occupied <= sqrt(n)): kMultinomial;
   //   - dense otherwise: kArray, the count engine's internal agent-code
   //     array (uniform agent pairs, one draw per interaction slot).
-  static StrategyArm step_strategy(std::uint64_t n,
+  static StrategyArm step_strategy(const Thresholds& t,
                                    std::uint64_t active_weight,
                                    std::uint64_t occupied) {
-    const double density =
-        static_cast<double>(active_weight) /
-        (static_cast<double>(n) * static_cast<double>(n - 1));
-    if (density < kSkipDensity) return StrategyArm::kGeometricSkip;
-    if (n < kAutoPoolMinPopulation) return StrategyArm::kArray;
-    const double prefix = std::sqrt(static_cast<double>(n));
-    if (static_cast<double>(kBatchSegmentsPerPrefix) *
-            static_cast<double>(occupied) >
-        prefix)
-      return StrategyArm::kArray;
+    if (active_weight < t.dense_weight) return StrategyArm::kGeometricSkip;
+    if (!t.can_batch || occupied > t.batch_occupied) return StrategyArm::kArray;
     return StrategyArm::kMultinomial;
   }
 };

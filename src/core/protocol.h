@@ -64,7 +64,12 @@ concept RankingProtocol =
     };
 
 // A protocol whose finite state space can be enumerated: states are coded
-// as integers in [0, num_states()), with encode/decode the bijection.
+// as integers in [0, num_states()), with encode/decode the bijection. A
+// code may drop fields its state never reads before rewriting them
+// (Optimal-Silent-SSR's canonical coding); every protocol query on a state
+// (interact, is_null_pair, the passive structure, rank_of) must then give
+// the same result as on decode(encode(state)). The count engine's array
+// arm relies on this: it keeps each agent's state as interact() left it.
 template <class P>
 concept EnumerableProtocol =
     Protocol<P> && requires(const P p, const typename P::State& s,

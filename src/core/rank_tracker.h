@@ -32,10 +32,19 @@ class RankTracker {
   }
 
   // Count-engine form: `delta` agents entered (+) or left (-) `rank`.
-  // Mirrors the CountDelta stream of BatchSimulation::last_deltas().
+  // Mirrors the CountDelta stream of BatchSimulation::last_deltas(). O(1)
+  // whatever |delta| (a multinomial batch reports net per-code deltas):
+  // only the count's before and after values decide whether `rank` is a
+  // singleton.
   void apply_delta(std::uint32_t rank, std::int64_t delta) {
-    for (; delta > 0; --delta) add(rank);
-    for (; delta < 0; ++delta) remove(rank);
+    if (rank > n_) throw std::out_of_range("rank exceeds population size");
+    const std::uint32_t before = counts_[rank];
+    const auto after = static_cast<std::uint32_t>(
+        static_cast<std::int64_t>(before) + delta);
+    counts_[rank] = after;
+    if (rank == 0) return;
+    if (before == 1) --singletons_;
+    if (after == 1) ++singletons_;
   }
 
   // True iff every rank in 1..n is held by exactly one agent.

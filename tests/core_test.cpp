@@ -188,6 +188,45 @@ TEST(RankTracker, IncrementalMatchesFullRecount) {
   }
 }
 
+// apply_delta updates a rank's count in one go; it must agree with
+// applying the same delta one agent at a time, for +-1, +-k and moves to
+// and from an empty rank, on rank 0 and on every rank 1..n.
+TEST(RankTracker, ApplyDeltaMatchesLoopedForm) {
+  constexpr std::uint32_t kN = 5;
+  RankTracker bulk(kN);
+  RankTracker looped(kN);
+  auto apply = [&](std::uint32_t rank, std::int64_t delta) {
+    bulk.apply_delta(rank, delta);
+    for (std::int64_t k = 0; k < delta; ++k) looped.apply_delta(rank, +1);
+    for (std::int64_t k = 0; k > delta; --k) looped.apply_delta(rank, -1);
+    for (std::uint32_t r = 0; r <= kN; ++r)
+      ASSERT_EQ(bulk.count_of(r), looped.count_of(r))
+          << "rank " << r << " after delta " << delta << " on " << rank;
+    ASSERT_EQ(bulk.is_permutation(), looped.is_permutation())
+        << "delta " << delta << " on rank " << rank;
+  };
+  for (std::uint32_t rank = 0; rank <= kN; ++rank) {
+    apply(rank, +1);  // 0 -> 1
+    apply(rank, +3);  // 1 -> 4
+    apply(rank, -2);  // 4 -> 2
+    apply(rank, -1);  // 2 -> 1
+    apply(rank, -1);  // 1 -> 0
+    apply(rank, +4);  // 0 -> 4
+    apply(rank, -4);  // 4 -> 0
+    apply(rank, +2);  // 0 -> 2
+    apply(rank, -1);  // 2 -> 1: rank 0 stays "unranked"
+  }
+  // Every rank 0..n now holds one agent; ranks 1..n form a permutation.
+  EXPECT_TRUE(bulk.is_permutation());
+  apply(3, +2);  // 1 -> 3 breaks it
+  EXPECT_FALSE(bulk.is_permutation());
+  apply(3, -2);  // 3 -> 1 restores it
+  EXPECT_TRUE(bulk.is_permutation());
+  apply(2, -1);  // 1 -> 0 breaks it
+  EXPECT_FALSE(bulk.is_permutation());
+  EXPECT_THROW(bulk.apply_delta(kN + 1, +1), std::out_of_range);
+}
+
 TEST(RankTracker, RejectsOutOfRangeRanks) {
   RankTracker t(3);
   EXPECT_THROW(t.on_change(0, 4), std::out_of_range);

@@ -16,11 +16,14 @@
 //  * the keyed-passive geometric skip against the analytic detection
 //    latency of a duplicated rank (Observation 2.6's quantity);
 //  * run_trials_parallel determinism: bit-identical per-seed measurements
-//    for every thread count.
+//    for every thread count;
+//  * array-arm bursts: the ranked harness's step(obs) bursts replay a plain
+//    step() loop bit for bit (BurstBitIdentity).
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "analysis/convergence.h"
@@ -32,6 +35,7 @@
 #include "core/stats.h"
 #include "init/optimal_silent_init.h"
 #include "init/reset_init.h"
+#include "init/silent_nstate_init.h"
 #include "processes/epidemic.h"
 #include "protocols/leader.h"
 #include "protocols/obs25.h"
@@ -301,6 +305,39 @@ TEST(StrategyEquivalence, AutoResolvesFromDensityAndScale) {
   }
 }
 
+// The controller's integer thresholds give the floating-point rule's
+// verdicts (density W / n(n-1) < 1/16; 4 occupied > sqrt(n)) at and
+// around both thresholds, perfect squares included.
+TEST(StrategyEquivalence, IntegerThresholdsMatchFloatingPointRule) {
+  auto float_rule = [](std::uint64_t n, std::uint64_t w, std::uint64_t occ) {
+    const double density = static_cast<double>(w) /
+                           (static_cast<double>(n) * static_cast<double>(n - 1));
+    if (density < 1.0 / 16.0) return StrategyArm::kGeometricSkip;
+    if (n < StrategyController::kAutoPoolMinPopulation)
+      return StrategyArm::kArray;
+    if (4.0 * static_cast<double>(occ) > std::sqrt(static_cast<double>(n)))
+      return StrategyArm::kArray;
+    return StrategyArm::kMultinomial;
+  };
+  std::vector<std::uint64_t> sizes = {2, 3, 16, 17, 1000, 4095, 4096, 4097,
+                                      1u << 20, 1'000'000, 10'000'019};
+  for (std::uint64_t r = 60; r < 70; ++r)
+    for (std::uint64_t n : {r * r - 1, r * r, r * r + 1}) sizes.push_back(n);
+  for (std::uint64_t n : sizes) {
+    const auto t = StrategyController::thresholds(n);
+    for (std::uint64_t w : {t.dense_weight - 1, t.dense_weight,
+                            t.dense_weight + 1, n * (n - 1)}) {
+      for (std::uint64_t occ : {std::uint64_t{1}, t.batch_occupied,
+                                t.batch_occupied + 1, n}) {
+        if (w == t.dense_weight - 1 && t.dense_weight == 0) continue;
+        EXPECT_EQ(StrategyController::step_strategy(t, w, occ),
+                  float_rule(n, w, occ))
+            << "n=" << n << " W=" << w << " occupied=" << occ;
+      }
+    }
+  }
+}
+
 // Deterministic routing under engine=auto / strategy=auto: optimal-silent
 // from a uniform-random start runs its dense reset and timer rounds on the
 // array arm; silent-nstate from the same kind of
@@ -385,6 +422,193 @@ TEST(ArrayArm, InvariantsHoldAcrossArmSwitches) {
       EXPECT_GT(sim.strategy_trace().steps[static_cast<std::size_t>(arm)], 0u)
           << to_string(arm);
   }
+}
+
+// --- Array-arm bursts replay plain steps bit for bit ------------------------
+//
+// run_engine_until_ranked drives the count engine with step(obs), so the
+// array arm runs many changes per step. The reference below is the ranked
+// harness as a plain step() loop: one change per step, the tracker
+// following last_deltas(). Both must agree on every result field, on the
+// per-arm interaction totals, and on the final configuration.
+
+constexpr std::size_t kArrayArm = static_cast<std::size_t>(StrategyArm::kArray);
+
+template <class P>
+RunResult ranked_by_plain_steps(BatchSimulation<P>& sim,
+                                std::uint64_t max_interactions) {
+  const auto& protocol = sim.protocol();
+  RankTracker tracker(sim.population_size());
+  const auto& counts = sim.state_counts();
+  for (std::uint32_t q = 0; q < counts.size(); ++q)
+    if (counts[q] > 0)
+      tracker.apply_delta(protocol.rank_of(protocol.decode(q)),
+                          static_cast<std::int64_t>(counts[q]));
+  RunOptions opts;
+  opts.max_interactions = max_interactions;
+  RunResult out;
+  detail::StabilizationClock clock(opts, sim.population_size(), out);
+  clock.init(tracker.is_permutation());
+  bool stuck = false;
+  while (sim.interactions() < max_interactions) {
+    if (sim.step() == 0) {
+      stuck = true;
+      break;
+    }
+    for (const CountDelta& d : sim.last_deltas())
+      tracker.apply_delta(protocol.rank_of(protocol.decode(d.code)), d.delta);
+    if (clock.on_state(tracker.is_permutation(), sim.parallel_time())) {
+      out.stabilized = true;
+      break;
+    }
+  }
+  if (stuck && clock.was_correct()) out.stabilized = true;
+  out.interactions = sim.interactions();
+  if (out.stabilized) out.stabilization_ptime = clock.last_entry();
+  return out;
+}
+
+// Runs both harnesses on twin auto engines and compares them; returns the
+// burst engine's trace for cell-specific checks.
+template <class P>
+StrategyTrace expect_bursts_replay_plain_steps(
+    const P& proto, const std::vector<std::uint64_t>& counts,
+    std::uint64_t seed, const FaultSpec& faults,
+    std::uint64_t max_interactions, const std::string& what) {
+  BatchSimulation<P> burst(proto, counts, seed, BatchStrategy::kAuto);
+  BatchSimulation<P> plain(proto, counts, seed, BatchStrategy::kAuto);
+  if (faults.active()) {
+    burst.set_faults(faults);
+    plain.set_faults(faults);
+  }
+  RunOptions opts;
+  opts.max_interactions = max_interactions;
+  const RunResult b = run_engine_until_ranked(burst, opts);
+  const RunResult p = ranked_by_plain_steps(plain, max_interactions);
+  EXPECT_EQ(b.stabilized, p.stabilized) << what;
+  EXPECT_EQ(b.stabilization_ptime, p.stabilization_ptime) << what;
+  EXPECT_EQ(b.first_correct_ptime, p.first_correct_ptime) << what;
+  EXPECT_EQ(b.correctness_breaks, p.correctness_breaks) << what;
+  EXPECT_EQ(b.interactions, p.interactions) << what;
+  EXPECT_EQ(burst.strategy_trace().interactions,
+            plain.strategy_trace().interactions)
+      << what;
+  EXPECT_EQ(burst.state_counts(), plain.state_counts()) << what;
+  EXPECT_EQ(burst.stats().effective, plain.stats().effective) << what;
+  EXPECT_EQ(burst.stats().batched, plain.stats().batched) << what;
+  if constexpr (std::is_same_v<P, OptimalSilentSSR>) {
+    EXPECT_EQ(burst.counters().resets_executed,
+              plain.counters().resets_executed)
+        << what;
+  }
+  // The array arm ran, and in fewer (burst) steps than changes.
+  EXPECT_GT(burst.strategy_trace().steps[kArrayArm], 0u) << what;
+  EXPECT_LT(burst.strategy_trace().steps[kArrayArm],
+            plain.strategy_trace().steps[kArrayArm])
+      << what;
+  EXPECT_NO_THROW(burst.audit()) << what;
+  return burst.strategy_trace();
+}
+
+std::string burst_cell_name(const char* protocol, const char* init,
+                            std::uint32_t n) {
+  return std::string(protocol) + " " + init + " n=" + std::to_string(n);
+}
+
+// Optimal-Silent-SSR from its two dense starts. n = 512 and 1000 run to
+// stabilization. n = 4096 sits at the pool floor, where the occupied-code
+// guard sends sparse dense rounds to the multinomial batch, so bursts end
+// on a verdict change; it runs to a fixed horizon (a full run is tens of
+// seconds), which also covers the horizon stop.
+TEST(BurstBitIdentity, OptimalSilentMatchesPlainSteps) {
+  const auto& inits = optimal_silent_inits();
+  for (const char* init : {"uniform-random", "dormant-mix"}) {
+    for (std::uint32_t n : {512u, 1000u, 4096u}) {
+      const OptimalSilentSSR proto(OptimalSilentParams::standard(n));
+      const std::string what = burst_cell_name("optimal-silent", init, n);
+      const std::uint64_t horizon =
+          n < 4096 ? optimal_silent_opts(n).max_interactions
+                   : 400ull * n;
+      const StrategyTrace trace = expect_bursts_replay_plain_steps(
+          proto, inits.counts(proto, init, 40 + n), 50 + n, FaultSpec{},
+          horizon, what);
+      if (n == 4096 && std::string(init) == "dormant-mix") {
+        EXPECT_GT(trace.steps[static_cast<std::size_t>(
+                      StrategyArm::kMultinomial)],
+                  0u)
+            << what;
+      }
+    }
+  }
+}
+
+// Silent-n-state-SSR (diagonal structure): an all-same start is dense and
+// runs on the array arm until the density test sends it to the geometric
+// skip.
+TEST(BurstBitIdentity, SilentNStateMatchesPlainSteps) {
+  const std::uint32_t n = 512;
+  const SilentNStateSSR proto(n);
+  const StrategyTrace trace = expect_bursts_replay_plain_steps(
+      proto, silent_nstate_inits().counts(proto, "all-same", 3), 4,
+      FaultSpec{}, 1ull << 34, burst_cell_name("silent-nstate", "all-same", n));
+  EXPECT_GT(trace.steps[static_cast<std::size_t>(StrategyArm::kGeometricSkip)],
+            0u);
+}
+
+// One faulted cell per knob. The churn cell starts correct (and silent):
+// the first crash breaks the ranking, the reset waves it ends in run on
+// the array arm, and the harness stops when a burst re-enters the
+// ranking.
+TEST(BurstBitIdentity, FaultedCellsMatchPlainSteps) {
+  const std::uint32_t n = 512;
+  const OptimalSilentSSR proto(OptimalSilentParams::standard(n));
+  const auto& inits = optimal_silent_inits();
+  FaultSpec drop;
+  drop.drop = 0.5;
+  FaultSpec oneway;
+  oneway.oneway = 1.0 / n;
+  FaultSpec churn;
+  churn.churn = 0.5 / n;
+  const std::uint64_t horizon = optimal_silent_opts(n).max_interactions;
+  expect_bursts_replay_plain_steps(
+      proto, inits.counts(proto, "uniform-random", 61), 62, drop, horizon,
+      "optimal-silent uniform-random fault.drop");
+  expect_bursts_replay_plain_steps(
+      proto, inits.counts(proto, "uniform-random", 63), 64, oneway, horizon,
+      "optimal-silent uniform-random fault.oneway");
+  BatchSimulation<OptimalSilentSSR> probe(
+      proto, inits.counts(proto, "correct-ranking", 65), 66,
+      BatchStrategy::kAuto);
+  probe.set_faults(churn);
+  RunOptions opts;
+  opts.max_interactions = horizon;
+  EXPECT_EQ(run_engine_until_ranked(probe, opts).correctness_breaks, 1u);
+  expect_bursts_replay_plain_steps(
+      proto, inits.counts(proto, "correct-ranking", 65), 66, churn, horizon,
+      "optimal-silent correct-ranking fault.churn");
+}
+
+// Bursts cut short by an observer keep every engine invariant: audit()
+// after each burst (agent state cache included), through arm switches.
+TEST(BurstBitIdentity, AuditHoldsAfterEveryBurst) {
+  const std::uint32_t n = 512;
+  const OptimalSilentSSR proto(OptimalSilentParams::standard(n));
+  BatchSimulation<OptimalSilentSSR> sim(
+      proto, optimal_silent_inits().counts(proto, "uniform-random", 7), 8,
+      BatchStrategy::kAuto);
+  int changes = 0;
+  auto every_100th = [&](const OptimalSilentSSR::State&,
+                         const OptimalSilentSSR::State&) {
+    return ++changes % 100 == 0;
+  };
+  for (int k = 0; k < 3000; ++k) {
+    if (sim.step(every_100th) == 0) break;
+    ASSERT_NO_THROW(sim.audit()) << "burst " << k;
+  }
+  // Bursts spanned many changes each.
+  EXPECT_GT(sim.strategy_trace().steps[kArrayArm], 0u);
+  EXPECT_GT(static_cast<std::uint64_t>(changes),
+            2 * sim.strategy_trace().steps[kArrayArm]);
 }
 
 // --- Cross-strategy equivalence: ResetProcess -------------------------------
