@@ -9,9 +9,9 @@
 //    (the speedup curve is the deliverable: ISSUE 1 demands >= 10x at
 //    n = 10^6, the log-log fit shows how far beyond that it lands)
 //  * run-to-silence at moderate n — wall-clock to stabilization for the
-//    array backend, the batched backend, and the hand-rolled
-//    SilentNStateFast accelerator, with the parallel-time means printed so
-//    distributional agreement is visible alongside the speed difference.
+//    array backend and the batched backend, with the parallel-time means
+//    printed so distributional agreement is visible alongside the speed
+//    difference.
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
@@ -27,7 +27,6 @@
 #include "core/stats.h"
 #include "core/table.h"
 #include "protocols/silent_nstate.h"
-#include "protocols/silent_nstate_fast.h"
 
 namespace ppsim {
 namespace {
@@ -110,8 +109,8 @@ void experiment_run_to_silence(const BenchScale& scale, BenchReport& report) {
   std::cout << "\n== run to stabilization: wall clock per backend (batch "
                "strategy "
             << to_string(strategy) << ") ==\n";
-  Table t({"n", "trials", "array s", "batch s", "fast s", "array E[time]",
-           "batch E[time]", "fast E[time]"});
+  Table t({"n", "trials", "array s", "batch s", "array E[time]",
+           "batch E[time]"});
   // This workload is the multinomial strategy's textbook worst case —
   // Theta(n^3) interactions, nearly all null, which it must grind through
   // batch by batch while the diagonal skip jumps them — so a forced
@@ -125,7 +124,7 @@ void experiment_run_to_silence(const BenchScale& scale, BenchReport& report) {
   }
   for (std::uint32_t n : sizes) {
     const std::uint32_t trials = scale.trials(10);
-    std::vector<double> at, bt, ft;
+    std::vector<double> at, bt;
 
     const WallTimer t_array;
     for (std::uint32_t i = 0; i < trials; ++i) {
@@ -148,17 +147,9 @@ void experiment_run_to_silence(const BenchScale& scale, BenchReport& report) {
     }
     const double batch_s = t_batch.seconds();
 
-    const WallTimer t_fast;
-    for (std::uint32_t i = 0; i < trials; ++i)
-      ft.push_back(SilentNStateFast(n)
-                       .run(silent_nstate_worst_counts(n),
-                            derive_seed(300 + n, i))
-                       .parallel_time);
-    const double fast_s = t_fast.seconds();
-
     t.add_row({std::to_string(n), std::to_string(trials), fmt(array_s, 3),
-               fmt(batch_s, 4), fmt(fast_s, 4), fmt(summarize(at).mean, 0),
-               fmt(summarize(bt).mean, 0), fmt(summarize(ft).mean, 0)});
+               fmt(batch_s, 4), fmt(summarize(at).mean, 0),
+               fmt(summarize(bt).mean, 0)});
     report.add()
         .set("experiment", "run_to_silence")
         .set("backend", "batch")
@@ -169,8 +160,8 @@ void experiment_run_to_silence(const BenchScale& scale, BenchReport& report) {
         .set("wall_seconds", batch_s);
   }
   t.print();
-  std::cout << "(the three E[time] columns agree within noise: same jump "
-               "chain, three implementations)\n";
+  std::cout << "(the two E[time] columns agree within noise: the same "
+               "process, two engines)\n";
 }
 
 }  // namespace

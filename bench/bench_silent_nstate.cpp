@@ -19,7 +19,6 @@
 #include "analysis/scenarios.h"
 #include "common/cli.h"
 #include "protocols/silent_nstate.h"
-#include "protocols/silent_nstate_fast.h"
 
 namespace ppsim {
 namespace {
@@ -127,16 +126,6 @@ void BM_SilentNStateInteraction(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_SilentNStateInteraction);
-
-void BM_FastSimulatorWorstCase(benchmark::State& state) {
-  const auto n = static_cast<std::uint32_t>(state.range(0));
-  std::uint64_t seed = 1;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        SilentNStateFast(n).run(silent_nstate_worst_counts(n), seed++));
-  }
-}
-BENCHMARK(BM_FastSimulatorWorstCase)->Arg(256)->Arg(1024);
 
 }  // namespace
 }  // namespace ppsim

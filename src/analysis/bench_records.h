@@ -32,6 +32,10 @@
 // drawn from the engines' own deterministic streams, so same code + same
 // seeds reproduce faulted interactions/parallel_time bit for bit, and
 // drift there is as much a red flag as in any exact record.
+//
+// The interaction graph (`topology`, stamped only when non-complete) joins
+// the identity too, with no strict exemption: a line and a torus record of
+// one shape are different cells, whatever order a bench emits them in.
 #pragma once
 
 #include <algorithm>
@@ -122,7 +126,7 @@ inline bool load_dir(const std::string& dir,
       for (const char* field : {"experiment", "backend", "strategy", "n",
                                 "mode", "approximate", "tau_eps",
                                 "abstracted", "faulted", "fault_drop",
-                                "fault_oneway", "fault_churn"}) {
+                                "fault_oneway", "fault_churn", "topology"}) {
         key.push_back('|');
         key.append(identity_field(r, field));
       }

@@ -414,23 +414,13 @@ RunResult run_engine_until_held(E& sim, const RunOptions& opts) {
   return out;
 }
 
-// Convenience front-ends that build the engine from (protocol, initial
-// configuration, seed). The agent-array form is the historical API used
-// throughout the tests; the batched form is its count-based twin.
-
+// Convenience front-end that builds the agent-array engine from
+// (protocol, initial configuration, seed), the historical API used
+// throughout the tests.
 template <RankingProtocol P>
 RunResult run_until_ranked(P protocol, std::vector<typename P::State> initial,
                            std::uint64_t seed, const RunOptions& opts) {
   Simulation<P> sim(std::move(protocol), std::move(initial), seed);
-  return run_engine_until_ranked(sim, opts);
-}
-
-template <class P>
-  requires RankingProtocol<P> && EnumerableProtocol<P>
-RunResult run_until_ranked_batched(P protocol,
-                                   std::vector<std::uint64_t> counts,
-                                   std::uint64_t seed, const RunOptions& opts) {
-  BatchSimulation<P> sim(std::move(protocol), std::move(counts), seed);
   return run_engine_until_ranked(sim, opts);
 }
 

@@ -238,7 +238,7 @@ ScenarioResult drive(const ScenarioSpec& spec, const P& proto,
       const std::uint32_t n = proto.population_size();
       const OccupancyProfile profile = occupancy_profile(proto, probe);
       StrategyArm arm;
-      if constexpr (ScalarActiveWeight<P>::kStructured)
+      if constexpr (StructuredProtocol<P>)
         arm = StrategyController::engine_arm(n, profile.occupied,
                                              profile.active_weight);
       else

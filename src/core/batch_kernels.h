@@ -11,12 +11,25 @@
 //                           the per-(s1,s2) transition cache
 //   sample_ordered_state_pair
 //                         - the scheduler's exact ordered state-pair draw
-//   DiagonalKernel        - geometric skip for protocols whose non-null
-//                           pairs all have equal states
-//   KeyedPassiveKernel    - geometric skip for "null iff both passive with
-//                           distinct keys" (Optimal-Silent-SSR)
-//   UnkeyedPassiveKernel  - geometric skip for "both passive => null" with
-//                           no key (ResetProcess, one-way epidemics)
+//   active_weights        - the structured active weight
+//                           W = A(n-1) + (n-A)A + D and its parts, written
+//                           once for every caller below
+//   StructureKernel<P>    - the geometric-skip kernel of P's declared null
+//                           structure, picked once by protocol type; all
+//                           three share one member set (build, weights,
+//                           on_count_change, resync, sample_pair, audit):
+//       DiagonalKernel       non-null pairs have equal states
+//                            (Silent-n-state-SSR)
+//       KeyedPassiveKernel   null iff both passive with distinct keys
+//                            (Optimal-Silent-SSR)
+//       UnkeyedPassiveKernel both passive => null, no key (ResetProcess,
+//                            one-way epidemics, the count-form quotients)
+//   ScalarActiveWeight    - W as scalars only (no Fenwick trees): the
+//                           tau-leaping engine's silence certification and
+//                           leap-size input
+//   occupancy_profile     - a count vector's occupied codes and W in one
+//                           pass, to classify a start before any engine
+//                           is built
 //   SegmentedPool         - weighted pool over the *occupied* subset of a
 //                           huge code space, clustered into contiguous
 //                           256-code segments with per-segment weight
@@ -27,9 +40,6 @@
 //                           O(occupied) raw codes); also the tau-leaping
 //                           engine's active-unit pool (reset() +
 //                           apply_delta reloads in O(occupied))
-//   ScalarActiveWeight    - the structured active weight W as scalars only
-//                           (no Fenwick trees): the tau-leaping engine's
-//                           silence certification and leap-size input
 //   sample_collision_free_prefix
 //                         - exact birthday-problem draw of how many
 //                           consecutive interactions touch fresh agents
@@ -40,18 +50,12 @@
 //                           transitions per (s1, s2) pair in bulk through a
 //                           cached delta table, then replaying the single
 //                           colliding interaction exactly
-//
-// The three geometric-skip kernels each maintain their active weight both
-// as an incremental scalar and inside Fenwick trees. The scalar is always
-// current (silent() and the auto-strategy density test read it); the
-// Fenwick trees may be updated lazily while the multinomial kernel is
-// driving the run (it never reads them), and are brought back in sync by
-// the engine before the next geometric-skip step.
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
 #include <stdexcept>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -277,21 +281,84 @@ inline std::uint64_t pair_weight(std::uint64_t m) {
   return m * (m > 0 ? m - 1 : 0);
 }
 
-// --- Geometric-skip kernels -------------------------------------------------
+// pair_weight(new_m) - pair_weight(old_m).
+inline std::int64_t pair_weight_change(std::uint64_t old_m,
+                                       std::uint64_t new_m) {
+  return static_cast<std::int64_t>(pair_weight(new_m)) -
+         static_cast<std::int64_t>(pair_weight(old_m));
+}
 
-// Diagonal fast path: every non-null pair has equal states, so the active
-// weight is W = sum over active q of m_q (m_q - 1) and the colliding state
-// is drawn ∝ m_q (m_q - 1).
+// x + d for a count or weight that d may lower.
+inline std::uint64_t add_signed(std::uint64_t x, std::int64_t d) {
+  return static_cast<std::uint64_t>(static_cast<std::int64_t>(x) + d);
+}
+
+// --- Active weight ----------------------------------------------------------
+
+// The active weight W of a structured protocol (core/protocol.h): the
+// number of ordered agent pairs that may change the configuration, among m
+// agents of which A are restless (not passive). Ordered candidate pairs
+// partition exactly into
+//   (1) restless initiator, any responder:        w1 = A (m - 1)
+//   (2) passive initiator, restless responder:    w2 = (m - A) A
+//   (3) both passive with the same key:           D = sum_k s_k (s_k - 1)
+// so W = A (m - 1) + (m - A) A + D. A diagonal protocol is the case A = 0
+// with D = sum over active q of m_q (m_q - 1); an unkeyed one has D = 0.
+// The kernels, ScalarActiveWeight and occupancy_profile all compute W here.
+struct ActiveWeights {
+  std::uint64_t restless = 0;  // A
+  std::uint64_t diag = 0;      // D
+  std::uint64_t w1 = 0;        // A (m - 1)
+  std::uint64_t w2 = 0;        // (m - A) A
+  std::uint64_t total = 0;     // W = w1 + w2 + D
+};
+
+inline ActiveWeights active_weights(std::uint64_t m, std::uint64_t restless,
+                                    std::uint64_t diag) {
+  ActiveWeights w;
+  w.restless = restless;
+  w.diag = diag;
+  w.w1 = restless * (m - 1);
+  w.w2 = (m - restless) * restless;
+  w.total = w.w1 + w.w2 + diag;
+  return w;
+}
+
+// --- Geometric-skip kernels -------------------------------------------------
+//
+// One kernel per null structure, all with one member set, so the engine
+// holds a single StructureKernel<P> and never asks which structure it has:
+//   build(protocol, counts)    O(|Q|) from a count vector;
+//   weights(n)                 W and its parts, from the scalars;
+//   on_count_change(protocol, code, state, old, new, lazy)
+//                              counts[code] moved old -> new (state encodes
+//                              to code); when `lazy`, only the scalars move
+//                              and the Fenwick trees wait for the resync;
+//   resync_code(protocol, code, old, new), then finish_resync()
+//                              repair the trees for each code a lazy
+//                              stretch moved, then once at the end;
+//   sample_pair(rng, protocol, count_sampler, counts, n, weights)
+//                              the next active ordered state pair (W > 0);
+//   same_weights(other)        equal scalars and trees (engine audits).
+// The scalars are always current (silent() and the auto-strategy density
+// test read them); the Fenwick trees may go stale while the multinomial
+// kernel or the array arm drives the run, and are resynced by the engine
+// before the next geometric-skip step.
+
+// Diagonal: every non-null pair has equal states, so D = sum over active q
+// of m_q (m_q - 1) and the colliding state is drawn ∝ m_q (m_q - 1).
 template <EnumerableProtocol P>
 class DiagonalKernel {
  public:
+  using State = typename P::State;
+
   void build(const P& protocol, const std::vector<std::uint64_t>& counts) {
     const std::uint32_t q = protocol.num_states();
     active_.resize(q);
     std::vector<std::uint64_t> weights(q, 0);
     total_ = 0;
     for (std::uint32_t s = 0; s < q; ++s) {
-      const typename P::State st = protocol.decode(s);
+      const State st = protocol.decode(s);
       active_[s] = !protocol.is_null_pair(st, st);
       if (active_[s]) {
         weights[s] = pair_weight(counts[s]);
@@ -301,62 +368,53 @@ class DiagonalKernel {
     sampler_.build(weights);
   }
 
-  std::uint64_t total() const { return total_; }
-
-  // counts[s] moved old_count -> new_count. When `lazy`, only the scalar is
-  // maintained; resync_code() repairs the Fenwick tree later.
-  void on_count_change(std::uint32_t s, std::uint64_t old_count,
-                       std::uint64_t new_count, bool lazy) {
-    if (!active_[s]) return;
-    const std::int64_t dw = static_cast<std::int64_t>(pair_weight(new_count)) -
-                            static_cast<std::int64_t>(pair_weight(old_count));
-    total_ = static_cast<std::uint64_t>(static_cast<std::int64_t>(total_) + dw);
-    if (!lazy && dw != 0) sampler_.add(s, dw);
+  ActiveWeights weights(std::uint64_t n) const {
+    return active_weights(n, 0, total_);
   }
 
-  void resync_code(std::uint32_t s, std::uint64_t old_count,
+  void on_count_change(const P&, std::uint32_t code, const State&,
+                       std::uint64_t old_count, std::uint64_t new_count,
+                       bool lazy) {
+    if (!active_[code]) return;
+    const std::int64_t dw = pair_weight_change(old_count, new_count);
+    total_ = add_signed(total_, dw);
+    if (!lazy && dw != 0) sampler_.add(code, dw);
+  }
+
+  void resync_code(const P&, std::uint32_t code, std::uint64_t old_count,
                    std::uint64_t new_count) {
-    if (!active_[s]) return;
-    const std::int64_t dw = static_cast<std::int64_t>(pair_weight(new_count)) -
-                            static_cast<std::int64_t>(pair_weight(old_count));
-    if (dw != 0) sampler_.add(s, dw);
+    if (!active_[code]) return;
+    const std::int64_t dw = pair_weight_change(old_count, new_count);
+    if (dw != 0) sampler_.add(code, dw);
   }
 
-  std::uint32_t sample(Rng& rng) const {
-    return sampler_.find(rng.below(total_));
+  void finish_resync() {}
+
+  std::pair<std::uint32_t, std::uint32_t> sample_pair(
+      Rng& rng, const P&, WeightedSampler&, const std::vector<std::uint64_t>&,
+      std::uint64_t, const ActiveWeights&) const {
+    const std::uint32_t q = sampler_.find(rng.below(total_));
+    return {q, q};
   }
 
-  // Same scalar and same sampled weights (engine audits compare a synced
-  // kernel against a fresh build from the counts).
   bool same_weights(const DiagonalKernel& o) const {
     return total_ == o.total_ && sampler_ == o.sampler_;
   }
 
  private:
-  WeightedSampler sampler_;
+  WeightedSampler sampler_;  // weight m_q (m_q - 1) on active states
   std::vector<char> active_;
-  std::uint64_t total_ = 0;
+  std::uint64_t total_ = 0;  // D (scalar mirror, always live)
 };
 
-// Keyed-passive fast path. Ordered active pairs partition exactly into
-//   (1) restless initiator, any responder:        A (n - 1)
-//   (2) passive initiator, restless responder:    S A
-//   (3) both passive with the same key:           D = sum_k s_k (s_k - 1)
-// (check: n(n-1) - [passive pairs with distinct keys] = A(n-1) + SA + D).
-// The active pair is drawn by case-splitting on the three weights; each
-// case samples its conditional distribution exactly.
+// Keyed passive: null iff both passive with distinct keys (Optimal-Silent-
+// SSR: passive = Settled, key = rank). The active pair is drawn by
+// case-splitting on the three parts of W; each case samples its
+// conditional distribution exactly.
 template <EnumerableProtocol P>
 class KeyedPassiveKernel {
  public:
-  // The three-term active-weight partition, computed in one place so that
-  // silent(), the auto-strategy density test and the step can never drift.
-  struct Weights {
-    std::uint64_t restless = 0;  // A
-    std::uint64_t diag = 0;      // D = sum_k s_k (s_k - 1)
-    std::uint64_t w1 = 0;        // A (n - 1)
-    std::uint64_t w2 = 0;        // S A
-    std::uint64_t total = 0;     // W = w1 + w2 + D
-  };
+  using State = typename P::State;
 
   void build(const P& protocol, const std::vector<std::uint64_t>& counts) {
     const std::uint32_t q = protocol.num_states();
@@ -368,7 +426,7 @@ class KeyedPassiveKernel {
     // occupied, so this beats a dense O(|Q|) weight-vector build.
     for (std::uint32_t s = 0; s < q; ++s) {
       if (counts[s] == 0) continue;
-      const typename P::State st = protocol.decode(s);
+      const State st = protocol.decode(s);
       if (protocol.is_passive(st)) {
         key_counts_[protocol.passive_key(st)] += counts[s];
       } else {
@@ -385,57 +443,36 @@ class KeyedPassiveKernel {
     dirty_keys_.clear();
   }
 
-  Weights weights(std::uint64_t n) const {
-    Weights w;
-    w.restless = restless_count_;
-    w.diag = diag_total_;
-    w.w1 = w.restless * (n - 1);
-    w.w2 = (n - w.restless) * w.restless;
-    w.total = w.w1 + w.w2 + w.diag;
-    return w;
+  ActiveWeights weights(std::uint64_t n) const {
+    return active_weights(n, restless_count_, diag_total_);
   }
 
-  // When `lazy`, only the scalars and key counts move; resync_code() and
-  // resync_keys() repair the Fenwick trees later.
-  void on_count_change(const P& protocol, std::uint32_t code,
-                       std::int64_t delta, bool lazy) {
-    on_count_change(protocol, code, protocol.decode(code), delta, lazy);
-  }
-
-  // The same, for a caller that already holds a state st encoding to code
-  // (the declared structure is a function of the code).
-  void on_count_change(const P& protocol, std::uint32_t code,
-                       const typename P::State& st, std::int64_t delta,
+  void on_count_change(const P& protocol, std::uint32_t code, const State& st,
+                       std::uint64_t old_count, std::uint64_t new_count,
                        bool lazy) {
+    const std::int64_t delta = static_cast<std::int64_t>(new_count) -
+                               static_cast<std::int64_t>(old_count);
     if (protocol.is_passive(st)) {
       const std::uint32_t k = protocol.passive_key(st);
       const std::uint64_t old_kc = key_counts_[k];
-      key_counts_[k] = static_cast<std::uint64_t>(
-          static_cast<std::int64_t>(old_kc) + delta);
-      diag_total_ = static_cast<std::uint64_t>(
-          static_cast<std::int64_t>(diag_total_) +
-          static_cast<std::int64_t>(pair_weight(key_counts_[k])) -
-          static_cast<std::int64_t>(pair_weight(old_kc)));
-      if (!lazy) {
-        key_sampler_.add(k,
-                         static_cast<std::int64_t>(pair_weight(key_counts_[k])) -
-                             static_cast<std::int64_t>(pair_weight(old_kc)));
-      }
+      key_counts_[k] = add_signed(old_kc, delta);
+      const std::int64_t dw = pair_weight_change(old_kc, key_counts_[k]);
+      diag_total_ = add_signed(diag_total_, dw);
+      if (!lazy) key_sampler_.add(k, dw);
     } else {
-      restless_count_ = static_cast<std::uint64_t>(
-          static_cast<std::int64_t>(restless_count_) + delta);
+      restless_count_ = add_signed(restless_count_, delta);
       if (!lazy) restless_.add(code, delta);
     }
   }
 
-  // Repairs the restless Fenwick for one dirtied code (the engine tracks
-  // old counts); a passive code's change is summed per key here and the
-  // key Fenwick is repaired once per key in resync_keys().
+  // Repairs the restless Fenwick for one dirtied code; a passive code's
+  // change is summed per key here and the key Fenwick is repaired once per
+  // key in finish_resync().
   void resync_code(const P& protocol, std::uint32_t code,
                    std::uint64_t old_count, std::uint64_t new_count) {
     const std::int64_t d = static_cast<std::int64_t>(new_count) -
                            static_cast<std::int64_t>(old_count);
-    const typename P::State st = protocol.decode(code);
+    const State st = protocol.decode(code);
     if (protocol.is_passive(st)) {
       if (d != 0) dirty_keys_.add(protocol.passive_key(st), d);
       return;
@@ -443,26 +480,21 @@ class KeyedPassiveKernel {
     if (d != 0) restless_.add(code, d);
   }
 
-  void resync_keys() {
+  void finish_resync() {
     for (std::uint32_t slot : dirty_keys_.entry_slots()) {
       const auto k = static_cast<std::uint32_t>(dirty_keys_.key_at(slot));
-      const std::uint64_t old_kc = static_cast<std::uint64_t>(
-          static_cast<std::int64_t>(key_counts_[k]) -
-          static_cast<std::int64_t>(dirty_keys_.value_at(slot)));
-      const std::int64_t dw =
-          static_cast<std::int64_t>(pair_weight(key_counts_[k])) -
-          static_cast<std::int64_t>(pair_weight(old_kc));
+      const auto net = static_cast<std::int64_t>(dirty_keys_.value_at(slot));
+      const std::uint64_t old_kc = add_signed(key_counts_[k], -net);
+      const std::int64_t dw = pair_weight_change(old_kc, key_counts_[k]);
       if (dw != 0) key_sampler_.add(k, dw);
     }
     dirty_keys_.clear();
   }
 
-  // Samples the active ordered pair given precomputed weights (total > 0).
-  // Consumes randomness in the exact order of the pre-refactor engine.
   std::pair<std::uint32_t, std::uint32_t> sample_pair(
       Rng& rng, const P& protocol, WeightedSampler& count_sampler,
       const std::vector<std::uint64_t>& counts, std::uint64_t n,
-      const Weights& kw) const {
+      const ActiveWeights& kw) const {
     const std::uint64_t x = rng.below(kw.total);
     std::uint32_t a_code, b_code;
     if (x < kw.w1) {
@@ -535,23 +567,14 @@ class KeyedPassiveKernel {
   FlatMap64 dirty_keys_;                    // key -> net change at resync
 };
 
-// Unkeyed passive fast path: the protocol guarantees that a pair of two
-// passive agents is null (kPassivePairsAreNull); pairs involving at least
-// one non-passive agent may or may not be null and are simulated
-// individually. Ordered candidate pairs partition into
-//   (1) restless initiator, any responder:      A (n - 1)
-//   (2) passive initiator, restless responder:  S A
-// with W = A (n - 1) + S A = A (2n - 1 - A); W = 0 iff every agent is
-// passive, which is silent by the structure guarantee.
+// Unkeyed passive: a pair of two passive agents is null
+// (kPassivePairsAreNull); pairs involving a restless agent may or may not
+// be null and are simulated individually. D = 0, so W = 0 iff every agent
+// is passive, which is silent by the structure guarantee.
 template <EnumerableProtocol P>
 class UnkeyedPassiveKernel {
  public:
-  struct Weights {
-    std::uint64_t restless = 0;  // A
-    std::uint64_t w1 = 0;        // A (n - 1)
-    std::uint64_t w2 = 0;        // S A
-    std::uint64_t total = 0;
-  };
+  using State = typename P::State;
 
   void build(const P& protocol, const std::vector<std::uint64_t>& counts) {
     const std::uint32_t q = protocol.num_states();
@@ -566,28 +589,17 @@ class UnkeyedPassiveKernel {
     }
   }
 
-  Weights weights(std::uint64_t n) const {
-    Weights w;
-    w.restless = restless_count_;
-    w.w1 = w.restless * (n - 1);
-    w.w2 = (n - w.restless) * w.restless;
-    w.total = w.w1 + w.w2;
-    return w;
+  ActiveWeights weights(std::uint64_t n) const {
+    return active_weights(n, restless_count_, 0);
   }
 
-  void on_count_change(const P& protocol, std::uint32_t code,
-                       std::int64_t delta, bool lazy) {
-    on_count_change(protocol, code, protocol.decode(code), delta, lazy);
-  }
-
-  // The same, for a caller that already holds a state st encoding to code
-  // (the declared structure is a function of the code).
-  void on_count_change(const P& protocol, std::uint32_t code,
-                       const typename P::State& st, std::int64_t delta,
+  void on_count_change(const P& protocol, std::uint32_t code, const State& st,
+                       std::uint64_t old_count, std::uint64_t new_count,
                        bool lazy) {
     if (protocol.is_passive(st)) return;
-    restless_count_ = static_cast<std::uint64_t>(
-        static_cast<std::int64_t>(restless_count_) + delta);
+    const std::int64_t delta = static_cast<std::int64_t>(new_count) -
+                               static_cast<std::int64_t>(old_count);
+    restless_count_ = add_signed(restless_count_, delta);
     if (!lazy) restless_.add(code, delta);
   }
 
@@ -599,9 +611,12 @@ class UnkeyedPassiveKernel {
     if (d != 0) restless_.add(code, d);
   }
 
+  void finish_resync() {}
+
   std::pair<std::uint32_t, std::uint32_t> sample_pair(
       Rng& rng, const P& protocol, WeightedSampler& count_sampler,
-      std::uint64_t n, const Weights& kw) const {
+      const std::vector<std::uint64_t>&, std::uint64_t n,
+      const ActiveWeights& kw) const {
     const std::uint64_t x = rng.below(kw.total);
     std::uint32_t a_code, b_code;
     if (x < kw.w1) {
@@ -628,96 +643,73 @@ class UnkeyedPassiveKernel {
   std::uint64_t restless_count_ = 0;
 };
 
+// Placeholder for protocols without a declared null structure; the engine
+// never calls it.
+struct NoStructureKernel {};
+
+// The kernel of P's null structure, picked once by protocol type (diagonal
+// before keyed before unkeyed).
+template <EnumerableProtocol P>
+using StructureKernel = std::conditional_t<
+    DiagonalActiveProtocol<P>, DiagonalKernel<P>,
+    std::conditional_t<
+        KeyedPassiveProtocol<P>, KeyedPassiveKernel<P>,
+        std::conditional_t<UnkeyedPassiveProtocol<P>, UnkeyedPassiveKernel<P>,
+                           NoStructureKernel>>>;
+
 // --- Scalar active-weight tracker -------------------------------------------
 
-// Maintains the declared-structure active weight W as scalars only — no
-// Fenwick trees, no O(|Q|) arrays — in O(1) per count change and O(occupied)
-// to rebuild. The full geometric-skip kernels above also need to *sample*
-// the active pair, which costs them Fenwick trees over the whole code
-// space; the tau-leaping engine (core/tau_leap_simulation.h) only needs W
-// (and its restless / key-diagonal parts) for silence certification and
-// the leap-size bound, and samples active units from its own occupied
-// pools instead. Keyed key counts live in a FlatMap64 keyed by the
-// occupied passive keys.
+// Maintains a passive-structured protocol's active weight W as scalars
+// only — no Fenwick trees, no O(|Q|) arrays — in O(1) per count change and
+// O(occupied) to rebuild. The geometric-skip kernels above also need to
+// *sample* the active pair, which costs them Fenwick trees over the whole
+// code space; the tau-leaping engine (core/tau_leap_simulation.h) only
+// needs W and its parts for silence certification and the leap-size bound,
+// and samples active units from its own occupied pools instead. Keyed key
+// counts live in a FlatMap64 keyed by the occupied passive keys.
 template <EnumerableProtocol P>
+  requires KeyedPassiveProtocol<P> || UnkeyedPassiveProtocol<P>
 class ScalarActiveWeight {
  public:
-  static constexpr bool kStructured = DiagonalActiveProtocol<P> ||
-                                      KeyedPassiveProtocol<P> ||
-                                      UnkeyedPassiveProtocol<P>;
-
   // counts[code] moved old_count -> new_count.
   void on_count_change(const P& protocol, std::uint32_t code,
                        std::uint64_t old_count, std::uint64_t new_count) {
     const std::int64_t d = static_cast<std::int64_t>(new_count) -
                            static_cast<std::int64_t>(old_count);
     if (d == 0) return;
-    if constexpr (DiagonalActiveProtocol<P>) {
-      const typename P::State st = protocol.decode(code);
-      if (protocol.is_null_pair(st, st)) return;
-      diag_total_ = static_cast<std::uint64_t>(
-          static_cast<std::int64_t>(diag_total_) +
-          static_cast<std::int64_t>(pair_weight(new_count)) -
-          static_cast<std::int64_t>(pair_weight(old_count)));
+    const typename P::State st = protocol.decode(code);
+    if (!protocol.is_passive(st)) {
+      restless_ = add_signed(restless_, d);
     } else if constexpr (KeyedPassiveProtocol<P>) {
-      const typename P::State st = protocol.decode(code);
-      if (protocol.is_passive(st)) {
-        const std::uint32_t slot =
-            key_counts_.find_or_insert(protocol.passive_key(st), 0);
-        const std::uint64_t old_kc = key_counts_.value_at(slot);
-        const std::uint64_t new_kc = static_cast<std::uint64_t>(
-            static_cast<std::int64_t>(old_kc) + d);
-        key_counts_.value_ref(slot) = new_kc;
-        key_diag_ = static_cast<std::uint64_t>(
-            static_cast<std::int64_t>(key_diag_) +
-            static_cast<std::int64_t>(pair_weight(new_kc)) -
-            static_cast<std::int64_t>(pair_weight(old_kc)));
-      } else {
-        restless_ = static_cast<std::uint64_t>(
-            static_cast<std::int64_t>(restless_) + d);
-      }
-    } else if constexpr (UnkeyedPassiveProtocol<P>) {
-      if (!protocol.is_passive(protocol.decode(code)))
-        restless_ = static_cast<std::uint64_t>(
-            static_cast<std::int64_t>(restless_) + d);
+      const std::uint32_t slot =
+          key_counts_.find_or_insert(protocol.passive_key(st), 0);
+      const std::uint64_t old_kc = key_counts_.value_at(slot);
+      const std::uint64_t new_kc = add_signed(old_kc, d);
+      key_counts_.value_ref(slot) = new_kc;
+      key_diag_ = add_signed(key_diag_, pair_weight_change(old_kc, new_kc));
     }
   }
 
-  // W for a population of m agents holding the tracked counts:
-  //   diagonal: sum over active q of m_q (m_q - 1)
-  //   keyed:    A (m - 1) + S A + sum_k s_k (s_k - 1)
-  //   unkeyed:  A (m - 1) + S A
-  std::uint64_t total(std::uint64_t m) const {
-    if constexpr (DiagonalActiveProtocol<P>) {
-      (void)m;
-      return diag_total_;
-    } else if constexpr (KeyedPassiveProtocol<P>) {
-      return restless_ * (m - 1) + (m - restless_) * restless_ + key_diag_;
-    } else if constexpr (UnkeyedPassiveProtocol<P>) {
-      return restless_ * (m - 1) + (m - restless_) * restless_;
-    } else {
-      (void)m;
-      return 0;
-    }
+  // W and its parts for a population of m agents holding the tracked
+  // counts.
+  ActiveWeights weights(std::uint64_t m) const {
+    return active_weights(m, restless_, key_diag_);
   }
+  std::uint64_t total(std::uint64_t m) const { return weights(m).total; }
 
-  std::uint64_t restless() const { return restless_; }
-  std::uint64_t key_diag() const { return key_diag_; }
   // Keyed only: passive key -> passive-agent count (insertion-ordered).
   const FlatMap64& key_counts() const { return key_counts_; }
 
  private:
-  std::uint64_t diag_total_ = 0;  // diagonal W
-  std::uint64_t restless_ = 0;    // A (keyed / unkeyed)
-  std::uint64_t key_diag_ = 0;    // sum_k s_k (s_k - 1) (keyed)
-  FlatMap64 key_counts_;          // keyed: s_k per occupied key
+  std::uint64_t restless_ = 0;  // A
+  std::uint64_t key_diag_ = 0;  // sum_k s_k (s_k - 1) (keyed)
+  FlatMap64 key_counts_;        // keyed: s_k per occupied key
 };
 
-// A count vector's occupied-code count and, for a protocol with declared
-// structure, the same W (0 otherwise), in one pass over the vector:
-// scalars plus, for keyed protocols, a dense per-key count array (no
-// Fenwick tree, no hash map). Used to classify a start before any engine
-// is built.
+// A count vector's occupied-code count and, for a structured protocol, its
+// active weight W (0 otherwise), in one pass over the vector: scalars plus,
+// for keyed protocols, a dense per-key count array (no Fenwick tree, no
+// hash map). Used to classify a start before any engine is built.
 struct OccupancyProfile {
   std::uint64_t occupied = 0;
   std::uint64_t active_weight = 0;
@@ -726,7 +718,6 @@ struct OccupancyProfile {
 template <EnumerableProtocol P>
 OccupancyProfile occupancy_profile(const P& protocol,
                                    const std::vector<std::uint64_t>& counts) {
-  const std::uint64_t n = protocol.population_size();
   OccupancyProfile out;
   std::uint64_t restless = 0;
   std::uint64_t diag = 0;
@@ -737,24 +728,21 @@ OccupancyProfile occupancy_profile(const P& protocol,
     const std::uint64_t c = counts[code];
     if (c == 0) continue;
     ++out.occupied;
-    if constexpr (ScalarActiveWeight<P>::kStructured) {
+    if constexpr (StructuredProtocol<P>) {
       const typename P::State st = protocol.decode(code);
       if constexpr (DiagonalActiveProtocol<P>) {
         if (!protocol.is_null_pair(st, st)) diag += pair_weight(c);
+      } else if (!protocol.is_passive(st)) {
+        restless += c;
       } else if constexpr (KeyedPassiveProtocol<P>) {
-        if (protocol.is_passive(st)) {
-          std::uint64_t& kc = key_counts[protocol.passive_key(st)];
-          diag += pair_weight(kc + c) - pair_weight(kc);
-          kc += c;
-        } else {
-          restless += c;
-        }
-      } else {
-        if (!protocol.is_passive(st)) restless += c;
+        std::uint64_t& kc = key_counts[protocol.passive_key(st)];
+        diag += pair_weight(kc + c) - pair_weight(kc);
+        kc += c;
       }
     }
   }
-  out.active_weight = restless * (n - 1) + (n - restless) * restless + diag;
+  out.active_weight =
+      active_weights(protocol.population_size(), restless, diag).total;
   return out;
 }
 

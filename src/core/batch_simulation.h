@@ -19,20 +19,22 @@
 //
 //  * kGeometricSkip — skip runs of provably-null draws in one geometric
 //    jump, then simulate the next candidate interaction individually.
-//    Which jumps are available depends on the protocol's declared
-//    structure, checked in order:
-//      - DiagonalActiveProtocol (non-null pairs have equal states, e.g.
-//        Silent-n-state-SSR): W = sum_q active(q) m_q (m_q - 1), whole
+//    A StructuredProtocol (core/protocol.h) declares one of three exact
+//    null structures, and the engine holds that structure's kernel
+//    (StructureKernel<P>, core/batch_kernels.h), which keeps the active
+//    weight W = A(n-1) + (n-A)A + D current and samples the next active
+//    pair exactly:
+//      - diagonal (non-null pairs have equal states, Silent-n-state-SSR):
+//        A = 0, D = sum_q active(q) m_q (m_q - 1), so whole
 //        Theta(n^2)-step null stretches cost O(1);
-//      - KeyedPassiveProtocol (null iff both passive with distinct keys,
-//        e.g. Optimal-Silent-SSR with passive = Settled, key = rank):
-//        W = A(n-1) + SA + sum_k s_k (s_k - 1), maintained incrementally,
-//        with exact 3-case conditional pair sampling;
-//      - UnkeyedPassiveProtocol (both passive => null, no key, e.g.
-//        ResetProcess with passive = computing, one-way epidemics with
-//        passive = infected): W = A(n-1) + SA with 2-case sampling;
-//      - otherwise (NullPairProtocol) runs of one identical null pair are
-//        geometric in that pair's own probability.
+//      - keyed passive (null iff both passive with distinct keys,
+//        Optimal-Silent-SSR with passive = Settled, key = rank):
+//        D = sum_k s_k (s_k - 1), with 3-case pair sampling;
+//      - unkeyed passive (both passive => null, no key: ResetProcess with
+//        passive = computing, one-way epidemics with passive = infected):
+//        D = 0, with 2-case sampling.
+//    Otherwise (NullPairProtocol) runs of one identical null pair are
+//    geometric in that pair's own probability.
 //  * kMultinomial — the ppsim-style batch step (Berenbrink et al.; Doty &
 //    Severson's ppsim): simulate a whole collision-free prefix of
 //    ~sqrt(pi n / 8) interactions at once by sampling its sender/receiver
@@ -59,7 +61,7 @@
 //    resolved arm is recorded in strategy_trace().
 //
 // Neither the multinomial kernel nor the array arm touches the geometric
-// paths' Fenwick trees (the full-|Q| count tree is hundreds of MB for
+// path's Fenwick trees (the full-|Q| count tree is hundreds of MB for
 // Optimal-Silent-SSR at n >= 10^6, so per-delta updates there would
 // dominate). Both keep counts_, the occupied-code count and the
 // active-weight *scalars* current; the multinomial kernel records which
@@ -174,10 +176,7 @@ class BatchSimulation {
   // exactly the fault-free randomness stream, bit for bit.
   void set_faults(const FaultSpec& faults) {
     faults.validate();
-    constexpr bool structured = DiagonalActiveProtocol<P> ||
-                                KeyedPassiveProtocol<P> ||
-                                UnkeyedPassiveProtocol<P>;
-    if (faults.active() && !structured)
+    if (faults.active() && !StructuredProtocol<P>)
       throw std::invalid_argument(
           "count-engine fault injection requires a protocol with declared "
           "null structure (diagonal / keyed / unkeyed passive); use "
@@ -212,8 +211,7 @@ class BatchSimulation {
       return StrategyArm::kGeometricSkip;
     if (strategy_ == BatchStrategy::kMultinomial)
       return StrategyArm::kMultinomial;
-    if constexpr (DiagonalActiveProtocol<P> || KeyedPassiveProtocol<P> ||
-                  UnkeyedPassiveProtocol<P>) {
+    if constexpr (StructuredProtocol<P>) {
       if (faults_active_ && faults_.drop >= 1.0)
         return StrategyArm::kGeometricSkip;
       return StrategyController::step_strategy(thresholds_, active_weight(),
@@ -230,11 +228,10 @@ class BatchSimulation {
   // strategy; mixed under kAuto).
   const StrategyTrace& strategy_trace() const { return trace_; }
 
-  // For diagonal and passive-structured protocols: true iff no future
+  // For structured protocols: true iff no future
   // interaction can change the configuration (the configuration is silent).
   bool silent() const
-    requires DiagonalActiveProtocol<P> || KeyedPassiveProtocol<P> ||
-             UnkeyedPassiveProtocol<P>
+    requires StructuredProtocol<P>
   {
     return active_weight() == 0;
   }
@@ -260,8 +257,7 @@ class BatchSimulation {
   std::uint64_t step(Observer&& obs) {
     const StrategyArm arm = resolved_arm();
     if (arm != StrategyArm::kArray) leave_array_arm();
-    if constexpr (DiagonalActiveProtocol<P> || KeyedPassiveProtocol<P> ||
-                  UnkeyedPassiveProtocol<P>) {
+    if constexpr (StructuredProtocol<P>) {
       if (arm == StrategyArm::kArray) {
         const std::uint64_t consumed = step_array(obs);
         trace_.note(StrategyArm::kArray, consumed);
@@ -277,12 +273,8 @@ class BatchSimulation {
     }
     resync_fenwicks();
     std::uint64_t consumed;
-    if constexpr (DiagonalActiveProtocol<P>) {
-      consumed = step_diagonal();
-    } else if constexpr (KeyedPassiveProtocol<P>) {
-      consumed = step_keyed();
-    } else if constexpr (UnkeyedPassiveProtocol<P>) {
-      consumed = step_unkeyed();
+    if constexpr (StructuredProtocol<P>) {
+      consumed = step_structured();
     } else {
       consumed = step_general();
     }
@@ -351,21 +343,11 @@ class BatchSimulation {
     fresh_counts.build(counts_);
     if (!(synced.count_sampler_ == fresh_counts))
       fail("count Fenwick != counts");
-    if constexpr (DiagonalActiveProtocol<P>) {
-      DiagonalKernel<P> fresh;
+    if constexpr (StructuredProtocol<P>) {
+      StructureKernel<P> fresh;
       fresh.build(protocol_, counts_);
-      if (!synced.diag_kernel_.same_weights(fresh))
-        fail("diagonal kernel != fresh build");
-    } else if constexpr (KeyedPassiveProtocol<P>) {
-      KeyedPassiveKernel<P> fresh;
-      fresh.build(protocol_, counts_);
-      if (!synced.keyed_kernel_.same_weights(fresh))
-        fail("keyed kernel != fresh build");
-    } else if constexpr (UnkeyedPassiveProtocol<P>) {
-      UnkeyedPassiveKernel<P> fresh;
-      fresh.build(protocol_, counts_);
-      if (!synced.unkeyed_kernel_.same_weights(fresh))
-        fail("unkeyed kernel != fresh build");
+      if (!synced.kernel_.same_weights(fresh))
+        fail("structure kernel != fresh build");
     }
   }
 
@@ -395,13 +377,7 @@ class BatchSimulation {
     if (total != protocol_.population_size())
       throw std::invalid_argument("counts must sum to population size");
     count_sampler_.build(counts_);
-    if constexpr (DiagonalActiveProtocol<P>) {
-      diag_kernel_.build(protocol_, counts_);
-    } else if constexpr (KeyedPassiveProtocol<P>) {
-      keyed_kernel_.build(protocol_, counts_);
-    } else if constexpr (UnkeyedPassiveProtocol<P>) {
-      unkeyed_kernel_.build(protocol_, counts_);
-    }
+    if constexpr (StructuredProtocol<P>) kernel_.build(protocol_, counts_);
     // The occupied pool costs one O(|Q|) scan to build and O(log segments)
     // per count change to maintain; pay that at construction (like the
     // Fenwick builds above) only when some step can actually resolve to
@@ -410,9 +386,7 @@ class BatchSimulation {
     // step_strategy never batches). An engine pinned to the geometric path
     // never batches and skips the pool entirely. (A later set_strategy()
     // is still safe: run_batch builds lazily.)
-    constexpr bool structured = DiagonalActiveProtocol<P> ||
-                                KeyedPassiveProtocol<P> ||
-                                UnkeyedPassiveProtocol<P>;
+    constexpr bool structured = StructuredProtocol<P>;
     constexpr bool auto_can_batch = structured || !NullPairProtocol<P>;
     const bool may_batch =
         strategy_ == BatchStrategy::kMultinomial ||
@@ -442,16 +416,10 @@ class BatchSimulation {
     return n * (n - 1.0);
   }
 
-  std::uint64_t active_weight() const {
-    if constexpr (DiagonalActiveProtocol<P>) {
-      return diag_kernel_.total();
-    } else if constexpr (KeyedPassiveProtocol<P>) {
-      return keyed_kernel_.weights(population_size()).total;
-    } else if constexpr (UnkeyedPassiveProtocol<P>) {
-      return unkeyed_kernel_.weights(population_size()).total;
-    } else {
-      return 0;  // unreachable: callers are constrained to structured P
-    }
+  std::uint64_t active_weight() const
+    requires StructuredProtocol<P>
+  {
+    return kernel_.weights(population_size()).total;
   }
 
   // Eager count change: counts, the full-|Q| count tree, the structure
@@ -463,13 +431,9 @@ class BatchSimulation {
         static_cast<std::int64_t>(old_count) + delta);
     note_occupancy(old_count, counts_[s]);
     count_sampler_.add(s, delta);
-    if constexpr (DiagonalActiveProtocol<P>) {
-      diag_kernel_.on_count_change(s, old_count, counts_[s], /*lazy=*/false);
-    } else if constexpr (KeyedPassiveProtocol<P>) {
-      keyed_kernel_.on_count_change(protocol_, s, delta, /*lazy=*/false);
-    } else if constexpr (UnkeyedPassiveProtocol<P>) {
-      unkeyed_kernel_.on_count_change(protocol_, s, delta, /*lazy=*/false);
-    }
+    if constexpr (StructuredProtocol<P>)
+      kernel_.on_count_change(protocol_, s, protocol_.decode(s), old_count,
+                              counts_[s], /*lazy=*/false);
     multi_kernel_.on_external_change(s, delta);
     last_deltas_.push_back(CountDelta{s, static_cast<std::int32_t>(delta)});
   }
@@ -491,13 +455,9 @@ class BatchSimulation {
         static_cast<std::int64_t>(now) - delta);
     note_occupancy(old_count, now);
     dirty_codes_.find_or_insert(code, old_count);  // first old value wins
-    if constexpr (DiagonalActiveProtocol<P>) {
-      diag_kernel_.on_count_change(code, old_count, now, /*lazy=*/true);
-    } else if constexpr (KeyedPassiveProtocol<P>) {
-      keyed_kernel_.on_count_change(protocol_, code, delta, /*lazy=*/true);
-    } else if constexpr (UnkeyedPassiveProtocol<P>) {
-      unkeyed_kernel_.on_count_change(protocol_, code, delta, /*lazy=*/true);
-    }
+    if constexpr (StructuredProtocol<P>)
+      kernel_.on_count_change(protocol_, code, protocol_.decode(code),
+                              old_count, now, /*lazy=*/true);
   }
 
   void resync_fenwicks() {
@@ -509,15 +469,10 @@ class BatchSimulation {
       const std::int64_t d = static_cast<std::int64_t>(now) -
                              static_cast<std::int64_t>(old_count);
       if (d != 0) count_sampler_.add(code, d);
-      if constexpr (DiagonalActiveProtocol<P>) {
-        diag_kernel_.resync_code(code, old_count, now);
-      } else if constexpr (KeyedPassiveProtocol<P>) {
-        keyed_kernel_.resync_code(protocol_, code, old_count, now);
-      } else if constexpr (UnkeyedPassiveProtocol<P>) {
-        unkeyed_kernel_.resync_code(protocol_, code, old_count, now);
-      }
+      if constexpr (StructuredProtocol<P>)
+        kernel_.resync_code(protocol_, code, old_count, now);
     }
-    if constexpr (KeyedPassiveProtocol<P>) keyed_kernel_.resync_keys();
+    if constexpr (StructuredProtocol<P>) kernel_.finish_resync();
     dirty_codes_.clear();
     fenwicks_dirty_ = false;
   }
@@ -550,8 +505,7 @@ class BatchSimulation {
 
   std::uint64_t step_multinomial() {
     const bool churn_on = crash_q_ > 0.0;
-    if constexpr (DiagonalActiveProtocol<P> || KeyedPassiveProtocol<P> ||
-                  UnkeyedPassiveProtocol<P>) {
+    if constexpr (StructuredProtocol<P>) {
       if (active_weight() == 0 || (faults_active_ && faults_.drop >= 1.0)) {
         // Silent (or every interaction dropped): only churn can act.
         last_deltas_.clear();
@@ -608,8 +562,7 @@ class BatchSimulation {
   // effective slot per change (or per changeless n-slot run).
   template <class Observer>
   std::uint64_t step_array(Observer& obs)
-    requires DiagonalActiveProtocol<P> || KeyedPassiveProtocol<P> ||
-             UnkeyedPassiveProtocol<P>
+    requires StructuredProtocol<P>
   {
     enter_array_arm();
     const std::uint32_t n = population_size();
@@ -705,16 +658,8 @@ class BatchSimulation {
     counts_[code] = static_cast<std::uint64_t>(
         static_cast<std::int64_t>(old_count) + delta);
     note_occupancy(old_count, counts_[code]);
-    if constexpr (DiagonalActiveProtocol<P>) {
-      diag_kernel_.on_count_change(code, old_count, counts_[code],
-                                   /*lazy=*/true);
-    } else if constexpr (KeyedPassiveProtocol<P>) {
-      keyed_kernel_.on_count_change(protocol_, code, st, delta,
-                                    /*lazy=*/true);
-    } else if constexpr (UnkeyedPassiveProtocol<P>) {
-      unkeyed_kernel_.on_count_change(protocol_, code, st, delta,
-                                      /*lazy=*/true);
-    }
+    kernel_.on_count_change(protocol_, code, st, old_count, counts_[code],
+                            /*lazy=*/true);
   }
 
   // Lays the agents out from the counts in code order, each with its
@@ -848,42 +793,17 @@ class BatchSimulation {
     return wait;
   }
 
-  // Diagonal fast path: every non-null pair has equal states, so the wait
-  // until the next effective interaction is Geometric(W / n(n-1)) with
-  // W = sum over active q of m_q (m_q - 1), and the colliding state is
-  // drawn ∝ m_q (m_q - 1). Identical in distribution to stepping one
-  // interaction at a time (compare SilentNStateFast).
-  std::uint64_t step_diagonal() {
-    return geometric_step(diag_kernel_.total(), [&] {
-      const std::uint32_t q = diag_kernel_.sample(rng_);
-      apply_interaction(q, q);
-    });
-  }
-
-  // Keyed-passive fast path: the wait until the next active interaction is
-  // Geometric(W / n(n-1)) and the active pair is drawn by case-splitting on
-  // the kernel's three-term weight partition (see batch_kernels.h).
-  std::uint64_t step_keyed() {
+  // Structured fast path: the wait until the next candidate interaction is
+  // Geometric(W / n(n-1)) and the candidate pair is drawn by the structure
+  // kernel. A candidate may still turn out null (an unkeyed protocol's
+  // restless pairs need not all change); that costs one simulated
+  // interaction, not a missed skip.
+  std::uint64_t step_structured() {
     const std::uint64_t n = population_size();
-    const auto kw = keyed_kernel_.weights(n);
-    return geometric_step(kw.total, [&] {
-      const auto [a, b] = keyed_kernel_.sample_pair(rng_, protocol_,
-                                                    count_sampler_, counts_,
-                                                    n, kw);
-      apply_interaction(a, b);
-    });
-  }
-
-  // Unkeyed-passive fast path: both-passive pairs are null by the declared
-  // structure, so candidate pairs (at least one restless agent) arrive at
-  // rate W / n(n-1) and are simulated individually (they may still turn out
-  // null — that costs one simulated interaction, not a missed skip).
-  std::uint64_t step_unkeyed() {
-    const std::uint64_t n = population_size();
-    const auto kw = unkeyed_kernel_.weights(n);
-    return geometric_step(kw.total, [&] {
-      const auto [a, b] = unkeyed_kernel_.sample_pair(rng_, protocol_,
-                                                      count_sampler_, n, kw);
+    const ActiveWeights w = kernel_.weights(n);
+    return geometric_step(w.total, [&] {
+      const auto [a, b] =
+          kernel_.sample_pair(rng_, protocol_, count_sampler_, counts_, n, w);
       apply_interaction(a, b);
     });
   }
@@ -939,11 +859,9 @@ class BatchSimulation {
 
   P protocol_;
   std::vector<std::uint64_t> counts_;
-  WeightedSampler count_sampler_;           // weight m_q: scheduler draws
-  DiagonalKernel<P> diag_kernel_;           // diagonal protocols only
-  KeyedPassiveKernel<P> keyed_kernel_;      // keyed-passive protocols only
-  UnkeyedPassiveKernel<P> unkeyed_kernel_;  // unkeyed-passive protocols only
-  MultinomialKernel<P> multi_kernel_;       // built lazily on first use
+  WeightedSampler count_sampler_;      // weight m_q: scheduler draws
+  [[no_unique_address]] StructureKernel<P> kernel_;  // structured P only
+  MultinomialKernel<P> multi_kernel_;  // built lazily on first use
   Rng rng_;
   BatchStrategy strategy_ = BatchStrategy::kGeometricSkip;
   std::uint64_t interactions_ = 0;

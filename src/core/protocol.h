@@ -19,6 +19,7 @@
 //   UnkeyedPassiveProtocol - "both passive" is a *sufficient* condition for
 //                            null (no key); all-passive configurations are
 //                            silent
+//   StructuredProtocol     - any of the three null structures above
 #pragma once
 
 #include <concepts>
@@ -136,6 +137,16 @@ concept UnkeyedPassiveProtocol =
     requires(const P p, const typename P::State& s) {
       { p.is_passive(s) } -> std::convertible_to<bool>;
     };
+
+// Protocols declaring one of the three exact null structures above. The
+// count engine keeps their active weight W (the number of ordered pairs
+// that can change the configuration) current, so it can skip null
+// stretches geometrically, certify silence (W = 0) and route on W's
+// density; core/batch_kernels.h holds one kernel per structure.
+template <class P>
+concept StructuredProtocol = DiagonalActiveProtocol<P> ||
+                             KeyedPassiveProtocol<P> ||
+                             UnkeyedPassiveProtocol<P>;
 
 // --- Engine-side counters plumbing -----------------------------------------
 

@@ -99,8 +99,9 @@ class Xoshiro256ss {
 using Rng = Xoshiro256ss;
 
 // Number of Bernoulli(p) trials up to and including the first success:
-// P[X >= k] = (1-p)^{k-1}. The jump-chain accelerators (SilentNStateFast,
-// BatchSimulation) use this to skip whole null stretches in one draw.
+// P[X >= k] = (1-p)^{k-1}. The count engines (BatchSimulation,
+// TauLeapSimulation, RingSimulation) use this to skip whole null stretches
+// in one draw.
 inline std::uint64_t sample_geometric(Rng& rng, double p) {
   if (p >= 1.0) return 1;
   if (p <= 0.0) throw std::invalid_argument("geometric with p<=0");

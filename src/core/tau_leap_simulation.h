@@ -277,13 +277,10 @@ class TauLeapSimulation {
   // rare events"; see the header comment).
   bool try_leap(std::uint64_t leap) {
     const std::uint64_t n = population_size();
-    const std::uint64_t active = weight_.restless();
-    const std::uint64_t settled = n - active;
-    std::uint64_t key_diag = 0;
-    if constexpr (KeyedPassiveProtocol<P>) key_diag = weight_.key_diag();
-    const std::uint64_t w1 = active * (n - 1);
-    const std::uint64_t w2 = settled * active;
-    const std::uint64_t w = w1 + w2 + key_diag;
+    const ActiveWeights aw = weight_.weights(n);
+    const std::uint64_t active = aw.restless;
+    const std::uint64_t key_diag = aw.diag;
+    const std::uint64_t w = aw.total;
     const double pairs =
         static_cast<double>(n) * static_cast<double>(n - 1);
     const double per_pair = static_cast<double>(leap) / pairs;
@@ -308,7 +305,7 @@ class TauLeapSimulation {
     } else {
       const std::uint64_t k_total =
           clamp_tail(sample_poisson(rng_, k_mean), k_mean);
-      drawn = stage_per_draw(k_total, w1, w2, key_diag);
+      drawn = stage_per_draw(k_total, aw.w1, aw.w2, key_diag);
     }
 
     // --- Stage the net deltas (and counter deltas) through the cache.
@@ -364,9 +361,7 @@ class TauLeapSimulation {
       const auto new_active = static_cast<std::uint64_t>(
           static_cast<std::int64_t>(active) + d_active);
       const std::uint64_t new_w =
-          new_active * (n - 1) + (n - new_active) * new_active +
-          static_cast<std::uint64_t>(
-              static_cast<std::int64_t>(key_diag) + d_diag);
+          active_weights(n, new_active, add_signed(key_diag, d_diag)).total;
       const double drift =
           std::fabs(static_cast<double>(new_w) - static_cast<double>(w));
       last_drift_exceeded_ =
@@ -535,12 +530,9 @@ class TauLeapSimulation {
           sample_geometric(rng_, static_cast<double>(w) / pairs);
       if (skip > leap - consumed) break;  // next event lands past the window
       consumed += skip;
-      const std::uint64_t active = weight_.restless();
-      std::uint64_t key_diag = 0;
-      if constexpr (KeyedPassiveProtocol<P>) key_diag = weight_.key_diag();
+      const ActiveWeights aw = weight_.weights(n);
       const std::pair<std::uint32_t, std::uint32_t> pr =
-          draw_effective_pair(active * (n - 1), (n - active) * active,
-                              key_diag);
+          draw_effective_pair(aw.w1, aw.w2, aw.diag);
       const typename TransitionCache<P>::Entry& e =
           cache_.lookup(protocol_, pr.first, pr.second, rng_);
       if constexpr (ObservableProtocol<P>)
@@ -573,7 +565,8 @@ class TauLeapSimulation {
   std::pair<std::uint32_t, std::uint32_t> draw_diag_pair() {
     if constexpr (KeyedPassiveProtocol<P>) {
       const FlatMap64& kc = weight_.key_counts();
-      std::uint64_t target = rng_.below(weight_.key_diag());
+      std::uint64_t target =
+          rng_.below(weight_.weights(population_size()).diag);
       for (std::uint32_t slot : kc.entry_slots()) {
         const std::uint64_t sk = kc.value_at(slot);
         const std::uint64_t pw = pair_weight(sk);

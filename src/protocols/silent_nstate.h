@@ -79,6 +79,16 @@ inline std::vector<SilentNStateSSR::State> silent_nstate_worst_config(
   return states;
 }
 
+// Rank-count vector of the worst-case configuration (counts[r] = agents
+// at rank r).
+inline std::vector<std::uint32_t> silent_nstate_worst_counts(
+    std::uint32_t n) {
+  std::vector<std::uint32_t> counts(n, 1);
+  counts[0] = 2;
+  counts[n - 1] = 0;
+  return counts;
+}
+
 // Exact expectation of the stabilization interaction count from the
 // worst-case configuration (Theorem 2.4): (n-1) * n(n-1)/2.
 inline double silent_nstate_worst_expected_interactions(std::uint32_t n) {

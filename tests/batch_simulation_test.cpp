@@ -1,8 +1,7 @@
 // Tests for the count-based batched simulation backend
 // (core/batch_simulation.h): the WeightedSampler substrate, exactness of
 // the state-pair scheduler projection, and distributional equivalence with
-// the agent-array backend and with the hand-rolled SilentNStateFast
-// accelerator on convergence-time summaries.
+// the agent-array backend on convergence-time summaries.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -16,7 +15,6 @@
 #include "core/stats.h"
 #include "protocols/leader.h"
 #include "protocols/silent_nstate.h"
-#include "protocols/silent_nstate_fast.h"
 
 namespace ppsim {
 namespace {
@@ -140,22 +138,35 @@ TEST(LeaderCounts, CountBasedViewsMatchAgentArrayViews) {
   EXPECT_FALSE(has_unique_leader(proto, counts));
 }
 
+// The Silent-n-state fast path (the geometric skip) started from a rank
+// count vector and from an agent configuration with those counts.
+
+std::vector<std::uint64_t> wide_worst_counts(std::uint32_t n) {
+  const auto narrow = silent_nstate_worst_counts(n);
+  return std::vector<std::uint64_t>(narrow.begin(), narrow.end());
+}
+
 TEST(SilentNStateFastInterop, RunCountsMatchesRunOnSameSeed) {
   const std::uint32_t n = 48;
-  const auto narrow = silent_nstate_worst_counts(n);
-  const std::vector<std::uint64_t> wide(narrow.begin(), narrow.end());
-  const auto a = SilentNStateFast(n).run(narrow, 77);
-  const auto b = SilentNStateFast(n).run_counts(wide, 77);
-  EXPECT_EQ(a.interactions, b.interactions);
-  EXPECT_EQ(a.effective_events, b.effective_events);
+  BatchSimulation<SilentNStateSSR> a(SilentNStateSSR(n),
+                                     silent_nstate_worst_config(n), 77);
+  BatchSimulation<SilentNStateSSR> b(SilentNStateSSR(n), wide_worst_counts(n),
+                                     77);
+  auto silent = [](const auto& s) { return s.silent(); };
+  EXPECT_TRUE(a.run_until(silent, ~0ull));
+  EXPECT_TRUE(b.run_until(silent, ~0ull));
+  EXPECT_EQ(a.interactions(), b.interactions());
+  EXPECT_EQ(a.stats().effective, b.stats().effective);
+  EXPECT_EQ(a.counts(), b.counts());
 }
 
 TEST(SilentNStateFastInterop, CountsOfBridgesAgentConfigurations) {
   const std::uint32_t n = 10;
   const auto cfg = silent_nstate_worst_config(n);
-  const auto counts = silent_nstate_counts_of(n, cfg);
-  EXPECT_EQ(counts, silent_nstate_worst_counts(n));
-  EXPECT_THROW(silent_nstate_counts_of(n + 1, cfg), std::invalid_argument);
+  const BatchSimulation<SilentNStateSSR> sim(SilentNStateSSR(n), cfg, 1);
+  EXPECT_EQ(sim.counts(), wide_worst_counts(n));
+  EXPECT_THROW(BatchSimulation<SilentNStateSSR>(SilentNStateSSR(n + 1), cfg, 1),
+               std::invalid_argument);
 }
 
 // --- Equivalence with the agent-array backend ------------------------------
@@ -203,22 +214,6 @@ TEST_P(BatchEquivalence, AgreesWithArrayBackendOnConvergenceTime) {
     batch_times.push_back(batch_backend_time(n, derive_seed(2000 + n, i)));
   }
   expect_overlapping_ci(summarize(array_times), summarize(batch_times));
-}
-
-// The hand-rolled accelerator implements the same jump chain independently;
-// all three backends must agree in distribution.
-TEST_P(BatchEquivalence, AgreesWithSilentNStateFast) {
-  const std::uint32_t n = GetParam();
-  const std::uint32_t seeds = 30;
-  std::vector<double> fast_times, batch_times;
-  for (std::uint32_t i = 0; i < seeds; ++i) {
-    fast_times.push_back(
-        SilentNStateFast(n)
-            .run(silent_nstate_worst_counts(n), derive_seed(3000 + n, i))
-            .parallel_time);
-    batch_times.push_back(batch_backend_time(n, derive_seed(4000 + n, i)));
-  }
-  expect_overlapping_ci(summarize(fast_times), summarize(batch_times));
 }
 
 INSTANTIATE_TEST_SUITE_P(SilentNState, BatchEquivalence,

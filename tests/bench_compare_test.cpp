@@ -312,6 +312,35 @@ TEST(BenchRecords, StrictDriftStillAppliesToFaultedRecords) {
   EXPECT_TRUE(stats.failed());
 }
 
+// Records differing only in topology are matched by topology, not by
+// occurrence index: a candidate that emits two topology-only twins in the
+// other order has no drift under --strict.
+TEST(BenchRecords, TopologyJoinsTheIdentity) {
+  const fs::path base = fresh_dir("topology/base");
+  const fs::path cand = fresh_dir("topology/cand");
+  const std::string shape =
+      "\"experiment\": \"epidemic_diameter_curve\", \"backend\": \"array\", "
+      "\"n\": 256";
+  const std::string line = "{" + shape +
+                           ", \"topology\": \"line\", \"wall_seconds\": 0.1, "
+                           "\"interactions\": 90000, \"parallel_time\": 351}";
+  const std::string torus = "{" + shape +
+                            ", \"topology\": \"torus\", \"wall_seconds\": 0.1, "
+                            "\"interactions\": 7000, \"parallel_time\": 27}";
+  write_bench(base, "t", {line, torus});
+  write_bench(cand, "t", {torus, line});
+
+  CompareOptions opts;
+  opts.strict = true;
+  std::ostringstream out;
+  const CompareStats stats = compare(load(base), load(cand), opts, out);
+  EXPECT_EQ(stats.compared, 2);
+  EXPECT_EQ(stats.drift, 0);
+  EXPECT_EQ(stats.missing, 0);
+  EXPECT_EQ(stats.added, 0);
+  EXPECT_FALSE(stats.failed()) << out.str();
+}
+
 // Booleans load as 0/1 metrics and repeated identical identities get
 // distinct occurrence indices (regression guard for the loader).
 TEST(BenchRecords, LoaderKeepsBoolsAndOccurrenceIndices) {

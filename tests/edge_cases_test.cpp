@@ -8,6 +8,7 @@
 #include "analysis/barrier.h"
 #include "analysis/convergence.h"
 #include "analysis/experiments.h"
+#include "core/batch_simulation.h"
 #include "core/simulation.h"
 #include "init/optimal_silent_init.h"
 #include "init/silent_nstate_init.h"
@@ -17,7 +18,6 @@
 #include "protocols/leader.h"
 #include "protocols/optimal_silent.h"
 #include "protocols/silent_nstate.h"
-#include "protocols/silent_nstate_fast.h"
 #include "protocols/sublinear.h"
 
 namespace ppsim {
@@ -149,6 +149,9 @@ TEST(EdgeCounters, DelayTimerZeroAwakensImmediately) {
 }
 
 // ---------------- Differential: fast vs direct on arbitrary counts. ------
+//
+// "Fast" is Silent-n-state-SSR's fast path: the count engine's diagonal
+// geometric skip, run to silence.
 
 TEST(Differential, FastSimulatorMatchesDirectOnRandomCounts) {
   constexpr std::uint32_t kN = 16;
@@ -171,9 +174,11 @@ TEST(Differential, FastSimulatorMatchesDirectOnRandomCounts) {
       const RunResult r = run_until_ranked(SilentNStateSSR(kN), cfg_states,
                                            derive_seed(cfg, t), opts);
       direct.push_back(static_cast<double>(r.interactions));
-      fast.push_back(static_cast<double>(
-          SilentNStateFast(kN).run(counts, derive_seed(cfg + 100, t))
-              .interactions));
+      BatchSimulation<SilentNStateSSR> sim(
+          SilentNStateSSR(kN), cfg_states, derive_seed(cfg + 100, t),
+          BatchStrategy::kGeometricSkip);
+      sim.run_until([](const auto& s) { return s.silent(); }, ~0ull);
+      fast.push_back(static_cast<double>(sim.interactions()));
     }
     const Summary sd = summarize(direct);
     const Summary sf = summarize(fast);

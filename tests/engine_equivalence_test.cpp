@@ -394,7 +394,8 @@ int audit_each_step(BatchSimulation<P>& sim, int steps, int pin_every) {
 // The array arm keeps the count-engine contract while it drives: after
 // every step the counts sum to n, the agent array's histogram equals the
 // counts, and the active-weight scalars, the Fenwick trees (repaired on
-// leaving the arm) and the occupied pool equal a fresh build.
+// leaving the arm) and the occupied pool equal a fresh build. One engine
+// per structure kernel: keyed, unkeyed and diagonal.
 TEST(ArrayArm, InvariantsHoldAcrossArmSwitches) {
   {
     // Dense from the start; pinning forces eight exits and re-entries.
@@ -419,6 +420,23 @@ TEST(ArrayArm, InvariantsHoldAcrossArmSwitches) {
         BatchStrategy::kAuto);
     EXPECT_GE(audit_each_step(sim, 12500, 0), 4);
     for (StrategyArm arm : {StrategyArm::kArray, StrategyArm::kMultinomial})
+      EXPECT_GT(sim.strategy_trace().steps[static_cast<std::size_t>(arm)], 0u)
+          << to_string(arm);
+  }
+  {
+    // The diagonal kernel: Silent-n-state-SSR with every agent at one rank
+    // (dense, so auto takes the array arm) runs to silence through the
+    // pinning cycle, so array rounds and multinomial batches move the
+    // kernel lazily and each geometric step resyncs it first.
+    constexpr std::uint32_t kN = 128;
+    std::vector<std::uint64_t> counts(kN, 0);
+    counts[0] = kN;
+    BatchSimulation<SilentNStateSSR> sim(SilentNStateSSR(kN), counts, 21,
+                                         BatchStrategy::kAuto);
+    EXPECT_GE(audit_each_step(sim, 20000, 40), 2);
+    EXPECT_TRUE(sim.silent());
+    for (StrategyArm arm : {StrategyArm::kGeometricSkip, StrategyArm::kArray,
+                            StrategyArm::kMultinomial})
       EXPECT_GT(sim.strategy_trace().steps[static_cast<std::size_t>(arm)], 0u)
           << to_string(arm);
   }

@@ -1,5 +1,6 @@
 // Tests for Silent-n-state-SSR (Protocol 1, Theorem 2.4) and the barrier
-// lemmas 2.2/2.3, plus the exact-distribution accelerated simulator.
+// lemmas 2.2/2.3, plus its exact-distribution fast path: the count
+// engine's diagonal geometric skip.
 #include <gtest/gtest.h>
 
 #include <numeric>
@@ -7,11 +8,11 @@
 #include "analysis/barrier.h"
 #include "analysis/convergence.h"
 #include "analysis/experiments.h"
+#include "core/batch_simulation.h"
 #include "core/simulation.h"
 #include "init/silent_nstate_init.h"
 #include "protocols/leader.h"
 #include "protocols/silent_nstate.h"
-#include "protocols/silent_nstate_fast.h"
 
 namespace ppsim {
 namespace {
@@ -178,7 +179,35 @@ TEST(Barrier, BarrierRankNeverHoldsTwoAgents) {
   }
 }
 
-// --- Theorem 2.4 and the accelerated simulator. ---
+// --- Theorem 2.4 and the fast path. ---
+//
+// The SilentNStateFast suite runs Silent-n-state-SSR on its fast path:
+// BatchSimulation pinned to the geometric skip, whose diagonal kernel
+// jumps from one effective (equal-rank) interaction to the next.
+
+struct FastRun {
+  std::uint64_t interactions = 0;
+  double parallel_time = 0.0;
+  std::uint64_t effective_events = 0;  // rank-collision interactions
+};
+
+FastRun run_fast(BatchSimulation<SilentNStateSSR> sim) {
+  sim.run_until([](const auto& s) { return s.silent(); }, ~0ull);
+  return {sim.interactions(), sim.parallel_time(), sim.stats().effective};
+}
+
+FastRun run_fast_worst(std::uint32_t n, std::uint64_t seed) {
+  return run_fast(BatchSimulation<SilentNStateSSR>(
+      SilentNStateSSR(n), silent_nstate_worst_config(n), seed,
+      BatchStrategy::kGeometricSkip));
+}
+
+FastRun run_fast_counts(std::uint32_t n, std::vector<std::uint64_t> counts,
+                        std::uint64_t seed) {
+  return run_fast(BatchSimulation<SilentNStateSSR>(
+      SilentNStateSSR(n), std::move(counts), seed,
+      BatchStrategy::kGeometricSkip));
+}
 
 TEST(SilentNStateFast, MatchesDirectSimulatorInMean) {
   constexpr std::uint32_t kN = 24;
@@ -191,9 +220,7 @@ TEST(SilentNStateFast, MatchesDirectSimulatorInMean) {
     return static_cast<double>(r.interactions);
   });
   const auto fast = run_trials(kTrials, 56, [&](std::uint64_t seed) {
-    return static_cast<double>(
-        SilentNStateFast(kN).run(silent_nstate_worst_counts(kN), seed)
-            .interactions);
+    return static_cast<double>(run_fast_worst(kN, seed).interactions);
   });
   const Summary sd = summarize(direct);
   const Summary sf = summarize(fast);
@@ -204,9 +231,7 @@ TEST(SilentNStateFast, WorstCaseMeanMatchesClosedForm) {
   // Theorem 2.4: E[interactions] = (n-1) * C(n,2) from the worst config.
   constexpr std::uint32_t kN = 32;
   const auto xs = run_trials(400, 60, [&](std::uint64_t seed) {
-    return static_cast<double>(
-        SilentNStateFast(kN).run(silent_nstate_worst_counts(kN), seed)
-            .interactions);
+    return static_cast<double>(run_fast_worst(kN, seed).interactions);
   });
   const Summary s = summarize(xs);
   const double expected = silent_nstate_worst_expected_interactions(kN);
@@ -217,8 +242,7 @@ TEST(SilentNStateFast, WorstCaseHasExactlyNMinusOneEvents) {
   // From the worst configuration each effective event moves the unique
   // colliding pair up one rank; exactly n-1 events reach the permutation.
   constexpr std::uint32_t kN = 20;
-  const auto r = SilentNStateFast(kN).run(silent_nstate_worst_counts(kN), 3);
-  EXPECT_EQ(r.effective_events, kN - 1);
+  EXPECT_EQ(run_fast_worst(kN, 3).effective_events, kN - 1);
 }
 
 TEST(SilentNStateFast, QuadraticScalingAcrossDoublings) {
@@ -227,9 +251,7 @@ TEST(SilentNStateFast, QuadraticScalingAcrossDoublings) {
   std::vector<double> ns, times;
   for (std::uint32_t n : {64u, 128u, 256u, 512u}) {
     const auto xs = run_trials(30, 70 + n, [&](std::uint64_t seed) {
-      return SilentNStateFast(n)
-          .run(silent_nstate_worst_counts(n), seed)
-          .parallel_time;
+      return run_fast_worst(n, seed).parallel_time;
     });
     ns.push_back(n);
     times.push_back(summarize(xs).mean);
@@ -239,14 +261,12 @@ TEST(SilentNStateFast, QuadraticScalingAcrossDoublings) {
 }
 
 TEST(SilentNStateFast, RejectsBadCounts) {
-  SilentNStateFast fast(4);
-  EXPECT_THROW(fast.run({1, 1, 1}, 1), std::invalid_argument);
-  EXPECT_THROW(fast.run({4, 1, 0, 0}, 1), std::invalid_argument);
+  EXPECT_THROW(run_fast_counts(4, {1, 1, 1}, 1), std::invalid_argument);
+  EXPECT_THROW(run_fast_counts(4, {4, 1, 0, 0}, 1), std::invalid_argument);
 }
 
 TEST(SilentNStateFast, PermutationStartNeedsNoEvents) {
-  SilentNStateFast fast(6);
-  const auto r = fast.run({1, 1, 1, 1, 1, 1}, 1);
+  const FastRun r = run_fast_counts(6, {1, 1, 1, 1, 1, 1}, 1);
   EXPECT_EQ(r.interactions, 0u);
   EXPECT_EQ(r.effective_events, 0u);
 }

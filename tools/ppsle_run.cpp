@@ -337,7 +337,12 @@ int run_matrix(const std::string& path, std::string out_name) {
     // n sweeps over fixed-n protocols) run once instead of repeating.
     // Every other spec field joins the identity verbatim: cells differing
     // in seed/trials/horizon/... are distinct runs, never duplicates.
-    const bool batch = entry.batch_capable && cell.spec.engine != "array";
+    // For a batch-capable protocol the normalized engine name ("" is
+    // auto) joins the identity: auto may resolve to the agent array
+    // (engine_arm) or fall back to it off the clique, where batch does not.
+    const std::string engine =
+        cell.spec.engine.empty() ? "auto" : cell.spec.engine;
+    const bool batch = entry.batch_capable && engine != "array";
     // Strategy aliases (geometric / geometric_skip, tau / tau_leap,
     // "" / auto) name one strategy, so they join under its canonical name;
     // an unknown name stays verbatim for run_scenario to reject.
@@ -352,7 +357,7 @@ int run_matrix(const std::string& path, std::string out_name) {
                            ? entry.fixed_n
                            : (cell.spec.n ? cell.spec.n : entry.default_n)) +
         "|" + (cell.spec.init.empty() ? entry.default_init : cell.spec.init) +
-        "|" + (batch ? "batch/" + strategy : "array") + "|" +
+        "|" + (batch ? engine + "/" + strategy : "array") + "|" +
         (approx ? "tau_eps=" + std::to_string(cell.spec.tau_eps) + "|"
                 : "") +
         (cell.spec.faults.active()
