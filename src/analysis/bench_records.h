@@ -15,8 +15,8 @@
 //
 // Approximate records are additionally exempt from --strict drift checks:
 // strictness asserts that same code + same seeds reproduce the
-// deterministic fields (interactions, parallel_time) bit-for-bit, which is
-// a contract only the exact engines make. Approximate results are pure
+// deterministic fields bit-for-bit (see strict_field()), which is a
+// contract only the exact engines make. Approximate results are pure
 // functions of (seed, tau_eps) *for a fixed engine version*, but the whole
 // point of the tier is that the engine may legitimately re-tune its leap
 // controller between commits — so approximate cells are gated on wall time
@@ -46,6 +46,7 @@
 #include <fstream>
 #include <iostream>
 #include <map>
+#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -148,6 +149,19 @@ inline bool load_dir(const std::string& dir,
   return true;
 }
 
+// The deterministic fields --strict compares: the bench binaries'
+// `interactions` and `parallel_time`, and what report_scenario
+// (analysis/scenarios.h) writes: `failed` and every <metric>_{mean,ci95,p99}
+// (interactions_mean included) except the wall-clock metric's.
+inline bool strict_field(const std::string& field) {
+  if (field == "interactions" || field == "parallel_time") return true;
+  const std::size_t cut = field.rfind('_');
+  if (cut == std::string::npos) return false;
+  const std::string stat = field.substr(cut + 1);
+  return (stat == "mean" || stat == "ci95" || stat == "p99") &&
+         field.compare(0, cut, "wall_seconds") != 0;
+}
+
 struct CompareOptions {
   double threshold = 0.20;    // relative wall_seconds growth = regression
   double min_seconds = 0.05;  // absolute growth a regression must exceed
@@ -218,16 +232,24 @@ inline CompareStats compare(const std::map<std::string, Record>& base,
         ++stats.abstracted_exempt;
         continue;
       }
-      for (const char* field : {"interactions", "parallel_time"}) {
-        const auto bf = b.metrics.find(field);
-        const auto cf = c.metrics.find(field);
-        if (bf == b.metrics.end() || cf == c.metrics.end()) continue;
-        const double denom = std::max(1.0, std::fabs(bf->second));
-        if (std::fabs(bf->second - cf->second) / denom > 1e-9) {
+      // report_scenario writes `failed` only when some trial failed, so an
+      // absent one counts as 0.
+      std::set<std::string> fields = {"failed"};
+      for (const Record* r : {&b, &c})
+        for (const auto& kv : r->metrics)
+          if (strict_field(kv.first)) fields.insert(kv.first);
+      for (const std::string& field : fields) {
+        const auto bf = b.metrics.find(field), cf = c.metrics.find(field);
+        const bool b_has = bf != b.metrics.end(), c_has = cf != c.metrics.end();
+        if (field != "failed" && !(b_has && c_has)) continue;
+        const double bv = b_has ? bf->second : 0.0;
+        const double cv = c_has ? cf->second : 0.0;
+        const double denom = std::max(1.0, std::fabs(bv));
+        if (std::fabs(bv - cv) / denom > 1e-9) {
           ++stats.drift;
           std::snprintf(line, sizeof line,
                         "DRIFT       %-70s %s %.17g -> %.17g\n", key.c_str(),
-                        field, bf->second, cf->second);
+                        field.c_str(), bv, cv);
           out << line;
         }
       }

@@ -30,13 +30,19 @@
 //             ScenarioResult.wall_seconds covers the whole scenario
 //             including construction) — the perf-measurement mode
 //
-// Engine resolution: spec.engine = "auto" picks the batched engine for
-// enumerable protocols and the agent array otherwise; "batch" on a
-// non-enumerable protocol is a hard error. Trial t always runs the RNG
-// streams derived from derive_seed(spec.seed, t) (init and engine streams
-// split one level deeper) on the shared trial fan-out (for_each_trial in
-// analysis/experiments.h), so results are bit-identical for any thread
-// count.
+// Engine resolution happens once, in resolve() (core/registry.h):
+// engine=array runs the agent array; engine=batch a count engine
+// (BatchSimulation, TauLeapSimulation under strategy=tau, RingSimulation on
+// topology=ring) and is a hard error where none can run; engine=auto is
+// batch where batch can run and the agent array elsewhere (other graphs
+// demote to it), except that with strategy=auto on the complete graph
+// drive()'s occupancy probe decides: StrategyController::engine_arm reads
+// trial 0's start and routes dense ones to the agent array (stamped
+// engine_arm).
+// Trial t always runs the RNG streams derived from derive_seed(spec.seed, t)
+// (init and engine streams split one level deeper) on the shared trial
+// fan-out (for_each_trial in analysis/experiments.h), so results are
+// bit-identical for any thread count.
 //
 // APPROXIMATE tier (opt-in, never auto-chosen):
 //   strategy = "tau" (+ tau.eps=E) runs trials on the tau-leaping count
@@ -93,19 +99,6 @@ namespace ppsim {
 
 namespace scenario_detail {
 
-inline std::uint32_t resolve_population(const ScenarioSpec& spec,
-                                        std::uint32_t default_n,
-                                        std::uint32_t fixed_n) {
-  if (fixed_n != 0) {
-    if (spec.n != 0 && spec.n != fixed_n)
-      throw std::invalid_argument("protocol '" + spec.protocol +
-                                  "' is defined only for n = " +
-                                  std::to_string(fixed_n));
-    return fixed_n;
-  }
-  return spec.n != 0 ? spec.n : default_n;
-}
-
 // A Theta-constant override "param.<name>=<factor>": the constant is
 // make(factor), computed in double precision. The factor must be > 0 and
 // the constant must land in [1, UINT32_MAX]; both are checked before the
@@ -133,91 +126,31 @@ inline constexpr bool kTauCapable =
     (KeyedPassiveProtocol<P> || UnkeyedPassiveProtocol<P>) &&
     (!ObservableProtocol<P> || ScalableCounters<ProtocolCounters<P>>);
 
+// A registry entry whose engine capabilities come from the protocol type:
+// resolve() picks engines from these flags and drive() compiles the same
+// engines from the same concepts, so the two cannot disagree.
 template <class P>
-bool resolve_use_batch(const ScenarioSpec& spec) {
-  const std::string engine = spec.engine.empty() ? "auto" : spec.engine;
-  if (engine == "array") return false;
-  if (engine != "batch" && engine != "auto")
-    throw std::invalid_argument("unknown engine '" + engine +
-                                "' (array | batch | auto)");
-  if constexpr (EnumerableProtocol<P>) {
-    return true;
-  } else {
-    if (engine == "batch")
-      throw std::invalid_argument(
-          "protocol '" + spec.protocol +
-          "' is not enumerable: the batched engine cannot run it");
-    return false;
-  }
+ProtocolEntry entry_for() {
+  ProtocolEntry e;
+  e.batch_capable = EnumerableProtocol<P>;
+  e.ring_capable = RingCompressibleProtocol<P>;
+  e.tau_capable = kTauCapable<P>;
+  return e;
 }
 
 // The trial fan-out lives in analysis/experiments.h; re-exported here so
 // scenario-level callers keep naming it scenario_detail::for_each_trial.
 using ppsim::for_each_trial;
 
-// Shared trial driver: materializes the named initial condition for the
-// resolved engine, runs `run_one(sim) -> {value, fired}` per trial, and
-// assembles the ScenarioResult.
+// Shared trial driver: settles the plan's engine (the occupancy probe),
+// materializes the plan's initial condition for it, runs
+// `run_one(sim) -> {value, fired}` per trial, and assembles the
+// ScenarioResult. Every spec decision was taken by resolve().
 template <class P, class RunOne>
-ScenarioResult drive(const ScenarioSpec& spec, const P& proto,
-                     const InitialConditionSet<P>& inits,
-                     const std::string& until_name, const char* metric,
+ScenarioResult drive(const ScenarioPlan& plan, const P& proto,
+                     const InitialConditionSet<P>& inits, const char* metric,
                      RunOne run_one) {
-  const std::string init_name =
-      spec.init.empty() ? inits.default_name() : spec.init;
-  if (inits.find(init_name) == nullptr)
-    throw std::invalid_argument("unknown initial condition '" + init_name +
-                                "' for protocol '" + spec.protocol + "'");
-  // The strategy name is checked even where the resolved engine ignores it
-  // (the agent array), so an unknown name never runs silently.
-  const std::string strat_name =
-      spec.strategy.empty() ? "auto" : spec.strategy;
-  BatchStrategy strategy = BatchStrategy::kAuto;
-  if (!parse_strategy(strat_name, strategy))
-    throw std::invalid_argument(
-        "unknown strategy '" + strat_name +
-        "' (geometric_skip | multinomial | auto | tau)");
-  // Interaction graph (core/topology.h). "" = complete = the classical
-  // scheduler, bit for bit. The clique count engines compile the complete
-  // graph's pair law, so a non-complete topology demotes engine=auto to
-  // the agent array — except the directed ring, which has its own
-  // run-length-compressed count engine (core/ring_simulation.h) for
-  // protocols with enumerable, deterministic transitions.
-  const Topology topology = Topology::parse(
-      spec.topology.empty() ? "complete" : spec.topology,
-      proto.population_size());
-  const bool ring_topology = topology.kind() == TopologyKind::kRing;
-  bool use_batch = resolve_use_batch<P>(spec);
-  bool use_ring = false;
-  if (!topology.is_complete() && use_batch) {
-    if (!ring_topology) {
-      if (spec.engine == "batch")
-        throw std::invalid_argument(
-            "engine=batch compiles the complete graph's pair law (plus the "
-            "compressed ring); topology '" + topology.spec() +
-            "' runs on engine=array");
-      use_batch = false;  // engine=auto: fall back to the agent array
-    } else if constexpr (RingCompressibleProtocol<P>) {
-      use_ring = true;
-      use_batch = false;
-    } else {
-      if (spec.engine == "batch")
-        throw std::invalid_argument(
-            "protocol '" + spec.protocol +
-            "' cannot run the compressed ring engine (needs deterministic "
-            "transitions); use engine=array");
-      use_batch = false;
-    }
-  }
-  if (use_ring) {
-    if (strategy != BatchStrategy::kAuto &&
-        strategy != BatchStrategy::kGeometricSkip)
-      throw std::invalid_argument(
-          "the ring count path runs its own run-length-compressed geometric "
-          "skip; strategy '" + strat_name +
-          "' is not available on topology=ring (use auto, geometric_skip, "
-          "or engine=array)");
-  }
+  using Engine = ScenarioPlan::Engine;
   // Whole-run arm choice: when engine=auto AND strategy=auto leave the
   // decision open, the strategy controller inspects trial 0's initial
   // occupancy (regenerated bit-identically from the derived init seed — no
@@ -228,68 +161,33 @@ ScenarioResult drive(const ScenarioSpec& spec, const P& proto,
   // exact active weight W is summed in the same pass over the occupied
   // codes. Pinning either field disables the override, so head-to-head
   // strategy measurements stay pure.
+  Engine engine = plan.engine;
   std::string engine_arm;
   if constexpr (EnumerableProtocol<P>) {
-    const std::string engine_name = spec.engine.empty() ? "auto" : spec.engine;
-    if (use_batch && engine_name == "auto" &&
-        strategy == BatchStrategy::kAuto) {
+    if (engine == Engine::kProbe) {
       const std::vector<std::uint64_t> probe = inits.counts(
-          proto, init_name, derive_seed(derive_seed(spec.seed, 0), 1));
-      const std::uint32_t n = proto.population_size();
+          proto, plan.init, derive_seed(derive_seed(plan.seed, 0), 1));
       const OccupancyProfile profile = occupancy_profile(proto, probe);
       StrategyArm arm;
       if constexpr (StructuredProtocol<P>)
-        arm = StrategyController::engine_arm(n, profile.occupied,
+        arm = StrategyController::engine_arm(plan.n, profile.occupied,
                                              profile.active_weight);
       else
-        arm = StrategyController::engine_arm(n, profile.occupied);
+        arm = StrategyController::engine_arm(plan.n, profile.occupied);
       engine_arm = to_string(arm);
-      if (arm == StrategyArm::kArray) use_batch = false;
+      engine = arm == StrategyArm::kArray ? Engine::kArray : Engine::kBatch;
     }
   }
-  if (!use_batch && strategy == BatchStrategy::kTauLeap) {
-    // The array engine silently ignores pinned batch strategies (matrix
-    // sweeps reuse one strategy list across engines), but running exact
-    // while the spec asked for the approximate tier would mislabel the
-    // result — hard error instead.
-    throw std::invalid_argument(
-        "strategy 'tau' needs the count engine (enumerable protocol, "
-        "engine != array)");
-  }
-  // APPROXIMATE tier: tau-leaping is strictly opt-in (never reachable from
-  // strategy=auto; see core/engine.h StrategyController) and stamps the
-  // result so downstream tooling can never strict-diff it against exact
-  // baselines.
-  const bool tau = use_batch && strategy == BatchStrategy::kTauLeap;
-  // Fault injection (core/faults.h) is exact-tier only: the approximate
-  // engines' error bounds assume the fault-free transition rates.
-  spec.faults.validate();
-  const bool faulted = spec.faults.active();
-  if (faulted && tau)
-    throw std::invalid_argument(
-        "fault injection is exact-tier only (strategy=tau is approximate; "
-        "use array, geometric_skip, multinomial or auto)");
-  double tau_eps = 0.0;
-  if (tau) {
-    if constexpr (!kTauCapable<P>) {
-      throw std::invalid_argument(
-          "protocol '" + spec.protocol +
-          "' cannot run the tau-leaping engine (needs deterministic, "
-          "passive-structured transitions)");
-    }
-    if (!std::isfinite(spec.tau_eps) || spec.tau_eps < 0.0)
-      throw std::invalid_argument("tau.eps must be finite and >= 0");
-    tau_eps = spec.tau_eps > 0.0 ? spec.tau_eps : kDefaultTauEps;
-  }
-  const std::uint32_t trials = spec.trials ? spec.trials : 1;
+  const bool faulted = plan.faults.active();
+  const std::uint32_t trials = plan.trials;
   std::vector<double> values(trials, -1.0);
   std::vector<std::uint64_t> interactions(trials, 0);
   std::vector<char> fired(trials, 0);
   std::vector<StrategyTrace> traces(trials);
 
   const WallTimer total;
-  for_each_trial(trials, spec.threads, [&](std::uint32_t t) {
-    const std::uint64_t trial_seed = derive_seed(spec.seed, t);
+  for_each_trial(trials, plan.threads, [&](std::uint32_t t) {
+    const std::uint64_t trial_seed = derive_seed(plan.seed, t);
     const std::uint64_t init_seed = derive_seed(trial_seed, 1);
     const std::uint64_t engine_seed = derive_seed(trial_seed, 2);
     auto record = [&](auto& sim) {
@@ -303,40 +201,38 @@ ScenarioResult drive(const ScenarioSpec& spec, const P& proto,
         traces[t].note(StrategyArm::kArray, sim.interactions());
       }
     };
-    if (use_ring) {
+    if (engine == Engine::kRing) {
       if constexpr (RingCompressibleProtocol<P>) {
         // Position-ordered agents: the same catalog array the agent-array
         // engine consumes, so both ring engines start from the identical
         // configuration per seed. The full fault law composes (drop thins
         // the skip rate, oneway/churn are drawn per slot).
-        RingSimulation<P> sim(proto, inits.agents(proto, init_name, init_seed),
-                              engine_seed, spec.faults);
+        RingSimulation<P> sim(proto, inits.agents(proto, plan.init, init_seed),
+                              engine_seed, plan.faults);
         record(sim);
       }
-    } else if (use_batch) {
+    } else if (engine == Engine::kTau) {
+      if constexpr (kTauCapable<P>) {
+        TauLeapSimulation<P> sim(proto,
+                                 inits.counts(proto, plan.init, init_seed),
+                                 engine_seed, plan.tau_eps);
+        record(sim);
+      }
+    } else if (engine == Engine::kBatch) {
       if constexpr (EnumerableProtocol<P>) {
-        if (tau) {
-          if constexpr (kTauCapable<P>) {
-            TauLeapSimulation<P> sim(proto,
-                                     inits.counts(proto, init_name, init_seed),
-                                     engine_seed, tau_eps);
-            record(sim);
-          }
-        } else {
-          BatchSimulation<P> sim(proto,
-                                 inits.counts(proto, init_name, init_seed),
-                                 engine_seed, strategy);
-          if (faulted) sim.set_faults(spec.faults);
-          record(sim);
-        }
+        BatchSimulation<P> sim(proto,
+                               inits.counts(proto, plan.init, init_seed),
+                               engine_seed, plan.strategy);
+        if (faulted) sim.set_faults(plan.faults);
+        record(sim);
       }
     } else if (faulted) {
-      FaultySimulation<P> sim(proto, inits.agents(proto, init_name, init_seed),
-                              engine_seed, spec.faults, topology);
+      FaultySimulation<P> sim(proto, inits.agents(proto, plan.init, init_seed),
+                              engine_seed, plan.faults, plan.topology);
       record(sim);
     } else {
-      Simulation<P> sim(proto, inits.agents(proto, init_name, init_seed),
-                        engine_seed, topology);
+      Simulation<P> sim(proto, inits.agents(proto, plan.init, init_seed),
+                        engine_seed, plan.topology);
       record(sim);
     }
   });
@@ -345,17 +241,15 @@ ScenarioResult drive(const ScenarioSpec& spec, const P& proto,
   out.metric = metric;
   out.values = values;
   out.summary = summarize(out.values);
-  out.backend = (use_batch || use_ring) ? "batch" : "array";
-  out.strategy = use_ring ? "ring_rle"
-                          : (use_batch ? std::string(to_string(strategy))
-                                       : std::string());
+  out.backend = ScenarioPlan::backend(engine);
+  out.strategy = plan.strategy_name(engine);
   out.engine_arm = engine_arm;
-  out.topology = topology.spec();
+  out.topology = plan.topology.spec();
   for (const StrategyTrace& tr : traces) out.trace.merge(tr);
-  out.init = init_name;
-  out.until = until_name;
-  out.params = spec.params;
-  out.n = proto.population_size();
+  out.init = plan.init;
+  out.until = plan.until;
+  out.params = plan.params;
+  out.n = plan.n;
   out.trials = trials;
   for (char f : fired)
     if (!f) ++out.failed;
@@ -364,56 +258,33 @@ ScenarioResult drive(const ScenarioSpec& spec, const P& proto,
     inter_sum += static_cast<double>(i);
   out.interactions_mean = inter_sum / static_cast<double>(trials);
   out.wall_seconds = total.seconds();
-  out.approximate = tau;
-  out.tau_eps = tau_eps;
+  out.approximate = engine == Engine::kTau;
+  out.tau_eps = plan.tau_eps;
   out.faulted = faulted;
-  if (faulted) out.faults = spec.faults;
+  if (faulted) out.faults = plan.faults;
   return out;
 }
 
-// Ranked-stabilization horizon/tail resolution: spec overrides win, the
-// protocol's registered defaults otherwise.
-inline RunOptions ranked_options(const ScenarioSpec& spec,
-                                 std::uint64_t default_horizon,
-                                 double default_tail) {
-  RunOptions opts;
-  opts.max_interactions =
-      spec.max_interactions ? spec.max_interactions : default_horizon;
-  opts.tail_ptime = spec.tail_ptime >= 0 ? spec.tail_ptime : default_tail;
-  return opts;
-}
-
+// Rank-tracking stop conditions (analysis/convergence.h). until=ranked
+// measures the stabilization time, demanding a `tail` window of held
+// correctness for non-silent protocols (default_tail). until=held waits for
+// the first correct ranking and measures the parallel time until it breaks
+// (metric = holding_time); meaningful mainly under fault injection — a
+// fault-free silent protocol holds forever, which reports as failed, not as
+// a number. A trial that misses its event inside the horizon fails.
 template <class P>
-ScenarioResult execute_ranked(const ScenarioSpec& spec, const P& proto,
+ScenarioResult execute_ranked(const ScenarioPlan& plan, const P& proto,
                               const InitialConditionSet<P>& inits,
-                              const std::string& until_name,
-                              const RunOptions& opts) {
-  return drive(spec, proto, inits, until_name, "parallel_time",
-               [&](auto& sim) {
-                 const RunResult r = run_engine_until_ranked(sim, opts);
-                 return std::pair<double, bool>(
-                     r.stabilized ? r.stabilization_ptime : -1.0,
-                     r.stabilized);
-               });
-}
-
-// Holding-time stop condition (convergence.h run_engine_until_held): wait
-// for the first correct ranking, then measure the parallel time until it
-// breaks. Metric = holding_time; a trial that never observes the full
-// enter-then-break cycle inside the horizon is a failed trial. Meaningful
-// mainly under fault injection — a fault-free silent protocol holds
-// forever, which reports as failed, not as a number.
-template <class P>
-ScenarioResult execute_held(const ScenarioSpec& spec, const P& proto,
-                            const InitialConditionSet<P>& inits,
-                            const std::string& until_name,
-                            std::uint64_t default_horizon) {
+                              std::uint64_t default_horizon,
+                              double default_tail = 0.0) {
   RunOptions opts;
-  opts.max_interactions =
-      spec.max_interactions ? spec.max_interactions : default_horizon;
-  return drive(spec, proto, inits, until_name, "holding_time",
+  opts.max_interactions = plan.horizon(default_horizon);
+  opts.tail_ptime = plan.tail(default_tail);
+  const bool held = plan.until == "held";
+  return drive(plan, proto, inits, held ? "holding_time" : "parallel_time",
                [&](auto& sim) {
-                 const RunResult r = run_engine_until_held(sim, opts);
+                 const RunResult r = held ? run_engine_until_held(sim, opts)
+                                          : run_engine_until_ranked(sim, opts);
                  return std::pair<double, bool>(
                      r.stabilized ? r.stabilization_ptime : -1.0,
                      r.stabilized);
@@ -427,13 +298,13 @@ ScenarioResult execute_held(const ScenarioSpec& spec, const P& proto,
 // amortizing the scan to O(64) per interaction. Count engines check after
 // every configuration change (null stretches cannot flip a predicate).
 template <class P, class Done>
-ScenarioResult execute_predicate(const ScenarioSpec& spec, const P& proto,
+ScenarioResult execute_predicate(const ScenarioPlan& plan, const P& proto,
                                  const InitialConditionSet<P>& inits,
-                                 const std::string& until_name,
-                                 std::uint64_t max_interactions, Done done,
+                                 std::uint64_t default_horizon, Done done,
                                  bool cheap) {
+  const std::uint64_t max_interactions = plan.horizon(default_horizon);
   return drive(
-      spec, proto, inits, until_name, "parallel_time",
+      plan, proto, inits, "parallel_time",
       [&](auto& sim) {
         using E = std::decay_t<decltype(sim)>;
         bool hit;
@@ -464,28 +335,17 @@ ScenarioResult execute_predicate(const ScenarioSpec& spec, const P& proto,
 // Fixed parallel-time budget: the perf-measurement mode. Metric = per-trial
 // *run* wall seconds (engine construction excluded, so strategy
 // head-to-heads measure the stepping code); ScenarioResult.wall_seconds
-// still covers the whole scenario including construction.
+// still covers the whole scenario including construction. Every runner
+// ends its stop-condition chain here: resolve() admits only registered
+// stop conditions, and ptime is the one left.
 template <class P>
-ScenarioResult execute_ptime(const ScenarioSpec& spec, const P& proto,
-                             const InitialConditionSet<P>& inits,
-                             const std::string& until_name) {
-  if (spec.horizon_ptime <= 0)
-    throw std::invalid_argument(
-        "until=ptime needs a positive ptime=<parallel-time budget>");
-  const auto budget = static_cast<std::uint64_t>(
-      spec.horizon_ptime * static_cast<double>(proto.population_size()));
-  return drive(spec, proto, inits, until_name, "wall_seconds",
-               [&](auto& sim) {
-                 const WallTimer run_wall;
-                 sim.run(budget);
-                 return std::pair<double, bool>(run_wall.seconds(), true);
-               });
-}
-
-[[noreturn]] inline void unknown_until(const ScenarioSpec& spec,
-                                       const std::string& until) {
-  throw std::invalid_argument("unknown stop condition '" + until +
-                              "' for protocol '" + spec.protocol + "'");
+ScenarioResult execute_ptime(const ScenarioPlan& plan, const P& proto,
+                             const InitialConditionSet<P>& inits) {
+  return drive(plan, proto, inits, "wall_seconds", [&](auto& sim) {
+    const WallTimer run_wall;
+    sim.run(plan.ptime_budget);
+    return std::pair<double, bool>(run_wall.seconds(), true);
+  });
 }
 
 }  // namespace scenario_detail
@@ -493,38 +353,35 @@ ScenarioResult execute_ptime(const ScenarioSpec& spec, const P& proto,
 // --- Protocol registrations -------------------------------------------------
 
 inline void register_silent_nstate(ProtocolRegistry& reg) {
-  ProtocolEntry e;
+  ProtocolEntry e = scenario_detail::entry_for<SilentNStateSSR>();
   e.name = "silent-nstate";
   e.description =
       "Protocol 1 (Cai-Izumi-Wada): n-state silent SSR, Theta(n^2) time";
   e.states = "n (exact)";
   e.silent = true;
-  e.batch_capable = true;
   e.default_n = 64;
   e.inits = silent_nstate_inits().names();
   e.default_init = silent_nstate_inits().default_name();
   e.untils = {"ranked", "thinned", "held", "ptime"};
   e.default_until = "ranked";
-  e.run = [](const ScenarioSpec& spec) {
+  e.run = [](const ScenarioPlan& plan) {
     namespace sd = scenario_detail;
-    const std::uint32_t n = sd::resolve_population(spec, 64, 0);
-    ParamReader(spec).finish();  // no overridable constants
+    const std::uint32_t n = plan.n;
+    ParamReader(plan.params).finish();  // no overridable constants
     const SilentNStateSSR proto(n);
     const auto& inits = silent_nstate_inits();
-    const std::string until = spec.until.empty() ? "ranked" : spec.until;
-    if (until == "ranked")
-      return sd::execute_ranked(spec, proto, inits, until,
-                                sd::ranked_options(spec, 1ull << 62, 0.0));
-    if (until == "held") {
+    if (plan.until == "ranked")
+      return sd::execute_ranked(plan, proto, inits, kOpenHorizon);
+    if (plan.until == "held") {
       // Entry needs the Theta(n^2)-time stabilization first: ~20x the exact
       // worst-case expectation (n-1)C(n,2), saturated to the open horizon.
       const double cap =
           20.0 * silent_nstate_worst_expected_interactions(n) + 16777216.0;
-      const std::uint64_t horizon =
-          cap > 9e18 ? (1ull << 62) : static_cast<std::uint64_t>(cap);
-      return sd::execute_held(spec, proto, inits, until, horizon);
+      return sd::execute_ranked(
+          plan, proto, inits,
+          cap > 9e18 ? kOpenHorizon : static_cast<std::uint64_t>(cap));
     }
-    if (until == "thinned") {
+    if (plan.until == "thinned") {
       // Rank 0 holds at most one agent. From `duplicate-rank` this is the
       // Observation 2.6 meeting time (the duplicated pair must interact
       // directly); from `all-same` it is the time until the original rank
@@ -541,38 +398,34 @@ inline void register_silent_nstate(ProtocolRegistry& reg) {
           return sim.state_counts()[0] <= 1;
         }
       };
-      return sd::execute_predicate(
-          spec, proto, inits, until,
-          spec.max_interactions ? spec.max_interactions : 1ull << 62,
-          thinned, /*cheap=*/false);
+      return sd::execute_predicate(plan, proto, inits, kOpenHorizon, thinned,
+                                   /*cheap=*/false);
     }
-    if (until == "ptime") return sd::execute_ptime(spec, proto, inits, until);
-    sd::unknown_until(spec, until);
+    return sd::execute_ptime(plan, proto, inits);
   };
   reg.add(std::move(e));
 }
 
 inline void register_optimal_silent(ProtocolRegistry& reg) {
-  ProtocolEntry e;
+  ProtocolEntry e = scenario_detail::entry_for<OptimalSilentSSR>();
   e.name = "optimal-silent";
   e.description =
       "Protocols 3-4: time-optimal silent SSR, Theta(n) time, O(n) states";
   e.states = "~35n (canonical coding)";
   e.silent = true;
-  e.batch_capable = true;
   e.default_n = 64;
   e.inits = optimal_silent_inits().names();
   e.default_init = optimal_silent_inits().default_name();
   e.untils = {"ranked", "detected", "silent", "held", "ptime"};
   e.default_until = "ranked";
-  e.run = [](const ScenarioSpec& spec) {
+  e.run = [](const ScenarioPlan& plan) {
     namespace sd = scenario_detail;
-    const std::uint32_t n = sd::resolve_population(spec, 64, 0);
+    const std::uint32_t n = plan.n;
     // Timer-constant overrides: the standard() defaults are Emax = 16n,
     // Dmax = 8n, Rmax = ceil(8 ln n) + 4; the factors scale each Theta
     // constant (bench_ablations' failure-boundary sweeps drive these).
     // The constructor checks the resulting code space fits 32-bit codes.
-    ParamReader params(spec);
+    ParamReader params(plan.params);
     const double nd = static_cast<double>(n);
     OptimalSilentParams op;
     op.n = n;
@@ -586,25 +439,19 @@ inline void register_optimal_silent(ProtocolRegistry& reg) {
     params.finish();
     const OptimalSilentSSR proto(op);
     const auto& inits = optimal_silent_inits();
-    const std::string until = spec.until.empty() ? "ranked" : spec.until;
     const std::uint64_t horizon =
         static_cast<std::uint64_t>(n) * n * 2000 + (1ull << 24);
-    if (until == "ranked")
-      return sd::execute_ranked(spec, proto, inits, until,
-                                sd::ranked_options(spec, horizon, 0.0));
-    if (until == "held")
-      return sd::execute_held(spec, proto, inits, until, horizon);
-    if (until == "detected") {
+    if (plan.until == "ranked" || plan.until == "held")
+      return sd::execute_ranked(plan, proto, inits, horizon);
+    if (plan.until == "detected") {
       // Observation 2.6's quantity: time until a rank collision is seen.
       auto detected = [](const auto& sim) {
         return sim.counters().collision_triggers > 0;
       };
-      return sd::execute_predicate(
-          spec, proto, inits, until,
-          spec.max_interactions ? spec.max_interactions : 1ull << 62,
-          detected, /*cheap=*/true);
+      return sd::execute_predicate(plan, proto, inits, kOpenHorizon, detected,
+                                   /*cheap=*/true);
     }
-    if (until == "silent") {
+    if (plan.until == "silent") {
       // Full silence — the event the paper's silence definition names:
       // no ordered pair is non-null. Count engines certify it in O(1)
       // (zero active weight, Theta(n)-states keyed structure); the agent
@@ -623,13 +470,10 @@ inline void register_optimal_silent(ProtocolRegistry& reg) {
           return sim.silent();
         }
       };
-      return sd::execute_predicate(
-          spec, proto, inits, until,
-          spec.max_interactions ? spec.max_interactions : horizon, silent,
-          /*cheap=*/false);
+      return sd::execute_predicate(plan, proto, inits, horizon, silent,
+                                   /*cheap=*/false);
     }
-    if (until == "ptime") return sd::execute_ptime(spec, proto, inits, until);
-    sd::unknown_until(spec, until);
+    return sd::execute_ptime(plan, proto, inits);
   };
   reg.add(std::move(e));
 }
@@ -642,28 +486,26 @@ inline void register_sublinear_entry(ProtocolRegistry& reg,
                                      std::uint32_t default_n,
                                      std::function<SublinearParams(
                                          std::uint32_t)> make_params) {
-  ProtocolEntry e;
+  // Not enumerable: the state space is quasi-exponential by design.
+  ProtocolEntry e = entry_for<SublinearTimeSSR>();
   e.name = name;
   e.description = description;
   e.states = states;
   e.silent = false;
-  e.batch_capable = false;  // quasi-exponential state space by design
   e.default_n = default_n;
   e.inits = sublinear_inits().names();
   e.default_init = sublinear_inits().default_name();
   e.untils = {"ranked", "detected", "drained", "ptime"};
   e.default_until = "ranked";
-  e.run = [default_n,
-           make_params = std::move(make_params)](const ScenarioSpec& spec) {
-    namespace sd = scenario_detail;
-    const std::uint32_t n = sd::resolve_population(spec, default_n, 0);
+  e.run = [make_params = std::move(make_params)](const ScenarioPlan& plan) {
+    const std::uint32_t n = plan.n;
     // Detector/timer overrides: h rebuilds the constant-H parameter set
     // (bench_sublinear's H sweep runs one registered entry across
     // param.h=1..3 instead of three near-identical registrations), smax
     // and th replace the derived values outright, and the flags toggle the
     // Section 6 synthetic coin and the direct-check collision detector
     // variant.
-    ParamReader params(spec);
+    ParamReader params(plan.params);
     const auto h_override =
         static_cast<std::uint32_t>(params.integer("h", 0, UINT32_MAX));
     SublinearParams p = h_override > 0
@@ -677,30 +519,25 @@ inline void register_sublinear_entry(ProtocolRegistry& reg,
     params.finish();
     const SublinearTimeSSR proto(p);
     const auto& inits = sublinear_inits();
-    const std::string until = spec.until.empty() ? "ranked" : spec.until;
-    if (until == "ranked") {
+    if (plan.until == "ranked") {
       // Non-silent protocol: demand a tail window so stale adversarial
       // timers cannot fake stabilization (Lemma 5.5; see convergence.h).
       const std::uint64_t per_epoch =
           static_cast<std::uint64_t>(p.n) *
           (6ull * p.th + 6ull * p.dmax + 400);
       const std::uint64_t horizon = 120ull * per_epoch + (1ull << 22);
-      return sd::execute_ranked(
-          spec, proto, inits, until,
-          sd::ranked_options(spec, horizon, 0.75 * p.th + 10));
+      return execute_ranked(plan, proto, inits, horizon, 0.75 * p.th + 10);
     }
-    if (until == "detected") {
+    if (plan.until == "detected") {
       // Time until the collision detector first fires — the Section 4
       // detection-latency quantity (cheap: one counter read).
       auto detected = [](const auto& sim) {
         return sim.counters().collision_triggers > 0;
       };
-      return sd::execute_predicate(
-          spec, proto, inits, until,
-          spec.max_interactions ? spec.max_interactions : 1ull << 62,
-          detected, /*cheap=*/true);
+      return execute_predicate(plan, proto, inits, kOpenHorizon, detected,
+                               /*cheap=*/true);
     }
-    if (until == "drained") {
+    if (plan.until == "drained") {
       // Time until no agent is Resetting — the reset-wave drain quantity,
       // paired with the count form's drained cell for the cross-form
       // exactness tests (the reset machinery is a lossless quotient).
@@ -709,13 +546,10 @@ inline void register_sublinear_entry(ProtocolRegistry& reg,
           if (s.role == SlRole::Resetting) return false;
         return true;
       };
-      return sd::execute_predicate(
-          spec, proto, inits, until,
-          spec.max_interactions ? spec.max_interactions : 1ull << 50,
-          drained, /*cheap=*/false);
+      return execute_predicate(plan, proto, inits, 1ull << 50, drained,
+                               /*cheap=*/false);
     }
-    if (until == "ptime") return sd::execute_ptime(spec, proto, inits, until);
-    sd::unknown_until(spec, until);
+    return execute_ptime(plan, proto, inits);
   };
   reg.add(std::move(e));
 }
@@ -729,28 +563,25 @@ inline void register_sublinear_count_entry(
     const std::string& description, const std::string& states,
     std::uint32_t default_n,
     std::function<SublinearParams(std::uint32_t)> make_params) {
-  ProtocolEntry e;
+  ProtocolEntry e = entry_for<SublinearCountSSR>();
   e.name = name;
   e.description = description;
   e.states = states;
   // The abstraction is silent (tree churn is erased: an all-passive
   // configuration has no non-null pair), unlike the concrete protocol.
   e.silent = true;
-  e.batch_capable = true;
   e.default_n = default_n;
   e.inits = sublinear_count_inits().names();
   e.default_init = sublinear_count_inits().default_name();
   e.untils = {"detected", "drained", "ptime"};
   e.default_until = "detected";
-  e.run = [default_n,
-           make_params = std::move(make_params)](const ScenarioSpec& spec) {
-    namespace sd = scenario_detail;
-    const std::uint32_t n = sd::resolve_population(spec, default_n, 0);
+  e.run = [make_params = std::move(make_params)](const ScenarioPlan& plan) {
+    const std::uint32_t n = plan.n;
     // Same overridable constants as the array entries, plus trunc.depth
     // (history-tree truncation: 0 = direct check only, 1 = witness
     // automaton). synthetic_coin is accepted as a key so the error is
     // about expressibility, not an unknown param.
-    ParamReader params(spec);
+    ParamReader params(plan.params);
     const auto h_override =
         static_cast<std::uint32_t>(params.integer("h", 0, UINT32_MAX));
     SublinearParams p = h_override > 0
@@ -765,17 +596,14 @@ inline void register_sublinear_count_entry(
     params.finish();
     const SublinearCountSSR proto(p, trunc_depth);
     const auto& inits = sublinear_count_inits();
-    const std::string until = spec.until.empty() ? "detected" : spec.until;
     ScenarioResult out;
-    if (until == "detected") {
+    if (plan.until == "detected") {
       auto detected = [](const auto& sim) {
         return sim.counters().collision_triggers > 0;
       };
-      out = sd::execute_predicate(
-          spec, proto, inits, until,
-          spec.max_interactions ? spec.max_interactions : 1ull << 62,
-          detected, /*cheap=*/true);
-    } else if (until == "drained") {
+      out = execute_predicate(plan, proto, inits, kOpenHorizon, detected,
+                              /*cheap=*/true);
+    } else if (plan.until == "drained") {
       // No agent Resetting. The canonical coding keeps the Resetting block
       // contiguous, so count engines scan one span of the count vector.
       auto drained = [&proto](const auto& sim) {
@@ -793,14 +621,10 @@ inline void register_sublinear_count_entry(
           return true;
         }
       };
-      out = sd::execute_predicate(
-          spec, proto, inits, until,
-          spec.max_interactions ? spec.max_interactions : 1ull << 50,
-          drained, /*cheap=*/false);
-    } else if (until == "ptime") {
-      out = sd::execute_ptime(spec, proto, inits, until);
+      out = execute_predicate(plan, proto, inits, 1ull << 50, drained,
+                              /*cheap=*/false);
     } else {
-      sd::unknown_until(spec, until);
+      out = execute_ptime(plan, proto, inits);
     }
     out.abstracted = true;
     return out;
@@ -846,24 +670,23 @@ inline void register_sublinear_count(ProtocolRegistry& reg) {
 }
 
 inline void register_reset_process(ProtocolRegistry& reg) {
-  ProtocolEntry e;
+  ProtocolEntry e = scenario_detail::entry_for<ResetProcess>();
   e.name = "reset-process";
   e.description =
       "Protocol 2 harness: Propagate-Reset in isolation (Section 3 phases)";
   e.states = "Rmax + Dmax + 2";
   e.silent = true;
-  e.batch_capable = true;
   e.default_n = 64;
   e.inits = reset_process_inits().names();
   e.default_init = reset_process_inits().default_name();
   e.untils = {"drained", "ptime"};
   e.default_until = "drained";
-  e.run = [](const ScenarioSpec& spec) {
+  e.run = [](const ScenarioPlan& plan) {
     namespace sd = scenario_detail;
-    const std::uint32_t n = sd::resolve_population(spec, 64, 0);
+    const std::uint32_t n = plan.n;
     // The Section 3 experiment constants: Rmax = 8 ln n + 4, Dmax = 4 Rmax;
     // rmax_factor / dmax_factor override the two Theta constants.
-    ParamReader params(spec);
+    ParamReader params(plan.params);
     const std::uint32_t rmax =
         sd::factor_constant(params, "rmax_factor", 8.0, [&](double f) {
           return std::ceil(f * std::log(static_cast<double>(n))) + 4.0;
@@ -875,8 +698,7 @@ inline void register_reset_process(ProtocolRegistry& reg) {
     params.finish();
     const ResetProcess proto(n, rmax, dmax);
     const auto& inits = reset_process_inits();
-    const std::string until = spec.until.empty() ? "drained" : spec.until;
-    if (until == "drained") {
+    if (plan.until == "drained") {
       auto drained = [](const auto& sim) {
         using E = std::decay_t<decltype(sim)>;
         if constexpr (AgentArrayEngine<E>) {
@@ -887,38 +709,32 @@ inline void register_reset_process(ProtocolRegistry& reg) {
           return sim.silent();  // all-Computing iff zero active weight
         }
       };
-      return sd::execute_predicate(
-          spec, proto, inits, until,
-          spec.max_interactions ? spec.max_interactions : 1ull << 50,
-          drained, /*cheap=*/false);
+      return sd::execute_predicate(plan, proto, inits, 1ull << 50, drained,
+                                   /*cheap=*/false);
     }
-    if (until == "ptime") return sd::execute_ptime(spec, proto, inits, until);
-    sd::unknown_until(spec, until);
+    return sd::execute_ptime(plan, proto, inits);
   };
   reg.add(std::move(e));
 }
 
 inline void register_one_way_epidemic(ProtocolRegistry& reg) {
-  ProtocolEntry e;
+  ProtocolEntry e = scenario_detail::entry_for<OneWayEpidemic>();
   e.name = "one-way-epidemic";
   e.description =
       "Section 2.1 one-way epidemic (initiator infects responder)";
   e.states = "2";
   e.silent = true;
-  e.batch_capable = true;
   e.default_n = 1024;
   e.inits = one_way_epidemic_inits().names();
   e.default_init = one_way_epidemic_inits().default_name();
   e.untils = {"complete", "ptime"};
   e.default_until = "complete";
-  e.run = [](const ScenarioSpec& spec) {
+  e.run = [](const ScenarioPlan& plan) {
     namespace sd = scenario_detail;
-    const std::uint32_t n = sd::resolve_population(spec, 1024, 0);
-    ParamReader(spec).finish();  // no overridable constants
-    const OneWayEpidemic proto(n);
+    ParamReader(plan.params).finish();  // no overridable constants
+    const OneWayEpidemic proto(plan.n);
     const auto& inits = one_way_epidemic_inits();
-    const std::string until = spec.until.empty() ? "complete" : spec.until;
-    if (until == "complete") {
+    if (plan.until == "complete") {
       auto complete = [](const auto& sim) {
         using E = std::decay_t<decltype(sim)>;
         if constexpr (AgentArrayEngine<E>) {
@@ -929,39 +745,33 @@ inline void register_one_way_epidemic(ProtocolRegistry& reg) {
           return sim.silent();  // all infected (no infected => no spreader)
         }
       };
-      return sd::execute_predicate(
-          spec, proto, inits, until,
-          spec.max_interactions ? spec.max_interactions : 1ull << 62,
-          complete, /*cheap=*/false);
+      return sd::execute_predicate(plan, proto, inits, kOpenHorizon, complete,
+                                   /*cheap=*/false);
     }
-    if (until == "ptime") return sd::execute_ptime(spec, proto, inits, until);
-    sd::unknown_until(spec, until);
+    return sd::execute_ptime(plan, proto, inits);
   };
   reg.add(std::move(e));
 }
 
 inline void register_obs25(ProtocolRegistry& reg) {
-  ProtocolEntry e;
+  ProtocolEntry e = scenario_detail::entry_for<Obs25SSLE>();
   e.name = "obs25";
   e.description =
       "Observation 2.5: silent SSLE for n = 3 with unrankable states";
   e.states = "6";
   e.silent = true;
-  e.batch_capable = true;
   e.fixed_n = 3;
   e.default_n = 3;
   e.inits = obs25_inits().names();
   e.default_init = obs25_inits().default_name();
   e.untils = {"silent", "ptime"};
   e.default_until = "silent";
-  e.run = [](const ScenarioSpec& spec) {
+  e.run = [](const ScenarioPlan& plan) {
     namespace sd = scenario_detail;
-    sd::resolve_population(spec, 3, 3);
-    ParamReader(spec).finish();  // no overridable constants
-    const Obs25SSLE proto(3);
+    ParamReader(plan.params).finish();  // no overridable constants
+    const Obs25SSLE proto(plan.n);
     const auto& inits = obs25_inits();
-    const std::string until = spec.until.empty() ? "silent" : spec.until;
-    if (until == "silent") {
+    if (plan.until == "silent") {
       auto silent = [](const auto& sim) {
         const auto& p = sim.protocol();
         using E = std::decay_t<decltype(sim)>;
@@ -987,52 +797,41 @@ inline void register_obs25(ProtocolRegistry& reg) {
           return true;
         }
       };
-      return sd::execute_predicate(
-          spec, proto, inits, until,
-          spec.max_interactions ? spec.max_interactions : 1ull << 30,
-          silent, /*cheap=*/true);
+      return sd::execute_predicate(plan, proto, inits, 1ull << 30, silent,
+                                   /*cheap=*/true);
     }
-    if (until == "ptime") return sd::execute_ptime(spec, proto, inits, until);
-    sd::unknown_until(spec, until);
+    return sd::execute_ptime(plan, proto, inits);
   };
   reg.add(std::move(e));
 }
 
 inline void register_ring_ssle(ProtocolRegistry& reg) {
-  ProtocolEntry e;
+  ProtocolEntry e = scenario_detail::entry_for<RingSSLE>();
   e.name = "ring-ssle";
   e.description =
       "Yokota-Sudo-Masuzawa SS-LE on the directed ring (arXiv 2009.10926)";
   e.states = "8(cap+1), cap = N >= n (the paper's population bound)";
   e.silent = false;  // the survivor perpetually re-fires its bullet
-  e.batch_capable = true;  // via the run-length-compressed ring engine
   e.default_n = 64;
+  // The protocol is *defined* on the directed ring: its distance counting
+  // reads "my clockwise predecessor", which no other graph provides. An
+  // empty topology therefore means ring here (not complete), and anything
+  // else is inexpressible.
+  e.fixed_topology = "ring";
   e.inits = ring_ssle_inits().names();
   e.default_init = ring_ssle_inits().default_name();
   e.untils = {"elected", "ptime"};
   e.default_until = "elected";
-  e.run = [](const ScenarioSpec& raw) {
+  e.run = [](const ScenarioPlan& plan) {
     namespace sd = scenario_detail;
-    const std::uint32_t n = sd::resolve_population(raw, 64, 0);
-    ParamReader params(raw);
+    const std::uint32_t n = plan.n;
+    ParamReader params(plan.params);
     const auto cap =
         static_cast<std::uint32_t>(params.integer("cap", 0, UINT32_MAX));
     params.finish();
     const RingSSLE proto(n, cap);
     const auto& inits = ring_ssle_inits();
-    // The protocol is *defined* on the directed ring: its distance counting
-    // reads "my clockwise predecessor", which no other graph provides. An
-    // empty topology therefore defaults to ring here (not complete), and
-    // anything else is inexpressible.
-    ScenarioSpec spec = raw;
-    if (spec.topology.empty()) spec.topology = "ring";
-    if (spec.topology != "ring")
-      throw std::invalid_argument(
-          "ring-ssle is defined on the directed ring; topology '" +
-          spec.topology + "' has no predecessor structure (use "
-          "topology=ring or leave it empty)");
-    const std::string until = spec.until.empty() ? "elected" : spec.until;
-    if (until == "elected") {
+    if (plan.until == "elected") {
       // Unique leader, *held*: transient uniqueness is real in this
       // protocol (a stale-distance follower can still promote after the
       // count first touches 1), so the stop condition demands leader_count
@@ -1040,21 +839,17 @@ inline void register_ring_ssle(ProtocolRegistry& reg) {
       // window is 4n parallel time — a few full bullet circulations (one
       // circulation is ~n parallel time: n edge-firings at ~n slots each).
       // Metric = parallel time at the onset of the held uniqueness.
-      const double tail_ptime =
-          spec.tail_ptime >= 0 ? spec.tail_ptime : 4.0 * n;
       const auto window = static_cast<std::uint64_t>(
-          tail_ptime * static_cast<double>(n));
+          plan.tail(4.0 * n) * static_cast<double>(n));
       const std::uint64_t horizon =
-          spec.max_interactions
-              ? spec.max_interactions
-              : 4ull * n * n * n + (1ull << 24);
+          plan.horizon(4ull * n * n * n + (1ull << 24));
       return sd::drive(
-          spec, proto, inits, until, "parallel_time",
+          plan, proto, inits, "parallel_time",
           [&proto, window, horizon](auto& sim) {
             using E = std::decay_t<decltype(sim)>;
             // Count-engine leader census: the ring engine maintains it
             // incrementally; the clique count engines (compiled here but
-            // unreachable at runtime — the ring topology demotes them)
+            // unreachable: the fixed ring topology never resolves to them)
             // would pay a state-space scan.
             auto census = [&proto](const auto& s) {
               if constexpr (requires { s.leader_count(); }) {
@@ -1126,8 +921,7 @@ inline void register_ring_ssle(ProtocolRegistry& reg) {
             return std::pair<double, bool>(-1.0, false);
           });
     }
-    if (until == "ptime") return sd::execute_ptime(spec, proto, inits, until);
-    sd::unknown_until(spec, until);
+    return sd::execute_ptime(plan, proto, inits);
   };
   reg.add(std::move(e));
 }

@@ -80,12 +80,6 @@
 
 namespace ppsim {
 
-// Default leap-size knob: each leap targets kDefaultTauEps * n effective
-// interactions. At 0.05 the per-leap relative rate drift stays within a few
-// percent across the repo's protocols (quantified against the exact
-// engines by tests/approx_error_test.cpp).
-inline constexpr double kDefaultTauEps = 0.05;
-
 template <EnumerableProtocol P>
 class TauLeapSimulation {
   static_assert(DeterministicProtocol<P>,

@@ -312,6 +312,51 @@ TEST(BenchRecords, StrictDriftStillAppliesToFaultedRecords) {
   EXPECT_TRUE(stats.failed());
 }
 
+// Scenario records (report_scenario) carry interactions_mean, failed and
+// <metric>_{mean,ci95,p99} instead of the bench binaries' interactions /
+// parallel_time: --strict must diff those too, except the wall-clock
+// metric of an until=ptime record, which is a timing, not a draw.
+TEST(BenchRecords, StrictDriftCoversScenarioRecords) {
+  const fs::path base = fresh_dir("scenario-strict/base");
+  const fs::path cand = fresh_dir("scenario-strict/cand");
+  const std::string ranked =
+      "\"experiment\": \"scenario_ranked\", \"backend\": \"batch\", "
+      "\"strategy\": \"geometric_skip\", \"n\": 64, \"trials\": 2, "
+      "\"wall_seconds\": 0.01, \"interactions_mean\": 9000, "
+      "\"parallel_time_ci95\": 3.5, \"parallel_time_p99\": 150";
+  const std::string ptime =
+      "\"experiment\": \"scenario_ptime\", \"backend\": \"batch\", "
+      "\"strategy\": \"multinomial\", \"n\": 64, \"trials\": 2, "
+      "\"wall_seconds\": 0.01, \"interactions_mean\": 6400, "
+      "\"wall_seconds_ci95\": 0.001, \"wall_seconds_p99\": 0.002";
+  write_bench(base, "scenario",
+              {"{" + ranked + ", \"parallel_time_mean\": 140.5}",
+               "{" + ptime + ", \"wall_seconds_mean\": 0.004}"});
+  write_bench(cand, "scenario",
+              {"{" + ranked + ", \"parallel_time_mean\": 281}",
+               "{" + ptime + ", \"wall_seconds_mean\": 0.009}"});
+
+  CompareOptions opts;
+  opts.strict = true;
+  std::ostringstream out;
+  CompareStats stats = compare(load(base), load(cand), opts, out);
+  EXPECT_EQ(stats.compared, 2);
+  EXPECT_EQ(stats.drift, 1) << out.str();  // the doubled parallel_time_mean
+  EXPECT_NE(out.str().find("parallel_time_mean"), std::string::npos);
+  EXPECT_EQ(out.str().find("wall_seconds_mean"), std::string::npos);
+
+  // A newly failed trial drifts too, though the baseline omits `failed`
+  // (report_scenario writes it only when nonzero).
+  write_bench(cand, "scenario",
+              {"{" + ranked + ", \"parallel_time_mean\": 140.5, "
+               "\"failed\": 1}",
+               "{" + ptime + ", \"wall_seconds_mean\": 0.004}"});
+  std::ostringstream out2;
+  stats = compare(load(base), load(cand), opts, out2);
+  EXPECT_EQ(stats.drift, 1) << out2.str();
+  EXPECT_NE(out2.str().find("failed"), std::string::npos);
+}
+
 // Records differing only in topology are matched by topology, not by
 // occurrence index: a candidate that emits two topology-only twins in the
 // other order has no drift under --strict.

@@ -18,6 +18,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -90,6 +91,122 @@ TEST(Registry, InexpressibleSpecsFailLoudly) {
   spec.protocol = "obs25";
   spec.n = 7;  // fixed-n protocol
   EXPECT_THROW(run_scenario(spec), std::invalid_argument);
+
+  // Hostile horizons: every parallel-time window becomes an interaction
+  // count (ptime * n, tail * n), so a nan, inf, negative or oversized one
+  // must be rejected before any double -> integer conversion.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const std::string engine : {"array", "batch"}) {
+    for (const double ptime : {nan, inf, -inf, -1.0, 1e18}) {
+      spec = ScenarioSpec{};
+      spec.protocol = "one-way-epidemic";
+      spec.n = 64;
+      spec.engine = engine;
+      spec.until = "ptime";
+      spec.horizon_ptime = ptime;
+      EXPECT_THROW(run_scenario(spec), std::invalid_argument)
+          << engine << " ptime=" << ptime;
+    }
+  }
+  for (const std::string protocol : {"ring-ssle", "sublinear-h1"}) {
+    for (const double tail : {nan, inf, -0.5, 1e30}) {
+      spec = ScenarioSpec{};
+      spec.protocol = protocol;
+      spec.n = 16;
+      spec.tail_ptime = tail;
+      EXPECT_THROW(run_scenario(spec), std::invalid_argument)
+          << protocol << " tail=" << tail;
+    }
+  }
+
+  // Cross-field rejections, all taken by the resolver.
+  struct Case {
+    const char* what;
+    ScenarioSpec spec;
+  };
+  auto make = [](const char* protocol, auto&& edit) {
+    ScenarioSpec s;
+    s.protocol = protocol;
+    s.n = 64;
+    edit(s);
+    return s;
+  };
+  const Case cases[] = {
+      {"tau with faults", make("optimal-silent",
+                               [](ScenarioSpec& s) {
+                                 s.strategy = "tau";
+                                 s.faults.drop = 0.25;
+                               })},
+      {"tau on engine=array", make("optimal-silent",
+                                   [](ScenarioSpec& s) {
+                                     s.engine = "array";
+                                     s.strategy = "tau";
+                                   })},
+      {"multinomial on the ring (ring-ssle)",
+       make("ring-ssle", [](ScenarioSpec& s) { s.strategy = "multinomial"; })},
+      {"multinomial on the ring (epidemic)",
+       make("one-way-epidemic",
+            [](ScenarioSpec& s) {
+              s.topology = "ring";
+              s.strategy = "multinomial";
+            })},
+      {"ring-ssle on a line",
+       make("ring-ssle", [](ScenarioSpec& s) { s.topology = "line"; })},
+      {"engine=batch on a line", make("one-way-epidemic",
+                                      [](ScenarioSpec& s) {
+                                        s.engine = "batch";
+                                        s.topology = "line";
+                                      })},
+      {"nan tau.eps", make("optimal-silent",
+                           [](ScenarioSpec& s) {
+                             s.strategy = "tau";
+                             s.tau_eps = std::numeric_limits<double>::quiet_NaN();
+                           })},
+  };
+  for (const Case& c : cases)
+    EXPECT_THROW(run_scenario(c.spec), std::invalid_argument) << c.what;
+}
+
+// The plan is what runs: for a default spec of every registered protocol,
+// the configuration the ScenarioResult echoes is the plan's, with the
+// occupancy probe (the one decision left to run time) settling kProbe.
+TEST(Registry, PlanMatchesResult) {
+  using Engine = ScenarioPlan::Engine;
+  const ProtocolRegistry& reg = default_registry();
+  for (const ProtocolEntry& e : reg.all()) {
+    ScenarioSpec spec;
+    spec.protocol = e.name;
+    const ScenarioPlan plan = reg.plan(spec);
+    const ScenarioResult r = reg.run(plan);
+    Engine settled = plan.engine;
+    if (plan.engine == Engine::kProbe) {
+      EXPECT_FALSE(r.engine_arm.empty()) << e.name;
+      settled = r.engine_arm == "array" ? Engine::kArray : Engine::kBatch;
+    } else {
+      EXPECT_TRUE(r.engine_arm.empty()) << e.name;
+    }
+    EXPECT_EQ(r.backend, ScenarioPlan::backend(settled)) << e.name;
+    EXPECT_EQ(r.strategy, plan.strategy_name(settled)) << e.name;
+    EXPECT_EQ(r.init, plan.init) << e.name;
+    EXPECT_EQ(r.init, e.default_init) << e.name;
+    EXPECT_EQ(r.until, plan.until) << e.name;
+    EXPECT_EQ(r.until, e.default_until) << e.name;
+    EXPECT_EQ(r.topology, plan.topology.spec()) << e.name;
+    EXPECT_EQ(r.n, plan.n) << e.name;
+    EXPECT_EQ(r.tau_eps, plan.tau_eps) << e.name;
+    EXPECT_EQ(r.trials, plan.trials) << e.name;
+    EXPECT_EQ(r.approximate, plan.engine == Engine::kTau) << e.name;
+  }
+  // ring-ssle's fixed topology and the complete graph elsewhere.
+  auto default_plan = [&reg](const char* protocol) {
+    ScenarioSpec spec;
+    spec.protocol = protocol;
+    return reg.plan(spec);
+  };
+  EXPECT_EQ(default_plan("ring-ssle").topology.spec(), "ring");
+  EXPECT_EQ(default_plan("ring-ssle").engine, Engine::kRing);
+  EXPECT_EQ(default_plan("obs25").topology.spec(), "complete");
 }
 
 // A retired strategy name is rejected on the count engine and on the

@@ -21,9 +21,11 @@
 //   ppsle_run --matrix file.json
 //       Run a sweep matrix: the JSON's "matrix" object maps spec keys to
 //       value lists (full cross product), "defaults" seeds every cell, and
-//       "scenarios" appends explicit extra cells. Cells that collapse to
-//       the same resolved configuration (e.g. strategy variants of an
-//       array-only protocol) run once.
+//       "scenarios" appends explicit extra cells. Every cell is resolved
+//       (core/registry.h resolve()) before any runs, so an inexpressible
+//       cell fails the matrix up front; cells whose plans share an
+//       identity and a label (e.g. strategy variants of a cell that runs
+//       on the agent array) run once.
 //
 // Common flags: --out=<name> names the BENCH_<name>.json (default
 // "scenarios" or the matrix file's "name").
@@ -118,24 +120,16 @@ void apply_kv(ScenarioSpec& spec, std::string& label, const std::string& key,
     // engine default.
     spec.tau_eps = parse_double(key, value);
   } else if (key == "fault.drop") {
-    // Fault-injection knobs (core/faults.h); ranges are validated by
-    // run_scenario (spec.faults.validate()), which also rejects faults on
-    // the approximate tier. Any non-zero knob stamps the record `faulted`.
+    // Fault-injection knobs (core/faults.h). Like every other spec field
+    // they are checked by resolve(). Any non-zero knob stamps the record
+    // `faulted`.
     spec.faults.drop = parse_double(key, value);
   } else if (key == "fault.oneway") {
     spec.faults.oneway = parse_double(key, value);
   } else if (key == "fault.churn") {
     spec.faults.churn = parse_double(key, value);
   } else if (key == "topology") {
-    // Interaction graph (core/topology.h). Validated structurally here so
-    // a typo'd graph name dies at parse time like any other bad key; the
-    // n-dependent checks (mesh dims vs population) happen in run_scenario.
-    try {
-      Topology::validate_spec(value);
-    } catch (const std::exception& e) {
-      usage_error(std::string("value of 'topology' is invalid: ") + e.what());
-    }
-    spec.topology = value;
+    spec.topology = value;  // interaction graph (core/topology.h)
   } else if (key == "label") {
     label = value;
   } else if (key.rfind("param.", 0) == 0 && key.size() > 6) {
@@ -189,30 +183,24 @@ int list_registry() {
   return 0;
 }
 
-std::string default_label(const ScenarioSpec& spec,
-                          const ScenarioResult& result) {
-  return "scenario_" + spec.protocol + "_" + result.init + "_" +
-         result.until;
-}
-
-// Runs one spec, prints a table row, appends the JSON record. Returns
-// false if the spec was inexpressible (which is fatal for --scenario and a
-// hard error for --matrix too: matrix files are checked against the
-// registry before expansion).
-void run_and_report(const ScenarioSpec& spec, const std::string& label,
+// Runs one resolved plan, prints a table row, appends the JSON record.
+void run_and_report(const ScenarioPlan& plan, const std::string& label,
                     Table& table, BenchReport& report) {
-  const ScenarioResult r = run_scenario(spec);
+  const ScenarioResult r = default_registry().run(plan);
   // "auto:" marks cells where the strategy controller (not the spec) chose
   // the whole-run arm from the initial occupancy.
   const std::string engine_desc =
       (r.engine_arm.empty() ? "" : "auto:") +
       (r.backend == "batch" ? r.backend + "/" + r.strategy : r.backend);
   table.add_row(
-      {spec.protocol, std::to_string(r.n), r.init, engine_desc, r.until,
+      {plan.protocol, std::to_string(r.n), r.init, engine_desc, r.until,
        std::to_string(r.trials),
        fmt(r.summary.mean, 3) + " +/- " + fmt(r.summary.ci95, 3),
        r.metric, std::to_string(r.failed), fmt(r.wall_seconds, 3)});
-  report_scenario(report, label.empty() ? default_label(spec, r) : label,
+  report_scenario(report,
+                  label.empty() ? "scenario_" + plan.protocol + "_" + r.init +
+                                      "_" + r.until
+                                : label,
                   r);
 }
 
@@ -229,7 +217,7 @@ int run_single(const std::vector<std::string>& kvs, std::string out_name) {
   BenchReport report(out_name.empty() ? "scenarios" : out_name);
   Table t({"protocol", "n", "init", "engine", "until", "trials",
            "metric mean +/- ci95", "metric", "failed", "wall s"});
-  run_and_report(spec, label, t, report);
+  run_and_report(default_registry().plan(spec), label, t, report);
   t.print();
   const std::string path = report.write();
   if (!path.empty()) std::cout << "machine-readable results: " << path << "\n";
@@ -322,72 +310,29 @@ int run_matrix(const std::string& path, std::string out_name) {
   if (cells.empty())
     usage_error("matrix file has neither 'matrix' nor 'scenarios'");
 
-  BenchReport report(out_name);
-  Table t({"protocol", "n", "init", "engine", "until", "trials",
-           "metric mean +/- ci95", "metric", "failed", "wall s"});
+  // Resolve every cell before running any: an inexpressible cell fails
+  // the whole matrix up front, and cells whose plans share an identity
+  // (and a label) run once.
+  std::vector<std::pair<ScenarioPlan, std::string>> plans;
   std::set<std::string> seen;
-  std::uint32_t ran = 0, collapsed = 0;
+  std::uint32_t collapsed = 0;
   for (const Cell& cell : cells) {
     if (cell.spec.protocol.empty())
       usage_error("a matrix cell has no protocol (set it in 'defaults' or "
                   "the matrix)");
-    const ProtocolEntry& entry = default_registry().at(cell.spec.protocol);
-    // Resolve the parts of the identity the registry would resolve, so
-    // cells that collapse (strategy sweeps over array-only protocols,
-    // n sweeps over fixed-n protocols) run once instead of repeating.
-    // Every other spec field joins the identity verbatim: cells differing
-    // in seed/trials/horizon/... are distinct runs, never duplicates.
-    // For a batch-capable protocol the normalized engine name ("" is
-    // auto) joins the identity: auto may resolve to the agent array
-    // (engine_arm) or fall back to it off the clique, where batch does not.
-    const std::string engine =
-        cell.spec.engine.empty() ? "auto" : cell.spec.engine;
-    const bool batch = entry.batch_capable && engine != "array";
-    // Strategy aliases (geometric / geometric_skip, tau / tau_leap,
-    // "" / auto) name one strategy, so they join under its canonical name;
-    // an unknown name stays verbatim for run_scenario to reject.
-    std::string strategy =
-        cell.spec.strategy.empty() ? "auto" : cell.spec.strategy;
-    BatchStrategy parsed;
-    if (parse_strategy(strategy, parsed)) strategy = to_string(parsed);
-    const bool approx = batch && strategy == "tau";
-    const std::string identity =
-        cell.spec.protocol + "|" +
-        std::to_string(entry.fixed_n
-                           ? entry.fixed_n
-                           : (cell.spec.n ? cell.spec.n : entry.default_n)) +
-        "|" + (cell.spec.init.empty() ? entry.default_init : cell.spec.init) +
-        "|" + (batch ? engine + "/" + strategy : "array") + "|" +
-        (approx ? "tau_eps=" + std::to_string(cell.spec.tau_eps) + "|"
-                : "") +
-        (cell.spec.faults.active()
-             ? "drop=" + std::to_string(cell.spec.faults.drop) + "|oneway=" +
-                   std::to_string(cell.spec.faults.oneway) + "|churn=" +
-                   std::to_string(cell.spec.faults.churn) + "|"
-             : "") +
-        // "" and "complete" are the same resolved graph, so normalize
-        // before joining: a {""|"complete"} sweep collapses to one cell.
-        (cell.spec.topology.empty() || cell.spec.topology == "complete"
-             ? ""
-             : "topology=" + cell.spec.topology + "|") +
-        (cell.spec.until.empty() ? entry.default_until : cell.spec.until) +
-        "|" + std::to_string(cell.spec.seed) + "|" +
-        std::to_string(cell.spec.trials) + "|" +
-        std::to_string(cell.spec.threads) + "|" +
-        std::to_string(cell.spec.max_interactions) + "|" +
-        std::to_string(cell.spec.horizon_ptime) + "|" +
-        std::to_string(cell.spec.tail_ptime) + "|" + cell.label;
-    std::string identity_params;
-    for (const auto& [pk, pv] : cell.spec.params)
-      identity_params += "|param." + pk + "=" + pv;
-    const std::string full_identity = identity + identity_params;
-    if (!seen.insert(full_identity).second) {
+    ScenarioPlan plan = default_registry().plan(cell.spec);
+    if (!seen.insert(plan.identity() + "|label=" + cell.label).second) {
       ++collapsed;
       continue;
     }
-    run_and_report(cell.spec, cell.label, t, report);
-    ++ran;
+    plans.emplace_back(std::move(plan), cell.label);
   }
+
+  BenchReport report(out_name);
+  Table t({"protocol", "n", "init", "engine", "until", "trials",
+           "metric mean +/- ci95", "metric", "failed", "wall s"});
+  for (const auto& [plan, label] : plans) run_and_report(plan, label, t, report);
+  const std::size_t ran = plans.size();
   t.print();
   std::cout << ran << " scenario(s) run";
   if (collapsed > 0) std::cout << ", " << collapsed << " duplicate cell(s) collapsed";
