@@ -1,9 +1,14 @@
-// Run-until-stable harness, retargeted onto the backend-agnostic Engine
-// contract (core/engine.h).
+// Run-until-correct harness on the backend-agnostic Engine contract
+// (core/engine.h).
 //
-// Measures convergence/stabilization parallel time of a ranking protocol
-// exactly as the paper defines it: the number of interactions after which
-// the configuration is (stably) correct forever, divided by n.
+// Measures convergence/stabilization parallel time exactly as the paper
+// defines it: the number of interactions after which the configuration is
+// (stably) correct forever, divided by n. One clock serves every "correct
+// and held" measurement, whatever "correct" means:
+//   * ranked   the rank fields form a permutation of 1..n;
+//   * elected  exactly one agent is a leader;
+//   * held     ranked, but the run measures how long the first correct
+//              configuration lasts (see run_engine_until_held).
 //
 // For the silent protocols a correct configuration is provably silent, so
 // the first entry into correctness is stabilization (optionally verified by
@@ -11,22 +16,27 @@
 // record the *last* entry into correctness and additionally require the
 // configuration to stay correct for a caller-chosen tail window (>= 3*TH
 // parallel time: stale adversarial tree data can only cause a spurious reset
-// while its timers are alive, Lemma 5.5).
+// while its timers are alive, Lemma 5.5). Ring leader election holds its
+// unique leader for a window the same way.
 //
-// Two engine families, one front door:
-//   * AgentArrayEngine (Simulation<P>): incremental RankTracker updates on
-//     the two agents each step touches — O(1) per interaction.
-//   * CountEngine (BatchSimulation<P>): incremental RankTracker updates on
-//     the count deltas each step reports (last_deltas()) — O(1) per
-//     configuration change, so whole geometric-skipped null stretches cost
-//     nothing. A multinomial batch step reports the whole batch's net
-//     deltas, so correctness is observed at batch granularity; tail-window
-//     runs (tail_ptime > 0) therefore require the geometric_skip strategy,
-//     whose batched stretches are provably null — enforced below. The
-//     ranked harness drives engines with an observer form step(obs) (the
-//     array arm's bursts) through it: the tracker follows each agent change
-//     from the states handed over, and the burst ends at every change
-//     that the clock must see, so results equal a plain-step() loop's.
+// Two engine families, one step loop each, both feeding the same census
+// (a RankTracker over the run's keys) and the same clock:
+//   * AgentArrayEngine (Simulation<P>): the census follows per-agent shadow
+//     keys for the two agents each step touches, plus the agent a churn
+//     crash reset — O(1) per interaction.
+//   * CountEngine (BatchSimulation<P>, RingSimulation<P>): the census starts
+//     from a count scan and then follows the count deltas each step reports
+//     (last_deltas()) — O(1) per configuration change, so whole
+//     geometric-skipped null stretches cost nothing. Engines with an
+//     observer form step(obs) (the array arm's bursts) run through it: the
+//     census follows each agent change from the states handed over, and
+//     the burst ends at every change that the clock must see, so results
+//     equal a plain-step() loop's. A multinomial batch step reports the
+//     whole batch's net deltas, so correctness is observed at batch
+//     granularity; tail-window runs (tail_ptime > 0) therefore require the
+//     geometric_skip strategy, whose batched stretches are provably null —
+//     enforced below. A window that closes inside a null stretch closes
+//     there, exactly as the per-interaction loop would see it.
 // A count engine that reports step() == 0 is provably stuck (silent): if the
 // configuration is correct at that point it is stabilized forever.
 #pragma once
@@ -38,7 +48,6 @@
 
 #include "core/batch_simulation.h"
 #include "core/engine.h"
-#include "core/faults.h"  // ChurnReportingEngine
 #include "core/rank_tracker.h"
 #include "core/simulation.h"
 
@@ -60,55 +69,217 @@ struct RunResult {
 
 namespace detail {
 
+// When a run stops: once correctness has held for the tail window (ranked,
+// elected), or at the first loss of correctness after the first entry
+// (held).
+enum class StopRule { kHeldForTail, kFirstBreak };
+
 // Entry/exit bookkeeping for "correct and has stayed correct for the tail
-// window", shared by both engine harnesses.
+// window", shared by both engine loops. The window is counted in
+// interactions, so it closes at an exact interaction (a difference of
+// floating-point parallel times, floored, can read one short).
 class StabilizationClock {
  public:
-  StabilizationClock(const RunOptions& opts, std::uint32_t n, RunResult& out)
-      : tail_ptime_(opts.tail_ptime),
-        tail_interactions_(
-            static_cast<std::uint64_t>(opts.tail_ptime * static_cast<double>(n))),
+  StabilizationClock(const RunOptions& opts, std::uint32_t n, RunResult& out,
+                     StopRule rule = StopRule::kHeldForTail)
+      : tail_interactions_(static_cast<std::uint64_t>(
+            opts.tail_ptime * static_cast<double>(n))),
         n_(n),
+        rule_(rule),
         out_(out) {}
 
   void init(bool correct) {
     was_correct_ = correct;
     if (correct) {
-      last_entry_ = 0.0;
+      last_entry_ = 0;
       out_.first_correct_ptime = 0.0;
     }
   }
 
-  // Records the correctness state after one (effective) interaction at
-  // parallel time `ptime`; returns true iff the run has stabilized and the
-  // harness should stop.
-  bool on_state(bool correct, double ptime) {
+  // Records the correctness state after `interactions` interactions;
+  // returns true iff the run has met its stop rule and should stop.
+  bool on_state(bool correct, std::uint64_t interactions) {
     if (correct && !was_correct_) {
-      last_entry_ = ptime;
-      if (out_.first_correct_ptime < 0) out_.first_correct_ptime = last_entry_;
+      last_entry_ = interactions;
+      if (out_.first_correct_ptime < 0) out_.first_correct_ptime = last_entry();
     } else if (!correct && was_correct_) {
       ++out_.correctness_breaks;
     }
     was_correct_ = correct;
-    if (correct) {
-      const auto since_entry = static_cast<std::uint64_t>(
-          (ptime - last_entry_) * static_cast<double>(n_));
-      if (tail_ptime_ == 0.0 || since_entry >= tail_interactions_) return true;
+    if (rule_ == StopRule::kFirstBreak) return out_.correctness_breaks > 0;
+    return correct && interactions - last_entry_ >= tail_interactions_;
+  }
+
+  // Settles the result when the loop ends at `interactions`: `stopped`
+  // when on_state asked to stop, `stuck` when the engine proved that
+  // nothing will ever change again. For kFirstBreak the stabilization
+  // field carries the holding time (see run_engine_until_held).
+  void finish(bool stopped, bool stuck, std::uint64_t interactions) {
+    out_.interactions = interactions;
+    if (rule_ == StopRule::kFirstBreak) {
+      if (!stopped) return;
+      out_.stabilized = true;
+      out_.stabilization_ptime = ptime(interactions) - last_entry();
+      return;
     }
-    return false;
+    if (stopped || (stuck && was_correct_)) {
+      out_.stabilized = true;
+      out_.stabilization_ptime = last_entry();
+    }
   }
 
   bool was_correct() const { return was_correct_; }
-  double last_entry() const { return last_entry_; }
+  double last_entry() const { return ptime(last_entry_); }
 
  private:
-  double tail_ptime_;
+  double ptime(std::uint64_t interactions) const {
+    return static_cast<double>(interactions) / static_cast<double>(n_);
+  }
+
   std::uint64_t tail_interactions_;
   std::uint32_t n_;
+  StopRule rule_;
   RunResult& out_;
   bool was_correct_ = false;
-  double last_entry_ = -1.0;
+  std::uint64_t last_entry_ = 0;
 };
+
+// What "correct" means for a run: a key maps an agent's state to 0..m,
+// and the configuration is correct iff every key in 1..m is held by
+// exactly one agent — a RankTracker over m keys (0 = no key).
+
+// Ranked: the agent's rank, m = n.
+struct RankKey {
+  template <class P>
+  static std::uint32_t of(const P& protocol, const typename P::State& s) {
+    return protocol.rank_of(s);
+  }
+};
+
+// Elected: 1 for a leader, m = 1, i.e. exactly one leader.
+struct LeaderKey {
+  template <class P>
+  static std::uint32_t of(const P& protocol, const typename P::State& s) {
+    return protocol.is_leader(s) ? 1 : 0;
+  }
+};
+
+// Agent-array step loop: shadow keys for every agent, refreshed for the
+// scheduled pair and for the agent a churn crash reset.
+template <class Key, AgentArrayEngine E>
+RunResult run_until_correct(E& sim, std::uint32_t m, const RunOptions& opts,
+                            StopRule rule) {
+  if (opts.max_interactions == 0)
+    throw std::invalid_argument("max_interactions must be set");
+  const std::uint32_t n = sim.population_size();
+  const auto& protocol = sim.protocol();
+  RankTracker census(m);
+  std::vector<std::uint32_t> keys(n);
+  for (std::uint32_t i = 0; i < n; ++i) {
+    keys[i] = Key::of(protocol, sim.states()[i]);
+    census.apply_delta(keys[i], 1);
+  }
+  RunResult out;
+  StabilizationClock clock(opts, n, out, rule);
+  clock.init(census.is_permutation());
+
+  auto refresh = [&](std::uint32_t agent) {
+    const std::uint32_t k = Key::of(protocol, sim.states()[agent]);
+    census.on_change(keys[agent], k);
+    keys[agent] = k;
+  };
+  bool stopped = false;
+  while (!stopped && sim.interactions() < opts.max_interactions) {
+    const AgentPair pair = sim.step();
+    refresh(pair.initiator);
+    refresh(pair.responder);
+    if (sim.last_crashed() >= 0)
+      refresh(static_cast<std::uint32_t>(sim.last_crashed()));
+    stopped = clock.on_state(census.is_permutation(), sim.interactions());
+  }
+  clock.finish(stopped, /*stuck=*/false, sim.interactions());
+  return out;
+}
+
+// Count-engine step loop: a count scan, then count deltas or burst changes.
+template <class Key, CountEngine E>
+RunResult run_until_correct(E& sim, std::uint32_t m, const RunOptions& opts,
+                            StopRule rule) {
+  if (opts.max_interactions == 0)
+    throw std::invalid_argument("max_interactions must be set");
+  const bool windowed =
+      rule == StopRule::kHeldForTail && opts.tail_ptime > 0.0;
+  if constexpr (StrategyEngine<E>) {
+    // The tail-window bookkeeping below credits a whole batched stretch as
+    // "correctness unchanged", which only the geometric paths guarantee
+    // (their stretches are provably null); a multinomial batch can break
+    // and re-enter correctness invisibly inside one step.
+    if (windowed && sim.strategy() != BatchStrategy::kGeometricSkip)
+      throw std::invalid_argument(
+          "tail_ptime windows on a count engine require the geometric_skip "
+          "strategy (multinomial batches hide intra-batch correctness "
+          "breaks)");
+  }
+  const std::uint32_t n = sim.population_size();
+  const auto& protocol = sim.protocol();
+  RankTracker census(m);
+  {
+    const auto& counts = sim.state_counts();
+    for (std::uint32_t q = 0; q < counts.size(); ++q)
+      if (counts[q] > 0)
+        census.apply_delta(Key::of(protocol, protocol.decode(q)),
+                           static_cast<std::int64_t>(counts[q]));
+  }
+  RunResult out;
+  StabilizationClock clock(opts, n, out, rule);
+  clock.init(census.is_permutation());
+
+  // Burst observer: follows each agent change, and ends the burst whenever
+  // the clock has something to record — the configuration is or was
+  // correct (an entry, a break, or the stop), or the horizon is reached. A
+  // burst therefore only runs on while the clock's verdict is a no-op.
+  bool observed = false;
+  auto on_agent_change = [&](const typename E::State& from,
+                             const typename E::State& to) {
+    observed = true;
+    census.on_change(Key::of(protocol, from), Key::of(protocol, to));
+    return clock.was_correct() || census.is_permutation() ||
+           sim.interactions() >= opts.max_interactions;
+  };
+  auto step = [&] {
+    observed = false;
+    if constexpr (requires { sim.step(on_agent_change); })
+      return sim.step(on_agent_change);
+    else
+      return sim.step();
+  };
+
+  bool stopped = false;
+  bool stuck = false;
+  while (!stopped && sim.interactions() < opts.max_interactions) {
+    if (step() == 0) {
+      stuck = true;  // provably silent: correctness is frozen forever
+      break;
+    }
+    // A batched null stretch precedes the effective interaction the step
+    // ends on; the configuration (and so correctness) was unchanged through
+    // it. If a tail window is armed and closed inside the stretch — i.e. by
+    // the interaction just before the effective one — the run stopped
+    // there, exactly as the per-interaction agent-array loop would see it.
+    if (windowed && clock.was_correct() &&
+        clock.on_state(true, sim.interactions() - 1)) {
+      stopped = true;
+      break;
+    }
+    if (!observed)  // the observer has seen a burst's changes already
+      for (const CountDelta& d : sim.last_deltas())
+        census.apply_delta(Key::of(protocol, protocol.decode(d.code)),
+                           d.delta);
+    stopped = clock.on_state(census.is_permutation(), sim.interactions());
+  }
+  clock.finish(stopped, stuck, sim.interactions());
+  return out;
+}
 
 template <class E>
 void verify_silent_or_throw(const E& engine) {
@@ -161,139 +332,12 @@ void maybe_verify_silent(const E& engine, const RunOptions& opts,
 
 }  // namespace detail
 
-// Backend-agnostic ranked-run harness: drives any Engine whose protocol is a
-// RankingProtocol until the ranking is stably correct (see file comment).
-
-template <AgentArrayEngine E>
+// Ranked: drives any Engine whose protocol is a RankingProtocol until the
+// ranking is stably correct (see file comment).
+template <class E>
 RunResult run_engine_until_ranked(E& sim, const RunOptions& opts) {
-  if (opts.max_interactions == 0)
-    throw std::invalid_argument("max_interactions must be set");
-  const std::uint32_t n = sim.population_size();
-  const auto& protocol = sim.protocol();
-
-  std::vector<std::uint32_t> shadow(n);
-  RankTracker tracker(n);
-  for (std::uint32_t i = 0; i < n; ++i)
-    shadow[i] = protocol.rank_of(sim.states()[i]);
-  tracker.reset(sim.states(), [&](const typename E::State& s) {
-    return protocol.rank_of(s);
-  });
-
-  RunResult out;
-  detail::StabilizationClock clock(opts, n, out);
-  clock.init(tracker.is_permutation());
-
-  auto refresh_agent = [&](std::uint32_t agent) {
-    const std::uint32_t r = protocol.rank_of(sim.states()[agent]);
-    if (r != shadow[agent]) {
-      tracker.on_change(shadow[agent], r);
-      shadow[agent] = r;
-    }
-  };
-  while (sim.interactions() < opts.max_interactions) {
-    const AgentPair pair = sim.step();
-    refresh_agent(pair.initiator);
-    refresh_agent(pair.responder);
-    // Churn crashes an agent outside the scheduled pair; engines that do it
-    // report the victim so the shadow ranks stay exact.
-    if constexpr (ChurnReportingEngine<E>) {
-      const std::int64_t crashed = sim.last_crashed();
-      if (crashed >= 0) refresh_agent(static_cast<std::uint32_t>(crashed));
-    }
-    if (clock.on_state(tracker.is_permutation(), sim.parallel_time())) {
-      out.stabilized = true;
-      break;
-    }
-  }
-  out.interactions = sim.interactions();
-  if (out.stabilized) out.stabilization_ptime = clock.last_entry();
-  detail::maybe_verify_silent(sim, opts, out);
-  return out;
-}
-
-template <CountEngine E>
-RunResult run_engine_until_ranked(E& sim, const RunOptions& opts) {
-  if (opts.max_interactions == 0)
-    throw std::invalid_argument("max_interactions must be set");
-  if constexpr (StrategyEngine<E>) {
-    // The tail-window bookkeeping below credits a whole batched stretch as
-    // "correctness unchanged", which only the geometric paths guarantee
-    // (their stretches are provably null); a multinomial batch can break
-    // and re-enter correctness invisibly inside one step.
-    if (opts.tail_ptime > 0.0 &&
-        sim.strategy() != BatchStrategy::kGeometricSkip)
-      throw std::invalid_argument(
-          "tail_ptime windows on a count engine require the geometric_skip "
-          "strategy (multinomial batches hide intra-batch correctness "
-          "breaks)");
-  }
-  const std::uint32_t n = sim.population_size();
-  const auto& protocol = sim.protocol();
-
-  RankTracker tracker(n);
-  {
-    const auto& counts = sim.state_counts();
-    for (std::uint32_t q = 0; q < counts.size(); ++q)
-      if (counts[q] > 0)
-        tracker.apply_delta(protocol.rank_of(protocol.decode(q)),
-                            static_cast<std::int64_t>(counts[q]));
-  }
-
-  RunResult out;
-  detail::StabilizationClock clock(opts, n, out);
-  clock.init(tracker.is_permutation());
-
-  // Burst observer: follows each agent change, and ends the burst whenever
-  // the clock has something to record — the ranking is or was correct
-  // (an entry, a break, or stabilization), or the horizon is reached. A
-  // burst therefore only runs on while the clock's verdict is a no-op.
-  bool observed = false;
-  auto on_agent_change = [&](const typename E::State& from,
-                             const typename E::State& to) {
-    observed = true;
-    tracker.on_change(protocol.rank_of(from), protocol.rank_of(to));
-    return clock.was_correct() || tracker.is_permutation() ||
-           sim.interactions() >= opts.max_interactions;
-  };
-  auto step = [&] {
-    observed = false;
-    if constexpr (requires { sim.step(on_agent_change); })
-      return sim.step(on_agent_change);
-    else
-      return sim.step();
-  };
-
-  bool stuck = false;
-  while (sim.interactions() < opts.max_interactions) {
-    if (step() == 0) {
-      stuck = true;  // provably silent: correctness is frozen forever
-      break;
-    }
-    // A batched null stretch precedes the effective interaction the step
-    // ends on; the configuration (and so correctness) was unchanged through
-    // it. If a tail window is armed and closed inside the stretch — i.e. by
-    // the interaction just before the effective one — stabilization happened
-    // there, exactly as the per-interaction agent-array harness would see.
-    if (opts.tail_ptime > 0.0 && clock.was_correct()) {
-      const double before_effective =
-          static_cast<double>(sim.interactions() - 1) / static_cast<double>(n);
-      if (clock.on_state(true, before_effective)) {
-        out.stabilized = true;
-        break;
-      }
-    }
-    if (!observed)  // the observer has seen a burst's changes already
-      for (const CountDelta& d : sim.last_deltas())
-        tracker.apply_delta(protocol.rank_of(protocol.decode(d.code)),
-                            d.delta);
-    if (clock.on_state(tracker.is_permutation(), sim.parallel_time())) {
-      out.stabilized = true;
-      break;
-    }
-  }
-  if (stuck && clock.was_correct()) out.stabilized = true;
-  out.interactions = sim.interactions();
-  if (out.stabilized) out.stabilization_ptime = clock.last_entry();
+  const RunResult out = detail::run_until_correct<detail::RankKey>(
+      sim, sim.population_size(), opts, detail::StopRule::kHeldForTail);
   detail::maybe_verify_silent(sim, opts, out);
   return out;
 }
@@ -311,107 +355,22 @@ RunResult run_engine_until_ranked(E& sim, const RunOptions& opts) {
 // entry-then-break cycle was observed inside the horizon. A run that never
 // enters, or enters and never breaks (e.g. fault-free silence — the engine
 // reports provably stuck, or the horizon ends first), is not a measurement
-// and reports stabilized == false.
-
-template <AgentArrayEngine E>
+// and reports stabilized == false. On a count engine a multinomial batch is
+// observed at its end; every other step ends at the exact interaction of
+// the entry or the break.
+template <class E>
 RunResult run_engine_until_held(E& sim, const RunOptions& opts) {
-  if (opts.max_interactions == 0)
-    throw std::invalid_argument("max_interactions must be set");
-  const std::uint32_t n = sim.population_size();
-  const auto& protocol = sim.protocol();
-
-  std::vector<std::uint32_t> shadow(n);
-  RankTracker tracker(n);
-  for (std::uint32_t i = 0; i < n; ++i)
-    shadow[i] = protocol.rank_of(sim.states()[i]);
-  tracker.reset(sim.states(), [&](const typename E::State& s) {
-    return protocol.rank_of(s);
-  });
-
-  RunResult out;
-  bool entered = tracker.is_permutation();
-  double entry_ptime = 0.0;
-  if (entered) out.first_correct_ptime = 0.0;
-
-  auto refresh_agent = [&](std::uint32_t agent) {
-    const std::uint32_t r = protocol.rank_of(sim.states()[agent]);
-    if (r != shadow[agent]) {
-      tracker.on_change(shadow[agent], r);
-      shadow[agent] = r;
-    }
-  };
-  while (sim.interactions() < opts.max_interactions) {
-    const AgentPair pair = sim.step();
-    refresh_agent(pair.initiator);
-    refresh_agent(pair.responder);
-    if constexpr (ChurnReportingEngine<E>) {
-      const std::int64_t crashed = sim.last_crashed();
-      if (crashed >= 0) refresh_agent(static_cast<std::uint32_t>(crashed));
-    }
-    const bool correct = tracker.is_permutation();
-    if (!entered) {
-      if (correct) {
-        entered = true;
-        entry_ptime = sim.parallel_time();
-        out.first_correct_ptime = entry_ptime;
-      }
-    } else if (!correct) {
-      out.correctness_breaks = 1;
-      out.stabilized = true;
-      out.stabilization_ptime = sim.parallel_time() - entry_ptime;
-      break;
-    }
-  }
-  out.interactions = sim.interactions();
-  return out;
+  return detail::run_until_correct<detail::RankKey>(
+      sim, sim.population_size(), opts, detail::StopRule::kFirstBreak);
 }
 
-// Count-engine twin. Correctness is observed at step granularity; while a
-// silent protocol's configuration is correct (hence silent) the only
-// possible step is a churn crash landing exactly on its own slot, so the
-// break is still caught at the exact interaction for the protocols
-// registered here.
-template <CountEngine E>
-RunResult run_engine_until_held(E& sim, const RunOptions& opts) {
-  if (opts.max_interactions == 0)
-    throw std::invalid_argument("max_interactions must be set");
-  const std::uint32_t n = sim.population_size();
-  const auto& protocol = sim.protocol();
-
-  RankTracker tracker(n);
-  {
-    const auto& counts = sim.state_counts();
-    for (std::uint32_t q = 0; q < counts.size(); ++q)
-      if (counts[q] > 0)
-        tracker.apply_delta(protocol.rank_of(protocol.decode(q)),
-                            static_cast<std::int64_t>(counts[q]));
-  }
-
-  RunResult out;
-  bool entered = tracker.is_permutation();
-  double entry_ptime = 0.0;
-  if (entered) out.first_correct_ptime = 0.0;
-
-  while (sim.interactions() < opts.max_interactions) {
-    if (sim.step() == 0) break;  // frozen forever: no break will ever come
-    for (const CountDelta& d : sim.last_deltas())
-      tracker.apply_delta(protocol.rank_of(protocol.decode(d.code)), d.delta);
-    const bool correct = tracker.is_permutation();
-    if (!entered) {
-      if (correct) {
-        entered = true;
-        entry_ptime = sim.parallel_time();
-        out.first_correct_ptime = entry_ptime;
-      }
-    } else if (!correct) {
-      out.correctness_breaks = 1;
-      out.stabilized = true;
-      out.stabilization_ptime = sim.parallel_time() - entry_ptime;
-      break;
-    }
-  }
-  out.interactions = sim.interactions();
-  return out;
+// Leader election: runs until exactly one agent is a leader and has stayed
+// the only one for the tail window; stabilization_ptime is the onset of
+// that uniqueness.
+template <class E>
+RunResult run_engine_until_elected(E& sim, const RunOptions& opts) {
+  return detail::run_until_correct<detail::LeaderKey>(
+      sim, 1, opts, detail::StopRule::kHeldForTail);
 }
 
 // Convenience front-end that builds the agent-array engine from

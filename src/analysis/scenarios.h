@@ -226,13 +226,10 @@ ScenarioResult drive(const ScenarioPlan& plan, const P& proto,
         if (faulted) sim.set_faults(plan.faults);
         record(sim);
       }
-    } else if (faulted) {
-      FaultySimulation<P> sim(proto, inits.agents(proto, plan.init, init_seed),
-                              engine_seed, plan.faults, plan.topology);
-      record(sim);
     } else {
       Simulation<P> sim(proto, inits.agents(proto, plan.init, init_seed),
                         engine_seed, plan.topology);
+      if (faulted) sim.set_faults(plan.faults);
       record(sim);
     }
   });
@@ -479,6 +476,21 @@ inline void register_optimal_silent(ProtocolRegistry& reg) {
 }
 
 namespace scenario_detail {
+
+// Default until=detected horizon of the sublinear entries: 1000·TH parallel
+// time, saturated to the open horizon. Lemma 5.6 bounds detection by O(TH),
+// and the largest recorded detection (bench_sublinear's
+// count_detection_latency_hlog at n = 10^6, TH = 87) fires at ~10^4
+// parallel time, 8.7x inside it. A start whose detector never fires fails
+// at the horizon instead of running on while its history trees grow.
+inline std::uint64_t detection_horizon(const SublinearParams& p) {
+  const double interactions =
+      1000.0 * static_cast<double>(p.th) * static_cast<double>(p.n);
+  return interactions >= static_cast<double>(kOpenHorizon)
+             ? kOpenHorizon
+             : static_cast<std::uint64_t>(interactions);
+}
+
 inline void register_sublinear_entry(ProtocolRegistry& reg,
                                      const std::string& name,
                                      const std::string& description,
@@ -534,8 +546,8 @@ inline void register_sublinear_entry(ProtocolRegistry& reg,
       auto detected = [](const auto& sim) {
         return sim.counters().collision_triggers > 0;
       };
-      return execute_predicate(plan, proto, inits, kOpenHorizon, detected,
-                               /*cheap=*/true);
+      return execute_predicate(plan, proto, inits, detection_horizon(p),
+                               detected, /*cheap=*/true);
     }
     if (plan.until == "drained") {
       // Time until no agent is Resetting — the reset-wave drain quantity,
@@ -601,8 +613,8 @@ inline void register_sublinear_count_entry(
       auto detected = [](const auto& sim) {
         return sim.counters().collision_triggers > 0;
       };
-      out = execute_predicate(plan, proto, inits, kOpenHorizon, detected,
-                              /*cheap=*/true);
+      out = execute_predicate(plan, proto, inits, detection_horizon(p),
+                              detected, /*cheap=*/true);
     } else if (plan.until == "drained") {
       // No agent Resetting. The canonical coding keeps the Resetting block
       // contiguous, so count engines scan one span of the count vector.
@@ -811,7 +823,10 @@ inline void register_ring_ssle(ProtocolRegistry& reg) {
   e.description =
       "Yokota-Sudo-Masuzawa SS-LE on the directed ring (arXiv 2009.10926)";
   e.states = "8(cap+1), cap = N >= n (the paper's population bound)";
-  e.silent = false;  // the survivor perpetually re-fires its bullet
+  // Not silent in general: a survivor whose own bullet circulates re-fires
+  // it forever; only a survivor whose last bullet killed the last rival
+  // ends silent.
+  e.silent = false;
   e.default_n = 64;
   // The protocol is *defined* on the directed ring: its distance counting
   // reads "my clockwise predecessor", which no other graph provides. An
@@ -839,87 +854,14 @@ inline void register_ring_ssle(ProtocolRegistry& reg) {
       // window is 4n parallel time — a few full bullet circulations (one
       // circulation is ~n parallel time: n edge-firings at ~n slots each).
       // Metric = parallel time at the onset of the held uniqueness.
-      const auto window = static_cast<std::uint64_t>(
-          plan.tail(4.0 * n) * static_cast<double>(n));
-      const std::uint64_t horizon =
-          plan.horizon(4ull * n * n * n + (1ull << 24));
-      return sd::drive(
-          plan, proto, inits, "parallel_time",
-          [&proto, window, horizon](auto& sim) {
-            using E = std::decay_t<decltype(sim)>;
-            // Count-engine leader census: the ring engine maintains it
-            // incrementally; the clique count engines (compiled here but
-            // unreachable: the fixed ring topology never resolves to them)
-            // would pay a state-space scan.
-            auto census = [&proto](const auto& s) {
-              if constexpr (requires { s.leader_count(); }) {
-                return s.leader_count();
-              } else {
-                const auto& counts = s.state_counts();
-                std::uint64_t k = 0;
-                for (std::uint32_t q = 0; q < counts.size(); ++q)
-                  if (counts[q] != 0 && proto.is_leader(proto.decode(q)))
-                    k += counts[q];
-                return k;
-              }
-            };
-            std::uint64_t leaders = 0;
-            std::vector<char> lead;
-            if constexpr (AgentArrayEngine<E>) {
-              const auto& states = sim.states();
-              lead.resize(states.size());
-              for (std::size_t i = 0; i < states.size(); ++i) {
-                lead[i] = sim.protocol().is_leader(states[i]) ? 1 : 0;
-                leaders += lead[i];
-              }
-            } else {
-              leaders = census(sim);
-            }
-            bool holding = leaders == 1;
-            std::uint64_t hold_start = sim.interactions();
-            auto elected = [&]() {
-              return std::pair<double, bool>(
-                  static_cast<double>(hold_start) /
-                      static_cast<double>(sim.population_size()),
-                  true);
-            };
-            while (sim.interactions() < horizon) {
-              if constexpr (AgentArrayEngine<E>) {
-                const AgentPair pr = sim.step();
-                auto refresh = [&](std::uint32_t i) {
-                  const char l =
-                      sim.protocol().is_leader(sim.states()[i]) ? 1 : 0;
-                  leaders += static_cast<std::uint64_t>(l) -
-                             static_cast<std::uint64_t>(lead[i]);
-                  lead[i] = l;
-                };
-                refresh(pr.initiator);
-                refresh(pr.responder);
-                if constexpr (ChurnReportingEngine<E>) {
-                  if (sim.last_crashed() >= 0)
-                    refresh(static_cast<std::uint32_t>(sim.last_crashed()));
-                }
-              } else {
-                if (sim.step() == 0) {
-                  // Provably stuck: uniqueness (if held) is permanent.
-                  if (holding) return elected();
-                  return std::pair<double, bool>(-1.0, false);
-                }
-                leaders = census(sim);
-              }
-              if (leaders == 1) {
-                if (!holding) {
-                  holding = true;
-                  hold_start = sim.interactions();
-                }
-                if (sim.interactions() - hold_start >= window)
-                  return elected();
-              } else {
-                holding = false;
-              }
-            }
-            return std::pair<double, bool>(-1.0, false);
-          });
+      RunOptions opts;
+      opts.max_interactions = plan.horizon(4ull * n * n * n + (1ull << 24));
+      opts.tail_ptime = plan.tail(4.0 * n);
+      return sd::drive(plan, proto, inits, "parallel_time", [&](auto& sim) {
+        const RunResult r = run_engine_until_elected(sim, opts);
+        return std::pair<double, bool>(
+            r.stabilized ? r.stabilization_ptime : -1.0, r.stabilized);
+      });
     }
     return sd::execute_ptime(plan, proto, inits);
   };

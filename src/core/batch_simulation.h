@@ -51,9 +51,9 @@
 //    on the *array arm*: an agent-code array held inside this engine,
 //    filled from the counts in code order on entry (no randomness: the
 //    scheduler is anonymous), that draws uniform ordered agent pairs — one
-//    draw per interaction slot, faults drawn per slot as in
-//    FaultySimulation. A step there is a *burst* of slots that runs
-//    across changes until the step's observer asks it to stop, the
+//    draw per interaction slot, faults drawn per slot as on the agent
+//    array (Simulation::set_faults). A step there is a *burst* of slots
+//    that runs across changes until the step's observer asks it to stop, the
 //    controller's verdict leaves the array arm, or n slots pass without a
 //    change; plain step() stops at the first change. Protocols with only
 //    the generic null-pair predicate stay on the geometric path; protocols
@@ -548,9 +548,9 @@ class BatchSimulation {
 
   // One burst on the agent-code array: uniform ordered agent pairs, drawn
   // as UniformScheduler draws them, one interaction slot at a time. Each
-  // slot runs FaultySimulation's per-slot law (drop, then one-way, then the
-  // end-of-slot crash). Pairs the protocol certifies null skip interact(),
-  // exactly as the geometric paths skip them. After a slot that changed
+  // slot runs the agent array's per-slot fault law (drop, then one-way,
+  // then the end-of-slot crash). Pairs the protocol certifies null skip
+  // interact(), exactly as the geometric paths skip them. After a slot that changed
   // some agent the burst ends if obs asked it to or if the controller's
   // verdict (re-checked from the live active weight and occupied-code
   // count) is no longer the array arm. It also ends after n slots without

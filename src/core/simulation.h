@@ -7,7 +7,8 @@
 //
 // Simulation<P> satisfies the Engine concept of core/engine.h (and
 // AgentArrayEngine); it works for every protocol and is the ground truth
-// the count-based backend is validated against.
+// the count-based backend is validated against, fault-free and under the
+// fault law of core/faults.h (set_faults).
 #pragma once
 
 #include <cstdint>
@@ -15,6 +16,7 @@
 #include <utility>
 #include <vector>
 
+#include "core/faults.h"
 #include "core/protocol.h"
 #include "core/rng.h"
 #include "core/scheduler.h"
@@ -62,6 +64,30 @@ class Simulation {
   const Topology& topology() const { return topology_; }
   Rng& rng() { return rng_; }
 
+  // Fault injection (core/faults.h): the per-slot law, exact per agent.
+  // Call before the first step; the crash countdown is drawn here, right
+  // after seeding. An all-zero spec is a no-op: no fault draw is ever made,
+  // so the fault-free stream is replayed bit for bit.
+  void set_faults(const FaultSpec& faults) {
+    const double q = faults.crash_probability(population_size());
+    faults_ = faults;
+    faults_active_ = faults.active();
+    crash_q_ = 0.0;
+    crash_countdown_ = 0;
+    if (faults.churn > 0.0) {
+      if constexpr (!ChurnableProtocol<P>)
+        throw std::invalid_argument(
+            "fault.churn needs a protocol with a churn_state()");
+      crash_q_ = q;
+      crash_countdown_ = sample_geometric(rng_, crash_q_);
+    }
+  }
+
+  // Agent crashed by the last step's end-of-slot churn draw, or -1 (always
+  // -1 without churn). A crash touches an agent outside the returned pair,
+  // so trackers that follow the pair re-read this one too.
+  std::int64_t last_crashed() const { return last_crashed_; }
+
   // Engine-side observer: per-interaction events reported by observable
   // protocols (empty for plain protocols).
   const Counters& counters() const { return counters_; }
@@ -83,9 +109,10 @@ class Simulation {
     return counts;
   }
 
-  // Executes one interaction and returns the pair that interacted.
+  // Executes one interaction slot and returns the scheduled pair.
   AgentPair step() {
     const AgentPair pair = topology_.sample(rng_);
+    if (faults_active_) return faulted_slot(pair);
     invoke_interact(protocol_, states_[pair.initiator],
                     states_[pair.responder], rng_, counters_);
     ++interactions_;
@@ -109,10 +136,46 @@ class Simulation {
   }
 
  private:
+  // The rest of a slot under the fault law (core/faults.h): the pair is
+  // lost with prob drop, else delivered one-way with prob oneway, else in
+  // full; then one uniform agent crashes with prob churn / n, drawn as a
+  // geometric countdown over slots. Each draw is guarded by its knob. Kept
+  // out of line so that the fault-free step() stays as small as it was.
+  [[gnu::noinline]] AgentPair faulted_slot(const AgentPair& pair) {
+    const bool dropped = faults_.drop > 0.0 && rng_.unit() < faults_.drop;
+    if (!dropped) {
+      if (faults_.oneway > 0.0 && rng_.unit() < faults_.oneway) {
+        State a = states_[pair.initiator];
+        State b = states_[pair.responder];
+        invoke_interact(protocol_, a, b, rng_, counters_);
+        states_[pair.initiator] = a;  // the responder's reply is lost
+      } else {
+        invoke_interact(protocol_, states_[pair.initiator],
+                        states_[pair.responder], rng_, counters_);
+      }
+    }
+    ++interactions_;
+    last_crashed_ = -1;
+    if (crash_countdown_ > 0 && --crash_countdown_ == 0) {
+      const auto victim =
+          static_cast<std::uint32_t>(rng_.below(population_size()));
+      if constexpr (ChurnableProtocol<P>)
+        states_[victim] = protocol_.churn_state();
+      last_crashed_ = victim;
+      crash_countdown_ = sample_geometric(rng_, crash_q_);
+    }
+    return pair;
+  }
+
   P protocol_;
   std::vector<State> states_;
   Topology topology_;
   Rng rng_;
+  FaultSpec faults_{};  // all-zero (and bit-transparent) unless set_faults()
+  bool faults_active_ = false;
+  double crash_q_ = 0.0;
+  std::uint64_t crash_countdown_ = 0;  // slots until the next crash; 0 = never
+  std::int64_t last_crashed_ = -1;
   std::uint64_t interactions_ = 0;
   [[no_unique_address]] Counters counters_{};
 };

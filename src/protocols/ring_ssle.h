@@ -50,18 +50,24 @@
 //     unshielded or some follower promotes), so bullets keep coming and
 //     leaders are eliminated in O(n) expected parallel time per duel.
 //   * the survivor is immortal: once distances heal, its predecessor
-//     announces src + 1 = n = cap (no evidence, shield stays), its own
-//     bullet is the only one in flight and is fired exactly when the
-//     shield goes up and absorbed exactly when it returns — shield up
-//     whenever a bullet arrives, deterministically.
+//     announces src + 1 = n = cap (no evidence, shield stays). If its own
+//     bullet is in flight, that bullet was fired exactly when the shield
+//     went up and is absorbed exactly when it returns — shield up whenever
+//     a bullet arrives, deterministically. If the bullet that killed the
+//     last rival was its only one, nothing lowers the shield again.
 //   * stale junk: bullets are only consumed at leaders and only created
 //     by firing, so adversarial bullets strictly deplete; adversarial
 //     shields on followers are canonicalized away by any interaction.
 //
-// Non-silent by design — the survivor perpetually re-fires — but the
-// converged configuration has O(1) active edges (the bullet front or the
-// ticking countdown edge), which is exactly what the run-length-compressed
-// ring engine (core/ring_simulation.h) exploits.
+// Stabilized configurations come in two kinds, and the protocol is not
+// silent in general. If the survivor's own bullet still circulates, the
+// survivor re-fires it forever, with O(1) active edges (the bullet front or
+// the ticking countdown edge) — exactly what the run-length-compressed ring
+// engine (core/ring_simulation.h) exploits. If its last bullet was spent
+// on the last rival, one shielded leader remains with no bullet in flight,
+// every ring edge is null, and the configuration is silent: the compressed
+// engine proves it (step() == 0) in about 5% of uniform-random n = 64
+// starts (RingSSLEScenario.CompressedSilenceIsRealSilence).
 #pragma once
 
 #include <cstdint>

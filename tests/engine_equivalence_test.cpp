@@ -17,8 +17,8 @@
 //    latency of a duplicated rank (Observation 2.6's quantity);
 //  * run_trials_parallel determinism: bit-identical per-seed measurements
 //    for every thread count;
-//  * array-arm bursts: the ranked harness's step(obs) bursts replay a plain
-//    step() loop bit for bit (BurstBitIdentity).
+//  * array-arm bursts: the step(obs) bursts of the ranked and the held
+//    harness replay a plain step() loop bit for bit (BurstBitIdentity).
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -475,7 +475,7 @@ RunResult ranked_by_plain_steps(BatchSimulation<P>& sim,
     }
     for (const CountDelta& d : sim.last_deltas())
       tracker.apply_delta(protocol.rank_of(protocol.decode(d.code)), d.delta);
-    if (clock.on_state(tracker.is_permutation(), sim.parallel_time())) {
+    if (clock.on_state(tracker.is_permutation(), sim.interactions())) {
       out.stabilized = true;
       break;
     }
@@ -486,13 +486,57 @@ RunResult ranked_by_plain_steps(BatchSimulation<P>& sim,
   return out;
 }
 
-// Runs both harnesses on twin auto engines and compares them; returns the
-// burst engine's trace for cell-specific checks.
+// The held harness as a plain step() loop, written out without the shared
+// clock: wait for the first entry into correctness, stop at the first
+// break after it; the metric is the parallel time between the two.
+template <class P>
+RunResult held_by_plain_steps(BatchSimulation<P>& sim,
+                              std::uint64_t max_interactions) {
+  const auto& protocol = sim.protocol();
+  RankTracker tracker(sim.population_size());
+  const auto& counts = sim.state_counts();
+  for (std::uint32_t q = 0; q < counts.size(); ++q)
+    if (counts[q] > 0)
+      tracker.apply_delta(protocol.rank_of(protocol.decode(q)),
+                          static_cast<std::int64_t>(counts[q]));
+  RunResult out;
+  bool entered = tracker.is_permutation();
+  double entry_ptime = 0.0;
+  if (entered) out.first_correct_ptime = 0.0;
+  while (sim.interactions() < max_interactions) {
+    if (sim.step() == 0) break;
+    for (const CountDelta& d : sim.last_deltas())
+      tracker.apply_delta(protocol.rank_of(protocol.decode(d.code)), d.delta);
+    const bool correct = tracker.is_permutation();
+    if (!entered) {
+      if (correct) {
+        entered = true;
+        entry_ptime = sim.parallel_time();
+        out.first_correct_ptime = entry_ptime;
+      }
+    } else if (!correct) {
+      out.correctness_breaks = 1;
+      out.stabilized = true;
+      out.stabilization_ptime = sim.parallel_time() - entry_ptime;
+      break;
+    }
+  }
+  out.interactions = sim.interactions();
+  return out;
+}
+
+enum class Harness { kRanked, kHeld };
+
+// Runs the harness and its plain-step reference on twin auto engines and
+// compares them; returns the burst engine's trace for cell-specific
+// checks. `bursts` demands that the array arm ran, in fewer (burst) steps
+// than changes.
 template <class P>
 StrategyTrace expect_bursts_replay_plain_steps(
     const P& proto, const std::vector<std::uint64_t>& counts,
     std::uint64_t seed, const FaultSpec& faults,
-    std::uint64_t max_interactions, const std::string& what) {
+    std::uint64_t max_interactions, const std::string& what,
+    Harness harness = Harness::kRanked, bool bursts = true) {
   BatchSimulation<P> burst(proto, counts, seed, BatchStrategy::kAuto);
   BatchSimulation<P> plain(proto, counts, seed, BatchStrategy::kAuto);
   if (faults.active()) {
@@ -501,8 +545,11 @@ StrategyTrace expect_bursts_replay_plain_steps(
   }
   RunOptions opts;
   opts.max_interactions = max_interactions;
-  const RunResult b = run_engine_until_ranked(burst, opts);
-  const RunResult p = ranked_by_plain_steps(plain, max_interactions);
+  const bool held = harness == Harness::kHeld;
+  const RunResult b = held ? run_engine_until_held(burst, opts)
+                           : run_engine_until_ranked(burst, opts);
+  const RunResult p = held ? held_by_plain_steps(plain, max_interactions)
+                           : ranked_by_plain_steps(plain, max_interactions);
   EXPECT_EQ(b.stabilized, p.stabilized) << what;
   EXPECT_EQ(b.stabilization_ptime, p.stabilization_ptime) << what;
   EXPECT_EQ(b.first_correct_ptime, p.first_correct_ptime) << what;
@@ -519,11 +566,12 @@ StrategyTrace expect_bursts_replay_plain_steps(
               plain.counters().resets_executed)
         << what;
   }
-  // The array arm ran, and in fewer (burst) steps than changes.
-  EXPECT_GT(burst.strategy_trace().steps[kArrayArm], 0u) << what;
-  EXPECT_LT(burst.strategy_trace().steps[kArrayArm],
-            plain.strategy_trace().steps[kArrayArm])
-      << what;
+  if (bursts) {
+    EXPECT_GT(burst.strategy_trace().steps[kArrayArm], 0u) << what;
+    EXPECT_LT(burst.strategy_trace().steps[kArrayArm],
+              plain.strategy_trace().steps[kArrayArm])
+        << what;
+  }
   EXPECT_NO_THROW(burst.audit()) << what;
   return burst.strategy_trace();
 }
@@ -604,6 +652,35 @@ TEST(BurstBitIdentity, FaultedCellsMatchPlainSteps) {
   expect_bursts_replay_plain_steps(
       proto, inits.counts(proto, "correct-ranking", 65), 66, churn, horizon,
       "optimal-silent correct-ranking fault.churn");
+}
+
+// run_engine_until_held runs the same bursts, ending them at the entry and
+// at the break. On the fault.churn cell above (a correct start) the first
+// crash is the break, before any dense round; from a uniform-random start
+// the convergence runs on the array arm first.
+TEST(BurstBitIdentity, HeldMatchesPlainSteps) {
+  const std::uint32_t n = 512;
+  const OptimalSilentSSR proto(OptimalSilentParams::standard(n));
+  const auto& inits = optimal_silent_inits();
+  FaultSpec churn;
+  churn.churn = 0.5 / n;
+  const std::uint64_t horizon = optimal_silent_opts(n).max_interactions;
+  expect_bursts_replay_plain_steps(
+      proto, inits.counts(proto, "correct-ranking", 65), 66, churn, horizon,
+      "held optimal-silent correct-ranking fault.churn", Harness::kHeld,
+      /*bursts=*/false);
+  BatchSimulation<OptimalSilentSSR> probe(
+      proto, inits.counts(proto, "uniform-random", 67), 68,
+      BatchStrategy::kAuto);
+  probe.set_faults(churn);
+  RunOptions opts;
+  opts.max_interactions = horizon;
+  const RunResult r = run_engine_until_held(probe, opts);
+  EXPECT_TRUE(r.stabilized);
+  EXPECT_GT(r.first_correct_ptime, 0.0);
+  expect_bursts_replay_plain_steps(
+      proto, inits.counts(proto, "uniform-random", 67), 68, churn, horizon,
+      "held optimal-silent uniform-random fault.churn", Harness::kHeld);
 }
 
 // Bursts cut short by an observer keep every engine invariant: audit()

@@ -1,8 +1,8 @@
 // Tests for the fault-injection scheduler layer (core/faults.h) and its
 // native compilations on the count engines:
 //
-//  * contract checks: ChurnableProtocol / ChurnReportingEngine concepts,
-//    FaultySimulation is a full AgentArrayEngine;
+//  * contract checks: the ChurnableProtocol concept, and the agent array
+//    reports no crash (last_crashed() == -1) without churn;
 //  * bit-transparency: an all-zero FaultSpec (fault.drop=0) reproduces the
 //    undecorated engine bit for bit on array, geometric_skip and
 //    multinomial — the fault layer consumes zero extra randomness;
@@ -50,15 +50,6 @@ static_assert(ChurnableProtocol<SilentNStateSSR>);
 static_assert(ChurnableProtocol<OptimalSilentSSR>);
 static_assert(!ChurnableProtocol<Obs25SSLE>);  // no boot state declared
 
-static_assert(Engine<FaultySimulation<SilentNStateSSR>>);
-static_assert(Engine<FaultySimulation<OptimalSilentSSR>>);
-static_assert(AgentArrayEngine<FaultySimulation<OptimalSilentSSR>>);
-static_assert(!CountEngine<FaultySimulation<OptimalSilentSSR>>);
-
-static_assert(ChurnReportingEngine<FaultySimulation<OptimalSilentSSR>>);
-static_assert(!ChurnReportingEngine<Simulation<OptimalSilentSSR>>);
-static_assert(!ChurnReportingEngine<BatchSimulation<OptimalSilentSSR>>);
-
 // --- Helpers ----------------------------------------------------------------
 
 template <class P>
@@ -76,16 +67,38 @@ std::uint64_t total_count(const std::vector<std::uint64_t>& counts) {
   return total;
 }
 
+// Only churn touches an agent outside the scheduled pair: without it the
+// agent array never reports a crash, faults or not.
+TEST(FaultContract, NoCrashReportedWithoutChurn) {
+  const std::uint32_t n = 32;
+  const SilentNStateSSR proto(n);
+  const auto init = silent_nstate_worst_config(n);
+  FaultSpec lossy;
+  lossy.drop = 0.5;
+  lossy.oneway = 0.5;
+  for (const FaultSpec& spec : {FaultSpec{}, lossy}) {
+    Simulation<SilentNStateSSR> sim(proto, init, 17);
+    sim.set_faults(spec);
+    EXPECT_EQ(sim.last_crashed(), -1);
+    for (int k = 0; k < 5000; ++k) {
+      sim.step();
+      ASSERT_EQ(sim.last_crashed(), -1) << "step " << k;
+    }
+  }
+}
+
 // --- Bit-transparency: fault.drop=0 == no faults ----------------------------
 
-// The decorator with an all-zero spec must replay Simulation<P>'s stream
-// bit for bit: same scheduler draws, same protocol rng, no extra draws.
+// The agent array with an all-zero spec set must replay the plain
+// Simulation<P> stream bit for bit: same scheduler draws, same protocol
+// rng, no extra draws.
 TEST(FaultTransparency, ZeroSpecFaultyArrayMatchesPlainArrayBitForBit) {
   const std::uint32_t n = 64;
   const SilentNStateSSR proto(n);
   const auto init = silent_nstate_worst_config(n);
   Simulation<SilentNStateSSR> plain(proto, init, 4242);
-  FaultySimulation<SilentNStateSSR> faulty(proto, init, 4242, FaultSpec{});
+  Simulation<SilentNStateSSR> faulty(proto, init, 4242);
+  faulty.set_faults(FaultSpec{});
   for (int k = 0; k < 20000; ++k) {
     const AgentPair a = plain.step();
     const AgentPair b = faulty.step();
@@ -105,7 +118,8 @@ TEST(FaultTransparency, ZeroSpecFaultyArrayMatchesOnRngDrawingProtocol) {
   const auto& inits = obs25_inits();
   const auto init = inits.agents(proto, inits.default_name(), 7);
   Simulation<Obs25SSLE> plain(proto, init, 99);
-  FaultySimulation<Obs25SSLE> faulty(proto, init, 99, FaultSpec{});
+  Simulation<Obs25SSLE> faulty(proto, init, 99);
+  faulty.set_faults(FaultSpec{});
   plain.run(5000);
   faulty.run(5000);
   EXPECT_EQ(counts_of(proto, plain.states()),
@@ -176,7 +190,8 @@ TEST(FaultDegenerate, DropOneFreezesArrayConfiguration) {
   const auto init = silent_nstate_worst_config(n);
   FaultSpec spec;
   spec.drop = 1.0;
-  FaultySimulation<SilentNStateSSR> sim(proto, init, 11, spec);
+  Simulation<SilentNStateSSR> sim(proto, init, 11);
+  sim.set_faults(spec);
   sim.run(5000);
   EXPECT_EQ(sim.interactions(), 5000u);
   for (std::uint32_t i = 0; i < n; ++i)
@@ -225,7 +240,8 @@ TEST(FaultDegenerate, ChurnConservesPopulationOnEveryEngine) {
   FaultSpec spec;
   spec.churn = 4.0;  // one crash every ~16 slots at n=64: plenty of churn
   {
-    FaultySimulation<OptimalSilentSSR> sim(proto, agents, 51, spec);
+    Simulation<OptimalSilentSSR> sim(proto, agents, 51);
+    sim.set_faults(spec);
     bool crashed = false;
     for (int k = 0; k < 20000; ++k) {
       sim.step();
@@ -284,8 +300,8 @@ TEST(FaultErrors, ChurnAboveNIsRejectedByTheEngines) {
   const auto init = silent_nstate_worst_config(n);
   FaultSpec spec;
   spec.churn = 20.0;  // q = churn / n > 1: more than one crash per slot
-  EXPECT_THROW(FaultySimulation<SilentNStateSSR>(proto, init, 1, spec),
-               std::invalid_argument);
+  Simulation<SilentNStateSSR> array(proto, init, 1);
+  EXPECT_THROW(array.set_faults(spec), std::invalid_argument);
   BatchSimulation<SilentNStateSSR> sim(proto, counts_of(proto, init), 1);
   EXPECT_THROW(sim.set_faults(spec), std::invalid_argument);
 }
@@ -295,10 +311,9 @@ TEST(FaultErrors, ChurnNeedsAChurnState) {
   const auto& inits = obs25_inits();
   FaultSpec spec;
   spec.churn = 0.5;
-  EXPECT_THROW(FaultySimulation<Obs25SSLE>(
-                   proto, inits.agents(proto, inits.default_name(), 1), 1,
-                   spec),
-               std::invalid_argument);
+  Simulation<Obs25SSLE> sim(proto,
+                            inits.agents(proto, inits.default_name(), 1), 1);
+  EXPECT_THROW(sim.set_faults(spec), std::invalid_argument);
 }
 
 // The count-engine compilations need the protocol's declared null
@@ -445,7 +460,7 @@ TEST(FaultHeld, FaultFreeSilentRunHoldsForeverAndFails) {
 //
 // The acceptance check for the count-engine fault compilations: with
 // faults active, every strategy must still measure the same distribution
-// as the FaultySimulation ground truth. 18 simultaneous CI-overlap
+// as the agent-array ground truth. 18 simultaneous CI-overlap
 // comparisons across the two suites: Bonferroni widening via
 // stat_harness::family_widen.
 
@@ -535,7 +550,7 @@ INSTANTIATE_TEST_SUITE_P(Sizes, FaultCrossEngine,
 // Below the pool floor, strategy=auto runs optimal-silent's dense reset and
 // timer rounds on the count engine's agent-code array, which draws the
 // fault law per slot. Full ranked stabilization from a uniform-random
-// start must match the FaultySimulation ground truth under each knob:
+// start must match the agent-array ground truth under each knob:
 // 3 sizes x 3 knobs = 9 simultaneous CI-overlap comparisons. One-way and
 // churn rates scale as 1/n (a lost reply can duplicate a rank, a crash can
 // time out into a reset, and either restarts the Theta(n) countdown), so
