@@ -142,7 +142,7 @@ void experiment_run_to_silence(const BenchScale& scale, BenchReport& report) {
       BatchSimulation<SilentNStateSSR> sim(
           SilentNStateSSR(n), silent_nstate_worst_config(n),
           derive_seed(200 + n, i), strategy);
-      sim.run_until([](const auto& s) { return s.silent(); }, 1ull << 62);
+      run_until(sim, [](const auto& s) { return s.silent(); }, 1ull << 62);
       bt.push_back(sim.parallel_time());
     }
     const double batch_s = t_batch.seconds();

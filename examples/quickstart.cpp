@@ -10,7 +10,7 @@
 //
 // The same generic driver runs on both engines of the unified Engine API —
 // the agent-array Simulation and the count-based BatchSimulation — because
-// it only uses the shared contract (run/run_until, interactions,
+// it only uses the shared contract (run, interactions,
 // parallel_time, counters) plus a per-backend role census.
 //
 // Build & run:  ./build/quickstart                  # agent array (default)

@@ -1,14 +1,22 @@
-// Run-until-correct harness on the backend-agnostic Engine contract
-// (core/engine.h).
+// The one stop loop, on the backend-agnostic Engine contract
+// (core/engine.h): every stop condition of the repo runs through
+// run_until().
 //
 // Measures convergence/stabilization parallel time exactly as the paper
 // defines it: the number of interactions after which the configuration is
-// (stably) correct forever, divided by n. One clock serves every "correct
-// and held" measurement, whatever "correct" means:
+// (stably) correct forever, divided by n. One clock serves every
+// measurement, whatever "correct" means — a stop description (Stop below)
+// names it as a per-agent census key plus an O(1) test:
 //   * ranked   the rank fields form a permutation of 1..n;
 //   * elected  exactly one agent is a leader;
 //   * held     ranked, but the run measures how long the first correct
-//              configuration lasts (see run_engine_until_held).
+//              configuration lasts (see run_engine_until_held);
+//   * events   a 0/1 key with a holder bound (no agent resetting, ...), or
+//              no key and a test on the engine alone (a counter read); the
+//              run stops at the first interaction where the event holds.
+// The clock reads the configuration before the first interaction, then
+// after every step. An event that holds at the start stops the run there;
+// the "correct and held" stops take at least one step.
 //
 // For the silent protocols a correct configuration is provably silent, so
 // the first entry into correctness is stabilization (optionally verified by
@@ -43,6 +51,7 @@
 
 #include <cstdint>
 #include <stdexcept>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -67,12 +76,13 @@ struct RunResult {
   std::uint64_t correctness_breaks = 0;  // times correctness was lost again
 };
 
-namespace detail {
-
 // When a run stops: once correctness has held for the tail window (ranked,
-// elected), or at the first loss of correctness after the first entry
-// (held).
-enum class StopRule { kHeldForTail, kFirstBreak };
+// elected), at the first loss of correctness after the first entry (held),
+// or at the first interaction, from the start on, where the configuration
+// is correct (the events: detected, drained, complete, thinned, silent).
+enum class StopRule { kHeldForTail, kFirstBreak, kFirstEntry };
+
+namespace detail {
 
 // Entry/exit bookkeeping for "correct and has stayed correct for the tail
 // window", shared by both engine loops. The window is counted in
@@ -88,12 +98,16 @@ class StabilizationClock {
         rule_(rule),
         out_(out) {}
 
-  void init(bool correct) {
+  // Records the correctness state before the first interaction; returns
+  // true iff the run has met its stop rule already (an event that holds at
+  // the start).
+  bool init(bool correct) {
     was_correct_ = correct;
     if (correct) {
       last_entry_ = 0;
       out_.first_correct_ptime = 0.0;
     }
+    return rule_ == StopRule::kFirstEntry && correct;
   }
 
   // Records the correctness state after `interactions` interactions;
@@ -107,6 +121,7 @@ class StabilizationClock {
     }
     was_correct_ = correct;
     if (rule_ == StopRule::kFirstBreak) return out_.correctness_breaks > 0;
+    if (rule_ == StopRule::kFirstEntry) return correct;
     return correct && interactions - last_entry_ >= tail_interactions_;
   }
 
@@ -144,71 +159,134 @@ class StabilizationClock {
   std::uint64_t last_entry_ = 0;
 };
 
-// What "correct" means for a run: a key maps an agent's state to 0..m,
-// and the configuration is correct iff every key in 1..m is held by
-// exactly one agent — a RankTracker over m keys (0 = no key).
+}  // namespace detail
 
-// Ranked: the agent's rank, m = n.
+// What a run stops on — one stop description for every until=:
+//   * key    maps an agent's state to a census key in 0..keys (NoKey: the
+//            run keeps no census and never scans the agents or counts);
+//   * test   reads the census and/or the engine: is the configuration
+//            "correct" now? It must be O(1);
+//   * rule   with RunOptions::tail_ptime, when the clock stops the run.
+// The census is a RankTracker over keys 1..keys (0 = no key).
+struct NoKey {};
+
+template <class Key, class Test>
+struct Stop {
+  Key key;
+  std::uint32_t keys = 0;
+  Test test;
+  StopRule rule = StopRule::kHeldForTail;
+};
+
+// The agent's rank (0 = unranked).
 struct RankKey {
   template <class P>
-  static std::uint32_t of(const P& protocol, const typename P::State& s) {
+  std::uint32_t operator()(const P& protocol,
+                           const typename P::State& s) const {
     return protocol.rank_of(s);
   }
 };
 
-// Elected: 1 for a leader, m = 1, i.e. exactly one leader.
+// 1 for a leader.
 struct LeaderKey {
   template <class P>
-  static std::uint32_t of(const P& protocol, const typename P::State& s) {
+  std::uint32_t operator()(const P& protocol,
+                           const typename P::State& s) const {
     return protocol.is_leader(s) ? 1 : 0;
   }
 };
 
+// Every key in 1..keys is held by exactly one agent: ranked and held
+// (RankKey, keys = n), elected (LeaderKey, keys = 1).
+template <class Key>
+auto permutation_stop(Key key, std::uint32_t keys,
+                      StopRule rule = StopRule::kHeldForTail) {
+  auto test = [](const RankTracker& census, const auto&) {
+    return census.is_permutation();
+  };
+  return Stop<Key, decltype(test)>{key, keys, test, rule};
+}
+
+// At most `bound` agents have the 0/1 key `flag` set: drained (no agent
+// resetting), complete (no agent uninfected), thinned (at most one agent
+// at rank 0).
+template <class Flag>
+auto holders_stop(Flag flag, std::uint32_t bound) {
+  auto key = [flag](const auto& protocol, const auto& s) -> std::uint32_t {
+    return flag(protocol, s) ? 1 : 0;
+  };
+  auto test = [bound](const RankTracker& census, const auto&) {
+    return census.count_of(1) <= bound;
+  };
+  return Stop<decltype(key), decltype(test)>{key, 1, test,
+                                              StopRule::kFirstEntry};
+}
+
+// No key: an O(1) test on the engine alone (a counter read, a tiny scan).
+template <class Done>
+auto engine_stop(Done done) {
+  auto test = [done](const RankTracker&, const auto& sim) {
+    return done(sim);
+  };
+  return Stop<NoKey, decltype(test)>{NoKey{}, 0, test,
+                                     StopRule::kFirstEntry};
+}
+
+// The one stop loop: drives an Engine until `stop` says so (see file
+// comment). stabilization_ptime is the clock's reading: the last entry into
+// correctness, or the holding time under StopRule::kFirstBreak.
+//
 // Agent-array step loop: shadow keys for every agent, refreshed for the
 // scheduled pair and for the agent a churn crash reset.
-template <class Key, AgentArrayEngine E>
-RunResult run_until_correct(E& sim, std::uint32_t m, const RunOptions& opts,
-                            StopRule rule) {
+template <class Key, class Test, AgentArrayEngine E>
+RunResult run_until(E& sim, const Stop<Key, Test>& stop,
+                    const RunOptions& opts) {
   if (opts.max_interactions == 0)
     throw std::invalid_argument("max_interactions must be set");
+  constexpr bool keyed = !std::is_same_v<Key, NoKey>;
   const std::uint32_t n = sim.population_size();
   const auto& protocol = sim.protocol();
-  RankTracker census(m);
-  std::vector<std::uint32_t> keys(n);
-  for (std::uint32_t i = 0; i < n; ++i) {
-    keys[i] = Key::of(protocol, sim.states()[i]);
-    census.apply_delta(keys[i], 1);
+  RankTracker census(stop.keys);
+  std::vector<std::uint32_t> keys;
+  if constexpr (keyed) {
+    keys.resize(n);
+    for (std::uint32_t i = 0; i < n; ++i) {
+      keys[i] = stop.key(protocol, sim.states()[i]);
+      census.apply_delta(keys[i], 1);
+    }
   }
   RunResult out;
-  StabilizationClock clock(opts, n, out, rule);
-  clock.init(census.is_permutation());
+  detail::StabilizationClock clock(opts, n, out, stop.rule);
+  bool stopped = clock.init(stop.test(census, sim));
 
   auto refresh = [&](std::uint32_t agent) {
-    const std::uint32_t k = Key::of(protocol, sim.states()[agent]);
-    census.on_change(keys[agent], k);
-    keys[agent] = k;
+    if constexpr (keyed) {
+      const std::uint32_t k = stop.key(protocol, sim.states()[agent]);
+      census.on_change(keys[agent], k);
+      keys[agent] = k;
+    }
   };
-  bool stopped = false;
   while (!stopped && sim.interactions() < opts.max_interactions) {
     const AgentPair pair = sim.step();
     refresh(pair.initiator);
     refresh(pair.responder);
     if (sim.last_crashed() >= 0)
       refresh(static_cast<std::uint32_t>(sim.last_crashed()));
-    stopped = clock.on_state(census.is_permutation(), sim.interactions());
+    stopped = clock.on_state(stop.test(census, sim), sim.interactions());
   }
   clock.finish(stopped, /*stuck=*/false, sim.interactions());
   return out;
 }
 
 // Count-engine step loop: a count scan, then count deltas or burst changes.
-template <class Key, CountEngine E>
-RunResult run_until_correct(E& sim, std::uint32_t m, const RunOptions& opts,
-                            StopRule rule) {
+template <class Key, class Test, CountEngine E>
+RunResult run_until(E& sim, const Stop<Key, Test>& stop,
+                    const RunOptions& opts) {
   if (opts.max_interactions == 0)
     throw std::invalid_argument("max_interactions must be set");
+  constexpr bool keyed = !std::is_same_v<Key, NoKey>;
   const bool windowed =
-      rule == StopRule::kHeldForTail && opts.tail_ptime > 0.0;
+      stop.rule == StopRule::kHeldForTail && opts.tail_ptime > 0.0;
   if constexpr (StrategyEngine<E>) {
     // The tail-window bookkeeping below credits a whole batched stretch as
     // "correctness unchanged", which only the geometric paths guarantee
@@ -222,17 +300,17 @@ RunResult run_until_correct(E& sim, std::uint32_t m, const RunOptions& opts,
   }
   const std::uint32_t n = sim.population_size();
   const auto& protocol = sim.protocol();
-  RankTracker census(m);
-  {
+  RankTracker census(stop.keys);
+  if constexpr (keyed) {
     const auto& counts = sim.state_counts();
     for (std::uint32_t q = 0; q < counts.size(); ++q)
       if (counts[q] > 0)
-        census.apply_delta(Key::of(protocol, protocol.decode(q)),
+        census.apply_delta(stop.key(protocol, protocol.decode(q)),
                            static_cast<std::int64_t>(counts[q]));
   }
   RunResult out;
-  StabilizationClock clock(opts, n, out, rule);
-  clock.init(census.is_permutation());
+  detail::StabilizationClock clock(opts, n, out, stop.rule);
+  bool stopped = clock.init(stop.test(census, sim));
 
   // Burst observer: follows each agent change, and ends the burst whenever
   // the clock has something to record — the configuration is or was
@@ -242,8 +320,9 @@ RunResult run_until_correct(E& sim, std::uint32_t m, const RunOptions& opts,
   auto on_agent_change = [&](const typename E::State& from,
                              const typename E::State& to) {
     observed = true;
-    census.on_change(Key::of(protocol, from), Key::of(protocol, to));
-    return clock.was_correct() || census.is_permutation() ||
+    if constexpr (keyed)
+      census.on_change(stop.key(protocol, from), stop.key(protocol, to));
+    return clock.was_correct() || stop.test(census, sim) ||
            sim.interactions() >= opts.max_interactions;
   };
   auto step = [&] {
@@ -254,7 +333,6 @@ RunResult run_until_correct(E& sim, std::uint32_t m, const RunOptions& opts,
       return sim.step();
   };
 
-  bool stopped = false;
   bool stuck = false;
   while (!stopped && sim.interactions() < opts.max_interactions) {
     if (step() == 0) {
@@ -271,15 +349,19 @@ RunResult run_until_correct(E& sim, std::uint32_t m, const RunOptions& opts,
       stopped = true;
       break;
     }
-    if (!observed)  // the observer has seen a burst's changes already
-      for (const CountDelta& d : sim.last_deltas())
-        census.apply_delta(Key::of(protocol, protocol.decode(d.code)),
-                           d.delta);
-    stopped = clock.on_state(census.is_permutation(), sim.interactions());
+    if constexpr (keyed) {
+      if (!observed)  // the observer has seen a burst's changes already
+        for (const CountDelta& d : sim.last_deltas())
+          census.apply_delta(stop.key(protocol, protocol.decode(d.code)),
+                             d.delta);
+    }
+    stopped = clock.on_state(stop.test(census, sim), sim.interactions());
   }
   clock.finish(stopped, stuck, sim.interactions());
   return out;
 }
+
+namespace detail {
 
 template <class E>
 void verify_silent_or_throw(const E& engine) {
@@ -332,12 +414,36 @@ void maybe_verify_silent(const E& engine, const RunOptions& opts,
 
 }  // namespace detail
 
+// Predicate front end: runs until done(engine) holds, checking it before
+// the first interaction and after every step (every interaction on the
+// agent array, every configuration change on a count engine — a
+// multinomial batch or a tau leap at its end). `done` must be O(1). Returns
+// true iff it fired within `max_interactions`.
+template <class E, class Done>
+bool run_until(E& sim, Done done, std::uint64_t max_interactions) {
+  RunOptions opts;
+  opts.max_interactions = max_interactions;
+  return run_until(sim, engine_stop(done), opts).stabilized;
+}
+
+// The stops of the rank and leader harnesses.
+inline auto ranked_stop(std::uint32_t n) {
+  return permutation_stop(RankKey{}, n);
+}
+inline auto held_stop(std::uint32_t n) {
+  return permutation_stop(RankKey{}, n,
+                                  StopRule::kFirstBreak);
+}
+inline auto elected_stop() {
+  return permutation_stop(LeaderKey{}, 1);
+}
+
 // Ranked: drives any Engine whose protocol is a RankingProtocol until the
 // ranking is stably correct (see file comment).
 template <class E>
 RunResult run_engine_until_ranked(E& sim, const RunOptions& opts) {
-  const RunResult out = detail::run_until_correct<detail::RankKey>(
-      sim, sim.population_size(), opts, detail::StopRule::kHeldForTail);
+  const RunResult out =
+      run_until(sim, ranked_stop(sim.population_size()), opts);
   detail::maybe_verify_silent(sim, opts, out);
   return out;
 }
@@ -360,8 +466,7 @@ RunResult run_engine_until_ranked(E& sim, const RunOptions& opts) {
 // the entry or the break.
 template <class E>
 RunResult run_engine_until_held(E& sim, const RunOptions& opts) {
-  return detail::run_until_correct<detail::RankKey>(
-      sim, sim.population_size(), opts, detail::StopRule::kFirstBreak);
+  return run_until(sim, held_stop(sim.population_size()), opts);
 }
 
 // Leader election: runs until exactly one agent is a leader and has stayed
@@ -369,8 +474,7 @@ RunResult run_engine_until_held(E& sim, const RunOptions& opts) {
 // that uniqueness.
 template <class E>
 RunResult run_engine_until_elected(E& sim, const RunOptions& opts) {
-  return detail::run_until_correct<detail::LeaderKey>(
-      sim, 1, opts, detail::StopRule::kHeldForTail);
+  return run_until(sim, elected_stop(), opts);
 }
 
 // Convenience front-end that builds the agent-array engine from

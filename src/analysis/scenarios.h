@@ -6,11 +6,12 @@
 // executes a ScenarioSpec end to end:
 //
 //   protocol         inits (default first)            stop conditions
-//   silent-nstate    worst-case, uniform-random, ...  ranked | ptime
+//   silent-nstate    worst-case, uniform-random, ...  ranked | thinned |
+//                                                      held | ptime
 //   optimal-silent   uniform-random, duplicate-rank,  ranked | detected |
-//                    dormant-mix, single-leader, ...    ptime
-//   sublinear-h1     uniform-random, ghost-names, ... ranked | ptime
-//   sublinear-hlog   (same; H = 3 log2 n params)      ranked | ptime
+//                    dormant-mix, single-leader, ...    silent | held | ptime
+//   sublinear-h1     uniform-random, ghost-names, ... ranked | detected |
+//   sublinear-hlog   (same; H = 3 log2 n params)        drained | ptime
 //   sublinear-h1-count   duplicate-names, mid-reset,  detected | drained |
 //   sublinear-hlog-count   correct-ranked, post-wave    ptime
 //   reset-process    trigger-one, mid-reset-mix, ...  drained | ptime
@@ -19,12 +20,18 @@
 //   ring-ssle        uniform-random, coherent, ...    elected | ptime
 //                    (directed ring only; topology defaults to ring)
 //
-// Stop conditions:
+// Stop conditions — every one but ptime is a stop description (a per-agent
+// key or none, an O(1) test, the stop rule) run through run_until's
+// census loop (analysis/convergence.h), exact to the interaction on the
+// agent array and to the configuration change on count engines:
 //   ranked    run until the ranking is stably correct (the paper's
 //             stabilization time); metric = stabilization parallel time
-//   detected / drained / complete / silent
-//             protocol-specific predicates; metric = parallel time at the
-//             first firing
+//   held      run until the first correct ranking breaks; metric =
+//             holding time
+//   elected   exactly one leader, held for the tail window
+//   detected / drained / complete / thinned / silent
+//             protocol-specific events; metric = parallel time at the
+//             first interaction where the event holds
 //   ptime     fixed parallel-time budget (spec.horizon_ptime); metric =
 //             per-trial *run* wall seconds (engine construction excluded;
 //             ScenarioResult.wall_seconds covers the whole scenario
@@ -262,13 +269,30 @@ ScenarioResult drive(const ScenarioPlan& plan, const P& proto,
   return out;
 }
 
-// Rank-tracking stop conditions (analysis/convergence.h). until=ranked
-// measures the stabilization time, demanding a `tail` window of held
-// correctness for non-silent protocols (default_tail). until=held waits for
-// the first correct ranking and measures the parallel time until it breaks
-// (metric = holding_time); meaningful mainly under fault injection — a
-// fault-free silent protocol holds forever, which reports as failed, not as
-// a number. A trial that misses its event inside the horizon fails.
+// Every stop condition but ptime: one stop description (analysis/
+// convergence.h) run through run_until's census loop on whatever engine
+// drive() built. The metric is the stop clock's reading — the parallel time
+// of the stop (of the last entry into correctness, for a tail window), or
+// the holding time under until=held. A trial that misses its event inside
+// the horizon fails.
+template <class P, class StopT>
+ScenarioResult execute_until(const ScenarioPlan& plan, const P& proto,
+                             const InitialConditionSet<P>& inits,
+                             const RunOptions& opts, const StopT& stop,
+                             const char* metric = "parallel_time") {
+  return drive(plan, proto, inits, metric, [&](auto& sim) {
+    const RunResult r = run_until(sim, stop, opts);
+    return std::pair<double, bool>(r.stabilized ? r.stabilization_ptime : -1.0,
+                                   r.stabilized);
+  });
+}
+
+// Rank-tracking stop conditions. until=ranked measures the stabilization
+// time, demanding a `tail` window of held correctness for non-silent
+// protocols (default_tail). until=held waits for the first correct ranking
+// and measures the parallel time until it breaks (metric = holding_time);
+// meaningful mainly under fault injection — a fault-free silent protocol
+// holds forever, which reports as failed, not as a number.
 template <class P>
 ScenarioResult execute_ranked(const ScenarioPlan& plan, const P& proto,
                               const InitialConditionSet<P>& inits,
@@ -277,56 +301,28 @@ ScenarioResult execute_ranked(const ScenarioPlan& plan, const P& proto,
   RunOptions opts;
   opts.max_interactions = plan.horizon(default_horizon);
   opts.tail_ptime = plan.tail(default_tail);
-  const bool held = plan.until == "held";
-  return drive(plan, proto, inits, held ? "holding_time" : "parallel_time",
-               [&](auto& sim) {
-                 const RunResult r = held ? run_engine_until_held(sim, opts)
-                                          : run_engine_until_ranked(sim, opts);
-                 return std::pair<double, bool>(
-                     r.stabilized ? r.stabilization_ptime : -1.0,
-                     r.stabilized);
-               });
+  if (plan.until == "held")
+    return execute_until(plan, proto, inits, opts, held_stop(plan.n),
+                         "holding_time");
+  return execute_until(plan, proto, inits, opts, ranked_stop(plan.n));
 }
 
-// Predicate stop condition. `done` is a generic callable over either
-// engine. `cheap` predicates (O(1): counter reads) are checked after every
-// interaction on the agent array; expensive ones (O(n) scans) every
-// max(1, n/64) interactions — an overshoot of at most 1/64 parallel time,
-// amortizing the scan to O(64) per interaction. Count engines check after
-// every configuration change (null stretches cannot flip a predicate).
-template <class P, class Done>
-ScenarioResult execute_predicate(const ScenarioPlan& plan, const P& proto,
-                                 const InitialConditionSet<P>& inits,
-                                 std::uint64_t default_horizon, Done done,
-                                 bool cheap) {
-  const std::uint64_t max_interactions = plan.horizon(default_horizon);
-  return drive(
-      plan, proto, inits, "parallel_time",
-      [&](auto& sim) {
-        using E = std::decay_t<decltype(sim)>;
-        bool hit;
-        if constexpr (AgentArrayEngine<E>) {
-          if (cheap) {
-            hit = done(sim) ||
-                  sim.run_until([&](const E& s) { return done(s); },
-                                max_interactions);
-          } else {
-            const std::uint64_t stride =
-                std::max<std::uint64_t>(1, sim.population_size() / 64);
-            hit = done(sim);
-            while (!hit && sim.interactions() < max_interactions) {
-              sim.run(std::min(stride,
-                               max_interactions - sim.interactions()));
-              hit = done(sim);
-            }
-          }
-        } else {
-          hit = sim.run_until([&](const E& s) { return done(s); },
-                              max_interactions);
-        }
-        return std::pair<double, bool>(hit ? sim.parallel_time() : -1.0,
-                                       hit);
-      });
+// Event stop conditions (detected, drained, complete, thinned, silent):
+// the first interaction at which `stop` holds, no tail window.
+template <class P, class StopT>
+ScenarioResult execute_event(const ScenarioPlan& plan, const P& proto,
+                             const InitialConditionSet<P>& inits,
+                             std::uint64_t default_horizon, const StopT& stop) {
+  RunOptions opts;
+  opts.max_interactions = plan.horizon(default_horizon);
+  return execute_until(plan, proto, inits, opts, stop);
+}
+
+// until=detected: the collision detector has fired (a counter read).
+inline auto detected_stop() {
+  return engine_stop([](const auto& sim) {
+    return sim.counters().collision_triggers > 0;
+  });
 }
 
 // Fixed parallel-time budget: the perf-measurement mode. Metric = per-trial
@@ -384,19 +380,12 @@ inline void register_silent_nstate(ProtocolRegistry& reg) {
       // directly); from `all-same` it is the time until the original rank
       // thins to one holder — the protocol-level companion of the
       // Omega(log n) coupon-collector bound (bench_lower_bounds).
-      auto thinned = [](const auto& sim) {
-        using E = std::decay_t<decltype(sim)>;
-        if constexpr (AgentArrayEngine<E>) {
-          std::uint32_t holders = 0;
-          for (const auto& s : sim.states())
-            if (s.rank == 0 && ++holders > 1) return false;
-          return true;
-        } else {
-          return sim.state_counts()[0] <= 1;
-        }
+      auto at_rank_0 = [](const SilentNStateSSR&,
+                          const SilentNStateSSR::State& s) {
+        return s.rank == 0;
       };
-      return sd::execute_predicate(plan, proto, inits, kOpenHorizon, thinned,
-                                   /*cheap=*/false);
+      return sd::execute_event(plan, proto, inits, kOpenHorizon,
+                               holders_stop(at_rank_0, 1));
     }
     return sd::execute_ptime(plan, proto, inits);
   };
@@ -441,34 +430,22 @@ inline void register_optimal_silent(ProtocolRegistry& reg) {
     if (plan.until == "ranked" || plan.until == "held")
       return sd::execute_ranked(plan, proto, inits, horizon);
     if (plan.until == "detected") {
-      // Observation 2.6's quantity: time until a rank collision is seen.
-      auto detected = [](const auto& sim) {
-        return sim.counters().collision_triggers > 0;
-      };
-      return sd::execute_predicate(plan, proto, inits, kOpenHorizon, detected,
-                                   /*cheap=*/true);
+      // Observation 2.6's quantity: time until a rank collision is seen. A
+      // start with no collision to find (correct-ranking) fails at the
+      // horizon.
+      return sd::execute_event(plan, proto, inits, horizon,
+                               sd::detected_stop());
     }
     if (plan.until == "silent") {
       // Full silence — the event the paper's silence definition names:
-      // no ordered pair is non-null. Count engines certify it in O(1)
-      // (zero active weight, Theta(n)-states keyed structure); the agent
-      // array falls back to the literal pair scan.
-      auto silent = [](const auto& sim) {
-        using E = std::decay_t<decltype(sim)>;
-        if constexpr (AgentArrayEngine<E>) {
-          const auto& p = sim.protocol();
-          const auto& states = sim.states();
-          for (std::size_t i = 0; i < states.size(); ++i)
-            for (std::size_t j = 0; j < states.size(); ++j)
-              if (i != j && !p.is_null_pair(states[i], states[j]))
-                return false;
-          return true;
-        } else {
-          return sim.silent();
-        }
-      };
-      return sd::execute_predicate(plan, proto, inits, horizon, silent,
-                                   /*cheap=*/false);
+      // no ordered pair is non-null. With passive = Settled and key =
+      // rank - 1 (the keyed null structure), the active weight is zero
+      // exactly when every agent is Settled with a distinct rank, i.e.
+      // when the ranks form a permutation.
+      return sd::execute_event(
+          plan, proto, inits, horizon,
+          permutation_stop(RankKey{}, n,
+                                   StopRule::kFirstEntry));
     }
     return sd::execute_ptime(plan, proto, inits);
   };
@@ -489,6 +466,13 @@ inline std::uint64_t detection_horizon(const SublinearParams& p) {
   return interactions >= static_cast<double>(kOpenHorizon)
              ? kOpenHorizon
              : static_cast<std::uint64_t>(interactions);
+}
+
+// until=drained on the sublinear entries, both forms: no agent Resetting.
+inline auto drained_stop() {
+  return holders_stop(
+      [](const auto&, const auto& s) { return s.role == SlRole::Resetting; },
+      0);
 }
 
 inline void register_sublinear_entry(ProtocolRegistry& reg,
@@ -542,24 +526,15 @@ inline void register_sublinear_entry(ProtocolRegistry& reg,
     }
     if (plan.until == "detected") {
       // Time until the collision detector first fires — the Section 4
-      // detection-latency quantity (cheap: one counter read).
-      auto detected = [](const auto& sim) {
-        return sim.counters().collision_triggers > 0;
-      };
-      return execute_predicate(plan, proto, inits, detection_horizon(p),
-                               detected, /*cheap=*/true);
+      // detection-latency quantity.
+      return execute_event(plan, proto, inits, detection_horizon(p),
+                           detected_stop());
     }
     if (plan.until == "drained") {
       // Time until no agent is Resetting — the reset-wave drain quantity,
       // paired with the count form's drained cell for the cross-form
       // exactness tests (the reset machinery is a lossless quotient).
-      auto drained = [](const auto& sim) {
-        for (const auto& s : sim.states())
-          if (s.role == SlRole::Resetting) return false;
-        return true;
-      };
-      return execute_predicate(plan, proto, inits, 1ull << 50, drained,
-                               /*cheap=*/false);
+      return execute_event(plan, proto, inits, 1ull << 50, drained_stop());
     }
     return execute_ptime(plan, proto, inits);
   };
@@ -610,31 +585,12 @@ inline void register_sublinear_count_entry(
     const auto& inits = sublinear_count_inits();
     ScenarioResult out;
     if (plan.until == "detected") {
-      auto detected = [](const auto& sim) {
-        return sim.counters().collision_triggers > 0;
-      };
-      out = execute_predicate(plan, proto, inits, detection_horizon(p),
-                              detected, /*cheap=*/true);
+      out = execute_event(plan, proto, inits, detection_horizon(p),
+                          detected_stop());
     } else if (plan.until == "drained") {
-      // No agent Resetting. The canonical coding keeps the Resetting block
-      // contiguous, so count engines scan one span of the count vector.
-      auto drained = [&proto](const auto& sim) {
-        using E = std::decay_t<decltype(sim)>;
-        if constexpr (AgentArrayEngine<E>) {
-          for (const auto& s : sim.states())
-            if (s.role == SlRole::Resetting) return false;
-          return true;
-        } else {
-          const auto& counts = sim.state_counts();
-          const std::uint32_t lo = proto.first_resetting_code();
-          const std::uint32_t hi = lo + proto.resetting_code_count();
-          for (std::uint32_t q = lo; q < hi; ++q)
-            if (counts[q] > 0) return false;
-          return true;
-        }
-      };
-      out = execute_predicate(plan, proto, inits, 1ull << 50, drained,
-                              /*cheap=*/false);
+      // No agent Resetting, the quantity the array entries' drained cell
+      // measures.
+      out = execute_event(plan, proto, inits, 1ull << 50, drained_stop());
     } else {
       out = execute_ptime(plan, proto, inits);
     }
@@ -711,18 +667,11 @@ inline void register_reset_process(ProtocolRegistry& reg) {
     const ResetProcess proto(n, rmax, dmax);
     const auto& inits = reset_process_inits();
     if (plan.until == "drained") {
-      auto drained = [](const auto& sim) {
-        using E = std::decay_t<decltype(sim)>;
-        if constexpr (AgentArrayEngine<E>) {
-          for (const auto& s : sim.states())
-            if (s.resetting) return false;
-          return true;
-        } else {
-          return sim.silent();  // all-Computing iff zero active weight
-        }
+      auto resetting = [](const ResetProcess&, const ResetProcess::State& s) {
+        return s.resetting;
       };
-      return sd::execute_predicate(plan, proto, inits, 1ull << 50, drained,
-                                   /*cheap=*/false);
+      return sd::execute_event(plan, proto, inits, 1ull << 50,
+                               holders_stop(resetting, 0));
     }
     return sd::execute_ptime(plan, proto, inits);
   };
@@ -747,18 +696,12 @@ inline void register_one_way_epidemic(ProtocolRegistry& reg) {
     const OneWayEpidemic proto(plan.n);
     const auto& inits = one_way_epidemic_inits();
     if (plan.until == "complete") {
-      auto complete = [](const auto& sim) {
-        using E = std::decay_t<decltype(sim)>;
-        if constexpr (AgentArrayEngine<E>) {
-          for (const auto& s : sim.states())
-            if (!s.infected) return false;
-          return true;
-        } else {
-          return sim.silent();  // all infected (no infected => no spreader)
-        }
+      auto uninfected = [](const OneWayEpidemic&,
+                           const OneWayEpidemic::State& s) {
+        return !s.infected;
       };
-      return sd::execute_predicate(plan, proto, inits, kOpenHorizon, complete,
-                                   /*cheap=*/false);
+      return sd::execute_event(plan, proto, inits, kOpenHorizon,
+                               holders_stop(uninfected, 0));
     }
     return sd::execute_ptime(plan, proto, inits);
   };
@@ -784,33 +727,23 @@ inline void register_obs25(ProtocolRegistry& reg) {
     const Obs25SSLE proto(plan.n);
     const auto& inits = obs25_inits();
     if (plan.until == "silent") {
+      // No non-null pair among the occupied states: an O(1) scan of the
+      // six-code count snapshot (n = 3), which both engine families give.
       auto silent = [](const auto& sim) {
         const auto& p = sim.protocol();
-        using E = std::decay_t<decltype(sim)>;
-        if constexpr (AgentArrayEngine<E>) {
-          const auto& states = sim.states();
-          for (std::size_t i = 0; i < states.size(); ++i)
-            for (std::size_t j = 0; j < states.size(); ++j)
-              if (i != j && !p.is_null_pair(states[i], states[j]))
-                return false;
-          return true;
-        } else {
-          const auto& counts = sim.state_counts();
-          for (std::uint32_t a = 0; a < counts.size(); ++a) {
-            if (counts[a] == 0) continue;
-            if (counts[a] > 1 &&
-                !p.is_null_pair(p.decode(a), p.decode(a)))
+        const auto& counts = sim.state_counts();
+        for (std::uint32_t a = 0; a < counts.size(); ++a) {
+          if (counts[a] == 0) continue;
+          if (counts[a] > 1 && !p.is_null_pair(p.decode(a), p.decode(a)))
+            return false;
+          for (std::uint32_t b = a + 1; b < counts.size(); ++b)
+            if (counts[b] > 0 && !p.is_null_pair(p.decode(a), p.decode(b)))
               return false;
-            for (std::uint32_t b = a + 1; b < counts.size(); ++b)
-              if (counts[b] > 0 &&
-                  !p.is_null_pair(p.decode(a), p.decode(b)))
-                return false;
-          }
-          return true;
         }
+        return true;
       };
-      return sd::execute_predicate(plan, proto, inits, 1ull << 30, silent,
-                                   /*cheap=*/true);
+      return sd::execute_event(plan, proto, inits, 1ull << 30,
+                               engine_stop(silent));
     }
     return sd::execute_ptime(plan, proto, inits);
   };
@@ -849,19 +782,15 @@ inline void register_ring_ssle(ProtocolRegistry& reg) {
     if (plan.until == "elected") {
       // Unique leader, *held*: transient uniqueness is real in this
       // protocol (a stale-distance follower can still promote after the
-      // count first touches 1), so the stop condition demands leader_count
-      // == 1 for a tail window before declaring election. The default
+      // count first touches 1), so the stop condition demands exactly one
+      // leader for a tail window before declaring election. The default
       // window is 4n parallel time — a few full bullet circulations (one
       // circulation is ~n parallel time: n edge-firings at ~n slots each).
       // Metric = parallel time at the onset of the held uniqueness.
       RunOptions opts;
       opts.max_interactions = plan.horizon(4ull * n * n * n + (1ull << 24));
       opts.tail_ptime = plan.tail(4.0 * n);
-      return sd::drive(plan, proto, inits, "parallel_time", [&](auto& sim) {
-        const RunResult r = run_engine_until_elected(sim, opts);
-        return std::pair<double, bool>(
-            r.stabilized ? r.stabilization_ptime : -1.0, r.stabilized);
-      });
+      return sd::execute_until(plan, proto, inits, opts, elected_stop());
     }
     return sd::execute_ptime(plan, proto, inits);
   };

@@ -283,25 +283,16 @@ class BatchSimulation {
   }
 
   // Runs until at least `count` interactions have elapsed (a final batch
-  // may overshoot; the overshoot is real simulated time, not error).
+  // may overshoot; the overshoot is real simulated time, not error). An
+  // array-arm burst runs on until its first change at or past the target,
+  // where a plain step() loop's last step ends too.
   void run(std::uint64_t count) {
     const std::uint64_t target = interactions_ + count;
+    auto reached = [&](const State&, const State&) {
+      return interactions_ >= target;
+    };
     while (interactions_ < target)
-      if (step() == 0) break;  // silent: nothing will ever change again
-  }
-
-  // Runs until done(*this) is true, checking after every configuration
-  // change (null runs cannot flip a configuration predicate; a multinomial
-  // batch is checked at its end). Returns true iff the predicate fired
-  // before `max_interactions`.
-  template <class Done>
-  bool run_until(Done&& done, std::uint64_t max_interactions) {
-    if (done(*this)) return true;
-    while (interactions_ < max_interactions) {
-      if (step() == 0) return done(*this);
-      if (done(*this)) return true;
-    }
-    return false;
+      if (step(reached) == 0) break;  // silent: nothing will ever change
   }
 
   // Recomputes the engine's invariants from scratch and throws
@@ -638,8 +629,9 @@ class BatchSimulation {
   // interactions() at `now`. Returns obs's stop request. The Fenwick trees
   // and the occupied pool are left stale until leave_array_arm().
   template <class Observer>
-  bool move_agent(std::uint32_t i, std::uint32_t code, const State& to,
-                  std::uint64_t now, Observer& obs) {
+  [[gnu::always_inline]] bool move_agent(std::uint32_t i, std::uint32_t code,
+                                         const State& to, std::uint64_t now,
+                                         Observer& obs) {
     const std::uint32_t old = agents_[i];
     State& cached = agent_states_[i];
     slot_move_[slot_moves_++] = CodeMove{old, code};
@@ -652,8 +644,13 @@ class BatchSimulation {
     return stop;
   }
 
-  void array_count_delta(std::uint32_t code, const State& st,
-                         std::int32_t delta) {
+  // Pinned inline, like move_agent above and the structure kernels'
+  // on_count_change: with every stop and run() bursting, step_array has
+  // enough instantiations that GCC 12's unit-growth limit outlines these
+  // otherwise, which slows the array arm's per-change path.
+  [[gnu::always_inline]] void array_count_delta(std::uint32_t code,
+                                                const State& st,
+                                                std::int32_t delta) {
     const std::uint64_t old_count = counts_[code];
     counts_[code] = static_cast<std::uint64_t>(
         static_cast<std::int64_t>(old_count) + delta);

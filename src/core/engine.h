@@ -2,11 +2,11 @@
 //
 // Both simulation backends — the agent-array Simulation<P> and the
 // count-based BatchSimulation<P> — satisfy the same structural concept:
-// run / run_until / interactions / parallel_time / state_counts snapshot /
-// counters. Analysis code (analysis/convergence.h, analysis/experiments.h)
-// is written against these concepts, so every harness, bench and example
-// can pick a backend per protocol and per population size instead of being
-// hard-wired to one engine.
+// run / interactions / parallel_time / state_counts snapshot / counters.
+// Every stop condition runs through one loop per engine family,
+// run_until in analysis/convergence.h, written against these concepts, so
+// every harness, bench and example can pick a backend per protocol and per
+// population size instead of being hard-wired to one engine.
 //
 // The refinements capture what each backend can do *beyond* the shared
 // contract:
@@ -269,14 +269,6 @@ struct StrategyController {
   }
 };
 
-// Concept-probe predicate (requires-expressions cannot contain lambdas).
-struct NeverDone {
-  template <class E>
-  bool operator()(const E&) const {
-    return false;
-  }
-};
-
 template <class E>
 concept Engine = requires(E e, const E ce, std::uint64_t k) {
   typename E::State;
@@ -286,7 +278,6 @@ concept Engine = requires(E e, const E ce, std::uint64_t k) {
   { ce.protocol() };
   { ce.counters() };
   { e.run(k) };
-  { e.run_until(NeverDone{}, k) } -> std::convertible_to<bool>;
 };
 
 // Engines whose configuration snapshot is the state-count vector and that

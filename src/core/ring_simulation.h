@@ -41,8 +41,8 @@
 //   churn  - the same geometric slot-countdown as the other engines; the
 //            victim position is uniform and the reset is one surgery.
 //
-// Satisfies the CountEngine concept: drive()'s ranked/held/predicate
-// runners, RankTracker delta-following and the stat harness all work
+// Satisfies the CountEngine concept: run_until's census loop (every stop
+// condition), RankTracker delta-following and the stat harness all work
 // unchanged on the ring path.
 #pragma once
 
@@ -66,15 +66,6 @@ namespace ppsim {
 template <class P>
 concept RingCompressibleProtocol =
     EnumerableProtocol<P> && DeterministicProtocol<P>;
-
-// Protocols that expose a leader predicate on states; the ring engine
-// maintains the live leader count incrementally for such protocols so
-// "elected" stop conditions are O(1) per check.
-template <class P>
-concept LeaderReportingProtocol =
-    Protocol<P> && requires(const P p, const typename P::State& s) {
-      { p.is_leader(s) } -> std::convertible_to<bool>;
-    };
 
 // Fenwick tree over fixed [0, size): point add, prefix sums and select
 // (smallest index whose inclusive prefix reaches k) in O(log size). Used
@@ -192,12 +183,6 @@ class RingSimulation {
   // size; 1 when the whole ring agrees).
   std::uint32_t arc_count() const { return arc_count_; }
 
-  std::uint64_t leader_count() const
-    requires LeaderReportingProtocol<P>
-  {
-    return leader_count_;
-  }
-
   // The state at a ring position (O(log n); for tests and spot checks).
   State state_at(std::uint32_t pos) const {
     return protocol_.decode(arcs_[find_arc(pos)].code);
@@ -238,18 +223,6 @@ class RingSimulation {
     const std::uint64_t target = interactions_ + count;
     while (interactions_ < target)
       if (step() == 0) break;  // silent: nothing will ever change again
-  }
-
-  // Runs until done(*this) is true, checking after every configuration
-  // change (null stretches cannot flip a configuration predicate).
-  template <class Done>
-  bool run_until(Done&& done, std::uint64_t max_interactions) {
-    if (done(*this)) return true;
-    while (interactions_ < max_interactions) {
-      if (step() == 0) return done(*this);
-      if (done(*this)) return true;
-    }
-    return false;
   }
 
  private:
@@ -314,8 +287,6 @@ class RingSimulation {
     for (std::uint32_t i = 0; i < n_; ++i) {
       codes[i] = protocol_.encode(initial[i]);
       ++state_counts_[codes[i]];
-      if constexpr (LeaderReportingProtocol<P>)
-        if (protocol_.is_leader(initial[i])) ++leader_count_;
     }
     // Linear runs, then circular merge of the first and last.
     struct Run {
@@ -421,11 +392,6 @@ class RingSimulation {
     ++state_counts_[code];
     last_deltas_.push_back({old, -1});
     last_deltas_.push_back({code, +1});
-    if constexpr (LeaderReportingProtocol<P>)
-      leader_count_ +=
-          static_cast<std::uint64_t>(
-              protocol_.is_leader(protocol_.decode(code))) -
-          static_cast<std::uint64_t>(protocol_.is_leader(protocol_.decode(old)));
     const std::uint32_t k = pos >= a.start
                                 ? pos - a.start
                                 : pos + n_ - a.start;  // offset inside the arc
@@ -557,7 +523,6 @@ class RingSimulation {
   std::uint32_t churn_code_ = 0;
   std::uint64_t crash_countdown_ = 0;
   std::uint64_t interactions_ = 0;
-  std::uint64_t leader_count_ = 0;
   std::vector<Arc> arcs_;
   std::vector<std::uint32_t> free_;
   std::uint32_t arc_count_ = 0;

@@ -124,17 +124,6 @@ class Simulation {
     for (std::uint64_t k = 0; k < count; ++k) step();
   }
 
-  // Runs until `done(simulation)` is true, checking after every interaction,
-  // up to `max_interactions`. Returns true iff the predicate fired.
-  template <class Done>
-  bool run_until(Done&& done, std::uint64_t max_interactions) {
-    while (interactions_ < max_interactions) {
-      step();
-      if (done(*this)) return true;
-    }
-    return false;
-  }
-
  private:
   // The rest of a slot under the fault law (core/faults.h): the pair is
   // lost with prob drop, else delivered one-way with prob oneway, else in

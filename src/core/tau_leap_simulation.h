@@ -218,20 +218,6 @@ class TauLeapSimulation {
       if (step() == 0) break;  // silent: nothing will ever change again
   }
 
-  // Runs until done(*this) is true, checking after every committed leap
-  // (the predicate is evaluated at leap granularity: a flip inside a leap
-  // is observed at the leap's end). Returns true iff the predicate fired
-  // before `max_interactions`.
-  template <class Done>
-  bool run_until(Done&& done, std::uint64_t max_interactions) {
-    if (done(*this)) return true;
-    while (interactions_ < max_interactions) {
-      if (step() == 0) return done(*this);
-      if (done(*this)) return true;
-    }
-    return false;
-  }
-
  private:
   // Hard per-leap ceiling in parallel-time units. Near-silent endgames have
   // densities ~1/n^2, where covering k_target effective draws would need

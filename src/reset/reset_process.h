@@ -23,6 +23,7 @@
 
 #include <cstdint>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "core/rng.h"
@@ -59,6 +60,14 @@ class ResetProcess {
   ResetProcess(std::uint32_t n, std::uint32_t rmax, std::uint32_t dmax)
       : n_(n), rmax_(rmax), dmax_(dmax) {
     if (n < 2) throw std::invalid_argument("population size must be >= 2");
+    // State codes are 32-bit: the code space 1 + Rmax + Dmax + 1 is
+    // computed in 64 bits and must fit (a wrapped num_states() would size
+    // every count vector too small).
+    const std::uint64_t codes = 2ull + rmax + dmax;
+    if (codes > UINT32_MAX)
+      throw std::invalid_argument(
+          "reset-process needs " + std::to_string(codes) +
+          " state codes; 32-bit codes stop at " + std::to_string(UINT32_MAX));
   }
 
   std::uint32_t population_size() const { return n_; }

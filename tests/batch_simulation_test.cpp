@@ -93,8 +93,8 @@ TEST(BatchSimulation, DeterministicForEqualSeeds) {
                                      silent_nstate_worst_config(n), 5);
   BatchSimulation<SilentNStateSSR> b(SilentNStateSSR(n),
                                      silent_nstate_worst_config(n), 5);
-  a.run_until([](const auto& s) { return s.silent(); }, 1u << 30);
-  b.run_until([](const auto& s) { return s.silent(); }, 1u << 30);
+  run_until(a, [](const auto& s) { return s.silent(); }, 1u << 30);
+  run_until(b, [](const auto& s) { return s.silent(); }, 1u << 30);
   EXPECT_EQ(a.interactions(), b.interactions());
   EXPECT_EQ(a.counts(), b.counts());
 }
@@ -114,7 +114,7 @@ TEST(BatchSimulation, StabilizesToAPermutation) {
   BatchSimulation<SilentNStateSSR> sim(
       SilentNStateSSR(n), silent_nstate_worst_config(n), 11);
   ASSERT_TRUE(
-      sim.run_until([](const auto& s) { return s.silent(); }, 1ull << 40));
+      run_until(sim, [](const auto& s) { return s.silent(); }, 1ull << 40));
   EXPECT_TRUE(is_correctly_ranked(sim.protocol(), sim.counts()));
   EXPECT_TRUE(has_unique_leader(sim.protocol(), sim.counts()));
   EXPECT_EQ(count_leaders(sim.protocol(), sim.counts()), 1u);
@@ -153,8 +153,8 @@ TEST(SilentNStateFastInterop, RunCountsMatchesRunOnSameSeed) {
   BatchSimulation<SilentNStateSSR> b(SilentNStateSSR(n), wide_worst_counts(n),
                                      77);
   auto silent = [](const auto& s) { return s.silent(); };
-  EXPECT_TRUE(a.run_until(silent, ~0ull));
-  EXPECT_TRUE(b.run_until(silent, ~0ull));
+  EXPECT_TRUE(run_until(a, silent, ~0ull));
+  EXPECT_TRUE(run_until(b, silent, ~0ull));
   EXPECT_EQ(a.interactions(), b.interactions());
   EXPECT_EQ(a.stats().effective, b.stats().effective);
   EXPECT_EQ(a.counts(), b.counts());
@@ -190,7 +190,7 @@ double batch_backend_time(std::uint32_t n, std::uint64_t seed) {
   BatchSimulation<SilentNStateSSR> sim(
       SilentNStateSSR(n), silent_nstate_worst_config(n), seed);
   EXPECT_TRUE(
-      sim.run_until([](const auto& s) { return s.silent(); }, 1ull << 62));
+      run_until(sim, [](const auto& s) { return s.silent(); }, 1ull << 62));
   return sim.parallel_time();
 }
 
@@ -249,7 +249,7 @@ double epidemic_array_time(std::uint32_t n, std::uint64_t seed) {
   std::vector<EpidemicProtocol::State> init(n);
   init[0].infected = 1;
   Simulation<EpidemicProtocol> sim(EpidemicProtocol{n}, init, seed);
-  const bool done = sim.run_until(
+  const bool done = run_until(sim,
       [n](const auto& s) {
         for (const auto& st : s.states())
           if (!st.infected) return false;
@@ -263,7 +263,7 @@ double epidemic_array_time(std::uint32_t n, std::uint64_t seed) {
 double epidemic_batch_time(std::uint32_t n, std::uint64_t seed) {
   std::vector<std::uint64_t> counts = {n - 1, 1};
   BatchSimulation<EpidemicProtocol> sim(EpidemicProtocol{n}, counts, seed);
-  const bool done = sim.run_until(
+  const bool done = run_until(sim,
       [n](const auto& s) { return s.counts()[1] == n; }, 1ull << 40);
   EXPECT_TRUE(done);
   return sim.parallel_time();
@@ -304,7 +304,7 @@ TEST(BatchSimulationGeneral, DetectsStuckAllSameStateConfiguration) {
   EXPECT_EQ(sim.step(), 0u);
   sim.run(1ull << 50);  // must return immediately, not iterate 2^50 times
   EXPECT_EQ(sim.interactions(), 0u);
-  EXPECT_FALSE(sim.run_until([](const auto&) { return false; }, 1ull << 50));
+  EXPECT_FALSE(run_until(sim, [](const auto&) { return false; }, 1ull << 50));
 }
 
 }  // namespace

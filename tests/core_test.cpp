@@ -7,6 +7,7 @@
 #include <set>
 #include <sstream>
 
+#include "analysis/convergence.h"
 #include "core/rank_tracker.h"
 #include "core/rng.h"
 #include "core/scheduler.h"
@@ -332,7 +333,7 @@ TEST(Simulation, RunUntilStopsAtPredicate) {
   Simulation<ToyCounterProtocol> sim(proto,
                                      std::vector<ToyCounterProtocol::State>(5),
                                      7);
-  const bool fired = sim.run_until(
+  const bool fired = run_until(sim,
       [](const auto& s) { return s.interactions() >= 42; }, 1000);
   EXPECT_TRUE(fired);
   EXPECT_EQ(sim.interactions(), 42u);

@@ -177,7 +177,7 @@ TEST(Differential, FastSimulatorMatchesDirectOnRandomCounts) {
       BatchSimulation<SilentNStateSSR> sim(
           SilentNStateSSR(kN), cfg_states, derive_seed(cfg + 100, t),
           BatchStrategy::kGeometricSkip);
-      sim.run_until([](const auto& s) { return s.silent(); }, ~0ull);
+      run_until(sim, [](const auto& s) { return s.silent(); }, ~0ull);
       fast.push_back(static_cast<double>(sim.interactions()));
     }
     const Summary sd = summarize(direct);

@@ -33,6 +33,7 @@
 #include "core/engine.h"
 #include "core/simulation.h"
 #include "core/stats.h"
+#include "init/epidemic_init.h"
 #include "init/optimal_silent_init.h"
 #include "init/reset_init.h"
 #include "init/silent_nstate_init.h"
@@ -706,6 +707,189 @@ TEST(BurstBitIdentity, AuditHoldsAfterEveryBurst) {
             2 * sim.strategy_trace().steps[kArrayArm]);
 }
 
+// --- One stop loop: every until= is exact on both engine families ----------
+//
+// Every stop condition runs through run_until()'s census loop. The
+// references below rebuild trial 0 of a scenario from drive()'s seeds and
+// step it plainly, evaluating the full predicate after every step.
+
+struct Trial0Seeds {
+  std::uint64_t init;
+  std::uint64_t engine;
+};
+
+Trial0Seeds trial0_seeds(std::uint64_t seed) {
+  const std::uint64_t trial = derive_seed(seed, 0);
+  return {derive_seed(trial, 1), derive_seed(trial, 2)};
+}
+
+ScenarioSpec stop_spec(const char* protocol, std::uint32_t n,
+                       const char* init, const char* until) {
+  ScenarioSpec spec;
+  spec.protocol = protocol;
+  spec.n = n;
+  spec.init = init;
+  spec.until = until;
+  spec.seed = 3;
+  spec.threads = 1;
+  return spec;
+}
+
+// Agent array: the predicate after every interaction. Each cell runs at an
+// n where a check every max(1, n/64) interactions could overshoot.
+template <class P, class Done>
+void expect_array_stop_is_exact(ScenarioSpec spec, const P& proto,
+                                const InitialConditionSet<P>& inits,
+                                Done done, Topology topology = Topology()) {
+  spec.engine = "array";
+  const std::string what = spec.protocol + " " + spec.init + " " + spec.until;
+  ASSERT_GE(spec.n / 64, 2u) << what;
+  const ScenarioResult r = run_scenario(spec);
+  const Trial0Seeds seeds = trial0_seeds(spec.seed);
+  Simulation<P> sim(proto, inits.agents(proto, spec.init, seeds.init),
+                    seeds.engine, std::move(topology));
+  while (!done(sim.protocol(), sim.states()) &&
+         sim.interactions() < (1ull << 36))
+    sim.step();
+  ASSERT_TRUE(done(sim.protocol(), sim.states())) << what;
+  ASSERT_EQ(r.failed, 0u) << what;
+  EXPECT_EQ(r.interactions_mean, static_cast<double>(sim.interactions()))
+      << what;
+  EXPECT_EQ(r.values[0], sim.parallel_time()) << what;
+}
+
+TEST(ExactStop, ArrayStopsAtTheExactInteraction) {
+  {
+    const std::uint32_t n = 256;
+    const auto rmax = static_cast<std::uint32_t>(
+                          std::ceil(8.0 * std::log(static_cast<double>(n)))) +
+                      4;
+    expect_array_stop_is_exact(
+        stop_spec("reset-process", n, "trigger-one", "drained"),
+        ResetProcess(n, rmax, 4 * rmax), reset_process_inits(),
+        [](const ResetProcess&, const auto& states) {
+          for (const auto& s : states)
+            if (s.resetting) return false;
+          return true;
+        });
+  }
+  {
+    const std::uint32_t n = 256;
+    ScenarioSpec spec =
+        stop_spec("one-way-epidemic", n, "single-infected", "complete");
+    spec.topology = "line";
+    expect_array_stop_is_exact(
+        spec, OneWayEpidemic(n), one_way_epidemic_inits(),
+        [](const OneWayEpidemic&, const auto& states) {
+          for (const auto& s : states)
+            if (!s.infected) return false;
+          return true;
+        },
+        Topology::parse("line", n));
+  }
+  {
+    const std::uint32_t n = 256;
+    expect_array_stop_is_exact(
+        stop_spec("silent-nstate", n, "duplicate-rank", "thinned"),
+        SilentNStateSSR(n), silent_nstate_inits(),
+        [](const SilentNStateSSR&, const auto& states) {
+          std::uint32_t holders = 0;
+          for (const auto& s : states) holders += s.rank == 0 ? 1 : 0;
+          return holders <= 1;
+        });
+  }
+  {
+    // Silence as the paper defines it: no ordered pair is non-null.
+    const std::uint32_t n = 128;
+    expect_array_stop_is_exact(
+        stop_spec("optimal-silent", n, "uniform-random", "silent"),
+        OptimalSilentSSR(OptimalSilentParams::standard(n)),
+        optimal_silent_inits(),
+        [](const OptimalSilentSSR& p, const auto& states) {
+          for (std::size_t i = 0; i < states.size(); ++i)
+            for (std::size_t j = 0; j < states.size(); ++j)
+              if (i != j && !p.is_null_pair(states[i], states[j]))
+                return false;
+          return true;
+        });
+  }
+}
+
+// Count engine under auto: the scenario's burst loop against plain step()
+// calls with the predicate after every step (for until=ptime, a plain
+// run()). Every result field and per-arm total but the array arm's step
+// count must agree, and the array arm must have run in bursts.
+template <class P, class Done>
+void expect_scenario_bursts_replay_plain_steps(
+    ScenarioSpec spec, const P& proto, const InitialConditionSet<P>& inits,
+    Done done) {
+  spec.engine = "batch";
+  spec.strategy = "auto";
+  const std::string what = spec.protocol + " " + spec.init + " " + spec.until;
+  const ScenarioResult r = run_scenario(spec);
+  const Trial0Seeds seeds = trial0_seeds(spec.seed);
+  BatchSimulation<P> sim(proto, inits.counts(proto, spec.init, seeds.init),
+                         seeds.engine, BatchStrategy::kAuto);
+  const bool ptime = spec.until == "ptime";
+  const std::uint64_t target =
+      ptime ? static_cast<std::uint64_t>(spec.horizon_ptime * spec.n)
+            : (1ull << 36);
+  bool fired = ptime || done(sim);
+  while (!fired && sim.interactions() < target) {
+    if (sim.step() == 0) break;
+    fired = done(sim);
+  }
+  if (ptime)
+    while (sim.interactions() < target && sim.step() != 0) {
+    }
+  ASSERT_TRUE(fired) << what;
+  ASSERT_EQ(r.failed, 0u) << what;
+  EXPECT_EQ(r.interactions_mean, static_cast<double>(sim.interactions()))
+      << what;
+  if (!ptime) {
+    EXPECT_EQ(r.values[0], sim.parallel_time()) << what;
+  }
+  const StrategyTrace& plain = sim.strategy_trace();
+  EXPECT_EQ(r.trace.interactions, plain.interactions) << what;
+  for (std::size_t i = 0; i < kStrategyArmCount; ++i)
+    if (i != kArrayArm) {
+      EXPECT_EQ(r.trace.steps[i], plain.steps[i]) << what;
+    }
+  EXPECT_GT(r.trace.steps[kArrayArm], 0u) << what;
+  EXPECT_LT(r.trace.steps[kArrayArm], plain.steps[kArrayArm]) << what;
+}
+
+TEST(BurstBitIdentity, EventStopsAndRunMatchPlainSteps) {
+  const std::uint32_t n = 512;
+  const OptimalSilentSSR os(OptimalSilentParams::standard(n));
+  expect_scenario_bursts_replay_plain_steps(
+      stop_spec("optimal-silent", n, "all-dormant", "detected"), os,
+      optimal_silent_inits(), [](const auto& sim) {
+        return sim.counters().collision_triggers > 0;
+      });
+  expect_scenario_bursts_replay_plain_steps(
+      stop_spec("optimal-silent", n, "uniform-random", "silent"), os,
+      optimal_silent_inits(),
+      [](const auto& sim) { return sim.silent(); });
+  ScenarioSpec run = stop_spec("optimal-silent", n, "uniform-random", "ptime");
+  run.horizon_ptime = 4.0;
+  expect_scenario_bursts_replay_plain_steps(
+      run, os, optimal_silent_inits(), [](const auto&) { return false; });
+  const auto rmax = static_cast<std::uint32_t>(
+                        std::ceil(8.0 * std::log(static_cast<double>(n)))) +
+                    4;
+  expect_scenario_bursts_replay_plain_steps(
+      stop_spec("reset-process", n, "mid-reset-mix", "drained"),
+      ResetProcess(n, rmax, 4 * rmax), reset_process_inits(),
+      [](const auto& sim) {
+        const auto& counts = sim.state_counts();
+        for (std::uint32_t q = 0; q < counts.size(); ++q)
+          if (counts[q] > 0 && sim.protocol().decode(q).resetting)
+            return false;
+        return true;
+      });
+}
+
 // --- Cross-strategy equivalence: ResetProcess -------------------------------
 //
 // The Section 3 harness protocol, now enumerable: time until the reset wave
@@ -749,7 +933,7 @@ double reset_batch_time(std::uint32_t n, std::uint32_t rmax,
   ResetProcess proto(n, rmax, dmax);
   BatchSimulation<ResetProcess> sim(proto, reset_trigger_counts(proto, n),
                                     seed, strategy);
-  EXPECT_TRUE(sim.run_until([](const auto& s) { return s.silent(); },
+  EXPECT_TRUE(run_until(sim, [](const auto& s) { return s.silent(); },
                             1ull << 34));
   EXPECT_EQ(sim.counts()[0], n);  // silent == all Computing
   return sim.parallel_time();
@@ -833,7 +1017,7 @@ TEST(OneWayEpidemicEquivalence, OverlappingCompletionCIs) {
   auto batch_time = [&](std::uint64_t seed, BatchStrategy strategy) {
     BatchSimulation<OneWayEpidemic> sim(proto, one_way_epidemic_counts(n, 1),
                                         seed, strategy);
-    EXPECT_TRUE(sim.run_until([](const auto& s) { return s.silent(); },
+    EXPECT_TRUE(run_until(sim, [](const auto& s) { return s.silent(); },
                               1ull << 34));
     return sim.parallel_time();
   };
@@ -876,7 +1060,7 @@ TEST(OneWayEpidemicEquivalence, EndgameSkipsPassivePairs) {
   BatchSimulation<OneWayEpidemic> sim(proto,
                                       one_way_epidemic_counts(n, n - 1), 3);
   EXPECT_TRUE(
-      sim.run_until([](const auto& s) { return s.silent(); }, 1ull << 40));
+      run_until(sim, [](const auto& s) { return s.silent(); }, 1ull << 40));
   // The wait is ~n interactions (the last susceptible is infected with
   // probability 1/n per interaction) but only ~2 candidate pairs get
   // simulated: everything between them is one geometric jump.
@@ -928,14 +1112,14 @@ TEST(OptimalSilentBackendEquivalence, DetectionLatencyMatchesAnalytic) {
       optimal_silent_config(params, OsAdversary::kDuplicateRank, 1);
   auto detect_batch = [&](std::uint64_t seed) {
     BatchSimulation<OptimalSilentSSR> sim(proto, init, seed);
-    EXPECT_TRUE(sim.run_until(
+    EXPECT_TRUE(run_until(sim,
         [](const auto& s) { return s.counters().collision_triggers > 0; },
         1ull << 40));
     return sim.parallel_time();
   };
   auto detect_array = [&](std::uint64_t seed) {
     Simulation<OptimalSilentSSR> sim(proto, init, seed);
-    EXPECT_TRUE(sim.run_until(
+    EXPECT_TRUE(run_until(sim,
         [](const auto& s) { return s.counters().collision_triggers > 0; },
         1ull << 40));
     return sim.parallel_time();
@@ -949,7 +1133,7 @@ TEST(OptimalSilentBackendEquivalence, DetectionLatencyMatchesAnalytic) {
   expect_overlapping_ci(batch, array);
   // The silent stretch before the collision costs O(1) effective steps.
   BatchSimulation<OptimalSilentSSR> sim(proto, init, 99);
-  sim.run_until(
+  run_until(sim,
       [](const auto& s) { return s.counters().collision_triggers > 0; },
       1ull << 40);
   EXPECT_LE(sim.stats().effective, 2u);
@@ -1014,7 +1198,7 @@ TEST(Obs25BackendEquivalence, OverlappingTimeToSilenceCIs) {
       // All-leaders start: an active configuration.
       std::vector<Obs25SSLE::State> init(3);
       Simulation<Obs25SSLE> sim(proto, init, derive_seed(1100, i));
-      EXPECT_TRUE(sim.run_until(
+      EXPECT_TRUE(run_until(sim,
           [&](const auto& s) {
             return obs25_states_silent(s.protocol(), s.states());
           },
@@ -1024,7 +1208,7 @@ TEST(Obs25BackendEquivalence, OverlappingTimeToSilenceCIs) {
     {
       std::vector<std::uint64_t> counts = {3, 0, 0, 0, 0, 0};
       BatchSimulation<Obs25SSLE> sim(proto, counts, derive_seed(1200, i));
-      EXPECT_TRUE(sim.run_until(
+      EXPECT_TRUE(run_until(sim,
           [&](const auto& s) {
             return obs25_counts_silent(s.protocol(), s.counts());
           },
@@ -1038,7 +1222,7 @@ TEST(Obs25BackendEquivalence, OverlappingTimeToSilenceCIs) {
       std::vector<std::uint64_t> counts = {3, 0, 0, 0, 0, 0};
       BatchSimulation<Obs25SSLE> sim(proto, counts, derive_seed(1300, i),
                                      BatchStrategy::kMultinomial);
-      EXPECT_TRUE(sim.run_until(
+      EXPECT_TRUE(run_until(sim,
           [&](const auto& s) {
             return obs25_counts_silent(s.protocol(), s.counts());
           },
@@ -1056,7 +1240,7 @@ TEST(RunTrialsParallel, BitIdenticalAcrossThreadCounts) {
   auto one = [](std::uint64_t seed) {
     BatchSimulation<SilentNStateSSR> sim(
         SilentNStateSSR(64), silent_nstate_worst_config(64), seed);
-    sim.run_until([](const auto& s) { return s.silent(); }, 1ull << 40);
+    run_until(sim, [](const auto& s) { return s.silent(); }, 1ull << 40);
     return sim.parallel_time();
   };
   const auto serial = run_trials(12, 42, one);

@@ -259,6 +259,14 @@ TEST(Registry, HostileParamOverridesAreRejected) {
     EXPECT_THROW(run_scenario(spec), std::invalid_argument)
         << c.protocol << " param." << c.name << "=" << c.value;
   }
+  // Each reset-process constant fits 32 bits, but the code space
+  // 1 + Rmax + Dmax + 1 does not.
+  ScenarioSpec reset;
+  reset.protocol = "reset-process";
+  reset.n = 64;
+  reset.engine = "batch";
+  reset.params = {{"rmax_factor", "516360667.2648266"}, {"dmax_factor", "1"}};
+  EXPECT_THROW(run_scenario(reset), std::invalid_argument);
   // A positive fractional factor still scales its constant.
   ScenarioSpec spec;
   spec.protocol = "optimal-silent";

@@ -192,7 +192,7 @@ struct FastRun {
 };
 
 FastRun run_fast(BatchSimulation<SilentNStateSSR> sim) {
-  sim.run_until([](const auto& s) { return s.silent(); }, ~0ull);
+  run_until(sim, [](const auto& s) { return s.silent(); }, ~0ull);
   return {sim.interactions(), sim.parallel_time(), sim.stats().effective};
 }
 

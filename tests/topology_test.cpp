@@ -55,8 +55,6 @@ using stat_harness::family_widen;
 
 static_assert(RingCompressibleProtocol<RingSSLE>);
 static_assert(RingCompressibleProtocol<OneWayEpidemic>);
-static_assert(LeaderReportingProtocol<RingSSLE>);
-static_assert(!LeaderReportingProtocol<OneWayEpidemic>);
 static_assert(CountEngine<RingSimulation<RingSSLE>>);
 static_assert(CountEngine<RingSimulation<OneWayEpidemic>>);
 // The ring engine has exactly one strategy; it must stay invisible to the
@@ -292,11 +290,10 @@ TEST(RingEngine, IncrementalBookkeepingMatchesBruteForce) {
         std::vector<RingSSLE::State> s(n);
         for (std::uint32_t i = 0; i < n; ++i) s[i] = sim.state_at(i);
         std::vector<std::uint64_t> counts(p.num_states(), 0);
-        std::uint64_t leaders = 0, w = 0;
+        std::uint64_t w = 0;
         std::uint32_t runs = 0;
         for (std::uint32_t i = 0; i < n; ++i) {
           ++counts[p.encode(s[i])];
-          if (p.is_leader(s[i])) ++leaders;
           if (!p.is_null_pair(s[i], s[(i + 1) % n])) ++w;
           if (!(s[i] == s[(i + 1) % n])) ++runs;
         }
@@ -307,8 +304,6 @@ TEST(RingEngine, IncrementalBookkeepingMatchesBruteForce) {
           ASSERT_EQ(ec[q], counts[q])
               << "n=" << n << " seed=" << seed << " step=" << step
               << " state " << q;
-        ASSERT_EQ(sim.leader_count(), leaders)
-            << "n=" << n << " seed=" << seed << " step=" << step;
         ASSERT_EQ(sim.active_weight(), w)
             << "n=" << n << " seed=" << seed << " step=" << step;
         ASSERT_EQ(sim.arc_count(), runs)
