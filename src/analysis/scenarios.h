@@ -31,7 +31,8 @@
 //   elected   exactly one leader, held for the tail window
 //   detected / drained / complete / thinned / silent
 //             protocol-specific events; metric = parallel time at the
-//             first interaction where the event holds
+//             first interaction where the event holds (optimal-silent
+//             silent: the complete graph or the ring count engine only)
 //   ptime     fixed parallel-time budget (spec.horizon_ptime); metric =
 //             per-trial *run* wall seconds (engine construction excluded;
 //             ScenarioResult.wall_seconds covers the whole scenario
@@ -68,6 +69,7 @@
 #pragma once
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstdint>
 #include <functional>
@@ -325,6 +327,20 @@ inline auto detected_stop() {
   });
 }
 
+// until=silent on the directed ring: no active ring edge, the ring count
+// engine's O(1) read. Only plans resolved to that engine run it; the other
+// engines drive() compiles never reach it.
+inline auto ring_silent_stop() {
+  return engine_stop([](const auto& sim) {
+    if constexpr (requires { sim.arc_count(); }) {
+      return sim.silent();
+    } else {
+      throw std::logic_error("ring silence read off the ring engine");
+      return false;
+    }
+  });
+}
+
 // Fixed parallel-time budget: the perf-measurement mode. Metric = per-trial
 // *run* wall seconds (engine construction excluded, so strategy
 // head-to-heads measure the stepping code); ScenarioResult.wall_seconds
@@ -404,6 +420,7 @@ inline void register_optimal_silent(ProtocolRegistry& reg) {
   e.default_init = optimal_silent_inits().default_name();
   e.untils = {"ranked", "detected", "silent", "held", "ptime"};
   e.default_until = "ranked";
+  e.complete_or_ring_untils = {"silent"};
   e.run = [](const ScenarioPlan& plan) {
     namespace sd = scenario_detail;
     const std::uint32_t n = plan.n;
@@ -438,14 +455,20 @@ inline void register_optimal_silent(ProtocolRegistry& reg) {
     }
     if (plan.until == "silent") {
       // Full silence — the event the paper's silence definition names:
-      // no ordered pair is non-null. With passive = Settled and key =
-      // rank - 1 (the keyed null structure), the active weight is zero
-      // exactly when every agent is Settled with a distinct rank, i.e.
-      // when the ranks form a permutation.
+      // no edge of the interaction graph carries a non-null pair. On the
+      // complete graph, with passive = Settled and key = rank - 1 (the
+      // keyed null structure), the active weight is zero exactly when
+      // every agent is Settled with a distinct rank, i.e. when the ranks
+      // form a permutation. On the directed ring duplicate ranks that
+      // never meet are silent too: there the ring engine reads its own
+      // active-edge weight (resolve() runs no other engine off the
+      // complete graph).
+      if (!plan.topology.is_complete())
+        return sd::execute_event(plan, proto, inits, horizon,
+                                 sd::ring_silent_stop());
       return sd::execute_event(
           plan, proto, inits, horizon,
-          permutation_stop(RankKey{}, n,
-                                   StopRule::kFirstEntry));
+          permutation_stop(RankKey{}, n, StopRule::kFirstEntry));
     }
     return sd::execute_ptime(plan, proto, inits);
   };
@@ -728,10 +751,17 @@ inline void register_obs25(ProtocolRegistry& reg) {
     const auto& inits = obs25_inits();
     if (plan.until == "silent") {
       // No non-null pair among the occupied states: an O(1) scan of the
-      // six-code count snapshot (n = 3), which both engine families give.
+      // six-code count snapshot (n = 3), built in a fixed buffer (the
+      // agent array's state_counts() allocates a vector per call).
       auto silent = [](const auto& sim) {
         const auto& p = sim.protocol();
-        const auto& counts = sim.state_counts();
+        std::array<std::uint64_t, Obs25SSLE::kStates> counts{};
+        if constexpr (AgentArrayEngine<std::decay_t<decltype(sim)>>) {
+          for (const auto& s : sim.states()) ++counts[p.encode(s)];
+        } else {
+          const auto& c = sim.state_counts();
+          std::copy(c.begin(), c.end(), counts.begin());
+        }
         for (std::uint32_t a = 0; a < counts.size(); ++a) {
           if (counts[a] == 0) continue;
           if (counts[a] > 1 && !p.is_null_pair(p.decode(a), p.decode(a)))

@@ -323,6 +323,11 @@ struct ProtocolEntry {
   std::string default_init;         // an *adversarial* default
   std::vector<std::string> untils;  // registered stop-condition names
   std::string default_until;
+  // Stop conditions the runner tests in O(1) only on the complete graph
+  // and on the ring count engine (optimal-silent's silent: the rank
+  // permutation, or the ring engine's active-edge weight). resolve()
+  // rejects them on any other graph or engine.
+  std::vector<std::string> complete_or_ring_untils;
 
   // Executes a plan resolve() made from this entry. Throws
   // std::invalid_argument only on a bad param.<name> override, which the
@@ -436,6 +441,13 @@ inline ScenarioPlan resolve(const ProtocolEntry& entry,
                    plan.topology.spec() + "' runs on engine=array"
              : "protocol '" + who +
                    "' is not enumerable: the batched engine cannot run it");
+  if (!plan.topology.is_complete() && plan.engine != Engine::kRing &&
+      listed(entry.complete_or_ring_untils, plan.until))
+    fail("until=" + plan.until + " of protocol '" + who +
+         "' is tested only on the complete graph or on the ring count "
+         "engine (topology=ring, engine auto or batch); the agent array "
+         "has no O(1) test for it on topology '" + plan.topology.spec() +
+         "'");
   if (plan.engine == Engine::kRing &&
       plan.strategy != BatchStrategy::kAuto &&
       plan.strategy != BatchStrategy::kGeometricSkip)

@@ -158,6 +158,19 @@ TEST(Registry, InexpressibleSpecsFailLoudly) {
                                         s.engine = "batch";
                                         s.topology = "line";
                                       })},
+      {"optimal-silent silent on the agent array on a ring",
+       make("optimal-silent",
+            [](ScenarioSpec& s) {
+              s.until = "silent";
+              s.engine = "array";
+              s.topology = "ring";
+            })},
+      {"optimal-silent silent on a line (auto demotes to the array)",
+       make("optimal-silent",
+            [](ScenarioSpec& s) {
+              s.until = "silent";
+              s.topology = "line";
+            })},
       {"nan tau.eps", make("optimal-silent",
                            [](ScenarioSpec& s) {
                              s.strategy = "tau";

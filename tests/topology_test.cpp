@@ -546,6 +546,38 @@ TEST(TopologyRouting, AutoDemotesToArrayOffTheRing) {
   EXPECT_EQ(r.failed, 0u);
 }
 
+// optimal-silent until=silent on the directed ring stops at the ring
+// engine's own silence (no active ring edge), where duplicate ranks on
+// agents that never meet are already silent; the rank permutation, the
+// complete graph's silence, may never come. Pinned to the record the
+// ring engine gave before every stop ran through run_until.
+TEST(TopologyRouting, RingOptimalSilentStopsAtRingSilence) {
+  struct Pin {
+    const char* init;
+    std::uint64_t interactions;  // summed over the three trials
+    double ptime_mean;
+  };
+  for (const Pin& pin : {Pin{"duplicate-rank", 1686709, 17569.885416666668},
+                         Pin{"uniform-random", 395376, 4118.5}}) {
+    ScenarioSpec spec;
+    spec.protocol = "optimal-silent";
+    spec.n = 32;
+    spec.init = pin.init;
+    spec.until = "silent";
+    spec.topology = "ring";
+    spec.trials = 3;
+    spec.seed = 11;
+    spec.threads = 1;
+    const ScenarioResult r = run_scenario(spec);
+    EXPECT_EQ(r.strategy, "ring_rle") << pin.init;
+    EXPECT_EQ(r.failed, 0u) << pin.init;
+    EXPECT_DOUBLE_EQ(r.interactions_mean * 3.0,
+                     static_cast<double>(pin.interactions))
+        << pin.init;
+    EXPECT_DOUBLE_EQ(r.summary.mean, pin.ptime_mean) << pin.init;
+  }
+}
+
 // The ring + compressible-protocol combination routes to the compressed
 // engine and agrees with the array on the epidemic completion time.
 TEST(TopologyRouting, RingEpidemicCrossEngine) {
