@@ -33,6 +33,16 @@ class Roster {
     return r;
   }
 
+  // The roster holding exactly the distinct entries of `names`, built in
+  // one sort instead of one copy-on-write insert per name.
+  static Roster from_names(std::vector<Name> names) {
+    std::sort(names.begin(), names.end());
+    names.erase(std::unique(names.begin(), names.end()), names.end());
+    Roster r;
+    r.names_ = std::make_shared<const std::vector<Name>>(std::move(names));
+    return r;
+  }
+
   std::size_t size() const { return names_->size(); }
 
   bool contains(const Name& n) const {

@@ -82,12 +82,13 @@ inline HistoryNodePtr random_history_node(const Name& label,
       const Name child_label = pool[rng.below(pool.size())];
       bool dup = false;
       for (const auto& e : kids)
-        if (e.child->name == child_label) {
+        if (e.name == child_label) {
           dup = true;
           break;
         }
       if (dup) continue;
       HistoryEdge e;
+      e.name = child_label;
       e.sync = rng.range(1, p.smax);
       // Owner frame starts at ops = 0; expiries in [-th, +th]: half expired.
       e.expiry = static_cast<std::int64_t>(rng.below(2 * p.th + 1)) -
@@ -100,14 +101,11 @@ inline HistoryNodePtr random_history_node(const Name& label,
   return std::make_shared<const HistoryNode>(label, std::move(kids));
 }
 
-// Cache-line aligned: the roster-filling loop below is the hot part of
-// every sublinear-h* set-up, and its speed swings by up to ~20% with where
-// unrelated code growth in the same binary happens to place it (measured
-// with g++ 12 -O3 on a 4-vCPU Xeon host); a fixed alignment keeps set-up
-// timings comparable across builds.
-[[gnu::aligned(64)]] inline std::vector<SublinearTimeSSR::State>
-sublinear_config(const SublinearParams& p, SlAdversary kind,
-                 std::uint64_t seed) {
+// Rosters are collected as plain name lists in draw order and built once
+// (Roster::from_names), so a start costs O(n log n) per agent, not one
+// copy-on-write insert per name.
+inline std::vector<SublinearTimeSSR::State> sublinear_config(
+    const SublinearParams& p, SlAdversary kind, std::uint64_t seed) {
   Rng rng(seed);
   const std::uint32_t n = p.n;
   const SublinearTimeSSR proto(p);
@@ -120,8 +118,7 @@ sublinear_config(const SublinearParams& p, SlAdversary kind,
 
   // A correct ranked configuration over `names`: full rosters, lex ranks.
   auto make_ranked = [&] {
-    Roster full;
-    for (const auto& nm : names) full.insert(nm);
+    const Roster full = Roster::from_names(names);
     for (std::uint32_t i = 0; i < n; ++i) {
       states[i] = collecting(names[i]);
       states[i].roster = full;
@@ -145,11 +142,14 @@ sublinear_config(const SublinearParams& p, SlAdversary kind,
           auto& s = states[i];
           s = collecting(nm);
           const std::uint64_t extra = rng.below(n);
+          std::vector<Name> heard{nm};
+          heard.reserve(extra + 1);
           for (std::uint64_t k = 0; k < extra; ++k) {
             // Mix of real names and arbitrary bitstrings (possible ghosts).
-            s.roster.insert(rng.coin() ? names[rng.below(n)]
+            heard.push_back(rng.coin() ? names[rng.below(n)]
                                        : random_name(rng, p.name_len));
           }
+          s.roster = Roster::from_names(std::move(heard));
           s.rank = static_cast<std::uint32_t>(rng.range(1, n));
           s.tree.install(
               random_history_node(nm, names,
@@ -182,16 +182,23 @@ sublinear_config(const SublinearParams& p, SlAdversary kind,
           if (!clash) return g;
         }
       }();
+      // Draws stop once an agent has heard all n names; `heard_by` marks
+      // the names agent i has drawn so far (names are distinct).
+      std::vector<std::uint32_t> heard_by(n, n);
       for (std::uint32_t i = 0; i < n; ++i) {
         states[i] = collecting(names[i]);
+        std::vector<Name> heard{names[i]};
+        heard_by[i] = i;
         const std::uint64_t extra = rng.below(n - 1);
-        for (std::uint64_t k = 0; k < extra && states[i].roster.size() < n;
-             ++k)
-          states[i].roster.insert(names[rng.below(n)]);
-      }
-      for (std::uint32_t i = 0; i < std::max<std::uint32_t>(1, n / 4); ++i) {
-        if (states[i].roster.size() >= n) continue;
-        states[i].roster.insert(ghost);
+        for (std::uint64_t k = 0; k < extra && heard.size() < n; ++k) {
+          const auto j = static_cast<std::uint32_t>(rng.below(n));
+          if (heard_by[j] == i) continue;
+          heard_by[j] = i;
+          heard.push_back(names[j]);
+        }
+        if (i < std::max<std::uint32_t>(1, n / 4) && heard.size() < n)
+          heard.push_back(ghost);
+        states[i].roster = Roster::from_names(std::move(heard));
       }
       states[0].roster = Roster::singleton(names[0]);  // room for the ghost
       states[0].roster.insert(ghost);

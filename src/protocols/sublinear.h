@@ -251,7 +251,8 @@ class SublinearTimeSSR {
     d.direct_check = p.direct_check;
     // Root edges dead for more than (H+6) * TH operations can no longer be
     // needed as verification material (frame skew per hop is O(TH) whp);
-    // pruning them bounds the per-agent memory. See DESIGN.md.
+    // pruning them bounds the per-agent memory. See "dead-edge pruning" in
+    // collision_tree.h.
     d.prune_window = static_cast<std::uint64_t>(p.depth_h + 6) * p.th;
     return d;
   }

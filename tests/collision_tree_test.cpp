@@ -2,17 +2,20 @@
 // semantics, lazy frame-shifted timers, simple labeling, Check-Path-
 // Consistency, indirect collision detection, and safety (no false
 // positives) — including step-by-step reproduction of both executions in
-// Figure 2 of the paper.
+// Figure 2 of the paper — and a differential test against the copying
+// reference in reference_collision_tree.h.
 #include <gtest/gtest.h>
 
 #include <optional>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "common/name.h"
 #include "core/rng.h"
 #include "core/scheduler.h"
 #include "protocols/collision_tree.h"
+#include "reference_collision_tree.h"
 
 namespace ppsim {
 namespace {
@@ -38,9 +41,9 @@ std::vector<VisibleEdge> visible_children(const HistoryTree& tree,
     for (const auto& e : cur->children) {
       bool repeated = false;
       for (const Name& anc : seen)
-        if (anc == e.child->name) repeated = true;
+        if (anc == e.name) repeated = true;
       if (repeated) continue;
-      if (e.child->name == want) {
+      if (e.name == want) {
         found = &e;
         break;
       }
@@ -54,10 +57,10 @@ std::vector<VisibleEdge> visible_children(const HistoryTree& tree,
   for (const auto& e : cur->children) {
     bool repeated = false;
     for (const Name& anc : seen)
-      if (anc == e.child->name) repeated = true;
+      if (anc == e.name) repeated = true;
     if (repeated) continue;
     VisibleEdge v;
-    v.name = e.child->name;
+    v.name = e.name;
     v.sync = e.sync;
     // e.shift applies only below e.child; the edge's own timer uses the
     // shifts accumulated on the way to `cur`.
@@ -503,6 +506,179 @@ TEST(HistoryNode, LongGraftChainsDestructSafely) {
   b.reset(nm(2));
   SUCCEED();
 }
+
+// --- Differential test against the copying reference -----------------------
+//
+// The same random schedule drives the owned, name-indexed root
+// (HistoryTree + CollisionDetector) and the copying graft + full DFS
+// (reference::RefTree + RefDetector) from the same installed adversarial
+// trees. After every interaction the two must agree on the verdict, the
+// drawn sync, the visible root edges in order, the count-form projections
+// and the number of paths checked.
+
+// A sibling-unique random tree over `pool` with expiries in [-th, th].
+HistoryNodePtr random_tree(const Name& label, const std::vector<Name>& pool,
+                           std::uint32_t depth, std::uint32_t th, Rng& rng) {
+  std::vector<HistoryEdge> kids;
+  const std::uint64_t fanout = depth == 0 ? 0 : rng.below(4);
+  for (std::uint64_t k = 0; k < fanout; ++k) {
+    const Name child = pool[rng.below(pool.size())];
+    bool dup = false;
+    for (const auto& e : kids) dup = dup || e.name == child;
+    if (dup) continue;
+    HistoryEdge e;
+    e.name = child;
+    e.sync = rng.range(1, 50);
+    e.expiry = static_cast<std::int64_t>(rng.below(2 * th + 1)) -
+               static_cast<std::int64_t>(th);
+    e.shift = static_cast<std::int64_t>(rng.below(5)) - 2;
+    e.child = random_tree(child, pool, depth - 1, th, rng);
+    kids.push_back(std::move(e));
+  }
+  return std::make_shared<const HistoryNode>(label, std::move(kids));
+}
+
+reference::RefNodePtr to_reference(const Name& name, const HistoryNode* node) {
+  std::vector<reference::RefEdge> kids;
+  if (node != nullptr)
+    for (const auto& e : node->children) {
+      reference::RefEdge r;
+      r.sync = e.sync;
+      r.expiry = e.expiry;
+      r.shift = e.shift;
+      r.child = to_reference(e.name, e.child.get());
+      kids.push_back(std::move(r));
+    }
+  return std::make_shared<const reference::RefNode>(name, std::move(kids));
+}
+
+struct DifferentialCase {
+  std::uint32_t h;
+  bool direct;
+  std::uint64_t window;
+};
+
+class CollisionTreeDifferential
+    : public ::testing::TestWithParam<DifferentialCase> {};
+
+TEST_P(CollisionTreeDifferential, MatchesCopyingReference) {
+  const DifferentialCase c = GetParam();
+  constexpr std::uint32_t kAgents = 7;
+  constexpr std::uint32_t kTh = 4;
+  CollisionDetectorParams params;
+  params.depth_h = c.h;
+  params.smax = 40;  // small: equal syncs make some stale paths consistent
+  params.th = kTh;
+  params.direct_check = c.direct;
+  params.prune_window = c.window;
+  const CollisionDetector det(params);
+  const reference::RefDetector ref_det(params);
+  CollisionDetectorStats stats, ref_stats;
+
+  // Six names for seven agents: one name is shared, so collisions happen.
+  std::vector<Name> pool;
+  for (std::uint64_t v = 1; v < kAgents; ++v) pool.push_back(nm(v));
+  std::vector<HistoryTree> trees(kAgents);
+  std::vector<reference::RefTree> refs(kAgents);
+  Rng setup(100 * c.h + c.window + (c.direct ? 7 : 0));
+  auto install = [&](std::uint32_t i) {
+    const Name own = pool[i % pool.size()];
+    const HistoryNodePtr root =
+        random_tree(own, pool, std::min<std::uint32_t>(c.h, 3), kTh, setup);
+    const std::uint64_t ops = setup.below(2 * kTh);
+    refs[i].install(to_reference(own, root.get()), ops);
+    trees[i].install(root, ops);
+  };
+  for (std::uint32_t i = 0; i < kAgents; ++i) install(i);
+
+  auto same_root = [&](std::uint32_t i) {
+    const HistoryTree& t = trees[i];
+    const reference::RefTree& r = refs[i];
+    ASSERT_EQ(t.ops(), r.ops());
+    const auto& kids = t.root()->children;
+    const auto& ref_kids = r.root()->children;
+    ASSERT_EQ(kids.size(), ref_kids.size()) << "agent " << i;
+    for (std::size_t k = 0; k < kids.size(); ++k) {
+      EXPECT_EQ(kids[k].name, ref_kids[k].child->name);
+      EXPECT_EQ(std::tie(kids[k].sync, kids[k].expiry, kids[k].shift),
+                std::tie(ref_kids[k].sync, ref_kids[k].expiry,
+                         ref_kids[k].shift));
+    }
+    EXPECT_EQ(live_root_degree(t), reference::live_root_degree(r));
+    for (const Name& name : pool)
+      EXPECT_EQ(root_edge_age(t, name, kTh),
+                reference::root_edge_age(r, name, kTh));
+    for (std::uint32_t d : {0u, 1u, c.h})
+      EXPECT_EQ(truncated_shape_code(t, d),
+                reference::truncated_shape_code(r, d));
+  };
+
+  Rng sched_rng(31 + c.h);
+  UniformScheduler sched(kAgents);
+  std::uint64_t collisions = 0, window_edges = 0;
+  for (int step = 0; step < 3000; ++step) {
+    const AgentPair p = sched.next(sched_rng);
+    const std::uint32_t a = p.initiator, b = p.responder;
+    // Count root edges sitting exactly on the prune boundary
+    // (expiry + window == ops) at the graft this step may make.
+    for (std::uint32_t i : {a, b})
+      for (const auto& e : refs[i].root()->children)
+        if (c.window > 0 &&
+            e.expiry + static_cast<std::int64_t>(c.window) ==
+                static_cast<std::int64_t>(refs[i].ops()))
+          ++window_edges;
+    Rng rng(1000 + step), ref_rng(1000 + step);
+    const bool hit = det.detect_and_update(trees[a], trees[b], rng, stats);
+    const bool ref_hit =
+        ref_det.detect_and_update(refs[a], refs[b], ref_rng, ref_stats);
+    ASSERT_EQ(hit, ref_hit) << "step " << step;
+    EXPECT_EQ(rng(), ref_rng()) << "same draws, step " << step;
+    EXPECT_EQ(stats.paths_checked, ref_stats.paths_checked);
+    if (c.h >= 2) {
+      EXPECT_LE(stats.nodes_visited, ref_stats.nodes_visited);
+    }
+    if (hit) {
+      // What Sublinear-Time-SSR does next: reset both agents. Half the time
+      // they get fresh adversarial trees instead, to stay adversarial.
+      ++collisions;
+      for (std::uint32_t i : {a, b}) {
+        if (setup.coin()) {
+          install(i);
+        } else {
+          trees[i].reset(trees[i].own_name());
+          refs[i].reset(refs[i].own_name());
+        }
+      }
+    } else {
+      EXPECT_EQ(trees[a].find(trees[b].own_name())->sync,
+                refs[a].root()->children.back().sync);
+    }
+    same_root(a);
+    same_root(b);
+    if (::testing::Test::HasFailure()) FAIL() << "diverged at step " << step;
+  }
+  EXPECT_GT(collisions, 0u);
+  EXPECT_EQ(stats.collisions_reported, ref_stats.collisions_reported);
+  if (c.window > 0) {
+    EXPECT_GT(window_edges, 0u);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Cases, CollisionTreeDifferential,
+    ::testing::Values(DifferentialCase{1, true, 0}, DifferentialCase{1, false, 0},
+                      DifferentialCase{1, true, 1}, DifferentialCase{1, false, 3},
+                      DifferentialCase{1, true, 8}, DifferentialCase{2, true, 0},
+                      DifferentialCase{2, false, 2}, DifferentialCase{2, true, 8},
+                      DifferentialCase{3, false, 0}, DifferentialCase{3, true, 3},
+                      DifferentialCase{3, false, 8}),
+    [](const ::testing::TestParamInfo<DifferentialCase>& info) {
+      std::string name = "H";
+      name += std::to_string(info.param.h);
+      name += info.param.direct ? "_direct_window" : "_indirect_window";
+      name += std::to_string(info.param.window);
+      return name;
+    });
 
 }  // namespace
 }  // namespace ppsim

@@ -245,8 +245,8 @@ TEST(Sublinear, NoFalseCollisionsAfterStabilization) {
 }
 
 // The n = 2 corner: the paper's indirect detection has no third party; the
-// direct-check rule (see DESIGN.md) must still let the population recover
-// from identical names.
+// direct-check rule (see "direct check" in protocols/collision_tree.h) must
+// still let the population recover from identical names.
 TEST(Sublinear, TwoAgentPopulationRecoversFromSameName) {
   const auto p = small_params(2, 1);
   SublinearTimeSSR proto(p);
