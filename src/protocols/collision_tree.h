@@ -176,10 +176,10 @@ class HistoryTree {
     edges_.clear();
     reindex(kMinSweep);
     frozen_.reset();
-    initialized_ = true;
   }
 
-  bool initialized() const { return initialized_; }
+  // Reset and install both build the index.
+  bool initialized() const { return !slots_.empty(); }
   std::uint64_t ops() const { return ops_; }
   const Name& own_name() const { return name_; }
 
@@ -201,24 +201,10 @@ class HistoryTree {
   // increased by the index slots examined.
   const HistoryEdge* find(const Name& name,
                           std::uint64_t* probes = nullptr) const {
-    if (slots_.empty()) return nullptr;  // never reset or installed
-    const std::uint64_t h = name.hash();
-    const auto tag = static_cast<std::uint32_t>(h >> 32);
-    const std::size_t mask = slots_.size() - 1;
-    for (std::size_t i = h & mask;; i = (i + 1) & mask) {
-      if (probes != nullptr) ++*probes;
-      const Slot& s = slots_[i];
-      if (s.pos == kEmptySlot) return nullptr;
-      if (s.tag == tag && edges_[s.pos].name == name)
-        return visible(edges_[s.pos]) ? &edges_[s.pos] : nullptr;
-    }
-  }
-
-  // Visits every visible root edge in graft order.
-  template <class F>
-  void for_each_edge(F&& f) const {
-    for (const auto& e : edges_)
-      if (visible(e)) f(e);
+    if (!initialized()) return nullptr;
+    const Slot& s = slots_[probe(name, probes)];
+    if (s.pos == kEmptySlot || !visible(edges_[s.pos])) return nullptr;
+    return &edges_[s.pos];
   }
 
   // Lines 13-14 of Protocol 7: decrement every timer in this tree.
@@ -236,13 +222,14 @@ class HistoryTree {
     const auto ops = static_cast<std::int64_t>(ops_);
     if (prune_window > 0)
       floor_ = std::max(floor_, ops - static_cast<std::int64_t>(prune_window));
-    Slot& slot = slot_for(partner);
+    Slot& slot = slots_[probe(partner)];
     if (slot.pos != kEmptySlot) {
       HistoryEdge& old = edges_[slot.pos];
       old.expiry = kReplaced;
       old.child.reset();
     }
-    slot.pos = static_cast<std::uint32_t>(edges_.size());
+    slot = Slot{static_cast<std::uint32_t>(edges_.size()),
+                tag(partner.hash())};
     HistoryEdge& fresh = edges_.emplace_back();
     fresh.name = partner;
     fresh.sync = sync;
@@ -262,7 +249,6 @@ class HistoryTree {
     edges_ = root->children;
     reindex(std::max(kMinSweep, 2 * edges_.size()));
     frozen_ = std::move(root);
-    initialized_ = true;
   }
 
  private:
@@ -282,20 +268,24 @@ class HistoryTree {
 
   bool visible(const HistoryEdge& e) const { return e.expiry >= floor_; }
 
-  // The slot holding `name`, or the empty slot where it goes. The table is
-  // at most half full: it has room for 2 * sweep_at_ entries and edges_
-  // never reaches sweep_at_ + 1 names.
-  Slot& slot_for(const Name& name) {
+  static std::uint32_t tag(std::uint64_t hash) {
+    return static_cast<std::uint32_t>(hash >> 32);
+  }
+
+  // The index of the slot holding `name`, or of the empty slot where it
+  // goes; `probes`, when given, counts the slots examined. The table is at
+  // most half full: it has room for 2 * sweep_at_ entries and edges_ never
+  // holds more than sweep_at_ names.
+  std::size_t probe(const Name& name, std::uint64_t* probes = nullptr) const {
     const std::uint64_t h = name.hash();
-    const auto tag = static_cast<std::uint32_t>(h >> 32);
     const std::size_t mask = slots_.size() - 1;
     for (std::size_t i = h & mask;; i = (i + 1) & mask) {
-      Slot& s = slots_[i];
-      if (s.pos == kEmptySlot) {
-        s.tag = tag;
-        return s;
-      }
-      if (s.tag == tag && edges_[s.pos].name == name) return s;
+      if (probes != nullptr) ++*probes;
+      const Slot& s = slots_[i];
+      if (s.pos == kEmptySlot ||
+          (s.tag == tag(h) &&
+           edges_[s.pos].name == name))
+        return i;
     }
   }
 
@@ -319,7 +309,8 @@ class HistoryTree {
     while (capacity < 2 * sweep_at_) capacity *= 2;
     slots_.assign(capacity, Slot{kEmptySlot, 0});
     for (std::size_t p = 0; p < edges_.size(); ++p)
-      slot_for(edges_[p].name).pos = static_cast<std::uint32_t>(p);
+      slots_[probe(edges_[p].name)] =
+          Slot{static_cast<std::uint32_t>(p), tag(edges_[p].name.hash())};
   }
 
   Name name_;
@@ -329,7 +320,6 @@ class HistoryTree {
   std::vector<Slot> slots_;         // power-of-two open addressing
   std::size_t sweep_at_ = kMinSweep;
   mutable HistoryNodePtr frozen_;  // root() cache, reset by every graft
-  bool initialized_ = false;
 };
 
 struct CollisionDetectorParams {
@@ -616,9 +606,8 @@ inline std::uint32_t live_root_degree(const HistoryTree& tree) {
   if (!tree.initialized()) return 0;
   const auto ops = static_cast<std::int64_t>(tree.ops());
   std::uint32_t deg = 0;
-  tree.for_each_edge([&](const HistoryEdge& e) {
+  for (const auto& e : tree.root()->children)
     if (e.expiry - ops > 0) ++deg;
-  });
   return deg;
 }
 

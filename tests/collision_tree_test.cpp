@@ -666,11 +666,17 @@ TEST_P(CollisionTreeDifferential, MatchesCopyingReference) {
 
 INSTANTIATE_TEST_SUITE_P(
     Cases, CollisionTreeDifferential,
-    ::testing::Values(DifferentialCase{1, true, 0}, DifferentialCase{1, false, 0},
-                      DifferentialCase{1, true, 1}, DifferentialCase{1, false, 3},
-                      DifferentialCase{1, true, 8}, DifferentialCase{2, true, 0},
-                      DifferentialCase{2, false, 2}, DifferentialCase{2, true, 8},
-                      DifferentialCase{3, false, 0}, DifferentialCase{3, true, 3},
+    // {H, direct_check, prune_window}
+    ::testing::Values(DifferentialCase{1, true, 0},
+                      DifferentialCase{1, false, 0},
+                      DifferentialCase{1, true, 1},
+                      DifferentialCase{1, false, 3},
+                      DifferentialCase{1, true, 8},
+                      DifferentialCase{2, true, 0},
+                      DifferentialCase{2, false, 2},
+                      DifferentialCase{2, true, 8},
+                      DifferentialCase{3, false, 0},
+                      DifferentialCase{3, true, 3},
                       DifferentialCase{3, false, 8}),
     [](const ::testing::TestParamInfo<DifferentialCase>& info) {
       std::string name = "H";
