@@ -1,4 +1,4 @@
-// Ablation experiments (see DESIGN.md): how the protocols degrade when the
+// Ablation experiments: how the protocols degrade when the
 // constants behind the paper's Theta(.) requirements are starved, which
 // empirically justifies each requirement.
 //
@@ -11,7 +11,8 @@
 //   * Sublinear Smax: sync values must be wide enough that a duplicate
 //     cannot echo them by chance (Lemma 5.6's 1/Smax term)
 //   * Sublinear TH: timers must live ~tau_{H+1} or detection paths expire
-//   * direct-check rule at n = 2 (DESIGN.md erratum discussion)
+//   * direct-check rule at n = 2 (a departure from Protocol 7 that
+//     collision_tree.h's header comment explains)
 //   * synthetic coin overhead (Section 6)
 //
 // Every ablation is a ScenarioSpec sweep over param.<name> overrides
@@ -176,8 +177,8 @@ void ablate_th(const BenchScale& scale, BenchReport& report) {
 }
 
 void ablate_direct_check(const BenchScale&, BenchReport& report) {
-  std::cout << "\n== ablation: the direct-check rule at n = 2 (DESIGN.md) "
-               "==\n";
+  std::cout << "\n== ablation: the direct-check rule at n = 2 "
+               "(collision_tree.h) ==\n";
   Table t({"direct_check", "outcome"});
   for (bool direct : {true, false}) {
     ScenarioSpec spec;

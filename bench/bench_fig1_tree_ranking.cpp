@@ -1,4 +1,4 @@
-// Experiment F1 (see DESIGN.md): Figure 1 — the binary-tree rank assignment
+// Experiment F1: Figure 1 — the binary-tree rank assignment
 // of Optimal-Silent-SSR.
 //
 // Reproduces the figure's exact scenario (n = 12, eight settled agents with

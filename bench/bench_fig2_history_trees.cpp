@@ -1,4 +1,4 @@
-// Experiment F2 (see DESIGN.md): Figure 2 — how interaction-history trees
+// Experiment F2: Figure 2 — how interaction-history trees
 // are built and checked.
 //
 // Replays both executions from the paper's Figure 2 (four agents a, b, c, d;

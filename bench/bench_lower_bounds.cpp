@@ -1,4 +1,5 @@
-// Experiment group O2.6 + the Omega(log n) SSLE bound (see DESIGN.md):
+// Experiment group O2.6 (Observation 2.6 of the paper) + the Omega(log n)
+// SSLE bound:
 // empirical witnesses of the paper's lower bounds.
 //
 //   * Observation 2.6: a silent protocol must take Omega(n) expected time,

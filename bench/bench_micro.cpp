@@ -57,27 +57,47 @@ void BM_NameCompare(benchmark::State& state) {
 }
 BENCHMARK(BM_NameCompare);
 
+// Roster::unite on each of its three paths. Every iteration unites fresh
+// copies of the two rosters (two reference-count increments each), so the
+// inputs stay as built.
 void BM_RosterUnionDisjoint(benchmark::State& state) {
+  // A strict two-sided union: one walk and one allocating merge.
   const auto size = static_cast<std::uint32_t>(state.range(0));
-  Rng rng(1);
   Roster a, b;
   for (std::uint32_t i = 0; i < size; ++i) {
     a.insert(Name::from_bits(2 * i, 40));
     b.insert(Name::from_bits(2 * i + 1, 40));
   }
-  for (auto _ : state) benchmark::DoNotOptimize(Roster::merged(a, b));
+  for (auto _ : state) {
+    Roster x = a, y = b;
+    benchmark::DoNotOptimize(Roster::unite(x, y, 2 * size));
+    benchmark::DoNotOptimize(x);
+  }
 }
 BENCHMARK(BM_RosterUnionDisjoint)->Arg(64)->Arg(1024);
+
+void BM_RosterUnionSuperset(benchmark::State& state) {
+  // a holds every name of b: one walk, then b adopts a's storage.
+  const auto size = static_cast<std::uint32_t>(state.range(0));
+  Roster a, b;
+  for (std::uint32_t i = 0; i < size; ++i) {
+    a.insert(Name::from_bits(i, 40));
+    if (i % 2 == 0) b.insert(Name::from_bits(i, 40));
+  }
+  for (auto _ : state) {
+    Roster x = a, y = b;
+    benchmark::DoNotOptimize(Roster::unite(x, y, size));
+    benchmark::DoNotOptimize(y);
+  }
+}
+BENCHMARK(BM_RosterUnionSuperset)->Arg(64)->Arg(1024);
 
 void BM_RosterUnionShared(benchmark::State& state) {
   // The steady-state fast path: both rosters share storage.
   Roster a;
   for (std::uint32_t i = 0; i < 1024; ++i) a.insert(Name::from_bits(i, 40));
-  const Roster b = a;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(Roster::union_size(a, b));
-    benchmark::DoNotOptimize(Roster::merged(a, b));
-  }
+  Roster b = a;
+  for (auto _ : state) benchmark::DoNotOptimize(Roster::unite(a, b, 1024));
 }
 BENCHMARK(BM_RosterUnionShared);
 

@@ -1,4 +1,5 @@
-// Experiments T4.3 / C4.4 / L4.1 / L4.2 (see DESIGN.md): Optimal-Silent-SSR.
+// Experiments T4.3 / C4.4 / L4.1 / L4.2 (Theorem 4.3, Corollary 4.4 and
+// Lemmas 4.1-4.2 of the paper): Optimal-Silent-SSR.
 //
 // The stabilization and tree-ranking sweeps are thin wrappers over the
 // Scenario API (one ScenarioSpec per cell, batched backend + parallel seed

@@ -1,4 +1,5 @@
-// Experiment group L2.7 / C2.8 / L2.9 / L2.10 / L2.11 (see DESIGN.md):
+// Experiment group L2.7 / C2.8 / L2.9 / L2.10 / L2.11 (Lemmas 2.7 and
+// 2.9-2.11 and Corollary 2.8 of the paper):
 // empirical validation of the probabilistic tools of Section 2.1 —
 //
 //   * two-way epidemic:  E[T_n] = (n-1) H_{n-1} ~ n ln n, tail bound

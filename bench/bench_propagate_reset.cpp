@@ -1,5 +1,6 @@
-// Experiment group L3.2 / L3.3 / T3.4 / C3.5 (see DESIGN.md): phase timing
-// of Propagate-Reset (Protocol 2) in isolation.
+// Experiment group L3.2 / L3.3 / T3.4 / C3.5 (Lemmas 3.2-3.3, Theorem 3.4
+// and Corollary 3.5 of the paper): phase timing of Propagate-Reset
+// (Protocol 2) in isolation.
 //
 //   trigger -> fully propagating   O(log n)            (Lemma 3.2)
 //   fully propagating -> dormant   O(log n + Rmax)     (Lemma 3.3)

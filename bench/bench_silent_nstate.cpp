@@ -1,4 +1,4 @@
-// Experiment T2.4 (see DESIGN.md): the Theta(n^2)-time behavior of
+// Experiment T2.4 (Theorem 2.4 of the paper): the Theta(n^2)-time behavior of
 // Silent-n-state-SSR [Cai-Izumi-Wada], Protocol 1 — migrated onto the
 // Scenario API (ISSUE 5 satellite; ROADMAP named this mechanical
 // follow-up). Every sweep cell is one ScenarioSpec executed by the

@@ -1,4 +1,5 @@
-// Experiments T5.7 / L5.6 / L5.4-5.5 (see DESIGN.md): Sublinear-Time-SSR.
+// Experiments T5.7 / L5.6 / L5.4-5.5 (Theorem 5.7 and Lemmas 5.4-5.6 of the
+// paper): Sublinear-Time-SSR.
 //
 //   * collision-detection latency (Lemma 5.6): from a planted duplicate
 //     name, some agent detects the collision in O(TH) time, i.e.
@@ -207,9 +208,10 @@ void experiment_stabilization(const BenchScale& scale, BenchReport& report) {
     std::uint32_t h;
     std::vector<std::uint32_t> sizes;
   };
-  // H = 1 runs cheaply at large n (materialized depth-1 grafts); H >= 2
-  // keeps full lazy history (memory grows with the run), so sizes stay
-  // moderate — see DESIGN.md's memory-model note.
+  // H = 1 runs cheaply at large n (depth-1 grafts keep only the partner's
+  // name); H >= 2 grafts share the partner's whole history snapshot, so
+  // memory grows with the run and sizes stay moderate (collision_tree.h's
+  // header comment describes the representation).
   const std::vector<Config> configs = {
       {1u, scale.sizes({32, 64, 128, 256, 512})},
       {2u, scale.sizes({32, 64, 128})},

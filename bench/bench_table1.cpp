@@ -1,4 +1,4 @@
-// Experiment T1 (see DESIGN.md): the paper's Table 1 — time and space of
+// Experiment T1: the paper's Table 1 — time and space of
 // every self-stabilizing ranking protocol, side by side — now a thin
 // wrapper over the Scenario API (core/registry.h, analysis/scenarios.h):
 // every measurement below is a declarative ScenarioSpec executed by the

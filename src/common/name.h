@@ -4,12 +4,18 @@
 // 5.1). Names are built one random bit at a time while the agent is dormant,
 // so the type supports partial lengths, and ranks are assigned by
 // lexicographic order over bitstrings, where a proper prefix sorts before any
-// of its extensions. Bits are stored MSB-first in a single 64-bit word, which
-// makes lexicographic comparison of equal-length names a plain integer
-// comparison (n up to ~2^21 fits: 3*log2 n <= 63).
+// of its extensions. Bits are stored MSB-first in a single 64-bit word
+// (n up to ~2^21 fits: 3*log2 n <= 63).
+//
+// Invariant: every bit of the word past the name's length is zero
+// (`from_bits`, `append_bit` and `clear` keep it so). Hence a proper prefix
+// has the same word as its all-zero extensions and a word no larger than
+// any other extension, so comparing the pair (word, length) is exactly the
+// prefix-first lexicographic order, and equality is equality of the pair.
 #pragma once
 
 #include <algorithm>
+#include <bit>
 #include <compare>
 #include <cstddef>
 #include <cstdint>
@@ -63,14 +69,19 @@ class Name {
   }
 
   // Lexicographic bitstring order; a proper prefix precedes its extensions.
-  friend std::strong_ordering operator<=>(const Name& a, const Name& b) {
-    const std::uint32_t c = a.len_ < b.len_ ? a.len_ : b.len_;
-    if (c > 0) {
-      const std::uint64_t pa = a.bits_ >> (64 - c);
-      const std::uint64_t pb = b.bits_ >> (64 - c);
-      if (pa != pb) return pa <=> pb;
-    }
+  // Relies on the zero-tail invariant in the header comment.
+  friend constexpr std::strong_ordering operator<=>(const Name& a,
+                                                    const Name& b) {
+    if (a.bits_ != b.bits_) return a.bits_ <=> b.bits_;
     return a.len_ <=> b.len_;
+  }
+
+  // A 64-bit key whose integer order is the order above: the name's index
+  // in the preorder of all bitstrings of length <= kMaxBits. Before a name
+  // come its `len` proper prefixes and, for each 1 bit at position i, the
+  // 2^(63-i) - 1 strings below the 0 branch there (63 one bits: 2^64 - 2).
+  constexpr std::uint64_t preorder_index() const {
+    return bits_ - static_cast<std::uint64_t>(std::popcount(bits_)) + len_;
   }
 
   friend bool operator==(const Name& a, const Name& b) {

@@ -1,14 +1,19 @@
 // The `roster` field of Sublinear-Time-SSR (Protocol 5): the set of all names
 // an agent has heard of, propagated by union on every interaction (the roll
-// call process). Stored as a sorted, copy-on-write vector so that
-//   - union is a linear merge,
-//   - an agent's rank is its name's lower_bound position + 1 (the
+// call process). Stored as a sorted, copy-on-write vector of 64-bit keys,
+// each name's `Name::preorder_index()`, whose integer order is the names'
+// lexicographic order, so that
+//   - an agent's rank is its key's lower_bound position + 1 (the
 //     "lexicographic order of name in roster", Protocol 5 line 8),
-//   - the ghost-name trigger |roster_a U roster_b| > n can short-circuit
-//     without materializing an oversized union,
-//   - after the population converges, all agents share one immutable vector
-//     and every roster operation is O(1) (pointer equality spreads like an
-//     epidemic because equal-content merges adopt one side's storage).
+//   - the ghost-name check |roster_a U roster_b| > n (line 2) and the union
+//     itself (line 5) are one pass, `unite`: a single merge walk counts the
+//     keys only in a, only in b and in both, and stops with "ghost" as soon
+//     as the count passes n, leaving both rosters untouched;
+//   - only a strict two-sided union allocates. When one roster already holds
+//     every name of the other, the other adopts its storage (a's when the
+//     contents are equal), so after the population converges all agents
+//     share one immutable vector and every roster operation is O(1): pointer
+//     equality spreads like an epidemic.
 #pragma once
 
 #include <algorithm>
@@ -23,109 +28,109 @@
 namespace ppsim {
 
 class Roster {
+  using Keys = std::vector<std::uint64_t>;
+
  public:
-  Roster() : names_(empty_storage()) {}
+  Roster() : keys_(empty_storage()) {}
 
   static Roster singleton(const Name& name) {
     Roster r;
-    r.names_ = std::make_shared<const std::vector<Name>>(
-        std::vector<Name>{name});
+    r.keys_ = std::make_shared<const Keys>(Keys{name.preorder_index()});
     return r;
   }
 
   // The roster holding exactly the distinct entries of `names`, built in
   // one sort instead of one copy-on-write insert per name.
-  static Roster from_names(std::vector<Name> names) {
-    std::sort(names.begin(), names.end());
-    names.erase(std::unique(names.begin(), names.end()), names.end());
+  static Roster from_names(const std::vector<Name>& names) {
+    Keys keys(names.size());
+    std::transform(names.begin(), names.end(), keys.begin(),
+                   [](const Name& n) { return n.preorder_index(); });
+    std::sort(keys.begin(), keys.end());
+    keys.erase(std::unique(keys.begin(), keys.end()), keys.end());
     Roster r;
-    r.names_ = std::make_shared<const std::vector<Name>>(std::move(names));
+    r.keys_ = std::make_shared<const Keys>(std::move(keys));
     return r;
   }
 
-  std::size_t size() const { return names_->size(); }
+  std::size_t size() const { return keys_->size(); }
 
   bool contains(const Name& n) const {
-    return std::binary_search(names_->begin(), names_->end(), n);
+    return std::binary_search(keys_->begin(), keys_->end(),
+                              n.preorder_index());
   }
-
-  const std::vector<Name>& names() const { return *names_; }
 
   void insert(const Name& n) {
     if (contains(n)) return;
-    std::vector<Name> copy = *names_;  // copy-on-write
-    copy.insert(std::lower_bound(copy.begin(), copy.end(), n), n);
-    names_ = std::make_shared<const std::vector<Name>>(std::move(copy));
+    Keys copy = *keys_;  // copy-on-write
+    const std::uint64_t key = n.preorder_index();
+    copy.insert(std::lower_bound(copy.begin(), copy.end(), key), key);
+    keys_ = std::make_shared<const Keys>(std::move(copy));
   }
 
   // 1-based lexicographic position of `n` among the roster entries. Defined
   // even when n is absent (adversarial states); equals 1 + #entries < n.
   std::uint32_t lexicographic_rank(const Name& n) const {
-    auto it = std::lower_bound(names_->begin(), names_->end(), n);
-    return static_cast<std::uint32_t>(it - names_->begin()) + 1;
+    auto it = std::lower_bound(keys_->begin(), keys_->end(),
+                               n.preorder_index());
+    return static_cast<std::uint32_t>(it - keys_->begin()) + 1;
   }
 
-  // |a U b| without materializing the union. O(1) when storage is shared.
-  static std::size_t union_size(const Roster& a, const Roster& b) {
-    if (a.names_ == b.names_) return a.size();
-    std::size_t count = 0;
-    auto ia = a.names_->begin();
-    auto ib = b.names_->begin();
-    while (ia != a.names_->end() && ib != b.names_->end()) {
-      if (*ia < *ib)
-        ++ia;
-      else if (*ib < *ia)
-        ++ib;
-      else {
-        ++ia;
-        ++ib;
-      }
-      ++count;
+  // Protocol 5 lines 2 and 5 together. Returns false, leaving both rosters
+  // untouched, when |a U b| > cap (a ghost name); otherwise sets both to
+  // a U b, sharing one storage, and returns true. O(1) when the storage is
+  // already shared; otherwise one merge walk, plus one allocating merge
+  // only when each roster holds a name the other lacks.
+  [[gnu::always_inline]] static bool unite(Roster& a, Roster& b,
+                                           std::size_t cap) {
+    if (a.keys_ == b.keys_) return a.size() <= cap;
+    const std::uint64_t* x = a.keys_->data();
+    const std::uint64_t* y = b.keys_->data();
+    const std::size_t na = a.size();
+    const std::size_t nb = b.size();
+    // Each step consumes the smaller head, or both heads when equal, so
+    // `steps` counts the union of the walked prefixes; of those, steps - j
+    // were only in a and steps - i only in b.
+    std::size_t i = 0, j = 0, steps = 0;
+    while (i < na && j < nb) {
+      const std::uint64_t u = x[i];
+      const std::uint64_t v = y[j];
+      i += u <= v;
+      j += v <= u;
+      if (++steps > cap) return false;
     }
-    count += static_cast<std::size_t>(a.names_->end() - ia);
-    count += static_cast<std::size_t>(b.names_->end() - ib);
-    return count;
-  }
-
-  // The union. Adopts `a`'s storage when it already equals the union (in
-  // particular when the rosters are equal), so repeated merges converge to
-  // one shared vector and become O(1).
-  static Roster merged(const Roster& a, const Roster& b) {
-    if (a.names_ == b.names_) return a;
-    if (a.size() >= b.size() &&
-        std::includes(a.names_->begin(), a.names_->end(), b.names_->begin(),
-                      b.names_->end()))
-      return a;
-    if (b.size() > a.size() &&
-        std::includes(b.names_->begin(), b.names_->end(), a.names_->begin(),
-                      a.names_->end()))
-      return b;
-    std::vector<Name> out;
-    out.reserve(a.size() + b.size());
-    std::set_union(a.names_->begin(), a.names_->end(), b.names_->begin(),
-                   b.names_->end(), std::back_inserter(out));
-    Roster r;
-    r.names_ = std::make_shared<const std::vector<Name>>(std::move(out));
-    return r;
+    const std::size_t only_a = steps - j + (na - i);
+    const std::size_t only_b = steps - i + (nb - j);
+    const std::size_t total = steps + (na - i) + (nb - j);
+    if (total > cap) return false;
+    if (only_b == 0) {
+      b.keys_ = a.keys_;
+    } else if (only_a == 0) {
+      a.keys_ = b.keys_;
+    } else {
+      Keys out(total);
+      std::set_union(x, x + na, y, y + nb, out.begin());
+      a.keys_ = std::make_shared<const Keys>(std::move(out));
+      b.keys_ = a.keys_;
+    }
+    return true;
   }
 
   // Content equality (pointer fast path).
   friend bool operator==(const Roster& a, const Roster& b) {
-    return a.names_ == b.names_ || *a.names_ == *b.names_;
+    return a.keys_ == b.keys_ || *a.keys_ == *b.keys_;
   }
 
   bool shares_storage_with(const Roster& other) const {
-    return names_ == other.names_;
+    return keys_ == other.keys_;
   }
 
  private:
-  static const std::shared_ptr<const std::vector<Name>>& empty_storage() {
-    static const auto empty =
-        std::make_shared<const std::vector<Name>>();
+  static const std::shared_ptr<const Keys>& empty_storage() {
+    static const auto empty = std::make_shared<const Keys>();
     return empty;
   }
 
-  std::shared_ptr<const std::vector<Name>> names_;  // sorted, unique
+  std::shared_ptr<const Keys> keys_;  // sorted, unique preorder indices
 };
 
 }  // namespace ppsim

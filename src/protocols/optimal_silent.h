@@ -29,7 +29,8 @@
 //
 // Erratum note: Protocol 3 line 9 reads "2*i.rank + i.children < n", which
 // with 1-based ranks would never assign rank n (contradicting Figure 1, where
-// rank 12 is assigned for n = 12). We use <= n; see DESIGN.md.
+// rank 12 is assigned for n = 12). We use <= n, so the tree assigns exactly
+// the ranks 1..n.
 #pragma once
 
 #include <cmath>

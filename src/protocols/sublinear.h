@@ -151,23 +151,20 @@ class SublinearTimeSSR {
     if (a.role == SlRole::Collecting && b.role == SlRole::Collecting) {
       assert(a.tree.initialized() && b.tree.initialized());
       // Line 2: collision detection (which also performs the tree exchange
-      // when no collision is found) and the ghost-name cardinality check.
+      // when no collision is found) and the ghost-name cardinality check,
+      // which one roster pass does together with the line 5 union.
       const bool collision =
           detector_.detect_and_update(a.tree, b.tree, rng, c.detector);
       if (collision) ++c.collision_triggers;
       bool ghost = false;
       if (!collision) {
-        ghost = Roster::union_size(a.roster, b.roster) > params_.n;
+        ghost = !Roster::unite(a.roster, b.roster, params_.n);
         if (ghost) ++c.ghost_triggers;
       }
       if (collision || ghost) {
         trigger_reset(a);  // line 3
         trigger_reset(b);
       } else {
-        // Line 5: roster union.
-        Roster merged = Roster::merged(a.roster, b.roster);
-        a.roster = merged;
-        b.roster = std::move(merged);
         // Lines 6-8: ranks only once every name is collected.
         if (a.roster.size() == params_.n) {
           a.rank = a.roster.lexicographic_rank(a.name);

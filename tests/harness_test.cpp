@@ -89,8 +89,14 @@ TEST(RosterCow, MergeAdoptsSupersetStorage) {
   for (std::uint64_t v : {1ull, 2ull, 3ull}) a.insert(Name::from_bits(v, 5));
   Roster b;
   b.insert(Name::from_bits(2, 5));
-  const Roster u = Roster::merged(a, b);
-  EXPECT_TRUE(u.shares_storage_with(a));  // a already contains b
+  const Roster a0 = a, b0 = b;
+  ASSERT_TRUE(Roster::unite(a, b, 5));
+  EXPECT_TRUE(a.shares_storage_with(a0));  // a already contains b
+  EXPECT_TRUE(b.shares_storage_with(a0));  // so b adopts a's storage
+  // And the mirror case: a adopts b's storage when b contains a.
+  Roster c = b0;
+  ASSERT_TRUE(Roster::unite(c, a, 5));
+  EXPECT_TRUE(c.shares_storage_with(a0));
 }
 
 TEST(RosterCow, EqualContentsConvergeToOneStorage) {
@@ -100,17 +106,23 @@ TEST(RosterCow, EqualContentsConvergeToOneStorage) {
     b.insert(Name::from_bits(v, 5));
   }
   EXPECT_FALSE(a.shares_storage_with(b));
-  const Roster u = Roster::merged(a, b);
-  EXPECT_TRUE(u.shares_storage_with(a) || u.shares_storage_with(b));
+  const Roster a0 = a;
+  ASSERT_TRUE(Roster::unite(a, b, 2));
+  EXPECT_TRUE(a.shares_storage_with(b));
+  EXPECT_TRUE(a.shares_storage_with(a0));  // equal contents: a's storage
 }
 
 TEST(RosterCow, SharedStorageUnionIsExact) {
   Roster a;
   for (std::uint64_t v = 0; v < 20; ++v) a.insert(Name::from_bits(v, 6));
-  const Roster b = a;
+  Roster b = a;
+  const Roster a0 = a;
   EXPECT_TRUE(b.shares_storage_with(a));
-  EXPECT_EQ(Roster::union_size(a, b), 20u);
-  EXPECT_TRUE(Roster::merged(a, b).shares_storage_with(a));
+  EXPECT_FALSE(Roster::unite(a, b, 19));  // |a U b| = 20
+  ASSERT_TRUE(Roster::unite(a, b, 20));
+  EXPECT_EQ(a.size(), 20u);
+  EXPECT_TRUE(a.shares_storage_with(a0));
+  EXPECT_TRUE(b.shares_storage_with(a0));
 }
 
 TEST(RosterCow, InsertDoesNotAliasOtherCopies) {
