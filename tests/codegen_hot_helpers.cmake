@@ -1,10 +1,10 @@
 # codegen.HotHelpersInline: the count and ring engines' per-interaction
 # helpers, and Sublinear-Time-SSR's roster pass (`Roster::unite`) and
 # `Name` comparison, which a sublinear-h1 profile showed hot, must be
-# inlined into their callers. GCC's inliner works against a budget
-# for the whole translation unit (inline-unit-growth), so an unrelated edit
-# to a header that ppsle_run includes can push one of them out of line and
-# cost several percent on the benchmark workloads, with no other visible
+# inlined into their callers. GCC's inliner works against a budget for the
+# whole translation unit (inline-unit-growth), so an unrelated edit to a
+# header that ppsle_run includes can push one of them out of line and cost
+# several percent on the benchmark workloads, with no other visible
 # change. This script lists the text symbols of the built
 # binary with nm and fails if any helper has one.
 #
