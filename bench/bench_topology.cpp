@@ -1,5 +1,5 @@
 // Interaction-graph bench: convergence across topologies (core/topology.h)
-// and the run-length-compressed ring engine's headroom, measured through
+// and the active-edge ring count engine's headroom, measured through
 // the Scenario API so every cell is a declarative ScenarioSpec and every
 // non-complete record carries its topology in the identity.
 //
@@ -11,14 +11,14 @@
 //     parallel time and completion takes Theta(n * diameter-ish) — the
 //     curve against the recorded diameter is the whole point of the
 //     experiment;
-//   * ring-ssle election time vs n on the compressed ring path: the
-//     protocol's duel phase keeps O(1) bullets in flight, so the RLE
+//   * ring-ssle election time vs n on the ring count engine: the
+//     protocol's duel phase keeps O(1) bullets in flight, so the ring
 //     engine pays effective steps only, whatever n;
-//   * the acceptance leg: agent array vs compressed ring at n = 10^6
+//   * the acceptance leg: agent array vs ring count engine at n = 10^6
 //     (until=ptime, the converged coherent start, O(1) active edges) —
 //     the recorded speedup must clear 10x, and in practice clears it by
 //     orders of magnitude because the array pays every one of the
-//     budget's n * T slots while the RLE engine geometric-skips the ~T
+//     budget's n * T slots while the ring engine geometric-skips the ~T
 //     effective ones.
 #include <cstdint>
 #include <iostream>
@@ -75,10 +75,10 @@ void experiment_diameter_curve(const BenchScale& scale, BenchReport& report) {
                "hop; the clique finishes in ~2 ln n\n";
 }
 
-// ring-ssle election time vs n on the compressed ring engine, from the
+// ring-ssle election time vs n on the ring count engine, from the
 // fully adversarial start.
 void experiment_election_curve(const BenchScale& scale, BenchReport& report) {
-  std::cout << "\n== ring-ssle: election time vs n (compressed ring path) "
+  std::cout << "\n== ring-ssle: election time vs n (ring count engine) "
                "==\n";
   Table t({"n", "backend", "mean time", "ci95", "failed"});
   for (std::uint32_t n : scale.sizes({64, 256, 1024})) {
@@ -94,12 +94,12 @@ void experiment_election_curve(const BenchScale& scale, BenchReport& report) {
 }
 
 // The acceptance leg: same fixed parallel-time budget on the agent array
-// and the RLE ring engine at n = 10^6, from the converged coherent start
-// (O(1) active edges — the compressed path's home regime). Metric is
+// and the ring count engine at n = 10^6, from the converged coherent
+// start (O(1) active edges — the ring engine's home regime). Metric is
 // per-trial run wall seconds; the speedup record must clear 10x.
 void experiment_million_compression(const BenchScale& scale,
                                     BenchReport& report) {
-  std::cout << "\n== ring-ssle n = 10^6: agent array vs compressed ring "
+  std::cout << "\n== ring-ssle n = 10^6: agent array vs ring count engine "
                "(fixed ptime budget) ==\n";
   const std::uint32_t n = scale.smoke ? 100'000 : 1'000'000;
   const double budget_ptime = 20.0;
@@ -122,7 +122,7 @@ void experiment_million_compression(const BenchScale& scale,
              fmt(rle.summary.ci95, 6)});
   t.print();
   std::cout << "n = " << n << ", budget " << fmt(budget_ptime, 0)
-            << " ptime: compressed ring is " << fmt(speedup, 1)
+            << " ptime: ring count engine is " << fmt(speedup, 1)
             << "x the agent array (acceptance floor: 10x)\n";
   report_scenario(report, "million_compression", arr);
   report_scenario(report, "million_compression", rle);

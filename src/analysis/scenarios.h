@@ -75,6 +75,7 @@
 #include <functional>
 #include <stdexcept>
 #include <string>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -332,7 +333,7 @@ inline auto detected_stop() {
 // engines drive() compiles never reach it.
 inline auto ring_silent_stop() {
   return engine_stop([](const auto& sim) {
-    if constexpr (requires { sim.arc_count(); }) {
+    if constexpr (is_ring_simulation_v<std::remove_cvref_t<decltype(sim)>>) {
       return sim.silent();
     } else {
       throw std::logic_error("ring silence read off the ring engine");

@@ -73,7 +73,7 @@ struct ScenarioSpec {
                                // (the classical scheduler, bit-identical).
                                // Non-complete graphs run on
                                // the agent array; the ring additionally has
-                               // the run-length-compressed count engine.
+                               // the active-edge ring count engine.
                                // Joins the record identity when non-complete.
 
   // Protocol-constant overrides ("param.<name>=<value>" on the CLI / in
@@ -312,7 +312,7 @@ struct ProtocolEntry {
   // Engine capabilities, derived from the protocol type at registration
   // (analysis/scenarios.h entry_for<P>), never written by hand:
   bool batch_capable = false;  // enumerable: the count engines run it
-  bool ring_capable = false;   // ... and the compressed ring engine too
+  bool ring_capable = false;   // ... and the ring count engine too
   bool tau_capable = false;    // ... and the tau-leaping engine too
   std::uint32_t fixed_n = 0;   // nonzero: protocol is defined only at this n
   std::uint32_t default_n = 64;
@@ -419,9 +419,9 @@ inline ScenarioPlan resolve(const ProtocolEntry& entry,
 
   // Engine choice. The clique count engines compile the complete graph's
   // pair law, so a non-complete topology leaves engine=auto on the agent
-  // array, except the directed ring, which has its own run-length-
-  // compressed count engine (core/ring_simulation.h) for protocols with
-  // enumerable, deterministic transitions.
+  // array, except the directed ring, which has its own active-edge count
+  // engine (core/ring_simulation.h) for protocols with enumerable,
+  // deterministic transitions.
   const bool tau = plan.strategy == BatchStrategy::kTauLeap;
   if (engine != "array" && entry.batch_capable) {
     if (plan.topology.is_complete())
@@ -437,8 +437,8 @@ inline ScenarioPlan resolve(const ProtocolEntry& entry,
   if (engine == "batch" && plan.engine == Engine::kArray)
     fail(entry.batch_capable
              ? "engine=batch compiles the complete graph's pair law (plus "
-               "the compressed ring for deterministic protocols); topology '" +
-                   plan.topology.spec() + "' runs on engine=array"
+               "the ring count engine for deterministic protocols); "
+               "topology '" + plan.topology.spec() + "' runs on engine=array"
              : "protocol '" + who +
                    "' is not enumerable: the batched engine cannot run it");
   if (!plan.topology.is_complete() && plan.engine != Engine::kRing &&
@@ -451,7 +451,7 @@ inline ScenarioPlan resolve(const ProtocolEntry& entry,
   if (plan.engine == Engine::kRing &&
       plan.strategy != BatchStrategy::kAuto &&
       plan.strategy != BatchStrategy::kGeometricSkip)
-    fail("the ring count path runs its own run-length-compressed geometric "
+    fail("the ring count path runs its own active-edge geometric "
          "skip; strategy '" + strategy +
          "' is not available on topology=ring (use auto, geometric_skip, "
          "or engine=array)");

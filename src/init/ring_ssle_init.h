@@ -50,7 +50,7 @@ inline const InitialConditionSet<RingSSLE>& ring_ssle_inits() {
     // One unshielded leader at position 0, followers carrying their true
     // distances: the converged configuration mid-cycle (the survivor is
     // about to re-fire). Exactly one active edge at the start and O(1)
-    // forever — the compressed ring path's showcase regime.
+    // forever — the ring count engine's showcase regime.
     auto coherent = [](const P& p, std::uint64_t) {
       const std::uint32_t n = p.population_size();
       std::vector<P::State> init(n);

@@ -62,11 +62,11 @@
 // Stabilized configurations come in two kinds, and the protocol is not
 // silent in general. If the survivor's own bullet still circulates, the
 // survivor re-fires it forever, with O(1) active edges (the bullet front or
-// the ticking countdown edge) — exactly what the run-length-compressed ring
-// engine (core/ring_simulation.h) exploits. If its last bullet was spent
-// on the last rival, one shielded leader remains with no bullet in flight,
-// every ring edge is null, and the configuration is silent: the compressed
-// engine proves it (step() == 0) in about 5% of uniform-random n = 64
+// the ticking countdown edge) — exactly what the ring count engine's
+// active-edge set (core/ring_simulation.h) exploits. If its last bullet was
+// spent on the last rival, one shielded leader remains with no bullet in
+// flight, every ring edge is null, and the configuration is silent: the
+// ring engine proves it (step() == 0) in about 5% of uniform-random n = 64
 // starts (RingSSLEScenario.CompressedSilenceIsRealSilence).
 #pragma once
 
@@ -90,7 +90,7 @@ class RingSSLE {
   };
 
   // interact() never reads the Rng: transitions are pure functions of the
-  // ordered state pair (multinomial memoization, RLE nullity probing).
+  // ordered state pair (multinomial memoization, ring-edge nullity probing).
   static constexpr bool kDeterministicInteract = true;
 
   explicit RingSSLE(std::uint32_t n, std::uint32_t cap = 0)

@@ -16,7 +16,7 @@
 # skipped.
 # Each entry is a regular expression for the demangled name up to its
 # argument list. `operator<=>` is matched with its Name argument only.
-set(helpers "::move_agent\\(" "::refresh_weight\\(" "::array_count_delta\\("
+set(helpers "::move_agent\\(" "::refresh_edge\\(" "::array_count_delta\\("
             "::Roster::unite\\(" "ppsim::operator<=>\\(ppsim::Name ")
 
 if(NOT COMPILER STREQUAL "GNU" OR NOT BUILD_TYPE STREQUAL "Release")
