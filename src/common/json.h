@@ -4,6 +4,9 @@
 // Supports objects, arrays, strings, numbers, booleans and null — enough
 // for the flat schema analysis/bench_report.h emits and for scenario-matrix
 // files. Writing stays with BenchRecord/BenchReport; this header only reads.
+// Hostile input is a parse failure, never a crash or a silent misread:
+// nesting deeper than kMaxDepth fails instead of exhausting the stack, and
+// a number must convert as one whole token ("8-1" is not 8).
 #pragma once
 
 #include <cctype>
@@ -37,6 +40,10 @@ struct JsonValue {
 
 class JsonParser {
  public:
+  // Arrays and objects nested deeper than this fail to parse: the descent
+  // is recursive, and the files read here nest three or four levels.
+  static constexpr int kMaxDepth = 256;
+
   explicit JsonParser(const std::string& text) : s_(text) {}
 
   bool parse(JsonValue& out) {
@@ -57,8 +64,13 @@ class JsonParser {
     skip_ws();
     if (pos_ >= s_.size()) return false;
     const char c = s_[pos_];
-    if (c == '{') return parse_object(out);
-    if (c == '[') return parse_array(out);
+    if (c == '{' || c == '[') {
+      if (depth_ == kMaxDepth) return false;
+      ++depth_;
+      const bool ok = c == '{' ? parse_object(out) : parse_array(out);
+      --depth_;
+      return ok;
+    }
     if (c == '"') {
       out.kind = JsonValue::Kind::kString;
       return parse_string(out.str);
@@ -132,11 +144,14 @@ class JsonParser {
             std::strchr("+-.eE", s_[pos_]) != nullptr))
       ++pos_;
     if (pos_ == start) return false;
+    const std::string token = s_.substr(start, pos_ - start);
+    std::size_t used = 0;
     try {
-      out.num = std::stod(s_.substr(start, pos_ - start));
+      out.num = std::stod(token, &used);
     } catch (...) {
       return false;
     }
+    if (used != token.size()) return false;  // "8-1", "1.2.3", "1e"
     out.kind = JsonValue::Kind::kNumber;
     return true;
   }
@@ -201,6 +216,7 @@ class JsonParser {
 
   const std::string& s_;
   std::size_t pos_ = 0;
+  int depth_ = 0;
 };
 
 }  // namespace ppsim

@@ -24,6 +24,8 @@
 
 #include <concepts>
 #include <cstdint>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "core/rng.h"
@@ -79,6 +81,16 @@ concept EnumerableProtocol =
       { p.encode(s) } -> std::convertible_to<std::uint32_t>;
       { p.decode(code) } -> std::same_as<typename P::State>;
     };
+
+// State codes are 32-bit. An enumerable protocol computes its code space in
+// 64 bits and checks it here before any count vector is sized from it: a
+// wrapped num_states() would size every vector too small.
+inline void check_code_space(const char* protocol, std::uint64_t codes) {
+  if (codes > UINT32_MAX)
+    throw std::invalid_argument(
+        std::string(protocol) + " needs " + std::to_string(codes) +
+        " state codes; 32-bit codes stop at " + std::to_string(UINT32_MAX));
+}
 
 // Protocols that can tell, deterministically and without consuming
 // randomness, whether interact(a, b, .) would leave (a, b) unchanged.

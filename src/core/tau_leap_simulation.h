@@ -69,6 +69,7 @@
 #include <cmath>
 #include <cstdint>
 #include <stdexcept>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -151,6 +152,46 @@ class TauLeapSimulation {
   // True iff no future interaction can change the configuration (exact:
   // the structured active weight is identically zero).
   bool silent() const { return weight_.total(population_size()) == 0; }
+
+  // Checks the incremental bookkeeping against the counts, without
+  // touching the RNG: the counts sum to n, the running active weight equals
+  // one rebuilt from the counts, and the two pools hold exactly the
+  // occupied codes and the occupied restless codes at their counts. Throws
+  // std::logic_error naming the first check that fails.
+  void audit() const {
+    auto fail = [](const char* what) {
+      throw std::logic_error(std::string("TauLeapSimulation audit: ") + what);
+    };
+    const std::uint64_t n = population_size();
+    std::uint64_t total = 0;
+    for (std::uint64_t c : counts_) total += c;
+    if (total != n) fail("counts do not sum to n");
+    ScalarActiveWeight<P> fresh;
+    for (std::uint32_t code = 0; code < counts_.size(); ++code)
+      fresh.on_count_change(protocol_, code, 0, counts_[code]);
+    const ActiveWeights a = weight_.weights(n);
+    const ActiveWeights b = fresh.weights(n);
+    if (a.restless != b.restless || a.diag != b.diag || a.total != b.total)
+      fail("active weight != one rebuilt from the counts");
+    std::uint64_t restless_total = 0;
+    std::uint32_t occupied = 0, restless_occupied = 0;
+    for (std::uint32_t code = 0; code < counts_.size(); ++code) {
+      const std::uint64_t m = counts_[code];
+      const bool active = m != 0 && restless(code);
+      if (all_pool_.weight_of(code) != m)
+        fail("occupied pool != counts");
+      if (active_pool_.weight_of(code) != (active ? m : 0))
+        fail("restless pool != restless counts");
+      occupied += m != 0;
+      restless_occupied += active;
+      if (active) restless_total += m;
+    }
+    if (all_pool_.total() != n || all_pool_.occupied() != occupied)
+      fail("occupied pool != counts");
+    if (active_pool_.total() != restless_total ||
+        active_pool_.occupied() != restless_occupied)
+      fail("restless pool != restless counts");
+  }
 
   // One macro-leap. Returns the candidate interactions the leap covered,
   // 0 iff the configuration is provably silent. A returned leap has

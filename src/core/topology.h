@@ -362,11 +362,12 @@ class Topology {
       ++lineno;
       const std::size_t hash = line.find('#');
       if (hash != std::string::npos) line.resize(hash);
+      if (line.find_first_not_of(" \t\r\f\v") == std::string::npos)
+        continue;  // blank / comment-only line
       std::istringstream ls(line);
       std::uint64_t u, v;
-      if (!(ls >> u)) continue;  // blank / comment-only line
       std::string trailing;
-      if (!(ls >> v) || (ls >> trailing))
+      if (!(ls >> u) || !(ls >> v) || (ls >> trailing))
         throw std::invalid_argument(
             "custom-topology file '" + path + "' line " +
             std::to_string(lineno) + ": expected 'u v' (one directed edge)");

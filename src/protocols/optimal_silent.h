@@ -39,6 +39,7 @@
 #include <string>
 #include <vector>
 
+#include "core/protocol.h"
 #include "core/rng.h"
 #include "reset/propagate_reset.h"
 
@@ -77,13 +78,8 @@ struct OptimalSilentParams {
   // stops fitting just past n = 1.227e8.
   static void check_code_space(std::uint64_t n, std::uint64_t emax,
                                std::uint64_t dmax, std::uint64_t rmax) {
-    const std::uint64_t codes =
-        3 * n + (emax + 1) + 2 * rmax + 2 * (dmax + 1);
-    if (codes > UINT32_MAX)
-      throw std::invalid_argument(
-          "optimal-silent needs " + std::to_string(codes) +
-          " state codes at n = " + std::to_string(n) +
-          "; 32-bit codes stop at " + std::to_string(UINT32_MAX));
+    ppsim::check_code_space("optimal-silent",
+                            3 * n + (emax + 1) + 2 * rmax + 2 * (dmax + 1));
   }
 };
 

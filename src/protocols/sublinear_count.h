@@ -63,11 +63,11 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <limits>
 #include <stdexcept>
 #include <vector>
 
 #include "common/intlog.h"
+#include "core/protocol.h"
 #include "core/rng.h"
 #include "protocols/sublinear.h"
 #include "reset/propagate_reset.h"
@@ -136,9 +136,8 @@ class SublinearCountSSR {
     dup_base_ = (params_.name_len + 1ull) * wit_count_ * rb;
     collecting_size_ = dup_base_ + 2 * rb;
     resetting_size_ = (params_.rmax + params_.dmax + 1ull) * nn;
-    const std::uint64_t total = collecting_size_ + resetting_size_;
-    if (total > std::numeric_limits<std::uint32_t>::max())
-      throw std::invalid_argument("count-form state space exceeds 2^32");
+    check_code_space("sublinear count form",
+                     collecting_size_ + resetting_size_);
   }
 
   std::uint32_t population_size() const { return params_.n; }

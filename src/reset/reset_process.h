@@ -26,6 +26,7 @@
 #include <string>
 #include <vector>
 
+#include "core/protocol.h"
 #include "core/rng.h"
 #include "reset/propagate_reset.h"
 
@@ -60,14 +61,8 @@ class ResetProcess {
   ResetProcess(std::uint32_t n, std::uint32_t rmax, std::uint32_t dmax)
       : n_(n), rmax_(rmax), dmax_(dmax) {
     if (n < 2) throw std::invalid_argument("population size must be >= 2");
-    // State codes are 32-bit: the code space 1 + Rmax + Dmax + 1 is
-    // computed in 64 bits and must fit (a wrapped num_states() would size
-    // every count vector too small).
-    const std::uint64_t codes = 2ull + rmax + dmax;
-    if (codes > UINT32_MAX)
-      throw std::invalid_argument(
-          "reset-process needs " + std::to_string(codes) +
-          " state codes; 32-bit codes stop at " + std::to_string(UINT32_MAX));
+    // The code space is 1 + Rmax + Dmax + 1.
+    check_code_space("reset-process", 2ull + rmax + dmax);
   }
 
   std::uint32_t population_size() const { return n_; }

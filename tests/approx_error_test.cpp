@@ -4,15 +4,14 @@
 // exactness for speed; this file quantifies the trade instead of asserting
 // bit-level agreement:
 //
-//   * CI-overlap cells: at n in {8, 64, 512} x 30 paired seeds, the
-//     tau engine's stabilization-time summary must overlap the exact
-//     multinomial engine's 95% CI (family-widened over the 6 cells) for
-//     OptimalSilentSSR (dormant-mix -> silent) and the reset process
-//     (trigger-one -> drained). At these n the default leap controller
-//     keeps expected events per leap under kBulkMinEvents, so the engine
-//     runs its exact jump chain and the overlap holds by construction;
-//     the cells pin that regime and catch any controller re-tune that
-//     breaks it.
+//   * CI-overlap cells: the tau engine against the agent array at
+//     n in {8, 64, 512} x 30 seeds, for OptimalSilentSSR (dormant-mix ->
+//     silent) and the reset process (trigger-one -> drained), are rows of
+//     tests/equivalence_table_test.cpp. At these n the default leap
+//     controller keeps expected events per leap under kBulkMinEvents, so
+//     the engine runs its exact jump chain and the overlap holds by
+//     construction; the rows pin that regime and catch any controller
+//     re-tune that breaks it.
 //   * Divergence curve: at bulk-engaged n (k_target = eps*n well past
 //     kBulkMinEvents) the frozen-rate approximation has real, eps-bounded
 //     error. We track the mean delay timer of dormant agents through the
@@ -39,87 +38,11 @@
 #include "init/optimal_silent_init.h"
 #include "init/reset_init.h"
 #include "protocols/optimal_silent.h"
-#include "stat_harness.h"
 
 #include "gtest/gtest.h"
 
 namespace ppsim {
 namespace {
-
-// ---------------------------------------------------------------------------
-// CI-overlap cells: tau vs exact through the public scenario API.
-
-struct Cell {
-  const char* protocol;
-  const char* init;
-  const char* until;
-  std::uint32_t n;
-};
-
-// 2 protocols x 3 population sizes; family_widen(6) Bonferroni-controls
-// the whole grid.
-constexpr int kCellFamily = 6;
-constexpr std::uint32_t kCellTrials = 30;
-constexpr std::uint64_t kCellSeed = 42;
-
-ScenarioResult run_cell(const Cell& cell, const std::string& strategy) {
-  ScenarioSpec spec;
-  spec.protocol = cell.protocol;
-  spec.init = cell.init;
-  spec.until = cell.until;
-  spec.n = cell.n;
-  spec.engine = "batch";
-  spec.strategy = strategy;
-  spec.trials = kCellTrials;
-  spec.seed = kCellSeed;
-  return run_scenario(spec);
-}
-
-void expect_tau_overlaps_exact(const Cell& cell) {
-  const ScenarioResult exact = run_cell(cell, "multinomial");
-  const ScenarioResult tau = run_cell(cell, "tau");
-
-  // The stamps ARE the honesty contract: exact results must never claim
-  // approximation, approximate results must always disclose it plus the
-  // knob they resolved.
-  EXPECT_FALSE(exact.approximate);
-  EXPECT_EQ(exact.tau_eps, 0.0);
-  EXPECT_TRUE(tau.approximate);
-  EXPECT_EQ(tau.tau_eps, kDefaultTauEps);
-
-  ASSERT_EQ(exact.failed, 0u) << cell.protocol << " exact hit the horizon";
-  ASSERT_EQ(tau.failed, 0u) << cell.protocol << " tau hit the horizon";
-
-  const std::string what = std::string(cell.protocol) + "/" + cell.init +
-                           " until=" + cell.until +
-                           " n=" + std::to_string(cell.n);
-  stat_harness::expect_overlapping_ci(exact.summary, tau.summary, what,
-                                      stat_harness::family_widen(kCellFamily));
-}
-
-TEST(ApproxCiOverlap, OptimalSilentN8) {
-  expect_tau_overlaps_exact({"optimal-silent", "dormant-mix", "silent", 8});
-}
-
-TEST(ApproxCiOverlap, OptimalSilentN64) {
-  expect_tau_overlaps_exact({"optimal-silent", "dormant-mix", "silent", 64});
-}
-
-TEST(ApproxCiOverlap, OptimalSilentN512) {
-  expect_tau_overlaps_exact({"optimal-silent", "dormant-mix", "silent", 512});
-}
-
-TEST(ApproxCiOverlap, ResetProcessN8) {
-  expect_tau_overlaps_exact({"reset-process", "trigger-one", "drained", 8});
-}
-
-TEST(ApproxCiOverlap, ResetProcessN64) {
-  expect_tau_overlaps_exact({"reset-process", "trigger-one", "drained", 64});
-}
-
-TEST(ApproxCiOverlap, ResetProcessN512) {
-  expect_tau_overlaps_exact({"reset-process", "trigger-one", "drained", 512});
-}
 
 // ---------------------------------------------------------------------------
 // Divergence curve at bulk-engaged n: frozen-rate error is real but
@@ -210,8 +133,11 @@ TEST(TauLeapEngine, DeterministicPerSeedAndEps) {
   const auto counts0 = optimal_silent_dormant_counts(proto.params());
   auto run = [&](std::uint64_t seed, double eps) {
     TauLeapSimulation<OptimalSilentSSR> sim(proto, counts0, seed, eps);
-    for (int i = 0; i < 200; ++i)
+    EXPECT_NO_THROW(sim.audit());
+    for (int i = 0; i < 200; ++i) {
       if (sim.step() == 0) break;
+      EXPECT_NO_THROW(sim.audit()) << "leap " << i;
+    }
     return sim.counts();
   };
   EXPECT_EQ(run(7, kDefaultTauEps), run(7, kDefaultTauEps));

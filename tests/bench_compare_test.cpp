@@ -407,5 +407,39 @@ TEST(BenchRecords, LoaderKeepsBoolsAndOccurrenceIndices) {
   }
 }
 
+// --- Hostile JSON (common/json.h, also ppsle_run's matrix reader) -----------
+
+bool parses(const std::string& text) {
+  JsonValue root;
+  return JsonParser(text).parse(root);
+}
+
+// Nesting past kMaxDepth is a parse failure, not a stack overflow; the cap
+// itself still parses.
+TEST(JsonParser, DeepNestingFailsInsteadOfCrashing) {
+  const int cap = JsonParser::kMaxDepth;
+  EXPECT_TRUE(parses(std::string(cap, '[') + std::string(cap, ']')));
+  EXPECT_FALSE(parses(std::string(cap + 1, '[') + std::string(cap + 1, ']')));
+  EXPECT_FALSE(parses(std::string(300'000, '[')));
+  std::string objects;
+  for (int i = 0; i <= cap; ++i) objects += "{\"a\":";
+  EXPECT_FALSE(parses(objects + "1" + std::string(cap + 1, '}')));
+}
+
+// A number converts as one whole token or not at all: "n": [8-1] must not
+// run as n = 8.
+TEST(JsonParser, NumbersMustConvertWhole) {
+  for (const char* bad : {"8-1", "1.2.3", "1e", "--1", "1e+", "-"})
+    EXPECT_FALSE(parses(std::string("{\"n\": [") + bad + "]}")) << bad;
+  JsonValue root;
+  ASSERT_TRUE(JsonParser("{\"n\": [8, -1.5e3, 2E-2]}").parse(root));
+  const JsonValue* n = root.get("n");
+  ASSERT_NE(n, nullptr);
+  ASSERT_EQ(n->items.size(), 3u);
+  EXPECT_EQ(n->items[0].num, 8.0);
+  EXPECT_EQ(n->items[1].num, -1500.0);
+  EXPECT_EQ(n->items[2].num, 0.02);
+}
+
 }  // namespace
 }  // namespace ppsim::benchcmp

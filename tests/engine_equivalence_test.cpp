@@ -6,19 +6,16 @@
 //    Optimal-Silent-SSR is keyed-passive, Obs25 is enumerable;
 //  * Optimal-Silent-SSR canonical coding: encode/decode bijection,
 //    dead-field canonicalization, keyed structure == null-pair predicate;
-//  * cross-backend statistical equivalence on stabilization time for
-//    OptimalSilentSSR (n in {8, 64, 512}, 30 seeds, overlapping
-//    family-controlled CIs via tests/stat_harness.h, mirroring
-//    tests/batch_simulation_test.cpp) and Obs25SSLE (n = 3 by definition of
-//    the Observation 2.5 protocol);
-//  * cross-strategy equivalence (array vs geometric skip vs multinomial vs
-//    auto) for OptimalSilent and ResetProcess, n in {8, 64, 512}, 30 seeds;
+//  * the strategy controller's verdicts and the array arm's invariants;
 //  * the keyed-passive geometric skip against the analytic detection
 //    latency of a duplicated rank (Observation 2.6's quantity);
 //  * run_trials_parallel determinism: bit-identical per-seed measurements
 //    for every thread count;
 //  * array-arm bursts: the step(obs) bursts of the ranked and the held
 //    harness replay a plain step() loop bit for bit (BurstBitIdentity).
+//
+// Cross-engine CI overlap (every engine against the agent array) lives in
+// tests/equivalence_table_test.cpp.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -170,79 +167,15 @@ TEST(OptimalSilentCoding, KeyedStructureMatchesNullPairPredicate) {
     EXPECT_EQ(proto.passive_fiber(k), expected[k]) << "key " << k;
 }
 
-// --- Cross-backend equivalence: OptimalSilentSSR ---------------------------
-//
-// The engines consume randomness differently, so only distributional
-// agreement is meaningful: stabilization-time summaries across independent
-// seeds must have overlapping confidence intervals (tests/stat_harness.h;
-// multi-comparison tests pass a family-widening factor).
+// --- The strategy controller ------------------------------------------------
 
-void expect_overlapping_ci(const Summary& a, const Summary& b,
-                           double widen = 1.0) {
-  stat_harness::expect_overlapping_ci(a, b, "", widen);
-}
-
+// The ranked-run horizon of optimal-silent at population n.
 RunOptions optimal_silent_opts(std::uint32_t n) {
   RunOptions opts;
   opts.max_interactions =
       static_cast<std::uint64_t>(n) * n * 2000 + (1ull << 24);
   return opts;
 }
-
-double optimal_array_time(std::uint32_t n, std::uint64_t seed) {
-  const auto params = OptimalSilentParams::standard(n);
-  OptimalSilentSSR proto(params);
-  auto init = optimal_silent_config(params, OsAdversary::kUniformRandom, seed);
-  Simulation<OptimalSilentSSR> sim(proto, std::move(init),
-                                   derive_seed(seed, 1));
-  const RunResult r = run_engine_until_ranked(sim, optimal_silent_opts(n));
-  EXPECT_TRUE(r.stabilized);
-  return r.stabilization_ptime;
-}
-
-double optimal_batch_time(std::uint32_t n, std::uint64_t seed,
-                          BatchStrategy strategy) {
-  const auto params = OptimalSilentParams::standard(n);
-  OptimalSilentSSR proto(params);
-  auto init = optimal_silent_config(params, OsAdversary::kUniformRandom, seed);
-  BatchSimulation<OptimalSilentSSR> sim(proto, init, derive_seed(seed, 1),
-                                        strategy);
-  const RunResult r = run_engine_until_ranked(sim, optimal_silent_opts(n));
-  EXPECT_TRUE(r.stabilized);
-  return r.stabilization_ptime;
-}
-
-class OptimalSilentBackendEquivalence
-    : public ::testing::TestWithParam<std::uint32_t> {};
-
-// Cross-strategy equivalence: agent array vs geometric skip vs
-// multinomial vs auto all measure the same stabilization-time distribution
-// (family-controlled CI overlap over 30 independent seeds per engine).
-TEST_P(OptimalSilentBackendEquivalence, OverlappingStabilizationCIs) {
-  const std::uint32_t n = GetParam();
-  const std::uint32_t seeds = 30;
-  std::vector<double> array_times, skip_times, multi_times, auto_times;
-  for (std::uint32_t i = 0; i < seeds; ++i) {
-    array_times.push_back(optimal_array_time(n, derive_seed(5000 + n, i)));
-    skip_times.push_back(optimal_batch_time(n, derive_seed(6000 + n, i),
-                                            BatchStrategy::kGeometricSkip));
-    multi_times.push_back(optimal_batch_time(n, derive_seed(6500 + n, i),
-                                             BatchStrategy::kMultinomial));
-    auto_times.push_back(optimal_batch_time(n, derive_seed(6800 + n, i),
-                                            BatchStrategy::kAuto));
-  }
-  const double widen = stat_harness::family_widen(4);
-  const Summary array = summarize(array_times);
-  const Summary skip = summarize(skip_times);
-  const Summary multi = summarize(multi_times);
-  expect_overlapping_ci(array, skip, widen);
-  expect_overlapping_ci(array, multi, widen);
-  expect_overlapping_ci(array, summarize(auto_times), widen);
-  expect_overlapping_ci(skip, multi, widen);
-}
-
-INSTANTIATE_TEST_SUITE_P(OptimalSilent, OptimalSilentBackendEquivalence,
-                         ::testing::Values(8u, 64u, 512u));
 
 // kAuto must be a pure function of (configuration, seed): two runs with the
 // same seed are bit-identical in interactions, parallel time and counts.
@@ -890,92 +823,6 @@ TEST(BurstBitIdentity, EventStopsAndRunMatchPlainSteps) {
       });
 }
 
-// --- Cross-strategy equivalence: ResetProcess -------------------------------
-//
-// The Section 3 harness protocol, now enumerable: time until the reset wave
-// started by one triggered agent has fully drained (everyone Computing),
-// across all four engines.
-
-double reset_array_time(std::uint32_t n, std::uint32_t rmax,
-                        std::uint32_t dmax, std::uint64_t seed) {
-  ResetProcess proto(n, rmax, dmax);
-  std::vector<ResetProcess::State> init(n);
-  proto.trigger(init[0]);
-  Simulation<ResetProcess> sim(proto, std::move(init), seed);
-  bool done = false;
-  while (sim.interactions() < (1ull << 34)) {
-    sim.step();
-    done = true;
-    for (const auto& s : sim.states())
-      if (s.resetting) {
-        done = false;
-        break;
-      }
-    if (done) break;
-  }
-  EXPECT_TRUE(done);
-  return sim.parallel_time();
-}
-
-std::vector<std::uint64_t> reset_trigger_counts(const ResetProcess& proto,
-                                                std::uint32_t n) {
-  std::vector<std::uint64_t> counts(proto.num_states(), 0);
-  ResetProcess::State triggered;
-  proto.trigger(triggered);
-  counts[0] = n - 1;
-  counts[proto.encode(triggered)] = 1;
-  return counts;
-}
-
-double reset_batch_time(std::uint32_t n, std::uint32_t rmax,
-                        std::uint32_t dmax, std::uint64_t seed,
-                        BatchStrategy strategy) {
-  ResetProcess proto(n, rmax, dmax);
-  BatchSimulation<ResetProcess> sim(proto, reset_trigger_counts(proto, n),
-                                    seed, strategy);
-  EXPECT_TRUE(run_until(sim, [](const auto& s) { return s.silent(); },
-                            1ull << 34));
-  EXPECT_EQ(sim.counts()[0], n);  // silent == all Computing
-  return sim.parallel_time();
-}
-
-class ResetProcessStrategyEquivalence
-    : public ::testing::TestWithParam<std::uint32_t> {};
-
-TEST_P(ResetProcessStrategyEquivalence, OverlappingDrainTimeCIs) {
-  const std::uint32_t n = GetParam();
-  const auto rmax = static_cast<std::uint32_t>(
-                        std::ceil(8.0 * std::log(static_cast<double>(n)))) +
-                    4;
-  const std::uint32_t dmax = 4 * rmax;
-  const std::uint32_t seeds = 30;
-  std::vector<double> array_times, skip_times, multi_times, auto_times;
-  for (std::uint32_t i = 0; i < seeds; ++i) {
-    array_times.push_back(
-        reset_array_time(n, rmax, dmax, derive_seed(9100 + n, i)));
-    skip_times.push_back(reset_batch_time(n, rmax, dmax,
-                                          derive_seed(9200 + n, i),
-                                          BatchStrategy::kGeometricSkip));
-    multi_times.push_back(reset_batch_time(n, rmax, dmax,
-                                           derive_seed(9300 + n, i),
-                                           BatchStrategy::kMultinomial));
-    auto_times.push_back(reset_batch_time(n, rmax, dmax,
-                                          derive_seed(9400 + n, i),
-                                          BatchStrategy::kAuto));
-  }
-  const double widen = stat_harness::family_widen(4);
-  const Summary array = summarize(array_times);
-  const Summary skip = summarize(skip_times);
-  const Summary multi = summarize(multi_times);
-  expect_overlapping_ci(array, skip, widen);
-  expect_overlapping_ci(array, multi, widen);
-  expect_overlapping_ci(array, summarize(auto_times), widen);
-  expect_overlapping_ci(skip, multi, widen);
-}
-
-INSTANTIATE_TEST_SUITE_P(ResetProcess, ResetProcessStrategyEquivalence,
-                         ::testing::Values(8u, 64u, 512u));
-
 // stat_harness sanity: the widening factor is the right normal quantile.
 TEST(StatHarness, FamilyWidenMatchesNormalQuantiles) {
   EXPECT_DOUBLE_EQ(stat_harness::family_widen(1), 1.0);
@@ -1008,48 +855,7 @@ TEST(ResetProcessCoding, DecodeEncodeIsIdentityOnAllCodes) {
                     proto.is_passive(proto.decode(b)));
 }
 
-// --- Cross-strategy equivalence: one-way epidemic ---------------------------
-
-TEST(OneWayEpidemicEquivalence, OverlappingCompletionCIs) {
-  const std::uint32_t n = 128;
-  const std::uint32_t seeds = 40;
-  OneWayEpidemic proto(n);
-  auto batch_time = [&](std::uint64_t seed, BatchStrategy strategy) {
-    BatchSimulation<OneWayEpidemic> sim(proto, one_way_epidemic_counts(n, 1),
-                                        seed, strategy);
-    EXPECT_TRUE(run_until(sim, [](const auto& s) { return s.silent(); },
-                              1ull << 34));
-    return sim.parallel_time();
-  };
-  auto array_time = [&](std::uint64_t seed) {
-    std::vector<OneWayEpidemic::State> init(n);
-    init[0].infected = true;
-    Simulation<OneWayEpidemic> sim(proto, std::move(init), seed);
-    while (sim.interactions() < (1ull << 34)) {
-      sim.step();
-      std::uint32_t infected = 0;
-      for (const auto& s : sim.states()) infected += s.infected ? 1 : 0;
-      if (infected == n) break;
-    }
-    return sim.parallel_time();
-  };
-  std::vector<double> array_times, skip_times, multi_times;
-  for (std::uint32_t i = 0; i < seeds; ++i) {
-    array_times.push_back(array_time(derive_seed(9500, i)));
-    skip_times.push_back(
-        batch_time(derive_seed(9600, i), BatchStrategy::kGeometricSkip));
-    multi_times.push_back(
-        batch_time(derive_seed(9700, i), BatchStrategy::kMultinomial));
-  }
-  const Summary array = summarize(array_times);
-  expect_overlapping_ci(array, summarize(skip_times));
-  expect_overlapping_ci(array, summarize(multi_times));
-  // Analytic anchor (Lemma 2.7 is for the two-way epidemic; one-way runs at
-  // half the infection rate, E[T] = 2 (n-1) H_{n-1} interactions... sanity
-  // only: the mean parallel time is Theta(log n)).
-  EXPECT_GT(array.mean, 0.5 * std::log(static_cast<double>(n)));
-  EXPECT_LT(array.mean, 8.0 * std::log(static_cast<double>(n)));
-}
+// --- One-way epidemic: the unkeyed skip ------------------------------------
 
 // The unkeyed skip crushes the endgame: with one susceptible agent left,
 // the expected wait is ~n/2 parallel time but only O(1) candidate pairs
@@ -1069,34 +875,7 @@ TEST(OneWayEpidemicEquivalence, EndgameSkipsPassivePairs) {
   EXPECT_GT(sim.stats().batched, 8 * sim.stats().effective);
 }
 
-// The generic ranked harness agrees across backends starting from the
-// deterministic duplicate-rank configuration too (exercises the keyed skip,
-// the reset pipeline, and the recruit phase end to end).
-TEST(OptimalSilentBackendEquivalence, DuplicateRankStartAgrees) {
-  const std::uint32_t n = 64;
-  const std::uint32_t seeds = 30;
-  std::vector<double> array_times, batch_times;
-  for (std::uint32_t i = 0; i < seeds; ++i) {
-    const auto params = OptimalSilentParams::standard(n);
-    OptimalSilentSSR proto(params);
-    auto init =
-        optimal_silent_config(params, OsAdversary::kDuplicateRank, 1);
-    {
-      Simulation<OptimalSilentSSR> sim(proto, init, derive_seed(7000, i));
-      const RunResult r = run_engine_until_ranked(sim, optimal_silent_opts(n));
-      EXPECT_TRUE(r.stabilized);
-      array_times.push_back(r.stabilization_ptime);
-    }
-    {
-      BatchSimulation<OptimalSilentSSR> sim(proto, init,
-                                            derive_seed(8000, i));
-      const RunResult r = run_engine_until_ranked(sim, optimal_silent_opts(n));
-      EXPECT_TRUE(r.stabilized);
-      batch_times.push_back(r.stabilization_ptime);
-    }
-  }
-  expect_overlapping_ci(summarize(array_times), summarize(batch_times));
-}
+// --- Optimal-Silent-SSR on the keyed skip ----------------------------------
 
 // Observation 2.6's detection latency: from the duplicate-rank start the
 // error is detectable only when the two duplicates meet directly, an
@@ -1130,7 +909,7 @@ TEST(OptimalSilentBackendEquivalence, DetectionLatencyMatchesAnalytic) {
       summarize(run_trials(seeds / 4, 902, detect_array));
   const double analytic = (n - 1) / 2.0;
   EXPECT_NEAR(batch.mean, analytic, 3 * batch.ci95 + 1e-9);
-  expect_overlapping_ci(batch, array);
+  stat_harness::expect_overlapping_ci(batch, array, "detection latency");
   // The silent stretch before the collision costs O(1) effective steps.
   BatchSimulation<OptimalSilentSSR> sim(proto, init, 99);
   run_until(sim,
@@ -1160,80 +939,6 @@ TEST(OptimalSilentBackendEquivalence, CorrectRankingIsKeyedSilent) {
   EXPECT_EQ(r.stabilization_ptime, 0.0);
 }
 
-// --- Cross-backend equivalence: Obs25SSLE ----------------------------------
-//
-// The Observation 2.5 protocol is defined only for n = 3 (it exists to show
-// SSLE does not imply SSR); the cross-backend check compares the time to
-// reach a silent configuration {l, f_i, f_j}, |i-j| = 1 (mod 5).
-
-bool obs25_states_silent(const Obs25SSLE& proto,
-                         const std::vector<Obs25SSLE::State>& states) {
-  for (std::size_t i = 0; i < states.size(); ++i)
-    for (std::size_t j = 0; j < states.size(); ++j)
-      if (i != j && !proto.is_null_pair(states[i], states[j])) return false;
-  return true;
-}
-
-bool obs25_counts_silent(const Obs25SSLE& proto,
-                         const std::vector<std::uint64_t>& counts) {
-  for (std::uint32_t a = 0; a < counts.size(); ++a) {
-    if (counts[a] == 0) continue;
-    if (counts[a] > 1 &&
-        !proto.is_null_pair(proto.decode(a), proto.decode(a)))
-      return false;
-    for (std::uint32_t b = a + 1; b < counts.size(); ++b)
-      if (counts[b] > 0 &&
-          !proto.is_null_pair(proto.decode(a), proto.decode(b)))
-        return false;
-  }
-  return true;
-}
-
-TEST(Obs25BackendEquivalence, OverlappingTimeToSilenceCIs) {
-  const Obs25SSLE proto(3);
-  const std::uint32_t seeds = 60;
-  std::vector<double> array_times, batch_times, multi_times;
-  for (std::uint32_t i = 0; i < seeds; ++i) {
-    {
-      // All-leaders start: an active configuration.
-      std::vector<Obs25SSLE::State> init(3);
-      Simulation<Obs25SSLE> sim(proto, init, derive_seed(1100, i));
-      EXPECT_TRUE(run_until(sim,
-          [&](const auto& s) {
-            return obs25_states_silent(s.protocol(), s.states());
-          },
-          1ull << 30));
-      array_times.push_back(sim.parallel_time());
-    }
-    {
-      std::vector<std::uint64_t> counts = {3, 0, 0, 0, 0, 0};
-      BatchSimulation<Obs25SSLE> sim(proto, counts, derive_seed(1200, i));
-      EXPECT_TRUE(run_until(sim,
-          [&](const auto& s) {
-            return obs25_counts_silent(s.protocol(), s.counts());
-          },
-          1ull << 30));
-      batch_times.push_back(sim.parallel_time());
-    }
-    {
-      // Randomized interact(): the multinomial kernel must replay every
-      // repetition individually (no delta cache) — the one protocol in the
-      // repo that exercises that branch.
-      std::vector<std::uint64_t> counts = {3, 0, 0, 0, 0, 0};
-      BatchSimulation<Obs25SSLE> sim(proto, counts, derive_seed(1300, i),
-                                     BatchStrategy::kMultinomial);
-      EXPECT_TRUE(run_until(sim,
-          [&](const auto& s) {
-            return obs25_counts_silent(s.protocol(), s.counts());
-          },
-          1ull << 30));
-      multi_times.push_back(sim.parallel_time());
-    }
-  }
-  expect_overlapping_ci(summarize(array_times), summarize(batch_times));
-  expect_overlapping_ci(summarize(array_times), summarize(multi_times));
-}
-
 // --- run_trials_parallel ----------------------------------------------------
 
 TEST(RunTrialsParallel, BitIdenticalAcrossThreadCounts) {
@@ -1259,35 +964,6 @@ TEST(RunTrialsParallel, PropagatesExceptions) {
     return 0.0;
   };
   EXPECT_THROW(run_trials_parallel(8, 7, boom, 4), std::runtime_error);
-}
-
-// --- Generic harness on both backends --------------------------------------
-
-TEST(RunEngineUntilRanked, BackendsAgreeOnSilentNState) {
-  const std::uint32_t n = 128;
-  const std::uint32_t seeds = 30;
-  std::vector<double> array_times, batch_times;
-  RunOptions opts;
-  opts.max_interactions = 1ull << 50;
-  for (std::uint32_t i = 0; i < seeds; ++i) {
-    {
-      Simulation<SilentNStateSSR> sim(SilentNStateSSR(n),
-                                      silent_nstate_worst_config(n),
-                                      derive_seed(1300, i));
-      const RunResult r = run_engine_until_ranked(sim, opts);
-      EXPECT_TRUE(r.stabilized);
-      array_times.push_back(r.stabilization_ptime);
-    }
-    {
-      BatchSimulation<SilentNStateSSR> sim(SilentNStateSSR(n),
-                                           silent_nstate_worst_config(n),
-                                           derive_seed(1400, i));
-      const RunResult r = run_engine_until_ranked(sim, opts);
-      EXPECT_TRUE(r.stabilized);
-      batch_times.push_back(r.stabilization_ptime);
-    }
-  }
-  expect_overlapping_ci(summarize(array_times), summarize(batch_times));
 }
 
 }  // namespace

@@ -7,9 +7,8 @@
 //    batch-capable protocol, the count emitter and the agent emitter of the
 //    same (name, seed) describe the same configuration through
 //    encode/decode, at n in {8, 64, 512};
-//  * cross-engine equivalence: every (protocol, generator) pair runs on
-//    both engines to its default stop condition with overlapping 95% CIs
-//    at n in {8, 64, 512};
+//  * cross-engine equivalence lives in tests/equivalence_table_test.cpp,
+//    one row per (protocol, generator, n) cell;
 //  * determinism: per-trial values are bit-identical for any thread count;
 //  * acceptance: the Table-1 row-1 sweep reproduced from a ScenarioSpec
 //    has CIs overlapping the committed bench/acceptance values, and an
@@ -354,81 +353,6 @@ TEST(InitRoundTrip, SublinearGeneratorsEmitFullPopulations) {
   }
 }
 
-// --- Cross-engine equivalence -----------------------------------------------
-//
-// Every (protocol, generator) pair measures the same convergence-time
-// distribution on the agent array and the batched engine: overlapping 95%
-// CIs over independent seeds, at n in {8, 64, 512}.
-
-// The CI-overlap check now lives in tests/stat_harness.h; the cross-engine
-// sweep below runs ~60 simultaneous comparisons, where a per-pair 95% check
-// would fail by chance every few runs — it passes the Bonferroni widening
-// stat_harness::family_widen(60).
-using stat_harness::expect_overlapping_ci;
-const double kSweepWiden = stat_harness::family_widen(60);
-
-void expect_cross_engine_agreement(const std::string& protocol,
-                                   const std::string& init, std::uint32_t n,
-                                   std::uint32_t trials) {
-  ScenarioSpec spec;
-  spec.protocol = protocol;
-  spec.init = init;
-  spec.n = n;
-  spec.trials = trials;
-
-  spec.engine = "array";
-  spec.seed = 51000 + n;
-  const ScenarioResult array_r = run_scenario(spec);
-  spec.engine = "batch";
-  spec.seed = 52000 + n;
-  const ScenarioResult batch_r = run_scenario(spec);
-
-  const std::string what = protocol + "/" + init + " n=" + std::to_string(n);
-  EXPECT_EQ(array_r.failed, 0u) << what;
-  EXPECT_EQ(batch_r.failed, 0u) << what;
-  EXPECT_EQ(array_r.backend, "array");
-  EXPECT_EQ(batch_r.backend, "batch");
-  expect_overlapping_ci(array_r.summary, batch_r.summary, what, kSweepWiden);
-}
-
-class CrossEngine : public ::testing::TestWithParam<std::uint32_t> {};
-
-TEST_P(CrossEngine, SilentNState) {
-  const std::uint32_t n = GetParam();
-  // The Theta(n^2) protocol: keep the 512 trial count modest (each array
-  // trial is ~n^3/2 scheduler draws).
-  const std::uint32_t trials = n >= 512 ? 5 : 16;
-  for (const auto& init : silent_nstate_inits().all())
-    expect_cross_engine_agreement("silent-nstate", init.name, n, trials);
-}
-
-TEST_P(CrossEngine, OptimalSilent) {
-  const std::uint32_t n = GetParam();
-  const std::uint32_t trials = n >= 512 ? 8 : 16;
-  for (const auto& init : optimal_silent_inits().all())
-    expect_cross_engine_agreement("optimal-silent", init.name, n, trials);
-}
-
-TEST_P(CrossEngine, ResetProcess) {
-  const std::uint32_t n = GetParam();
-  for (const auto& init : reset_process_inits().all())
-    expect_cross_engine_agreement("reset-process", init.name, n, 16);
-}
-
-TEST_P(CrossEngine, OneWayEpidemic) {
-  const std::uint32_t n = GetParam();
-  for (const auto& init : one_way_epidemic_inits().all())
-    expect_cross_engine_agreement("one-way-epidemic", init.name, n, 20);
-}
-
-INSTANTIATE_TEST_SUITE_P(Sizes, CrossEngine,
-                         ::testing::Values(8u, 64u, 512u));
-
-TEST(CrossEngineObs25, EveryGenerator) {
-  for (const auto& init : obs25_inits().all())
-    expect_cross_engine_agreement("obs25", init.name, 3, 40);
-}
-
 // --- Determinism ------------------------------------------------------------
 
 TEST(ScenarioDeterminism, ValuesBitIdenticalAcrossThreadCounts) {
@@ -476,8 +400,8 @@ TEST(ScenarioAcceptance, Table1Row1MatchesCommittedAcceptance) {
     Summary acceptance;
     acceptance.mean = c.mean;
     acceptance.ci95 = c.ci95;
-    expect_overlapping_ci(r.summary, acceptance,
-                          "table1 row 1 n=" + std::to_string(c.n));
+    stat_harness::expect_overlapping_ci(
+        r.summary, acceptance, "table1 row 1 n=" + std::to_string(c.n));
   }
 }
 

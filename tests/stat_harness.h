@@ -1,31 +1,22 @@
-// Statistical equivalence harness shared by the engine/strategy validation
-// suites (tests/engine_equivalence_test.cpp, tests/scenario_test.cpp).
+// Statistical checks shared by the test suites.
 //
-// The repo's correctness discipline for every simulation strategy is the
-// same: a new engine must measure the same convergence-time distribution as
-// the ground-truth agent array, checked as overlapping confidence intervals
-// over independent seeds, plus bit-determinism for anything that claims to
-// be a pure function of its seed. Before this header each test file carried
-// its own copy of the CI-overlap check with an ad-hoc widening constant;
-// the helpers here make the family control explicit so every present and
-// future strategy is validated identically:
+// The repo's correctness discipline for every simulation engine is the
+// same: it must measure the same distribution as the agent array, which
+// runs the uniform random scheduler literally, checked as overlapping
+// confidence intervals over independent seeds. That check runs in one
+// place, tests/equivalence_table_test.cpp: one row per (cell, candidate
+// engine), all under one family widening computed from the table's size.
+// The helpers here:
 //
 //   family_widen(k)        - Bonferroni widening for k simultaneous
 //                            CI-overlap checks: each pairwise check uses
 //                            z_{1 - 0.025/k}/z_{0.975}-widened intervals,
 //                            holding the whole family's false-alarm rate
 //                            near the single-test 5%
-//   expect_overlapping_ci  - the overlap assertion itself
-//   seeded_values          - per-seed measurement vector (trial i runs
-//                            derive_seed(base, i)); running two engines
-//                            with the same base gives index-aligned paired
-//                            runs
-//   expect_bit_identical   - exact equality of two measurement vectors
-//   expect_paired_bit_identical
-//                          - per-seed paired determinism: two run callables
-//                            must produce bitwise-equal values on every
-//                            derived seed (e.g. the same engine at
-//                            different worker-thread counts)
+//   expect_overlapping_ci  - the overlap assertion itself (also used
+//                            against an analytic value, committed
+//                            acceptance data, and an unregistered
+//                            protocol in tests/batch_simulation_test.cpp)
 //   chi2_critical          - upper ~0.001 chi-square quantile
 //                            (Wilson-Hilferty), the significance the repo's
 //                            goodness-of-fit tests standardize on
@@ -45,7 +36,6 @@
 #include <string>
 #include <vector>
 
-#include "core/rng.h"
 #include "core/stats.h"
 
 namespace ppsim {
@@ -104,37 +94,6 @@ inline void expect_overlapping_ci(const Summary& a, const Summary& b,
                         << hi_a << "] vs [" << lo_b << ", " << hi_b << "]";
   EXPECT_LE(lo_b, hi_a) << what << ": CIs disjoint: [" << lo_a << ", "
                         << hi_a << "] vs [" << lo_b << ", " << hi_b << "]";
-}
-
-// Per-seed measurement vector: trial i measures one(derive_seed(base, i)).
-template <class F>
-std::vector<double> seeded_values(std::uint32_t seeds, std::uint64_t base,
-                                  F&& one) {
-  std::vector<double> xs;
-  xs.reserve(seeds);
-  for (std::uint32_t i = 0; i < seeds; ++i)
-    xs.push_back(one(derive_seed(base, i)));
-  return xs;
-}
-
-inline void expect_bit_identical(const std::vector<double>& a,
-                                 const std::vector<double>& b,
-                                 const std::string& what) {
-  ASSERT_EQ(a.size(), b.size()) << what;
-  for (std::size_t i = 0; i < a.size(); ++i)
-    EXPECT_EQ(a[i], b[i]) << what << ": trial " << i << " diverged";
-}
-
-// Per-seed paired determinism: `a` and `b` are two spellings of what must
-// be the same pure function of the seed (e.g. one engine run with 1 worker
-// thread and with 8); every derived seed must produce bitwise-equal values.
-template <class FA, class FB>
-void expect_paired_bit_identical(std::uint32_t seeds, std::uint64_t base,
-                                 FA&& a, FB&& b, const std::string& what) {
-  for (std::uint32_t i = 0; i < seeds; ++i) {
-    const std::uint64_t seed = derive_seed(base, i);
-    EXPECT_EQ(a(seed), b(seed)) << what << ": seed index " << i;
-  }
 }
 
 // Upper ~0.001 quantile of chi-square with df degrees of freedom

@@ -11,9 +11,8 @@
 //  * transition semantics: the witness automaton mirrors the concrete
 //    root-edge ages (the projection computed by root_edge_age), direct
 //    and indirect detection fire exactly where the quotient says;
-//  * cross-form exactness: in the regimes claimed lossless (the reset
-//    machinery), count-vs-array CIs overlap at n in {8, 64, 512} x 30
-//    seeds for both parameter families;
+//  * cross-form exactness in the regimes claimed lossless (the reset
+//    machinery) is checked by tests/equivalence_table_test.cpp;
 //  * quantified divergence where lossy: count-form detection latency is
 //    the same order as the array's (direction-2 loss costs a small
 //    constant factor), and every record is stamped abstracted = true.
@@ -29,7 +28,6 @@
 #include "protocols/collision_tree.h"
 #include "protocols/sublinear.h"
 #include "protocols/sublinear_count.h"
-#include "stat_harness.h"
 
 namespace ppsim {
 namespace {
@@ -395,11 +393,11 @@ TEST(SublinearCountScenario, TruncDepthParamAndGuards) {
   EXPECT_THROW(run_scenario(spec), std::invalid_argument);
 }
 
-// --- Cross-form exactness and quantified divergence -------------------------
+// --- Quantified divergence ---------------------------------------------------
 //
-// 10 simultaneous CI comparisons below: Bonferroni-widen them as a family
-// (see tests/stat_harness.h).
-const double kWiden = stat_harness::family_widen(10);
+// Cross-form exactness where the quotient is lossless (the reset machinery:
+// mid-reset and post-wave drains) is a row per family and n of
+// tests/equivalence_table_test.cpp.
 
 struct FamilyPair {
   const char* array_name;
@@ -421,45 +419,6 @@ ScenarioResult run_cell(const std::string& protocol, const std::string& init,
   spec.trials = trials;
   spec.seed = seed;
   return run_scenario(spec);
-}
-
-// The reset machinery is claimed to be a lossless quotient: from the same
-// mid-reset law, time-to-drained must agree across forms. (The one lossy
-// crack — an O(1/n) birthday chance that array-side regenerated names
-// re-collide and re-trigger — is covered by the family widening.)
-TEST(SublinearCountExactness, MidResetDrainMatchesArray) {
-  for (const FamilyPair& f : kFamilies) {
-    for (std::uint32_t n : {8u, 64u, 512u}) {
-      const ScenarioResult array_r =
-          run_cell(f.array_name, "mid-reset", "drained", n, 61000 + n, 30);
-      const ScenarioResult count_r =
-          run_cell(f.count_name, "mid-reset", "drained", n, 62000 + n, 30);
-      const std::string what = std::string(f.count_name) +
-                               "/mid-reset drained n=" + std::to_string(n);
-      EXPECT_EQ(array_r.failed, 0u) << what;
-      EXPECT_EQ(count_r.failed, 0u) << what;
-      EXPECT_FALSE(array_r.abstracted);
-      EXPECT_TRUE(count_r.abstracted);
-      stat_harness::expect_overlapping_ci(array_r.summary, count_r.summary,
-                                          what, kWiden);
-    }
-  }
-}
-
-// Same exact regime from the post-wave start (the dormant conveyor alone).
-TEST(SublinearCountExactness, PostWaveDrainMatchesArray) {
-  for (const FamilyPair& f : kFamilies) {
-    const ScenarioResult array_r =
-        run_cell(f.array_name, "post-wave", "drained", 64, 63001, 30);
-    const ScenarioResult count_r =
-        run_cell(f.count_name, "post-wave", "drained", 64, 63002, 30);
-    const std::string what =
-        std::string(f.count_name) + "/post-wave drained n=64";
-    EXPECT_EQ(array_r.failed, 0u) << what;
-    EXPECT_EQ(count_r.failed, 0u) << what;
-    stat_harness::expect_overlapping_ci(array_r.summary, count_r.summary,
-                                        what, kWiden);
-  }
 }
 
 // Detection latency is LOSSY (direction-2 of Detect-Name-Collision is

@@ -16,10 +16,10 @@
 //     engine's own audit(), after every step, fault-free and under each
 //     fault knob;
 //   * ring-ssle end to end: every adversarial initial condition elects,
-//     the agent array and the ring count engine measure
-//     statistically indistinguishable election times (CI overlap,
-//     n in {8, 64, 512} x 30 seeds), and fault injection composes with
-//     the topology path (knob identity + `faulted` stamp survive);
+//     and the ring engine's silence is real silence. The ring engine
+//     against the agent array (ring-ssle, also under fault.drop, and the
+//     one-way epidemic), with the `faulted`, topology and `ring_rle`
+//     stamps, is in tests/equivalence_table_test.cpp;
 //   * strict spec parsing: unknown graphs, malformed mesh dims, bad
 //     custom-graph files and inexpressible engine/topology combinations
 //     are hard errors, not silent fallbacks.
@@ -49,8 +49,6 @@ namespace {
 
 using stat_harness::chi2_critical;
 using stat_harness::expect_matches_pmf;
-using stat_harness::expect_overlapping_ci;
-using stat_harness::family_widen;
 
 // --- concept coverage -------------------------------------------------------
 
@@ -412,57 +410,6 @@ TEST(RingSSLEScenario, CompressedSilenceIsRealSilence) {
   EXPECT_GT(silent, 0u);
 }
 
-TEST(RingSSLEScenario, ArrayAndCompressedEnginesAgree) {
-  // The acceptance bar: the agent array (ground truth) and the ring count
-  // engine must measure statistically indistinguishable election
-  // times at n in {8, 64, 512} over 30 seeds each.
-  const std::uint32_t kSeeds = 30;
-  const double widen = family_widen(3);
-  for (std::uint32_t n : {8u, 64u, 512u}) {
-    ScenarioSpec spec;
-    spec.protocol = "ring-ssle";
-    spec.n = n;
-    spec.init = "uniform-random";
-    spec.trials = kSeeds;
-    spec.seed = 4242;
-    ScenarioSpec array = spec;
-    array.engine = "array";
-    const ScenarioResult rle = run_scenario(spec);
-    const ScenarioResult arr = run_scenario(array);
-    EXPECT_EQ(rle.failed, 0u) << "n=" << n;
-    EXPECT_EQ(arr.failed, 0u) << "n=" << n;
-    EXPECT_EQ(rle.strategy, "ring_rle") << "n=" << n;
-    EXPECT_EQ(arr.backend, "array") << "n=" << n;
-    expect_overlapping_ci(arr.summary, rle.summary,
-                          "ring-ssle n=" + std::to_string(n), widen);
-  }
-}
-
-TEST(RingSSLEScenario, FaultsComposeWithTopology) {
-  // One faults-compose cell: message drop on the ring. The `faulted`
-  // stamp and the knob identity must survive the topology path on both
-  // engines, and the engines must still agree under the faulted law.
-  ScenarioSpec spec;
-  spec.protocol = "ring-ssle";
-  spec.n = 64;
-  spec.init = "uniform-random";
-  spec.faults.drop = 0.25;
-  spec.trials = 20;
-  spec.seed = 555;
-  ScenarioSpec array = spec;
-  array.engine = "array";
-  const ScenarioResult rle = run_scenario(spec);
-  const ScenarioResult arr = run_scenario(array);
-  for (const ScenarioResult* r : {&rle, &arr}) {
-    EXPECT_TRUE(r->faulted);
-    EXPECT_EQ(r->faults.drop, 0.25);
-    EXPECT_EQ(r->topology, "ring");
-    EXPECT_EQ(r->failed, 0u);
-  }
-  expect_overlapping_ci(arr.summary, rle.summary, "ring-ssle drop=0.25",
-                        family_widen(1));
-}
-
 // --- strict parsing and inexpressible specs ---------------------------------
 
 TEST(TopologyErrors, ParseRejectsMalformedSpecs) {
@@ -512,6 +459,26 @@ TEST(TopologyErrors, CustomGraphFile) {
     out << "0 1 2\n";  // three tokens on an edge line
   }
   EXPECT_THROW(Topology::parse("custom:" + bad, 4), std::invalid_argument);
+}
+
+// Only whitespace (after the # comment is cut) is a blank line; any other
+// line that is not one edge is an error naming its line, not skipped.
+TEST(TopologyErrors, CustomGraphFileRejectsNonEdgeLines) {
+  const std::string path = testing::TempDir() + "topology_test_hostile.edges";
+  for (const char* extra : {"bogus line here", "x 1", "1", "1 y", "-"}) {
+    {
+      std::ofstream out(path);
+      out << "  \t\n# header\n0 1\n1 2\n2 3\n3 0   # closes the cycle\n"
+          << extra << "\n";
+    }
+    try {
+      Topology::parse("custom:" + path, 4);
+      ADD_FAILURE() << "accepted a trailing '" << extra << "'";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(" line 7:"), std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 TEST(TopologyErrors, InexpressibleScenarioSpecs) {
@@ -592,28 +559,6 @@ TEST(TopologyRouting, RingOptimalSilentStopsAtRingSilence) {
         << pin.init;
     EXPECT_DOUBLE_EQ(r.summary.mean, pin.ptime_mean) << pin.init;
   }
-}
-
-// The ring + compressible-protocol combination routes to the ring count
-// engine and agrees with the array on the epidemic completion time.
-TEST(TopologyRouting, RingEpidemicCrossEngine) {
-  ScenarioSpec spec;
-  spec.protocol = "one-way-epidemic";
-  spec.n = 256;
-  spec.topology = "ring";
-  spec.trials = 30;
-  spec.seed = 99;
-  ScenarioSpec array = spec;
-  array.engine = "array";
-  const ScenarioResult rle = run_scenario(spec);
-  const ScenarioResult arr = run_scenario(array);
-  EXPECT_EQ(rle.backend, "batch");
-  EXPECT_EQ(rle.strategy, "ring_rle");
-  EXPECT_EQ(arr.backend, "array");
-  EXPECT_EQ(rle.failed, 0u);
-  EXPECT_EQ(arr.failed, 0u);
-  expect_overlapping_ci(arr.summary, rle.summary, "ring epidemic n=256",
-                        family_widen(1));
 }
 
 }  // namespace
