@@ -111,17 +111,7 @@ void experiment_run_to_silence(const BenchScale& scale, BenchReport& report) {
             << to_string(strategy) << ") ==\n";
   Table t({"n", "trials", "array s", "batch s", "array E[time]",
            "batch E[time]"});
-  // This workload is the multinomial strategy's textbook worst case —
-  // Theta(n^3) interactions, nearly all null, which it must grind through
-  // batch by batch while the diagonal skip jumps them — so a forced
-  // --strategy=multinomial A/B keeps only the smallest size.
-  auto sizes = scale.sizes({256, 512, 1024});
-  if (strategy == BatchStrategy::kMultinomial && sizes.size() > 1) {
-    sizes = std::vector<std::uint32_t>{sizes.front()};
-    std::cout << "(" << to_string(strategy)
-              << " forced on a silent-heavy Theta(n^3) workload: larger "
-                 "sizes skipped)\n";
-  }
+  const auto sizes = scale.sizes({256, 512, 1024});
   for (std::uint32_t n : sizes) {
     const std::uint32_t trials = scale.trials(10);
     std::vector<double> at, bt;

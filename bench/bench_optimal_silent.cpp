@@ -143,11 +143,12 @@ void experiment_tree_ranking(const BenchScale& scale, BenchReport& report) {
 // occupies ~min(n, |state space|) distinct codes, so count-based engines
 // pay per-round costs proportional to occupancy and fall off a cliff that
 // the agent array never sees; a dormant-mix start collapses onto a handful
-// of codes and is the count engine's best case. With engine=auto the
-// strategy controller probes trial-0 occupancy and routes each side to its
-// winning engine — acceptance is the dense cell landing within 3x of the
-// sparse cell's wall clock over the same ptime window on the same
-// controller (both cells simulate exactly ptime * n interactions).
+// of codes. With engine=auto the strategy controller probes trial 0 and
+// routes each side to its winning engine (both are dense in effective
+// pairs, so both now run on the agent array) — acceptance is the dense
+// cell landing within 3x of the sparse cell's wall clock over the same
+// ptime window on the same controller (both cells simulate exactly
+// ptime * n interactions).
 // Both cells run in well under a second even at n = 1e6 (run wall excludes
 // construction), so the acceptance size is used at every scale — the
 // --smoke baseline records the real verdict, not a proxy.
@@ -245,7 +246,7 @@ void experiment_tau_tier(const BenchScale& scale, BenchReport& report) {
   Table t({"strategy", "run s (mean)", "approximate", "speedup vs best exact"});
   double best_exact = 0.0;
   std::string best_name;
-  for (const char* strategy : {"multinomial", "geometric_skip"}) {
+  for (const char* strategy : {"geometric_skip", "auto"}) {
     const ScenarioResult r = run_window(strategy);
     report_scenario(report, "tau_window", r);
     t.add_row({strategy, fmt(r.summary.mean, 5), "no", "-"});

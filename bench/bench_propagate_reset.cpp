@@ -158,8 +158,8 @@ void experiment_debris(const BenchScale& scale) {
 // ISSUE 3: the Section 3 phase experiments past n = 10^6, on the batched
 // backend (ResetProcess is enumerable). A full trigger -> drain cycle is
 // Theta(n (log n + Dmax)) interactions, nearly all of them effective
-// (resetcount waves and delaytimer countdowns tick on every contact) — the
-// multinomial batch strategy's regime; auto additionally drops to the
+// (resetcount waves and delaytimer countdowns tick on every contact) —
+// auto runs them on the count engine's array arm, and drops to the
 // unkeyed-passive geometric skip while the wave is still small and most
 // pairs are Computing-Computing. Head-to-head wall clock per strategy via
 // one ScenarioSpec per cell, with the auto wall-vs-n slope recorded (~1:
@@ -172,10 +172,10 @@ void experiment_phases_at_scale(const BenchScale& scale, BenchReport& report) {
   Table t({"n", "strategy", "wall s", "drain time", "interactions"});
   std::vector<double> ns, auto_walls;
   for (std::uint32_t n : sizes) {
-    for (const char* strategy : {"geometric_skip", "multinomial", "auto"}) {
+    for (const char* strategy : {"geometric_skip", "auto"}) {
       // The pure geometric skip simulates every candidate pair one by one;
-      // past 10^6 that is the slow baseline the batch strategies replace —
-      // skip it there outside --full to keep the default run short.
+      // past 10^6 that is the slow baseline auto replaces — skip it there
+      // outside --full to keep the default run short.
       if (strategy == std::string("geometric_skip") && n > 1'000'000 &&
           !scale.full)
         continue;

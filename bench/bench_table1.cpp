@@ -27,6 +27,7 @@
 
 #include <cmath>
 #include <iostream>
+#include <iterator>
 
 #include "analysis/bench_report.h"
 #include "analysis/scenarios.h"
@@ -274,25 +275,24 @@ void experiment_detection_scale(const BenchScale& scale, BenchReport& report) {
                "the silent lower bound, reproduced at n = 10^7\n";
 }
 
-// ISSUE 3 acceptance: multinomial vs geometric-skip strategy head-to-head
-// on the timer-heavy regime of Optimal-Silent-SSR, up to n = 10^6.
+// Strategy head-to-head, auto vs geometric skip, on the timer-heavy regime
+// of Optimal-Silent-SSR, up to n = 10^6.
 //
 // Workload: the dormant countdown (the `dormant-mix` initial condition —
 // everyone Resetting with delaytimer = Dmax, the post-wave configuration
 // of every reset epoch). Every interaction decrements two delay timers, so
 // every interaction is effective: the geometric skip degenerates to
 // one-by-one simulation whose per-step Fenwick updates walk a 35n-entry
-// tree (280 MB at n = 10^6, ~25 DRAM misses per draw), while the
-// multinomial strategy samples whole ~0.63 sqrt(n)-interaction batches
-// from the cache-resident occupied pool.
+// tree (280 MB at n = 10^6, ~25 DRAM misses per draw), while auto runs the
+// countdown on the count engine's array arm, two random array reads per
+// interaction.
 //
 // The head-to-head runs a fixed parallel-time budget per n (until=ptime;
 // running FULL stabilization at n = 10^6 is not an option for either
 // strategy — the countdown alone is ~4 n^2 = 4e12 sequential effective
 // interactions, days of wall clock for any exact engine). The recorded
-// acceptance quantities: multinomial >= 5x faster at n = 10^6, and the
-// multinomial wall-vs-n log-log slope <= ~1.6 on this timer-heavy
-// workload.
+// acceptance quantities: auto >= 5x faster at n = 10^6, and each
+// strategy's wall-vs-n log-log slope.
 void experiment_strategy_timer_heavy(const BenchScale& scale,
                                      BenchReport& report) {
   const double budget_ptime = scale.smoke ? 0.25 : (scale.quick ? 2.0 : 5.0);
@@ -300,7 +300,8 @@ void experiment_strategy_timer_heavy(const BenchScale& scale,
             << budget_ptime << " parallel time units per run ==\n";
   const std::vector<std::uint32_t> sizes =
       scale.sizes({62'500, 250'000, 1'000'000});
-  const char* strategies[] = {"geometric_skip", "multinomial", "auto"};
+  const char* strategies[] = {"geometric_skip", "auto"};
+  constexpr std::size_t kStrategies = std::size(strategies);
   Table t({"n", "strategy", "wall s (min)", "interactions", "Minter/s"});
   // Wall clock at sub-second scales swings with ambient memory/frequency
   // state (the neighboring experiments allocate GBs); interleaved
@@ -308,13 +309,13 @@ void experiment_strategy_timer_heavy(const BenchScale& scale,
   // machine's mood.
   const int reps = scale.smoke || scale.quick ? 1 : 3;
   std::vector<double> ns;
-  std::vector<std::vector<double>> walls(3);
+  std::vector<std::vector<double>> walls(kStrategies);
   for (std::uint32_t n : sizes) {
     ns.push_back(static_cast<double>(n));
-    double best[3] = {1e300, 1e300, 1e300};
-    double interactions[3] = {0, 0, 0};
+    double best[kStrategies] = {1e300, 1e300};
+    double interactions[kStrategies] = {0, 0};
     for (int rep = 0; rep < reps; ++rep) {
-      for (std::size_t si = 0; si < 3; ++si) {
+      for (std::size_t si = 0; si < kStrategies; ++si) {
         ScenarioSpec spec;
         spec.protocol = "optimal-silent";
         spec.init = "dormant-mix";
@@ -329,7 +330,7 @@ void experiment_strategy_timer_heavy(const BenchScale& scale,
         interactions[si] = r.interactions_mean;
       }
     }
-    for (std::size_t si = 0; si < 3; ++si) {
+    for (std::size_t si = 0; si < kStrategies; ++si) {
       walls[si].push_back(best[si]);
       t.add_row({std::to_string(n), strategies[si], fmt(best[si], 3),
                  fmt_sci(interactions[si]),
@@ -346,7 +347,7 @@ void experiment_strategy_timer_heavy(const BenchScale& scale,
   }
   t.print();
   if (ns.size() >= 2) {
-    for (std::size_t si = 0; si < 3; ++si) {
+    for (std::size_t si = 0; si < kStrategies; ++si) {
       const LinearFit f = fit_power_law(ns, walls[si]);
       std::cout << "wall ~ n^" << fmt(f.slope, 2) << " for "
                 << strategies[si] << " (R^2 = " << fmt(f.r2, 3) << ")\n";
@@ -362,11 +363,11 @@ void experiment_strategy_timer_heavy(const BenchScale& scale,
   const bool gate_active = !scale.smoke && !scale.quick;
   if (gate_active) {
     std::cout << (speedup >= 5.0 ? "PASS" : "FAIL")
-              << ": multinomial strategy " << fmt(speedup, 1)
+              << ": auto strategy " << fmt(speedup, 1)
               << "x faster than geometric_skip at n = " << sizes.back()
               << " (>= 5x required)\n";
   } else {
-    std::cout << "multinomial strategy " << fmt(speedup, 1)
+    std::cout << "auto strategy " << fmt(speedup, 1)
               << "x faster than geometric_skip at n = " << sizes.back()
               << " (acceptance gate needs the default budget)\n";
   }
@@ -374,7 +375,7 @@ void experiment_strategy_timer_heavy(const BenchScale& scale,
   rec.set("experiment", "strategy_acceptance")
       .set("backend", "batch")
       .set("n", static_cast<std::uint64_t>(sizes.back()))
-      .set("speedup_multinomial_vs_geometric", speedup);
+      .set("speedup_auto_vs_geometric", speedup);
   if (gate_active) rec.set("acceptance_pass", speedup >= 5.0);
 }
 
@@ -391,7 +392,7 @@ void experiment_strategy_full_stabilization(const BenchScale& scale,
   std::cout << "\n== full stabilization strategy face-off (n = " << n
             << ", uniform-random start) ==\n";
   Table t({"strategy", "trials", "wall s/run", "E[time]"});
-  for (const char* strategy : {"geometric_skip", "multinomial", "auto"}) {
+  for (const char* strategy : {"geometric_skip", "auto"}) {
     ScenarioSpec spec;
     spec.protocol = "optimal-silent";
     spec.init = "uniform-random";

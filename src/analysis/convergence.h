@@ -39,12 +39,11 @@
 //     observer form step(obs) (the array arm's bursts) run through it: the
 //     census follows each agent change from the states handed over, and
 //     the burst ends at every change that the clock must see, so results
-//     equal a plain-step() loop's. A multinomial batch step reports the
-//     whole batch's net deltas, so correctness is observed at batch
-//     granularity; tail-window runs (tail_ptime > 0) therefore require the
-//     geometric_skip strategy, whose batched stretches are provably null —
-//     enforced below. A window that closes inside a null stretch closes
-//     there, exactly as the per-interaction loop would see it.
+//     equal a plain-step() loop's. Tail-window runs (tail_ptime > 0)
+//     require the geometric_skip strategy, whose skipped stretches are
+//     provably null — enforced below. A window that closes inside a null
+//     stretch closes there, exactly as the per-interaction loop would see
+//     it.
 // A count engine that reports step() == 0 is provably stuck (silent): if the
 // configuration is correct at that point it is stabilized forever.
 #pragma once
@@ -288,15 +287,14 @@ RunResult run_until(E& sim, const Stop<Key, Test>& stop,
   const bool windowed =
       stop.rule == StopRule::kHeldForTail && opts.tail_ptime > 0.0;
   if constexpr (StrategyEngine<E>) {
-    // The tail-window bookkeeping below credits a whole batched stretch as
-    // "correctness unchanged", which only the geometric paths guarantee
-    // (their stretches are provably null); a multinomial batch can break
-    // and re-enter correctness invisibly inside one step.
+    // The tail-window bookkeeping below credits the stretch before a step's
+    // last interaction as "correctness unchanged", which the geometric
+    // paths guarantee (their stretches are provably null); windows are
+    // checked on no other arm, so they stay pinned to that one.
     if (windowed && sim.strategy() != BatchStrategy::kGeometricSkip)
       throw std::invalid_argument(
           "tail_ptime windows on a count engine require the geometric_skip "
-          "strategy (multinomial batches hide intra-batch correctness "
-          "breaks)");
+          "strategy");
   }
   const std::uint32_t n = sim.population_size();
   const auto& protocol = sim.protocol();
@@ -416,8 +414,8 @@ void maybe_verify_silent(const E& engine, const RunOptions& opts,
 
 // Predicate front end: runs until done(engine) holds, checking it before
 // the first interaction and after every step (every interaction on the
-// agent array, every configuration change on a count engine — a
-// multinomial batch or a tau leap at its end). `done` must be O(1). Returns
+// agent array, every configuration change on a count engine — a tau leap
+// at its end). `done` must be O(1). Returns
 // true iff it fired within `max_interactions`.
 template <class E, class Done>
 bool run_until(E& sim, Done done, std::uint64_t max_interactions) {
@@ -461,9 +459,8 @@ RunResult run_engine_until_ranked(E& sim, const RunOptions& opts) {
 // entry-then-break cycle was observed inside the horizon. A run that never
 // enters, or enters and never breaks (e.g. fault-free silence — the engine
 // reports provably stuck, or the horizon ends first), is not a measurement
-// and reports stabilized == false. On a count engine a multinomial batch is
-// observed at its end; every other step ends at the exact interaction of
-// the entry or the break.
+// and reports stabilized == false. On an exact count engine every step
+// ends at the exact interaction of the entry or the break.
 template <class E>
 RunResult run_engine_until_held(E& sim, const RunOptions& opts) {
   return run_until(sim, held_stop(sim.population_size()), opts);

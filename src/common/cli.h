@@ -4,7 +4,7 @@
 // --full/--threads/--strategy loop (and every example its own --backend
 // strcmp chain); they now all go through this header. Unlike the old
 // parsers, unknown flags are a *hard error* (exit 2): a typoed
-// --strateg=multinomial used to be silently ignored and the bench would
+// --strateg=geometric_skip used to be silently ignored and the bench would
 // happily measure the wrong configuration.
 #pragma once
 
@@ -43,7 +43,7 @@ inline bool parse_thread_count(const std::string& text, std::uint32_t& out) {
 //                      PPSIM_THREADS; 0 = hardware concurrency). Never
 //                      changes results — only wall clock.
 //   --strategy=S       batching strategy for the count-based engine
-//                      (geometric_skip | multinomial | auto);
+//                      (geometric_skip | auto | tau);
 //                      benches that honor it call strategy_or() and record
 //                      the choice in their BENCH_*.json metadata
 //   --fault.drop=P     fault injection (core/faults.h): interaction loss
@@ -116,7 +116,7 @@ struct BenchScale {
         BatchStrategy ignored;
         if (!parse_strategy(s.strategy_name, ignored)) {
           std::cerr << "unknown --strategy value '" << s.strategy_name
-                    << "' (want geometric_skip | multinomial | auto)\n";
+                    << "' (want geometric_skip | auto | tau)\n";
           std::exit(2);
         }
       } else if (a.rfind("--fault.drop=", 0) == 0) {

@@ -33,23 +33,13 @@
 //   SegmentedPool         - weighted pool over the *occupied* subset of a
 //                           huge code space, clustered into contiguous
 //                           256-code segments with per-segment weight
-//                           subtotals: the multinomial kernel's sampling
-//                           substrate (weighted draws walk a Fenwick tree
+//                           subtotals (weighted draws walk a Fenwick tree
 //                           over O(segments) subtotals plus one short
-//                           in-segment scan, instead of a deep tree over
-//                           O(occupied) raw codes); also the tau-leaping
-//                           engine's active-unit pool (reset() +
-//                           apply_delta reloads in O(occupied))
-//   sample_collision_free_prefix
-//                         - exact birthday-problem draw of how many
-//                           consecutive interactions touch fresh agents
-//   MultinomialKernel     - the ppsim-style batch step: simulate a whole
-//                           Theta(sqrt(n))-interaction collision-free
-//                           prefix at once by sampling its sender/receiver
-//                           state multisets hypergeometrically, applying
-//                           transitions per (s1, s2) pair in bulk through a
-//                           cached delta table, then replaying the single
-//                           colliding interaction exactly
+//                           in-segment scan): the tau-leaping engine's
+//                           unit pools, and the occupied-code index the
+//                           count engine's array arm enters from
+//   TransitionCache       - memoized (s1, s2) -> (s1', s2') transitions of
+//                           a deterministic protocol, for bulk application
 #pragma once
 
 #include <algorithm>
@@ -59,8 +49,6 @@
 #include <utility>
 #include <vector>
 
-#include "core/discrete_samplers.h"
-#include "core/faults.h"
 #include "core/protocol.h"
 #include "core/rng.h"
 
@@ -130,7 +118,7 @@ class WeightedSampler {
   std::vector<std::uint64_t> tree_;  // 1-based internal indexing
 };
 
-// One count change applied by the last effective step (or batch):
+// One count change applied by the last effective step (or leap):
 // counts()[code] moved by delta. Lets analysis code (e.g. the generic
 // ranked-run harness) keep incremental trackers without rescanning O(|Q|)
 // counts.
@@ -140,11 +128,10 @@ struct CountDelta {
 };
 
 // Open-addressing hash map uint64 -> uint64 (linear probing, power-of-two
-// capacity, insertion-ordered iteration). The batched engine's hot maps —
-// pair grouping, touched multisets, net deltas, the transition cache — all
-// live on this: no per-node allocation, O(1) clear, deterministic
-// iteration order (so every consumer of the map is reproducible from the
-// seed).
+// capacity, insertion-ordered iteration). The count engines' hot maps —
+// dirty codes, pair grouping, the transition cache — all live on this: no
+// per-node allocation, O(1) clear, deterministic iteration order (so every
+// consumer of the map is reproducible from the seed).
 class FlatMap64 {
  public:
   struct Entry {
@@ -341,9 +328,9 @@ inline ActiveWeights active_weights(std::uint64_t m, std::uint64_t restless,
 //                              the next active ordered state pair (W > 0);
 //   same_weights(other)        equal scalars and trees (engine audits).
 // The scalars are always current (silent() and the auto-strategy density
-// test read them); the Fenwick trees may go stale while the multinomial
-// kernel or the array arm drives the run, and are resynced by the engine
-// before the next geometric-skip step.
+// test read them); the Fenwick trees may go stale while the array arm
+// drives the run, and are resynced by the engine before the next
+// geometric-skip step.
 
 // Diagonal: every non-null pair has equal states, so D = sum over active q
 // of m_q (m_q - 1) and the colliding state is drawn ∝ m_q (m_q - 1).
@@ -756,14 +743,14 @@ OccupancyProfile occupancy_profile(const P& protocol,
   return out;
 }
 
-// --- Multinomial batch kernel -----------------------------------------------
+// --- Segmented occupied pool -----------------------------------------------
 
 // Weighted pool over the occupied subset of a huge code space. Where the
 // full-|Q| Fenwick tree of the geometric-skip paths is O(|Q|) memory (280 MB
 // for Optimal-Silent-SSR at n = 10^6, so every draw is ~25 DRAM misses),
 // this pool indexes only the occupied codes — O(min(n, |Q|)) slots, usually
 // cache-resident — and supports weighted without-replacement draws with a
-// restore step, which is exactly the access pattern of a multinomial batch.
+// restore step.
 //
 // The occupied codes are clustered into *segments*: all codes sharing
 // code >> kSegShift (a contiguous 256-code span of the state space; state
@@ -771,13 +758,7 @@ OccupancyProfile occupancy_profile(const P& protocol,
 // clustered). Each segment carries a weight subtotal and its member slots
 // sorted by code, and the sampling Fenwick tree runs over the O(segments)
 // subtotals rather than the O(occupied) raw codes. A weighted draw is one
-// shallow Fenwick walk plus a short in-segment scan; bulk multiset splits
-// (multinomial categories) chain hypergeometrics over the subtotals first
-// and touch member weights only inside segments that actually received
-// mass. Dense regimes — uniform-random starts with ~n distinct occupied
-// states, the paper's adversarial worst case — are where the two-level
-// layout pays: the per-draw structure shrinks by the mean segment fill,
-// and splits skip empty segments wholesale.
+// shallow Fenwick walk plus a short in-segment scan.
 //
 // Slot handles remain stable between structural mutations (apply_delta /
 // build / reset); draw/remove/restore never move slots.
@@ -901,18 +882,6 @@ class SegmentedPool {
       target -= w;
     }
     throw std::logic_error("segment weight subtotal inconsistent");
-  }
-
-  // When exactly one code holds the whole population, writes it to `code`.
-  // Only meaningful with no outstanding removals.
-  bool single_occupied(std::uint32_t& code) const {
-    if (occupied() != 1) return false;
-    for (std::size_t i = 0; i < weights_.size(); ++i)
-      if (weights_[i] != 0) {
-        code = codes_[i];
-        return true;
-      }
-    return false;
   }
 
   // Draws a slot ∝ weight and removes one unit from it (recorded for
@@ -1069,67 +1038,12 @@ class SegmentedPool {
   bool built_ = false;
 };
 
-// The pre-segmentation name; every consumer-facing contract (slots, draws,
-// deltas, restore) is unchanged, so the alias keeps the engines readable.
-using OccupiedPool = SegmentedPool;
-
-// The distribution of the number L >= 1 of consecutive interactions whose
-// 2L participants are all distinct (the birthday-problem prefix): with
-// p_j = (n - 2j)(n - 2j - 1) / (n (n - 1)) the probability that interaction
-// j+1 avoids the 2j agents already touched,
-//   P[L >= i] = prod_{j < i} p_j,
-// inverted against one uniform. p_0 = 1, so L >= 1; the product reaches 0
-// at 2L >= n - 1, so L < n/2 + 1 and the interaction after the prefix
-// provably touches an already-touched agent. E[L] ~ sqrt(pi n / 8) ~
-// 0.63 sqrt(n).
-//
-// The tail products depend only on n, so they are computed once (down to
-// underflow, ~sqrt(710 n) entries) and each draw is a binary search —
-// O(log n) instead of O(sqrt(n)) multiplications per batch.
-class CollisionPrefixSampler {
- public:
-  void build(std::uint64_t n) {
-    n_ = n;
-    tail_.clear();
-    tail_.push_back(1.0);  // P[L >= 0]
-    const double inv_pairs =
-        1.0 / (static_cast<double>(n) * static_cast<double>(n - 1));
-    double g = 1.0;
-    for (std::uint64_t l = 0;; ++l) {
-      const double fresh =
-          static_cast<double>(n) - 2.0 * static_cast<double>(l);
-      if (fresh < 2.0) break;
-      g *= fresh * (fresh - 1.0) * inv_pairs;
-      if (g <= 0.0) break;  // underflow: P[L > l] is exactly 0 in doubles
-      tail_.push_back(g);   // P[L >= l + 1]
-    }
-  }
-
-  bool built_for(std::uint64_t n) const { return n_ == n && !tail_.empty(); }
-
-  // L = max{i : P[L >= i] > u} for one uniform u; identical in value to the
-  // sequential product inversion.
-  std::uint64_t sample(Rng& rng) const {
-    const double u = rng.unit();
-    // First index with tail_[i] <= u over the descending table — the same
-    // "stop at the first product <= u" rule as the sequential inversion.
-    const auto it = std::lower_bound(tail_.begin(), tail_.end(), u,
-                                     [](double a, double b) { return a > b; });
-    const auto l = static_cast<std::uint64_t>(it - tail_.begin()) - 1;
-    return l == 0 ? 1 : l;  // p_0 = 1: unreachable guard for rounding
-  }
-
- private:
-  std::uint64_t n_ = 0;
-  std::vector<double> tail_;  // tail_[i] = P[L >= i], strictly descending
-};
-
 // Memoized transition table for deterministic protocols, keyed by the
 // ordered state-code pair: one decode/interact/encode per distinct (s1, s2)
 // ever seen, then every repetition is a table hit whose counter deltas are
-// applied in bulk via add_scaled. Extracted from MultinomialKernel so the
-// tau-leaping engine (core/tau_leap_simulation.h) applies its macro-leap
-// category counts through the very same cache.
+// applied in bulk via add_scaled: the tau-leaping engine
+// (core/tau_leap_simulation.h) applies its macro-leap category counts
+// through it.
 //
 // Only meaningful for DeterministicProtocol protocols (and, if observable,
 // ScalableCounters); callers gate on that — the template itself is left
@@ -1186,394 +1100,6 @@ class TransitionCache {
 
   FlatMap64 map_;  // (a << 32 | b) -> index into entries_
   std::vector<Entry> entries_;
-};
-
-// The ppsim-style multinomial batch step. One call simulates, exactly:
-//   * a collision-free prefix of L interactions, by drawing the 2L
-//     participants' state multiset from the counts (sequential
-//     without-replacement draws from the occupied pool, or bulk
-//     multivariate-hypergeometric splits when few states are occupied —
-//     both are the same distribution by exchangeability), pairing sender
-//     and receiver multisets uniformly, and applying transitions per
-//     distinct ordered (s1, s2) pair in bulk through a cached delta table;
-//   * the single interaction that ends the batch by touching an
-//     already-touched agent, replayed individually against the touched
-//     agents' post-batch states (ppsim's collision handling).
-//
-// Transitions are cached only for DeterministicProtocol protocols (and, if
-// observable, only when the Counters support add_scaled); otherwise every
-// repetition invokes interact() — still correct, just without the bulk
-// application savings.
-template <EnumerableProtocol P>
-class MultinomialKernel {
- public:
-  using State = typename P::State;
-  using Counters = ProtocolCounters<P>;
-
-  static constexpr bool kCacheable =
-      DeterministicProtocol<P> &&
-      (!ObservableProtocol<P> || ScalableCounters<ProtocolCounters<P>>);
-
-  bool built() const { return pool_.built(); }
-
-  void ensure_built(const std::vector<std::uint64_t>& counts) {
-    if (!pool_.built()) pool_.build(counts);
-  }
-
-  // Fault injection (core/faults.h), compiled into the batch exactly: the
-  // prefix draw and participant sampling are untouched (faults change what
-  // an interaction *does*, never who interacts), and each (s1, s2)
-  // category's k repetitions are thinned by one Binomial(k, 1 - drop)
-  // draw — a dropped pair leaves both agents unchanged, exactly like a
-  // null pair. Of the survivors, Binomial(., oneway) are delivered
-  // one-way: the cached transition applies, but the responder keeps its
-  // old state. The colliding interaction replays its own per-interaction
-  // fault draws. nullptr (the default) is the zero-overhead fault-free
-  // path, bit-identical to the pre-fault kernel.
-  void set_faults(const FaultSpec* faults) {
-    faults_ = (faults != nullptr && faults->active()) ? faults : nullptr;
-  }
-
-  // Keeps the occupied pool current while another strategy drives the run.
-  void on_external_change(std::uint32_t code, std::int64_t delta) {
-    if (pool_.built()) pool_.apply_delta(code, delta);
-  }
-
-  // True iff every agent sits in one state code (written to `code`); the
-  // engine uses this with is_null_pair to certify stuck configurations.
-  bool single_occupied_code(std::uint32_t& code) const {
-    return pool_.built() && pool_.single_occupied(code);
-  }
-
-  // Appends the pool's occupied codes (slot order; requires built()).
-  void occupied_codes(std::vector<std::uint32_t>& out) const {
-    pool_.occupied_codes(out);
-  }
-
-  // True iff the pool is unbuilt or holds exactly `counts` (an O(|Q|)
-  // audit check).
-  bool pool_matches(const std::vector<std::uint64_t>& counts) const {
-    if (!pool_.built()) return true;
-    std::uint64_t total = 0;
-    std::uint32_t occupied = 0;
-    for (std::uint32_t code = 0; code < counts.size(); ++code) {
-      if (counts[code] == 0) continue;
-      if (pool_.weight_of(code) != counts[code]) return false;
-      total += counts[code];
-      ++occupied;
-    }
-    return pool_.total() == total && pool_.occupied() == occupied;
-  }
-
-  // Runs one batch: mutates `counts`, accumulates protocol counters,
-  // appends the net per-code deltas to `out_deltas`, and returns the number
-  // of interactions consumed (L + 1). Requires n >= 2.
-  //
-  // `cap` > 0 truncates the batch exactly: when the drawn collision-free
-  // prefix would overshoot (l + 1 > cap), the event "the first cap
-  // interactions touch only fresh agents" has occurred — it is exactly
-  // {L >= cap} — so the kernel simulates precisely cap collision-free
-  // interactions, skips the collision replay, and returns cap. The engine
-  // uses this to land a batch on the churn crash countdown with zero
-  // overshoot.
-  std::uint64_t run_batch(const P& protocol, std::vector<std::uint64_t>& counts,
-                          Rng& rng, Counters& counters,
-                          std::vector<CountDelta>& out_deltas,
-                          std::uint64_t cap = 0) {
-    ensure_built(counts);
-    const std::uint64_t n = protocol.population_size();
-    if (!prefix_.built_for(n)) prefix_.build(n);
-    const std::uint64_t l = prefix_.sample(rng);
-    // Exact truncation: l >= cap is the event that the first cap
-    // interactions are collision-free, so conditioned on the drawn l the
-    // truncated batch is cap collision-free interactions and no collision
-    // replay.
-    const bool truncated = cap > 0 && l + 1 > cap;
-    const std::uint64_t use_l = truncated ? cap : l;
-
-    net_.clear();
-    touched_.clear();
-    pair_list_.clear();
-
-    // --- Prefix participants: 2l states drawn without replacement. The
-    // ordered tuple of distinct agents is exchangeable, so drawing the l
-    // initiators first and the l responders second, then pairing by index,
-    // has exactly the scheduler's distribution. Bulk splitting costs
-    // O(segments) hypergeometrics per side; per-draw costs O(l) pool draws
-    // — cross over where the split is cheaper per interaction.
-    if (2 * static_cast<std::uint64_t>(pool_.segment_count()) <= use_l) {
-      sample_prefix_bulk(rng, use_l);
-    } else {
-      sample_prefix_per_draw(rng, use_l);
-    }
-
-    // --- Apply the prefix per distinct ordered pair.
-    for (const PairCount& pc : pair_list_)
-      apply_pair(protocol, pc.a, pc.b, pc.k, rng, counters);
-
-    if (!truncated) {
-      // --- The colliding interaction. Conditioned on the prefix ending at
-      // length l, the first colliding pick is either the initiator (weight
-      // r/n, r = 2l touched agents) or the responder after a fresh
-      // initiator (weight (n-r)/n * r/(n-1)); scaled by n(n-1):
-      const std::uint64_t r = 2 * l;
-      const std::uint64_t w_init = r * (n - 1);
-      const std::uint64_t w_resp = (n - r) * r;
-      const std::uint64_t x = rng.below(w_init + w_resp);
-      std::uint32_t ca, cb;
-      if (x < w_init) {
-        // Initiator is uniform among the touched agents (their *current*,
-        // post-batch states); responder uniform over the other n - 1 agents.
-        ca = pick_touched(rng.below(r), /*exclude=*/0, 0);
-        const std::uint64_t y = rng.below(n - 1);
-        if (y < r - 1) {
-          cb = pick_touched(y, ca, 1);
-        } else {
-          cb = pool_.code_at(pool_.draw_remove(rng));  // untouched agent
-        }
-      } else {
-        ca = pool_.code_at(pool_.draw_remove(rng));  // fresh initiator
-        cb = pick_touched(rng.below(r), /*exclude=*/0, 0);
-      }
-      // The colliding interaction draws its own fault Bernoullis: dropped
-      // means both agents return unchanged (their pool removals are undone
-      // by restore_removed below); one-way means the responder keeps cb.
-      const bool f_dropped = faults_ != nullptr && faults_->drop > 0.0 &&
-                             rng.unit() < faults_->drop;
-      if (!f_dropped) {
-        const bool f_oneway = faults_ != nullptr && faults_->oneway > 0.0 &&
-                              rng.unit() < faults_->oneway;
-        State sa = protocol.decode(ca);
-        State sb = protocol.decode(cb);
-        invoke_interact(protocol, sa, sb, rng, counters);
-        const std::uint32_t na = protocol.encode(sa);
-        const std::uint32_t nb = f_oneway ? cb : protocol.encode(sb);
-        net_.add(ca, -1);
-        net_.add(na, +1);
-        net_.add(cb, -1);
-        net_.add(nb, +1);
-      }
-    }
-
-    // --- Fold the batch back into the counts and the pool.
-    pool_.restore_removed();
-    for (std::uint32_t slot : net_.entry_slots()) {
-      const auto code = static_cast<std::uint32_t>(net_.key_at(slot));
-      const auto d = static_cast<std::int64_t>(net_.value_at(slot));
-      if (d == 0) continue;
-      counts[code] = static_cast<std::uint64_t>(
-          static_cast<std::int64_t>(counts[code]) + d);
-      pool_.apply_delta(code, d);
-      out_deltas.push_back(CountDelta{code, static_cast<std::int32_t>(d)});
-    }
-    return truncated ? cap : l + 1;
-  }
-
- private:
-  struct PairCount {
-    std::uint32_t a;
-    std::uint32_t b;
-    std::uint64_t k;
-  };
-
-  // One category run of a bulk split: `k` draws landed on `slot`.
-  struct SlotRun {
-    std::uint32_t slot;
-    std::uint64_t k;
-  };
-
-  // Sequential without-replacement draws from the occupied pool: initiators
-  // draws_[0..l), responders draws_[l..2l), paired by index and grouped.
-  void sample_prefix_per_draw(Rng& rng, std::uint64_t l) {
-    draws_.clear();
-    draws_.reserve(2 * l);
-    for (std::uint64_t i = 0; i < 2 * l; ++i)
-      draws_.push_back(pool_.code_at(pool_.draw_remove(rng)));
-    pairs_.clear();
-    for (std::uint64_t i = 0; i < l; ++i)
-      pairs_.add(pair_code_key(draws_[i], draws_[l + i]), 1);
-    for (std::uint32_t slot : pairs_.entry_slots()) {
-      const std::uint64_t key = pairs_.key_at(slot);
-      pair_list_.push_back(PairCount{static_cast<std::uint32_t>(key >> 32),
-                                     static_cast<std::uint32_t>(key),
-                                     pairs_.value_at(slot)});
-    }
-  }
-
-  // Below this allocation a segment's multiset is realized by sequential
-  // weighted member draws (each one rng.below + short scan); above it by a
-  // chained hypergeometric walk over the members.
-  static constexpr std::uint64_t kSmallSegmentAlloc = 4;
-
-  // Splits a `want`-sized multiset off the pool (without replacement) into
-  // per-slot runs: chained hypergeometrics over the per-segment subtotals
-  // first — O(segments) univariate draws with early exit, segments that
-  // receive nothing are never opened — then each allocated segment's share
-  // over its members. Removes the drawn units from the pool (restored by
-  // the caller's restore_removed()).
-  void split_segmented(Rng& rng, std::uint64_t want,
-                       std::vector<SlotRun>& out) {
-    out.clear();
-    std::uint64_t remaining = pool_.total();
-    std::uint64_t left = want;
-    const std::uint32_t segs = pool_.segment_count();
-    for (std::uint32_t seg = 0; seg < segs && left > 0; ++seg) {
-      const std::uint64_t sw = pool_.segment_weight(seg);
-      const std::uint64_t k =
-          sw == 0 ? 0 : sample_hypergeometric(rng, sw, remaining - sw, left);
-      remaining -= sw;
-      left -= k;
-      if (k == 0) continue;
-      const auto& members = pool_.segment_slots(seg);
-      if (members.size() == 1) {
-        out.push_back(SlotRun{members[0], k});
-        pool_.remove_bulk(members[0], k);
-      } else if (k <= kSmallSegmentAlloc) {
-        std::uint64_t seg_w = sw;
-        for (std::uint64_t i = 0; i < k; ++i) {
-          const std::uint32_t slot =
-              pool_.pick_in_segment(seg, rng.below(seg_w--));
-          out.push_back(SlotRun{slot, 1});
-          pool_.remove_bulk(slot, 1);
-        }
-      } else {
-        std::uint64_t seg_remaining = sw;
-        std::uint64_t seg_left = k;
-        for (std::uint32_t slot : members) {
-          if (seg_left == 0) break;
-          const std::uint64_t w = pool_.weight_at(slot);
-          const std::uint64_t x =
-              w == 0 ? 0
-                     : sample_hypergeometric(rng, w, seg_remaining - w,
-                                             seg_left);
-          seg_remaining -= w;
-          seg_left -= x;
-          if (x != 0) {
-            out.push_back(SlotRun{slot, x});
-            pool_.remove_bulk(slot, x);
-          }
-        }
-      }
-    }
-  }
-
-  // Bulk path: split the initiator and responder multisets off the counts
-  // with the two-level segmented split, then realize the uniform
-  // initiator-responder bijection by Fisher-Yates-shuffling the expanded
-  // responder sequence against the initiators in fixed category order —
-  // O(l) cheap operations — and group the ordered pairs through the pairs_
-  // map (no dense category matrix, so bulk has no occupied-count cap).
-  void sample_prefix_bulk(Rng& rng, std::uint64_t l) {
-    split_segmented(rng, l, sender_runs_);
-    split_segmented(rng, l, recv_runs_);
-
-    recv_expand_.clear();
-    recv_expand_.reserve(l);
-    for (const SlotRun& run : recv_runs_)
-      for (std::uint64_t rep = 0; rep < run.k; ++rep)
-        recv_expand_.push_back(pool_.code_at(run.slot));
-    for (std::uint64_t i = l - 1; i > 0; --i) {
-      const std::uint64_t j = rng.below(i + 1);
-      std::swap(recv_expand_[i], recv_expand_[j]);
-    }
-
-    pairs_.clear();
-    std::size_t idx = 0;
-    for (const SlotRun& run : sender_runs_) {
-      const std::uint32_t code_a = pool_.code_at(run.slot);
-      for (std::uint64_t rep = 0; rep < run.k; ++rep)
-        pairs_.add(pair_code_key(code_a, recv_expand_[idx++]), 1);
-    }
-    for (std::uint32_t slot : pairs_.entry_slots()) {
-      const std::uint64_t key = pairs_.key_at(slot);
-      pair_list_.push_back(PairCount{static_cast<std::uint32_t>(key >> 32),
-                                     static_cast<std::uint32_t>(key),
-                                     pairs_.value_at(slot)});
-    }
-  }
-
-  // Applies k repetitions of the ordered pair (a, b): net count deltas,
-  // touched-multiset bookkeeping, counters. Under faults the k repetitions
-  // are thinned exactly: drops are i.i.d. per interaction, so the survivor
-  // count is Binomial(k, 1 - drop) and the one-way count Binomial(.,
-  // oneway); dropped pairs contribute no state change and no counters but
-  // their agents are still touched (they participated in the prefix, with
-  // unchanged states), so the collision replay sees the right multiset.
-  void apply_pair(const P& protocol, std::uint32_t a, std::uint32_t b,
-                  std::uint64_t k, Rng& rng, Counters& counters) {
-    std::uint64_t survivors = k;
-    std::uint64_t oneway = 0;
-    if (faults_ != nullptr) {
-      if (faults_->drop > 0.0)
-        survivors = sample_binomial(rng, k, 1.0 - faults_->drop);
-      if (faults_->oneway > 0.0 && survivors > 0)
-        oneway = sample_binomial(rng, survivors, faults_->oneway);
-      if (k > survivors) record_transition(a, b, a, b, k - survivors);
-      if (survivors == 0) return;
-    }
-    const std::uint64_t full = survivors - oneway;
-    if constexpr (kCacheable) {
-      const typename TransitionCache<P>::Entry& e =
-          cache_.lookup(protocol, a, b, rng);
-      if constexpr (ObservableProtocol<P>) {
-        counters.add_scaled(e.counters_delta, survivors);
-      }
-      if (full > 0) record_transition(a, b, e.na, e.nb, full);
-      if (oneway > 0) record_transition(a, b, e.na, b, oneway);
-    } else {
-      // Randomized (or unscalable-counters) protocol: every repetition must
-      // consume its own randomness / report its own events.
-      const State base_a = protocol.decode(a);
-      const State base_b = protocol.decode(b);
-      for (std::uint64_t rep = 0; rep < survivors; ++rep) {
-        State sa = base_a;
-        State sb = base_b;
-        invoke_interact(protocol, sa, sb, rng, counters);
-        record_transition(a, b, protocol.encode(sa),
-                          rep < full ? protocol.encode(sb) : b, 1);
-      }
-    }
-  }
-
-  void record_transition(std::uint32_t a, std::uint32_t b, std::uint32_t na,
-                         std::uint32_t nb, std::uint64_t k) {
-    const auto dk = static_cast<std::int64_t>(k);
-    net_.add(a, -dk);
-    net_.add(b, -dk);
-    net_.add(na, +dk);
-    net_.add(nb, +dk);
-    touched_.add(na, dk);
-    touched_.add(nb, dk);
-  }
-
-  // Uniform draw over the touched agents' current states (weight = multiset
-  // count, `discount` subtracted at `exclude` — used to remove the chosen
-  // collision initiator from the responder draw). Deterministic iteration
-  // order (FlatMap64 preserves insertion order).
-  std::uint32_t pick_touched(std::uint64_t target, std::uint32_t exclude,
-                             std::uint64_t discount) const {
-    for (std::uint32_t slot : touched_.entry_slots()) {
-      const auto code = static_cast<std::uint32_t>(touched_.key_at(slot));
-      std::uint64_t w = touched_.value_at(slot);
-      if (discount > 0 && code == exclude) w -= discount;
-      if (target < w) return code;
-      target -= w;
-    }
-    throw std::logic_error("touched multiset exhausted in collision draw");
-  }
-
-  OccupiedPool pool_;
-  CollisionPrefixSampler prefix_;
-  const FaultSpec* faults_ = nullptr;  // non-null iff fault injection is on
-  FlatMap64 pairs_;    // (a << 32 | b) -> repetitions (per-draw grouping)
-  FlatMap64 net_;      // code -> net count delta (int64 bits)
-  FlatMap64 touched_;  // code -> touched agents currently in that state
-  TransitionCache<P> cache_;
-  std::vector<PairCount> pair_list_;    // this batch's (s1, s2, k) groups
-  std::vector<std::uint32_t> draws_;
-  std::vector<SlotRun> sender_runs_;
-  std::vector<SlotRun> recv_runs_;
-  std::vector<std::uint32_t> recv_expand_;  // shuffled receiver codes
 };
 
 }  // namespace ppsim

@@ -35,37 +35,24 @@
 //        D = 0, with 2-case sampling.
 //    Otherwise (NullPairProtocol) runs of one identical null pair are
 //    geometric in that pair's own probability.
-//  * kMultinomial — the ppsim-style batch step (Berenbrink et al.; Doty &
-//    Severson's ppsim): simulate a whole collision-free prefix of
-//    ~sqrt(pi n / 8) interactions at once by sampling its sender/receiver
-//    state multisets hypergeometrically from the counts and applying
-//    transitions per ordered (s1, s2) pair in bulk through a cached delta
-//    table, then replay the one colliding interaction exactly. Optimal in
-//    timer-heavy regimes where nearly every interaction is effective and
-//    the geometric skip degenerates to one-by-one simulation.
 //  * kAuto — delegate per step to core/engine.h's StrategyController: the
-//    exact active-weight density W / n(n-1) decides skip vs the dense
-//    arms, and the occupied-code count decides whether a multinomial batch
-//    can amortize. Dense rounds it cannot (every dense round below
-//    kAutoPoolMinPopulation, and fragmented configurations above it) run
-//    on the *array arm*: an agent-code array held inside this engine,
-//    filled from the counts in code order on entry (no randomness: the
-//    scheduler is anonymous), that draws uniform ordered agent pairs — one
-//    draw per interaction slot, faults drawn per slot as on the agent
-//    array (Simulation::set_faults). A step there is a *burst* of slots
-//    that runs across changes until the step's observer asks it to stop, the
-//    controller's verdict leaves the array arm, or n slots pass without a
-//    change; plain step() stops at the first change. Protocols with only
-//    the generic null-pair predicate stay on the geometric path; protocols
-//    with no null knowledge always batch multinomially. Every step's
-//    resolved arm is recorded in strategy_trace().
+//    exact active-weight density W / n(n-1) decides. Sparse rounds take
+//    the geometric skip; dense rounds run on the *array arm*: an
+//    agent-code array held inside this engine, filled from the counts in
+//    code order on entry (no randomness: the scheduler is anonymous), that
+//    draws uniform ordered agent pairs — one draw per interaction slot,
+//    faults drawn per slot as on the agent array (Simulation::set_faults).
+//    A step there is a *burst* of slots that runs across changes until the
+//    step's observer asks it to stop, the controller's verdict leaves the
+//    array arm, or n slots pass without a change; plain step() stops at
+//    the first change. Protocols without a declared null structure stay on
+//    the geometric path. Every step's resolved arm is recorded in
+//    strategy_trace().
 //
-// Neither the multinomial kernel nor the array arm touches the geometric
-// path's Fenwick trees (the full-|Q| count tree is hundreds of MB for
-// Optimal-Silent-SSR at n >= 10^6, so per-delta updates there would
-// dominate). Both keep counts_, the occupied-code count and the
-// active-weight *scalars* current; the multinomial kernel records which
-// codes diverged as it goes, the array arm diffs its entry histogram
+// The array arm does not touch the geometric path's Fenwick trees (the
+// full-|Q| count tree is hundreds of MB for Optimal-Silent-SSR at
+// n >= 10^6, so per-delta updates there would dominate). It keeps counts_
+// and the active-weight *scalars* current, diffs its entry histogram
 // against the counts once when it is left, and the diverged codes are
 // replayed into the trees before the next geometric-skip step.
 //
@@ -101,7 +88,7 @@ struct StopAtFirstChange {
 struct BatchStepStats {
   std::uint64_t effective = 0;  // interactions simulated individually
   std::uint64_t batched = 0;    // interactions accounted in bulk
-  std::uint64_t multinomial_batches = 0;  // multinomial batch steps taken
+  std::uint64_t multinomial_batches = 0;  // always 0; perfbench still reads it
 };
 
 template <EnumerableProtocol P>
@@ -154,10 +141,9 @@ class BatchSimulation {
   const BatchStepStats& stats() const { return stats_; }
 
   // Count changes applied by the most recent effective step (empty right
-  // after construction and after a step() that returned 0). A multinomial
-  // step reports the whole batch's net change per code; an array-arm burst
-  // (step(obs)) reports its final changed slot only, having shown every
-  // change to the observer.
+  // after construction and after a step() that returned 0). An array-arm
+  // burst (step(obs)) reports its final changed slot only, having shown
+  // every change to the observer.
   const std::vector<CountDelta>& last_deltas() const { return last_deltas_; }
 
   BatchStrategy strategy() const { return strategy_; }
@@ -170,10 +156,10 @@ class BatchSimulation {
   // path. Call before the first step. drop thins the changeful-slot
   // probability multiplicatively (a dropped pair is a null), oneway is
   // drawn per delivered interaction, and churn is materialized as a
-  // geometric crash countdown over interaction slots: geometric waits and
-  // multinomial batches are truncated at the countdown, which is exact by
-  // memorylessness. An all-zero spec is a no-op: the engine consumes
-  // exactly the fault-free randomness stream, bit for bit.
+  // geometric crash countdown over interaction slots: geometric waits are
+  // truncated at the countdown, which is exact by memorylessness. An
+  // all-zero spec is a no-op: the engine consumes exactly the fault-free
+  // randomness stream, bit for bit.
   void set_faults(const FaultSpec& faults) {
     faults.validate();
     if (faults.active() && !StructuredProtocol<P>)
@@ -183,7 +169,6 @@ class BatchSimulation {
           "engine=array");
     faults_ = faults;
     faults_active_ = faults.active();
-    multi_kernel_.set_faults(faults_active_ ? &faults_ : nullptr);
     crash_q_ = 0.0;
     crash_countdown_ = 0;
     if (faults.churn > 0.0) {
@@ -199,28 +184,20 @@ class BatchSimulation {
   }
   const FaultSpec& faults() const { return faults_; }
 
-  // The arm the next step will actually run: a pinned strategy runs its
-  // own arm; kAuto delegates to the StrategyController with the measured
-  // per-round inputs (population, exact active weight, occupied-code
-  // count). Protocols with only the generic null-pair predicate stay on
-  // the geometric path; protocols with no null knowledge always batch
-  // multinomially. With every interaction dropped (fault.drop = 1) the
-  // geometric path certifies the freeze, so auto goes there.
+  // The arm the next step will actually run: kGeometricSkip runs its own
+  // arm; kAuto on a protocol with declared null structure delegates to the
+  // StrategyController with the live exact active weight. Every other
+  // protocol stays on the geometric path, and so does auto with every
+  // interaction dropped (fault.drop = 1): the geometric path certifies the
+  // freeze.
   StrategyArm resolved_arm() const {
-    if (strategy_ == BatchStrategy::kGeometricSkip)
-      return StrategyArm::kGeometricSkip;
-    if (strategy_ == BatchStrategy::kMultinomial)
-      return StrategyArm::kMultinomial;
     if constexpr (StructuredProtocol<P>) {
-      if (faults_active_ && faults_.drop >= 1.0)
-        return StrategyArm::kGeometricSkip;
-      return StrategyController::step_strategy(thresholds_, active_weight(),
-                                               occupied_);
-    } else if constexpr (NullPairProtocol<P>) {
-      return StrategyArm::kGeometricSkip;
-    } else {
-      return StrategyArm::kMultinomial;
+      if (strategy_ == BatchStrategy::kAuto &&
+          !(faults_active_ && faults_.drop >= 1.0))
+        return StrategyController::step_strategy(dense_weight_,
+                                                 active_weight());
     }
+    return StrategyArm::kGeometricSkip;
   }
 
   // The controller's decision trace: per-arm step and interaction totals
@@ -255,10 +232,8 @@ class BatchSimulation {
   // step() calls, bit for bit.
   template <class Observer>
   std::uint64_t step(Observer&& obs) {
-    const StrategyArm arm = resolved_arm();
-    if (arm != StrategyArm::kArray) leave_array_arm();
     if constexpr (StructuredProtocol<P>) {
-      if (arm == StrategyArm::kArray) {
+      if (resolved_arm() == StrategyArm::kArray) {
         const std::uint64_t consumed = step_array(obs);
         trace_.note(StrategyArm::kArray, consumed);
         return consumed;
@@ -266,11 +241,7 @@ class BatchSimulation {
     } else {
       (void)obs;
     }
-    if (arm == StrategyArm::kMultinomial) {
-      const std::uint64_t consumed = step_multinomial();
-      if (consumed != 0) trace_.note(StrategyArm::kMultinomial, consumed);
-      return consumed;
-    }
+    leave_array_arm();
     resync_fenwicks();
     std::uint64_t consumed;
     if constexpr (StructuredProtocol<P>) {
@@ -296,40 +267,42 @@ class BatchSimulation {
   }
 
   // Recomputes the engine's invariants from scratch and throws
-  // std::logic_error naming the first that fails: the counts sum to n and
-  // the occupied-code count matches them; inside the array arm, the agent
-  // array's histogram equals the counts and every cached agent state
-  // encodes to its agent's code; the active-weight scalars, the
-  // Fenwick trees (once the pending lazy repairs are applied, on a copy)
-  // and the occupied pool equal a fresh build from the counts. O(|Q| + n)
-  // per call, for tests; it consumes no randomness and changes nothing.
+  // std::logic_error naming the first that fails: the counts sum to n;
+  // inside the array arm, the agent array's histogram equals the counts
+  // and every cached agent state encodes to its agent's code; the
+  // active-weight scalars, the Fenwick trees (once the pending lazy
+  // repairs are applied, on a copy) and the occupied pool equal a fresh
+  // build from the counts. O(|Q| + n) per call, for tests; it consumes no
+  // randomness and changes nothing.
   void audit() const {
     auto fail = [](const char* what) {
       throw std::logic_error(std::string("BatchSimulation audit: ") + what);
     };
     std::uint64_t total = 0;
-    std::uint64_t occupied = 0;
+    std::uint32_t occupied = 0;
     for (std::uint64_t c : counts_) {
       total += c;
       if (c != 0) ++occupied;
     }
     if (total != population_size()) fail("counts do not sum to n");
-    if (occupied != occupied_) fail("occupied-code count is stale");
     if (in_array_) {
       std::vector<std::uint64_t> histogram(counts_.size(), 0);
-      for (std::uint32_t code : agents_) ++histogram[code];
+      for (const Agent& a : agents_) ++histogram[a.code];
       if (histogram != counts_) fail("agent array histogram != counts");
-      if (agent_states_.size() != agents_.size())
-        fail("agent state cache size != agent array size");
-      for (std::size_t i = 0; i < agents_.size(); ++i)
-        if (protocol_.encode(agent_states_[i]) != agents_[i])
+      for (const Agent& a : agents_)
+        if (protocol_.encode(a.state) != a.code)
           fail("agent state cache does not encode to the agent array");
     }
     BatchSimulation synced = *this;
     synced.leave_array_arm();
     synced.resync_fenwicks();
-    if (!synced.multi_kernel_.pool_matches(counts_))
-      fail("occupied pool != counts");
+    if (synced.pool_.built()) {
+      for (std::uint32_t code = 0; code < counts_.size(); ++code)
+        if (counts_[code] != 0 && synced.pool_.weight_of(code) != counts_[code])
+          fail("occupied pool != counts");
+      if (synced.pool_.total() != total || synced.pool_.occupied() != occupied)
+        fail("occupied pool != counts");
+    }
     WeightedSampler fresh_counts;
     fresh_counts.build(counts_);
     if (!(synced.count_sampler_ == fresh_counts))
@@ -356,35 +329,23 @@ class BatchSimulation {
 
   void init_samplers() {
     reject_tau(strategy_);
-    thresholds_ = StrategyController::thresholds(population_size());
+    dense_weight_ = StrategyController::dense_weight(population_size());
     const std::uint32_t q = protocol_.num_states();
     if (counts_.size() != q)
       throw std::invalid_argument("counts size != num_states");
     std::uint64_t total = 0;
-    for (std::uint32_t s = 0; s < q; ++s) {
-      total += counts_[s];
-      if (counts_[s] != 0) ++occupied_;
-    }
+    for (std::uint32_t s = 0; s < q; ++s) total += counts_[s];
     if (total != protocol_.population_size())
       throw std::invalid_argument("counts must sum to population size");
     count_sampler_.build(counts_);
     if constexpr (StructuredProtocol<P>) kernel_.build(protocol_, counts_);
     // The occupied pool costs one O(|Q|) scan to build and O(log segments)
-    // per count change to maintain; pay that at construction (like the
-    // Fenwick builds above) only when some step can actually resolve to
-    // the multinomial batch. Under kAuto with a structured protocol that
-    // is only at or above the controller's pool floor (below it,
-    // step_strategy never batches). An engine pinned to the geometric path
-    // never batches and skips the pool entirely. (A later set_strategy()
-    // is still safe: run_batch builds lazily.)
-    constexpr bool structured = StructuredProtocol<P>;
-    constexpr bool auto_can_batch = structured || !NullPairProtocol<P>;
-    const bool may_batch =
-        strategy_ == BatchStrategy::kMultinomial ||
-        (strategy_ == BatchStrategy::kAuto && auto_can_batch &&
-         (!structured ||
-          population_size() >= StrategyController::kAutoPoolMinPopulation));
-    if (may_batch) multi_kernel_.ensure_built(counts_);
+    // per count change to maintain; it pays only where the array arm can
+    // run (kAuto, structured protocol) and n reaches the controller's pool
+    // floor. Elsewhere the array arm enters from a scan of counts_.
+    if (StructuredProtocol<P> && strategy_ == BatchStrategy::kAuto &&
+        population_size() >= StrategyController::kAutoPoolMinPopulation)
+      pool_.build(counts_);
   }
 
   static std::vector<std::uint64_t> counts_of(const P& protocol,
@@ -414,41 +375,18 @@ class BatchSimulation {
   }
 
   // Eager count change: counts, the full-|Q| count tree, the structure
-  // kernel's trees and scalars, and the multinomial pool all move together.
+  // kernel's trees and scalars, and the occupied pool all move together.
   // Used by every individually-simulated interaction.
   void apply_count_delta(std::uint32_t s, std::int64_t delta) {
     const std::uint64_t old_count = counts_[s];
     counts_[s] = static_cast<std::uint64_t>(
         static_cast<std::int64_t>(old_count) + delta);
-    note_occupancy(old_count, counts_[s]);
     count_sampler_.add(s, delta);
     if constexpr (StructuredProtocol<P>)
       kernel_.on_count_change(protocol_, s, protocol_.decode(s), old_count,
                               counts_[s], /*lazy=*/false);
-    multi_kernel_.on_external_change(s, delta);
+    if (pool_.built()) pool_.apply_delta(s, delta);
     last_deltas_.push_back(CountDelta{s, static_cast<std::int32_t>(delta)});
-  }
-
-  // Branch-free: in the array arm's dense rounds a code's count crosses
-  // zero about as often as not.
-  void note_occupancy(std::uint64_t old_count, std::uint64_t new_count) {
-    occupied_ += static_cast<std::uint64_t>(old_count == 0);
-    occupied_ -= static_cast<std::uint64_t>(new_count == 0);
-  }
-
-  // Lazy count change: the multinomial kernel already updated counts_ and
-  // its own pool; here the active-weight scalars are kept current and the
-  // Fenwick divergence is recorded for resync_fenwicks().
-  void note_lazy_delta(std::uint32_t code, std::int32_t delta) {
-    fenwicks_dirty_ = true;
-    const std::uint64_t now = counts_[code];
-    const std::uint64_t old_count = static_cast<std::uint64_t>(
-        static_cast<std::int64_t>(now) - delta);
-    note_occupancy(old_count, now);
-    dirty_codes_.find_or_insert(code, old_count);  // first old value wins
-    if constexpr (StructuredProtocol<P>)
-      kernel_.on_count_change(protocol_, code, protocol_.decode(code),
-                              old_count, now, /*lazy=*/true);
   }
 
   void resync_fenwicks() {
@@ -492,62 +430,19 @@ class BatchSimulation {
     }
   }
 
-  // --- Multinomial batch step ----------------------------------------------
-
-  std::uint64_t step_multinomial() {
-    const bool churn_on = crash_q_ > 0.0;
-    if constexpr (StructuredProtocol<P>) {
-      if (active_weight() == 0 || (faults_active_ && faults_.drop >= 1.0)) {
-        // Silent (or every interaction dropped): only churn can act.
-        last_deltas_.clear();
-        if (!churn_on) return 0;
-        return crash_fast_forward();
-      }
-    } else if constexpr (NullPairProtocol<P>) {
-      // The only stuck configuration a structureless protocol can certify:
-      // every agent in one state whose self-pairing is null.
-      multi_kernel_.ensure_built(counts_);
-      std::uint32_t only;
-      if (multi_kernel_.single_occupied_code(only)) {
-        const State s = protocol_.decode(only);
-        if (protocol_.is_null_pair(s, s)) {
-          last_deltas_.clear();
-          return 0;
-        }
-      }
-    }
-    last_deltas_.clear();
-    // With churn on, the batch is capped at the crash countdown: the crash
-    // must land at its exact slot, and it changes the counts the next
-    // batch's prefix law is computed from.
-    const std::uint64_t consumed = multi_kernel_.run_batch(
-        protocol_, counts_, rng_, counters_, last_deltas_,
-        churn_on ? crash_countdown_ : 0);
-    for (const CountDelta& d : last_deltas_) note_lazy_delta(d.code, d.delta);
-    interactions_ += consumed;
-    stats_.batched += consumed - 1;
-    ++stats_.effective;
-    ++stats_.multinomial_batches;
-    if (churn_on) {
-      crash_countdown_ -= consumed;
-      maybe_crash_after_slot();
-    }
-    return consumed;
-  }
-
   // --- Array arm -----------------------------------------------------------
 
   // One burst on the agent-code array: uniform ordered agent pairs, drawn
   // as UniformScheduler draws them, one interaction slot at a time. Each
   // slot runs the agent array's per-slot fault law (drop, then one-way,
   // then the end-of-slot crash). Pairs the protocol certifies null skip
-  // interact(), exactly as the geometric paths skip them. After a slot that changed
-  // some agent the burst ends if obs asked it to or if the controller's
-  // verdict (re-checked from the live active weight and occupied-code
-  // count) is no longer the array arm. It also ends after n slots without
-  // a change (positive active weight does not promise one: an unkeyed
-  // protocol's candidate pairs may all be null), so run() horizons are
-  // always reached; stopping at a fixed slot count is exact. Returns the
+  // interact(), exactly as the geometric paths skip them. After a slot
+  // that changed some agent the burst ends if obs asked it to or if the
+  // controller's verdict (re-checked from the live active weight) is no
+  // longer the array arm. It also ends after n slots without a change
+  // (positive active weight does not promise one: an unkeyed protocol's
+  // candidate pairs may all be null), so run() horizons are always
+  // reached; stopping at a fixed slot count is exact. Returns the
   // slots consumed; last_deltas() reports the final slot's changes. The
   // stats count the burst as the one-change steps it replays: one
   // effective slot per change (or per changeless n-slot run).
@@ -575,16 +470,17 @@ class BatchSimulation {
       const bool dropped = drop_on && rng_.unit() < faults_.drop;
       if (!dropped) {
         const bool one_way = oneway_on && rng_.unit() < faults_.oneway;
-        if (!protocol_.is_null_pair(agent_states_[i], agent_states_[j])) {
-          State ta = agent_states_[i];
-          State tb = agent_states_[j];
+        if (!protocol_.is_null_pair(agents_[i].state, agents_[j].state)) {
+          State ta = agents_[i].state;
+          State tb = agents_[j].state;
           invoke_interact(protocol_, ta, tb, rng_, counters_);
           const std::uint32_t na = protocol_.encode(ta);
-          if (na != agents_[i] && move_agent(i, na, ta, start + slots, obs))
+          if (na != agents_[i].code &&
+              move_agent(i, na, ta, start + slots, obs))
             stop = true;
           if (!one_way) {
             const std::uint32_t nb = protocol_.encode(tb);
-            if (nb != agents_[j] &&
+            if (nb != agents_[j].code &&
                 move_agent(j, nb, tb, start + slots, obs))
               stop = true;
           }
@@ -593,7 +489,7 @@ class BatchSimulation {
       if (churn_on && --crash_countdown_ == 0) {
         if constexpr (ChurnableProtocol<P>) {
           const auto victim = static_cast<std::uint32_t>(rng_.below(n));
-          if (agents_[victim] != churn_code_ &&
+          if (agents_[victim].code != churn_code_ &&
               move_agent(victim, churn_code_, protocol_.churn_state(),
                          start + slots, obs))
             stop = true;
@@ -604,7 +500,7 @@ class BatchSimulation {
         quiet = 0;
         ++replayed;
         if (!stop && StrategyController::step_strategy(
-                         thresholds_, active_weight(), occupied_) !=
+                         dense_weight_, active_weight()) !=
                          StrategyArm::kArray)
           stop = true;
       }
@@ -623,8 +519,8 @@ class BatchSimulation {
 
   // Moves agent i to `code` (state `to`, as interact() left it: a code
   // drops only fields its state never reads before rewriting them, so the
-  // cache behaves as decode(code)), keeping counts_, the occupied-code
-  // count, the active-weight scalars and the agent state cache current,
+  // cache behaves as decode(code)), keeping counts_, the active-weight
+  // scalars and the agent state cache current,
   // records the move for last_deltas(), and shows the change to obs with
   // interactions() at `now`. Returns obs's stop request. The Fenwick trees
   // and the occupied pool are left stale until leave_array_arm().
@@ -632,15 +528,14 @@ class BatchSimulation {
   [[gnu::always_inline]] bool move_agent(std::uint32_t i, std::uint32_t code,
                                          const State& to, std::uint64_t now,
                                          Observer& obs) {
-    const std::uint32_t old = agents_[i];
-    State& cached = agent_states_[i];
-    slot_move_[slot_moves_++] = CodeMove{old, code};
-    array_count_delta(old, cached, -1);
+    Agent& agent = agents_[i];
+    slot_move_[slot_moves_++] = CodeMove{agent.code, code};
+    array_count_delta(agent.code, agent.state, -1);
     array_count_delta(code, to, +1);
-    agents_[i] = code;
+    agent.code = code;
     interactions_ = now;
-    const bool stop = obs(std::as_const(cached), to);
-    cached = to;
+    const bool stop = obs(std::as_const(agent.state), to);
+    agent.state = to;
     return stop;
   }
 
@@ -654,7 +549,6 @@ class BatchSimulation {
     const std::uint64_t old_count = counts_[code];
     counts_[code] = static_cast<std::uint64_t>(
         static_cast<std::int64_t>(old_count) + delta);
-    note_occupancy(old_count, counts_[code]);
     kernel_.on_count_change(protocol_, code, st, old_count, counts_[code],
                             /*lazy=*/true);
   }
@@ -668,9 +562,9 @@ class BatchSimulation {
   void enter_array_arm() {
     if (in_array_) return;
     array_entry_.clear();
-    if (multi_kernel_.built()) {
+    if (pool_.built()) {
       std::vector<std::uint32_t> codes;
-      multi_kernel_.occupied_codes(codes);
+      pool_.occupied_codes(codes);
       std::sort(codes.begin(), codes.end());
       for (std::uint32_t code : codes)
         array_entry_.push_back(CodeCount{code, counts_[code]});
@@ -681,13 +575,9 @@ class BatchSimulation {
     }
     agents_.clear();
     agents_.reserve(population_size());
-    agent_states_.clear();
-    agent_states_.reserve(population_size());
-    for (const CodeCount& e : array_entry_) {
-      agents_.insert(agents_.end(), e.count, e.code);
-      agent_states_.insert(agent_states_.end(), e.count,
-                           protocol_.decode(e.code));
-    }
+    for (const CodeCount& e : array_entry_)
+      agents_.insert(agents_.end(), e.count,
+                     Agent{protocol_.decode(e.code), e.code});
     in_array_ = true;
   }
 
@@ -701,14 +591,14 @@ class BatchSimulation {
     array_diff_.clear();
     for (const CodeCount& e : array_entry_)
       array_diff_.find_or_insert(e.code, e.count);
-    for (std::uint32_t code : agents_) array_diff_.find_or_insert(code, 0);
+    for (const Agent& a : agents_) array_diff_.find_or_insert(a.code, 0);
     for (std::uint32_t slot : array_diff_.entry_slots()) {
       const auto code = static_cast<std::uint32_t>(array_diff_.key_at(slot));
       const std::uint64_t entry = array_diff_.value_at(slot);
       if (counts_[code] == entry) continue;
-      multi_kernel_.on_external_change(
-          code, static_cast<std::int64_t>(counts_[code]) -
-                    static_cast<std::int64_t>(entry));
+      if (pool_.built())
+        pool_.apply_delta(code, static_cast<std::int64_t>(counts_[code]) -
+                                    static_cast<std::int64_t>(entry));
       dirty_codes_.find_or_insert(code, entry);  // first old value wins
       fenwicks_dirty_ = true;
     }
@@ -858,7 +748,8 @@ class BatchSimulation {
   std::vector<std::uint64_t> counts_;
   WeightedSampler count_sampler_;      // weight m_q: scheduler draws
   [[no_unique_address]] StructureKernel<P> kernel_;  // structured P only
-  MultinomialKernel<P> multi_kernel_;  // built lazily on first use
+  SegmentedPool pool_;  // occupied codes; built only where the array arm
+                        // may run at n >= kAutoPoolMinPopulation
   Rng rng_;
   BatchStrategy strategy_ = BatchStrategy::kGeometricSkip;
   std::uint64_t interactions_ = 0;
@@ -867,10 +758,15 @@ class BatchSimulation {
   std::vector<CountDelta> last_deltas_;
   FlatMap64 dirty_codes_;  // code -> count the Fenwick trees still reflect
   bool fenwicks_dirty_ = false;
-  std::uint64_t occupied_ = 0;  // codes with a non-zero count
-  StrategyController::Thresholds thresholds_;  // the auto verdict's bounds
-  // Array arm (kAuto only): agent -> code and agent -> state while
-  // in_array_, the counts at entry, and leave_array_arm()'s scratch map.
+  std::uint64_t dense_weight_ = 0;  // the auto verdict's bound
+  // Array arm (kAuto only): each agent's state and code while in_array_,
+  // the counts at entry, and leave_array_arm()'s scratch map. State and
+  // code share one element, so a slot's two agents cost two cache lines,
+  // as on the agent array.
+  struct Agent {
+    State state;
+    std::uint32_t code;
+  };
   struct CodeCount {
     std::uint32_t code;
     std::uint64_t count;
@@ -883,8 +779,7 @@ class BatchSimulation {
     std::uint32_t from;
     std::uint32_t to;
   };
-  std::vector<std::uint32_t> agents_;
-  std::vector<State> agent_states_;
+  std::vector<Agent> agents_;
   CodeMove slot_move_[3] = {};
   std::uint32_t slot_moves_ = 0;
   std::vector<CodeCount> array_entry_;

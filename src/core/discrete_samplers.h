@@ -1,11 +1,5 @@
-// Exact discrete samplers for the batched simulation backends.
-//
-// The multinomial batch engine (core/batch_kernels.h) simulates a whole
-// Theta(sqrt(n))-interaction batch at once by drawing the *state multiset*
-// of the batch's participants instead of the participants themselves
-// (Berenbrink et al.'s batched population-protocol simulation, as adopted
-// by Doty-Severson's ppsim). That requires exact finite-population
-// sampling primitives, implemented here with no external dependencies:
+// Exact discrete samplers for the count-based backends, implemented
+// here with no external dependencies:
 //
 //   sample_binomial          - inversion for small n*p, BTPE
 //                              (Kachitvichyanukul & Schmeiser 1988) for
@@ -16,15 +10,17 @@
 //   sample_hypergeometric    - sequential inversion (Fishman's HYP) for
 //                              small samples, mode-centered two-sided
 //                              inversion for mid-size draws with a small
-//                              standard deviation (the regime that
-//                              dominates segment-split draws in
-//                              core/batch_kernels.h), HRUA (Stadlober's
+//                              standard deviation, HRUA (Stadlober's
 //                              ratio-of-uniforms with squeeze) for large
 //   sample_poisson           - cdf inversion for small means, PTRS
 //                              (Hörmann's transformed rejection) for large:
 //                              exact for all finite means; the arrival-count
 //                              primitive of the tau-leaping approximate tier
 //                              (core/tau_leap_simulation.h)
+//
+// sample_binomial and sample_hypergeometric have no engine caller; they are
+// kept only for perfbench's kernel timings (kernel.binomial_ns,
+// kernel.hypergeometric_ns) and go when that benchmark drops those columns.
 //
 // Every sampler consumes randomness only from the caller's Rng, so results
 // are reproducible from (params, seed) like everything else in the repo.

@@ -20,7 +20,6 @@
 #pragma once
 
 #include <array>
-#include <cmath>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -35,16 +34,10 @@ namespace ppsim {
 //                    draw, then simulate the next candidate interaction
 //                    individually (optimal when effective interactions are
 //                    rare: silent-heavy regimes, detection waits)
-//   kMultinomial   - simulate a whole Theta(sqrt(n))-interaction
-//                    collision-free batch at once by sampling its state
-//                    multiset hypergeometrically (ppsim-style; optimal when
-//                    nearly every interaction is effective: timer-driven
-//                    countdowns)
 //   kAuto          - pick per step from the measured effective-interaction
 //                    density (the active-weight fraction W / n(n-1) when the
-//                    protocol exposes an exact active weight) and the
-//                    occupied-code count: geometric skip, multinomial batch,
-//                    or — for dense rounds no batch can amortize — an
+//                    protocol exposes an exact active weight): geometric
+//                    skip for sparse rounds, and for dense rounds an
 //                    agent-code array held inside the count engine (see
 //                    StrategyController::step_strategy)
 //   kTauLeap       - APPROXIMATE: freeze the pair rates and advance a whole
@@ -57,7 +50,6 @@ namespace ppsim {
 //                    the scenario API is stamped approximate.
 enum class BatchStrategy : std::uint8_t {
   kGeometricSkip,
-  kMultinomial,
   kAuto,
   kTauLeap,
 };
@@ -71,7 +63,6 @@ inline constexpr double kDefaultTauEps = 0.05;
 inline const char* to_string(BatchStrategy s) {
   switch (s) {
     case BatchStrategy::kGeometricSkip: return "geometric_skip";
-    case BatchStrategy::kMultinomial: return "multinomial";
     case BatchStrategy::kAuto: return "auto";
     case BatchStrategy::kTauLeap: return "tau";
   }
@@ -82,8 +73,6 @@ inline const char* to_string(BatchStrategy s) {
 inline bool parse_strategy(const std::string& name, BatchStrategy& out) {
   if (name == "geometric_skip" || name == "geometric") {
     out = BatchStrategy::kGeometricSkip;
-  } else if (name == "multinomial") {
-    out = BatchStrategy::kMultinomial;
   } else if (name == "auto") {
     out = BatchStrategy::kAuto;
   } else if (name == "tau" || name == "tau_leap") {
@@ -105,7 +94,7 @@ inline bool parse_strategy(const std::string& name, BatchStrategy& out) {
 enum class StrategyArm : std::uint8_t {
   kArray = 0,
   kGeometricSkip = 1,
-  kMultinomial = 2,
+  kMultinomial = 2,  // never produced; kept until perfbench drops its column
   kTauLeap = 3,
 };
 
@@ -176,96 +165,67 @@ struct StrategyController {
   static constexpr std::uint64_t kDenseOccupancyDivisor = 8;
 
   // Count-engine effective-interaction density 1 / kSkipDensityDivisor
-  // below which geometric skip beats every arm that simulates interactions
-  // one by one or in bulk (most interactions are null: jump them).
+  // below which geometric skip beats simulating interactions one by one
+  // (most interactions are null: jump them).
   static constexpr std::uint64_t kSkipDensityDivisor = 16;
 
-  // Below this population a structured protocol under `auto` never builds
-  // the occupied pool, so it never batches: dense rounds there run on the
-  // count engine's internal agent-code array instead (step_strategy). The
-  // floor sits below the measured n ~ 1-2e4 batch crossover on the
-  // Optimal-Silent dormant countdown (bench_table1's strategy head-to-head),
-  // so the controller — not the floor — decides the contested range.
+  // The occupied pool's floor: a structured protocol under `auto` builds
+  // the count engine's occupied-code pool only at n >= this, where it lets
+  // the array arm enter in O(occupied log occupied) instead of one O(|Q|)
+  // scan of the counts.
   static constexpr std::uint64_t kAutoPoolMinPopulation = 4096;
 
-  // Batch amortization guard: a multinomial batch spreads its split cost
-  // over E[L] ~ 0.63 sqrt(n) interactions, and that cost grows with the
-  // occupied codes it scans inside the touched segments, not only with
-  // the segment count (thousands of Settled codes in a dozen segments
-  // cost ~95 us per ~41-interaction batch at n = 4096). So batching needs
-  // kBatchSegmentsPerPrefix * occupied codes <= sqrt(n); dense rounds that
-  // fail it run on the agent-code array.
-  static constexpr std::uint64_t kBatchSegmentsPerPrefix = 4;
-
-  // step_strategy's two thresholds for one population, as exact integers
+  // step_strategy's threshold for one population, as an exact integer
   // (computed once per engine, then compared against the live active
-  // weight and occupied-code count with no floating point):
-  //   dense  <=> kSkipDensityDivisor * W >= n (n - 1)
-  //          <=> W >= dense_weight = ceil(n (n - 1) / kSkipDensityDivisor);
-  //   batch  <=> kBatchSegmentsPerPrefix * occupied <= sqrt(n)
-  //          <=> occupied <= batch_occupied
-  //                        = floor(isqrt(n) / kBatchSegmentsPerPrefix)
-  // (an integer exceeds sqrt(n) iff it exceeds isqrt(n)); batching also
-  // needs n >= kAutoPoolMinPopulation.
-  struct Thresholds {
-    std::uint64_t dense_weight = 0;
-    std::uint64_t batch_occupied = 0;
-    bool can_batch = false;
-  };
-
-  static Thresholds thresholds(std::uint64_t n) {
-    Thresholds t;
+  // weight with no floating point):
+  //   dense <=> kSkipDensityDivisor * W >= n (n - 1)
+  //         <=> W >= ceil(n (n - 1) / kSkipDensityDivisor).
+  static std::uint64_t dense_weight(std::uint64_t n) {
     const std::uint64_t pairs = n < 2 ? 0 : n * (n - 1);
-    t.dense_weight = pairs / kSkipDensityDivisor +
-                     (pairs % kSkipDensityDivisor != 0 ? 1 : 0);
-    auto root = static_cast<std::uint64_t>(std::sqrt(static_cast<double>(n)));
-    while (root * root > n) --root;
-    while ((root + 1) * (root + 1) <= n) ++root;
-    t.batch_occupied = root / kBatchSegmentsPerPrefix;
-    t.can_batch = n >= kAutoPoolMinPopulation;
-    return t;
+    return pairs / kSkipDensityDivisor +
+           (pairs % kSkipDensityDivisor != 0 ? 1 : 0);
   }
 
   // Whole-run decision from the initial configuration, taken before an
   // engine is constructed: dense starts go to the agent array, everything
-  // else to a count engine refined per step by step_strategy().
+  // else to a count engine refined per step by step_strategy() (reported
+  // as its sparse arm, kGeometricSkip).
   static StrategyArm engine_arm(std::uint64_t n, std::uint64_t occupancy) {
     if (n >= kDenseArrayMinPopulation &&
         occupancy * kDenseOccupancyDivisor >= n)
       return StrategyArm::kArray;
-    return StrategyArm::kMultinomial;
+    return StrategyArm::kGeometricSkip;
   }
 
   // The same decision for a protocol with an exact structured active
-  // weight W at the start: a start with many occupied codes but few
-  // effective pairs (density below 1 / kSkipDensityDivisor, e.g.
-  // Silent-n-state-SSR from uniform-random states) spends its run in null
-  // stretches that only the count engine's geometric skip can jump, so it
-  // stays on the count engine.
+  // weight W at the start. A start with few effective pairs (density below
+  // 1 / kSkipDensityDivisor, e.g. Silent-n-state-SSR from uniform-random
+  // states) spends its run in null stretches that only the count engine's
+  // geometric skip can jump, so it stays on the count engine however many
+  // codes it occupies. A dense start of a passive-structured protocol
+  // (`passive`: keyed or unkeyed) goes to the agent array however few codes
+  // it occupies: the count engine would run its dense rounds on the array
+  // arm, the same uniform walk plus count upkeep, and measured slower end
+  // to end on every such cell (README.md, "Occupancy regimes and strategy
+  // selection"). A diagonal protocol's dense start (few ranks, each shared
+  // by many agents) thins within a few rounds into Theta(n^2)-time null
+  // stretches, so it goes to the agent array only with a dense occupancy.
   static StrategyArm engine_arm(std::uint64_t n, std::uint64_t occupancy,
-                                std::uint64_t active_weight) {
-    if (engine_arm(n, occupancy) == StrategyArm::kArray &&
-        active_weight >= thresholds(n).dense_weight)
-      return StrategyArm::kArray;
-    return StrategyArm::kMultinomial;
+                                std::uint64_t active_weight, bool passive) {
+    if (n < kDenseArrayMinPopulation || active_weight < dense_weight(n))
+      return StrategyArm::kGeometricSkip;
+    return passive ? StrategyArm::kArray : engine_arm(n, occupancy);
   }
 
   // Per-step count-engine choice for protocols with an exact structured
-  // active weight W (effective-interaction density W / n(n-1)) and
-  // `occupied` codes with a non-zero count, against the population's
-  // thresholds():
-  //   - density < 1 / kSkipDensityDivisor: kGeometricSkip (jump the null
-  //     stretches);
-  //   - dense, and a batch can amortize (n >= kAutoPoolMinPopulation and
-  //     kBatchSegmentsPerPrefix * occupied <= sqrt(n)): kMultinomial;
-  //   - dense otherwise: kArray, the count engine's internal agent-code
-  //     array (uniform agent pairs, one draw per interaction slot).
-  static StrategyArm step_strategy(const Thresholds& t,
-                                   std::uint64_t active_weight,
-                                   std::uint64_t occupied) {
-    if (active_weight < t.dense_weight) return StrategyArm::kGeometricSkip;
-    if (!t.can_batch || occupied > t.batch_occupied) return StrategyArm::kArray;
-    return StrategyArm::kMultinomial;
+  // active weight W (effective-interaction density W / n(n-1)), against
+  // `dense`, the population's dense_weight(): below it kGeometricSkip jumps
+  // the null stretches; at or above it kArray, the count engine's internal
+  // agent-code array, draws uniform agent pairs, one per interaction slot.
+  static StrategyArm step_strategy(std::uint64_t dense,
+                                   std::uint64_t active_weight) {
+    return active_weight < dense ? StrategyArm::kGeometricSkip
+                                 : StrategyArm::kArray;
   }
 };
 
@@ -300,8 +260,8 @@ concept AgentArrayEngine = Engine<E> && requires(E e, const E ce) {
 // Count engines with a runtime-selectable batching strategy. strategy() is
 // the requested strategy; resolved_arm() is the arm the next step will
 // actually run (under kAuto the StrategyController picks it from the
-// measured effective-interaction density and occupancy; a pinned strategy
-// resolves to its own arm).
+// measured effective-interaction density; a pinned strategy resolves to
+// its own arm).
 template <class E>
 concept StrategyEngine = CountEngine<E> && requires(E e, const E ce,
                                                     BatchStrategy s) {

@@ -102,8 +102,9 @@ concept NullPairProtocol =
 
 // Protocols declaring (kDeterministicInteract = true) that interact() is a
 // deterministic function of the two input states: it never reads the Rng.
-// The multinomial batch kernel relies on this to memoize transitions per
-// ordered (s1, s2) code pair and apply k repetitions as one count update.
+// The tau-leaping engine's TransitionCache relies on this to memoize
+// transitions per ordered (s1, s2) code pair and apply k repetitions as
+// one count update.
 template <class P>
 concept DeterministicProtocol = Protocol<P> && bool(P::kDeterministicInteract);
 
@@ -182,8 +183,8 @@ using ProtocolCounters = typename detail::ProtocolCountersImpl<P>::type;
 
 // Counters that support bulk accumulation: c.add_scaled(delta, k) must be
 // equivalent to adding `delta` into `c` k times. Required for the
-// multinomial batch kernel to cache the counter increments of a
-// deterministic transition alongside its state outputs.
+// TransitionCache to cache the counter increments of a deterministic
+// transition alongside its state outputs.
 template <class C>
 concept ScalableCounters =
     requires(C c, const C& delta, std::uint64_t k) { c.add_scaled(delta, k); };

@@ -33,7 +33,7 @@ class RankTracker {
 
   // Count-engine form: `delta` agents entered (+) or left (-) `rank`.
   // Mirrors the CountDelta stream of BatchSimulation::last_deltas(). O(1)
-  // whatever |delta| (a multinomial batch reports net per-code deltas):
+  // whatever |delta| (a tau leap reports net per-code deltas):
   // only the count's before and after values decide whether `rank` is a
   // singleton.
   void apply_delta(std::uint32_t rank, std::int64_t delta) {

@@ -45,8 +45,8 @@ struct ScenarioSpec {
   std::string engine = "auto";    // array | batch | auto ("" = auto: see
                                   // resolve(), and the occupancy probe in
                                   // analysis/scenarios.h)
-  std::string strategy = "auto";  // geometric_skip | multinomial | auto |
-                                  // tau (APPROXIMATE tau-leaping)
+  std::string strategy = "auto";  // geometric_skip | auto | tau
+                                  // (APPROXIMATE tau-leaping)
   std::string until;           // stop condition name ("" = entry default)
   std::uint64_t max_interactions = 0;  // hard horizon (0 = entry default)
   double horizon_ptime = 0.0;  // until=ptime: the fixed parallel-time budget
@@ -261,9 +261,10 @@ struct ScenarioResult {
   std::vector<double> values;  // per-trial, trial index = vector index
   std::string backend;         // resolved: "array" | "batch"
   std::string strategy;        // resolved; empty on the array engine
-  std::string engine_arm;      // strategy controller's whole-run pick when
-                               // engine=auto + strategy=auto left it the
-                               // choice ("" when the spec pinned it)
+  std::string engine_arm;      // the occupancy probe's engine, "array" or
+                               // "batch", when engine=auto + strategy=auto
+                               // left it the choice ("" when the spec
+                               // pinned it)
   StrategyTrace trace;         // per-arm steps/interactions, merged over
                                // all trials (the controller decision trace)
   std::string init;            // resolved initial-condition name
@@ -377,7 +378,7 @@ inline ScenarioPlan resolve(const ProtocolEntry& entry,
   const std::string strategy = spec.strategy.empty() ? "auto" : spec.strategy;
   if (!parse_strategy(strategy, plan.strategy))
     fail("unknown strategy '" + strategy +
-         "' (geometric_skip | multinomial | auto | tau)");
+         "' (geometric_skip | auto | tau)");
 
   // Interaction graph (core/topology.h). "" = the protocol's fixed graph
   // if it has one, else complete = the classical scheduler, bit for bit.
@@ -469,7 +470,7 @@ inline ScenarioPlan resolve(const ProtocolEntry& entry,
            "passive-structured transitions)");
     if (plan.faults.active())
       fail("fault injection is exact-tier only (strategy=tau is "
-           "approximate; use array, geometric_skip, multinomial or auto)");
+           "approximate; use array, geometric_skip or auto)");
     plan.tau_eps = spec.tau_eps > 0.0 ? spec.tau_eps : kDefaultTauEps;
   }
   return plan;

@@ -36,9 +36,8 @@
 //   * per-draw bulk (k large, grid large): one Poisson total, then each
 //     effective interaction samples its ordered pair through the pools'
 //     weighted draws with the rates frozen at the leap's start.
-// Bulk modes apply the drawn category counts through the shared
-// TransitionCache (the MultinomialKernel delta table) with counters scaled
-// by the repetition count.
+// Bulk modes apply the drawn category counts through the TransitionCache
+// (core/batch_kernels.h) with counters scaled by the repetition count.
 //
 // Adaptive tau: the leap targets tau_eps * n effective interactions (so
 // tau ~ 2 tau_eps units of parallel time at density 1). Two controls bound

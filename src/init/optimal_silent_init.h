@@ -3,8 +3,8 @@
 // The OsAdversary enum + free functions are the historical API (moved here
 // from analysis/adversary.h); optimal_silent_inits() wraps them as the
 // named InitialConditionSet the Scenario API dispatches on, adding the
-// count-native `dormant-mix` start (the timer-heavy multinomial workload,
-// O(1) occupied states at any n) and the Lemma 4.1 `single-leader` start.
+// count-native `dormant-mix` start (the timer-heavy workload, O(1)
+// occupied states at any n) and the Lemma 4.1 `single-leader` start.
 #pragma once
 
 #include <cstdint>
@@ -127,8 +127,8 @@ inline std::vector<OptimalSilentSSR::State> optimal_silent_config(
 // full delay timer (delaytimer = Dmax), `leaders` of them still holding the
 // leader bit. This is the paper's timer-heavy regime: every interaction
 // decrements two delay timers, so every interaction is effective and the
-// geometric skip degenerates to one-by-one simulation (the multinomial
-// batch strategy's target workload). O(|Q|) to build, no agent array.
+// geometric skip degenerates to one-by-one simulation (auto runs it on the
+// count engine's array arm). O(|Q|) to build, no agent array.
 inline std::vector<std::uint64_t> optimal_silent_dormant_counts(
     const OptimalSilentParams& p, std::uint32_t leaders = 1) {
   if (leaders > p.n) throw std::invalid_argument("leaders > population");

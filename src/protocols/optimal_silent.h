@@ -105,7 +105,7 @@ class OptimalSilentSSR {
     std::uint64_t resets_executed = 0;     // Protocol 4 invocations
     std::uint64_t recruits = 0;            // binary-tree rank assignments
 
-    // ScalableCounters: lets the multinomial batch kernel account k cached
+    // ScalableCounters: lets the TransitionCache account k cached
     // repetitions of one deterministic transition in O(1).
     void add_scaled(const Counters& d, std::uint64_t k) {
       collision_triggers += d.collision_triggers * k;

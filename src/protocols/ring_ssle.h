@@ -90,7 +90,7 @@ class RingSSLE {
   };
 
   // interact() never reads the Rng: transitions are pure functions of the
-  // ordered state pair (multinomial memoization, ring-edge nullity probing).
+  // ordered state pair (ring-edge nullity probing).
   static constexpr bool kDeterministicInteract = true;
 
   explicit RingSSLE(std::uint32_t n, std::uint32_t cap = 0)

@@ -27,7 +27,7 @@ class SilentNStateSSR {
   static constexpr bool kActiveRequiresEqualStates = true;
 
   // interact() never reads the Rng: transitions are cacheable per ordered
-  // state-code pair (multinomial batch strategy).
+  // state-code pair.
   static constexpr bool kDeterministicInteract = true;
 
   explicit SilentNStateSSR(std::uint32_t n) : n_(n) {

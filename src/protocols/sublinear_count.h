@@ -5,8 +5,8 @@
 // interaction-history tree) is quasi-exponential, which defeats the
 // EnumerableProtocol coding every fast engine depends on. This file defines
 // a canonical truncated quotient of that state with a state space polynomial
-// in n, so the dynamics run on BatchSimulation (geometric/multinomial/auto)
-// and the tau tier.
+// in n, so the dynamics run on BatchSimulation (geometric skip / auto) and
+// the tau tier.
 //
 // The abstraction, field by field:
 //
@@ -100,7 +100,7 @@ class SublinearCountSSR {
     std::uint64_t rank_updates = 0;
     std::uint64_t coin_bits = 0;
 
-    // ScalableCounters: bulk accounting for the multinomial batch kernel.
+    // ScalableCounters: bulk accounting for the TransitionCache.
     void add_scaled(const Counters& d, std::uint64_t k) {
       collision_triggers += d.collision_triggers * k;
       resets_executed += d.resets_executed * k;
@@ -110,7 +110,7 @@ class SublinearCountSSR {
   };
 
   // interact() never reads the Rng: transitions are cacheable per ordered
-  // state-code pair (multinomial batch strategy).
+  // state-code pair (the tau tier's TransitionCache).
   static constexpr bool kDeterministicInteract = true;
 
   // Unkeyed passive structure: see is_passive below.

@@ -84,7 +84,7 @@ double divergence_vs_exact(double eps, std::uint32_t n,
                                             eps);
     BatchSimulation<OptimalSilentSSR> exact(
         proto, counts0, derive_seed(base_seed, 2 * s + 1),
-        BatchStrategy::kMultinomial);
+        BatchStrategy::kAuto);
     for (double pt : ptimes) {
       const auto target =
           static_cast<std::uint64_t>(pt * static_cast<double>(n));

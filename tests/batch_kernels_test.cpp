@@ -1,10 +1,7 @@
 // Unit tests for the sampling kernels of core/batch_kernels.h: the flat
-// hash map, the occupied-code pool, the exact birthday-problem prefix
-// sampler, the extracted pair sampler, the multinomial batch kernel's
-// conservation/bookkeeping invariants (its distributional exactness is
-// cross-validated against the other engines in
-// tests/engine_equivalence_test.cpp), and the occupied pool's reset/reload
-// path (the tau-leaping engine loads its active-unit pool through it).
+// hash map, the occupied-code pool, the extracted pair sampler, and the
+// occupied pool's reset/reload path (the tau-leaping engine loads its
+// active-unit pool through it).
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -12,11 +9,8 @@
 #include <vector>
 
 #include "core/batch_kernels.h"
-#include "core/batch_simulation.h"
 #include "core/discrete_samplers.h"
 #include "core/rng.h"
-#include "processes/epidemic.h"
-#include "protocols/optimal_silent.h"
 
 namespace ppsim {
 namespace {
@@ -59,11 +53,11 @@ TEST(FlatMap64, GrowsAndKeepsInsertionOrder) {
     ASSERT_NE(m.find(k * 977 + 3), nullptr);
 }
 
-// --- OccupiedPool -----------------------------------------------------------
+// --- SegmentedPool (suite name OccupiedPool) --------------------------------
 
 TEST(OccupiedPool, BuildDrawRestoreConserves) {
   std::vector<std::uint64_t> counts = {0, 5, 0, 3, 2, 0};
-  OccupiedPool pool;
+  SegmentedPool pool;
   EXPECT_FALSE(pool.built());
   pool.build(counts);
   EXPECT_TRUE(pool.built());
@@ -84,7 +78,7 @@ TEST(OccupiedPool, BuildDrawRestoreConserves) {
 TEST(OccupiedPool, ApplyDeltaCreatesSlotsAndCompacts) {
   std::vector<std::uint64_t> counts(300, 0);
   for (std::uint32_t c = 0; c < 150; ++c) counts[c] = 1;
-  OccupiedPool pool;
+  SegmentedPool pool;
   pool.build(counts);
   EXPECT_EQ(pool.occupied(), 150u);
   // Move everything onto a single fresh code: lots of zero slots, then a
@@ -97,25 +91,12 @@ TEST(OccupiedPool, ApplyDeltaCreatesSlotsAndCompacts) {
   EXPECT_EQ(pool.occupied(), 3u);
   // Compaction halves the dead slots repeatedly until the 64-slot floor.
   EXPECT_LE(pool.slots(), 64u);
-  std::uint32_t code = 0;
-  EXPECT_FALSE(pool.single_occupied(code));
   pool.apply_delta(200, +0);  // no-op
   Rng rng(5);
   std::vector<std::uint64_t> drawn(300, 0);
   for (int i = 0; i < 150; ++i) ++drawn[pool.code_at(pool.draw_remove(rng))];
   EXPECT_EQ(drawn[200] + drawn[201] + drawn[202], 150u);
   pool.restore_removed();
-}
-
-TEST(OccupiedPool, SingleOccupied) {
-  std::vector<std::uint64_t> counts = {0, 0, 8};
-  OccupiedPool pool;
-  pool.build(counts);
-  std::uint32_t code = 0;
-  ASSERT_TRUE(pool.single_occupied(code));
-  EXPECT_EQ(code, 2u);
-  pool.apply_delta(0, +1);
-  EXPECT_FALSE(pool.single_occupied(code));
 }
 
 // --- SegmentedPool segment API (ISSUE 6) ------------------------------------
@@ -125,7 +106,7 @@ TEST(OccupiedPool, SingleOccupied) {
 // members are sorted by code within their segment. Checked after every
 // mutation phase below — the subtotals are what the segmented samplers
 // (split_segmented) trust blindly.
-void expect_segment_invariants(const OccupiedPool& pool) {
+void expect_segment_invariants(const SegmentedPool& pool) {
   std::uint64_t total = 0;
   for (std::uint32_t seg = 0; seg < pool.segment_count(); ++seg) {
     std::uint64_t subtotal = 0;
@@ -134,10 +115,10 @@ void expect_segment_invariants(const OccupiedPool& pool) {
     for (std::uint32_t slot : pool.segment_slots(seg)) {
       const std::uint32_t code = pool.code_at(slot);
       if (first) {
-        span = code >> OccupiedPool::kSegShift;
+        span = code >> SegmentedPool::kSegShift;
       } else {
         ASSERT_LT(prev, code) << "segment " << seg << " members unsorted";
-        ASSERT_EQ(code >> OccupiedPool::kSegShift, span)
+        ASSERT_EQ(code >> SegmentedPool::kSegShift, span)
             << "segment " << seg << " mixes code spans";
       }
       first = false;
@@ -158,7 +139,7 @@ TEST(SegmentedPool, BuildGroupsByCodeSpan) {
   counts[256] = 11;  // first code of the next span
   counts[300] = 4;
   counts[1100] = 6;  // span 4
-  OccupiedPool pool;
+  SegmentedPool pool;
   pool.build(counts);
   EXPECT_EQ(pool.segment_count(), 3u);
   EXPECT_EQ(pool.total(), 30u);
@@ -173,7 +154,7 @@ TEST(SegmentedPool, PickInSegmentCoversEveryMember) {
   counts[200] = 5;
   counts[512] = 4;
   counts[599] = 2;
-  OccupiedPool pool;
+  SegmentedPool pool;
   pool.build(counts);
   for (std::uint32_t seg = 0; seg < pool.segment_count(); ++seg) {
     // Both edge targets of every member's cumulative range must land on it.
@@ -198,7 +179,7 @@ TEST(SegmentedPool, SplitMergeRejoinConserves) {
   Rng fill(71);
   for (int i = 0; i < 120; ++i)
     counts[fill.below(2048)] += 1 + fill.below(9);
-  OccupiedPool pool, part_a, part_b, rejoined;
+  SegmentedPool pool, part_a, part_b, rejoined;
   pool.build(counts);
   part_a.reset();
   part_b.reset();
@@ -228,7 +209,7 @@ TEST(SegmentedPool, SplitMergeRejoinConserves) {
   expect_segment_invariants(part_b);
 
   // Rejoin both parts; per-code weights must match the original exactly.
-  for (const OccupiedPool* part : {&part_a, &part_b})
+  for (const SegmentedPool* part : {&part_a, &part_b})
     for (std::uint32_t seg = 0; seg < part->segment_count(); ++seg)
       for (std::uint32_t slot : part->segment_slots(seg))
         if (part->weight_at(slot) > 0)
@@ -248,7 +229,7 @@ TEST(SegmentedPool, ChurnKeepsSubtotalsConsistent) {
   std::vector<std::uint64_t> counts(4096, 0);
   Rng fill(81);
   for (int i = 0; i < 200; ++i) counts[fill.below(4096)] += 1 + fill.below(5);
-  OccupiedPool pool;
+  SegmentedPool pool;
   pool.build(counts);
   const std::uint64_t original_total = pool.total();
   expect_segment_invariants(pool);
@@ -294,62 +275,6 @@ TEST(SegmentedPool, ChurnKeepsSubtotalsConsistent) {
   EXPECT_EQ(live_segments, 1u);
 }
 
-// --- Collision-free prefix --------------------------------------------------
-
-TEST(CollisionPrefix, ExactPmfAtN4) {
-  // n = 4: p_0 = 1, p_1 = (2)(1)/12 = 1/6, p_2 = 0, so
-  // P[L = 1] = 5/6, P[L = 2] = 1/6.
-  Rng rng(17);
-  CollisionPrefixSampler prefix;
-  prefix.build(4);
-  EXPECT_TRUE(prefix.built_for(4));
-  EXPECT_FALSE(prefix.built_for(5));
-  const std::uint32_t trials = 120'000;
-  std::uint32_t ones = 0, twos = 0;
-  for (std::uint32_t i = 0; i < trials; ++i) {
-    const std::uint64_t l = prefix.sample(rng);
-    ASSERT_GE(l, 1u);
-    ASSERT_LE(l, 2u);
-    if (l == 1)
-      ++ones;
-    else
-      ++twos;
-  }
-  const double f1 = static_cast<double>(ones) / trials;
-  EXPECT_NEAR(f1, 5.0 / 6.0, 5.0 * std::sqrt((5.0 / 36.0) / trials));
-  EXPECT_EQ(ones + twos, trials);
-}
-
-TEST(CollisionPrefix, MeanMatchesAnalyticAtN10000) {
-  // E[L] = sum_i P[L >= i] = sum_i prod_{j<i} p_j, computed directly.
-  const std::uint64_t n = 10'000;
-  double expect = 0.0, g = 1.0;
-  for (std::uint64_t l = 0;; ++l) {
-    const double fresh = static_cast<double>(n) - 2.0 * l;
-    if (fresh < 2.0) break;
-    g *= fresh * (fresh - 1.0) /
-         (static_cast<double>(n) * static_cast<double>(n - 1));
-    if (g < 1e-16) break;
-    expect += g;  // adds P[L >= l+1]
-  }
-  Rng rng(19);
-  CollisionPrefixSampler prefix;
-  prefix.build(n);
-  const std::uint32_t trials = 40'000;
-  double sum = 0.0, sum2 = 0.0;
-  for (std::uint32_t i = 0; i < trials; ++i) {
-    const double l = static_cast<double>(prefix.sample(rng));
-    sum += l;
-    sum2 += l * l;
-  }
-  const double mean = sum / trials;
-  const double sd = std::sqrt(sum2 / trials - mean * mean);
-  EXPECT_NEAR(mean, expect, 5.0 * sd / std::sqrt(trials));
-  // Sanity: the prefix is Theta(sqrt(n)).
-  EXPECT_GT(expect, 0.3 * std::sqrt(static_cast<double>(n)));
-  EXPECT_LT(expect, 1.0 * std::sqrt(static_cast<double>(n)));
-}
-
 // --- sample_ordered_state_pair ----------------------------------------------
 
 TEST(PairSampler, MatchesSchedulerPushforward) {
@@ -377,79 +302,6 @@ TEST(PairSampler, MatchesSchedulerPushforward) {
   EXPECT_EQ(s.total(), 5u);
 }
 
-// --- MultinomialKernel ------------------------------------------------------
-
-TEST(MultinomialKernel, OneWayEpidemicConservesAndProgresses) {
-  const std::uint32_t n = 64;
-  OneWayEpidemic proto(n);
-  std::vector<std::uint64_t> counts = one_way_epidemic_counts(n, 1);
-  MultinomialKernel<OneWayEpidemic> kernel;
-  Rng rng(29);
-  NoCounters nc;
-  std::vector<CountDelta> deltas;
-  std::uint64_t interactions = 0;
-  std::uint64_t prev_infected = 1;
-  while (counts[1] < n && interactions < (1u << 22)) {
-    deltas.clear();
-    interactions += kernel.run_batch(proto, counts, rng, nc, deltas);
-    ASSERT_EQ(counts[0] + counts[1], n);  // population conserved
-    ASSERT_GE(counts[1], prev_infected);  // infections never undone
-    prev_infected = counts[1];
-    for (const CountDelta& d : deltas) ASSERT_LT(d.code, 2u);
-  }
-  EXPECT_EQ(counts[1], n);  // completed
-  // ~n ln n interactions, not wildly off.
-  const double expect = n * std::log(n);
-  EXPECT_GT(static_cast<double>(interactions), 0.2 * expect);
-  EXPECT_LT(static_cast<double>(interactions), 30.0 * expect);
-}
-
-TEST(MultinomialKernel, OptimalSilentBatchesPreserveInvariants) {
-  const std::uint32_t n = 256;
-  // Small timer constants so the countdown machinery (timeouts, resets,
-  // recruits) actually fires within the test's batch budget.
-  OptimalSilentParams params;
-  params.n = n;
-  params.emax = 64;
-  params.dmax = 64;
-  params.rmax = 8;
-  OptimalSilentSSR proto(params);
-  // All-Unsettled start: the timer-heavy regime (every pair active).
-  std::vector<std::uint64_t> counts(proto.num_states(), 0);
-  OptimalSilentSSR::State u;
-  u.role = OsRole::Unsettled;
-  u.errorcount = params.emax;
-  counts[proto.encode(u)] = n;
-
-  MultinomialKernel<OptimalSilentSSR> kernel;
-  Rng rng(31);
-  OptimalSilentSSR::Counters c{};
-  std::vector<CountDelta> deltas;
-  std::uint64_t interactions = 0;
-  for (int batch = 0; batch < 2000; ++batch) {
-    deltas.clear();
-    const std::uint64_t consumed =
-        kernel.run_batch(proto, counts, rng, c, deltas);
-    ASSERT_GE(consumed, 2u);  // prefix >= 1 plus the collision
-    interactions += consumed;
-    std::uint64_t total = 0;
-    std::int64_t delta_sum = 0;
-    for (std::uint64_t m : counts) total += m;
-    for (const CountDelta& d : deltas) delta_sum += d.delta;
-    ASSERT_EQ(total, n);        // population conserved
-    ASSERT_EQ(delta_sum, 0);    // deltas are a closed rearrangement
-  }
-  // Batches amortize ~sqrt(n)+ interactions each.
-  EXPECT_GT(interactions, 2000ull * 5);
-  // The countdown ticked: timeout triggers eventually fire at errorcount 0
-  // after ~emax ticks per agent; at least *some* protocol events were
-  // counted through the scaled cache path.
-  EXPECT_GT(c.timeout_triggers + c.resets_executed + c.recruits, 0u);
-}
-
-static_assert(MultinomialKernel<OptimalSilentSSR>::kCacheable);
-static_assert(MultinomialKernel<OneWayEpidemic>::kCacheable);
-
 // --- Occupied pool reset / reload ------------------------------------------
 // (The ShardMerge suite name is kept from the shard merge kernels these
 // tests were first written against.)
@@ -464,7 +316,7 @@ TEST(ShardMerge, OccupiedPoolSplitRejoinInvariants) {
   counts[77] = 1;
   counts[140] = 25;
   counts[499] = 34;  // total 100
-  OccupiedPool pool;
+  SegmentedPool pool;
   pool.build(counts);
   EXPECT_EQ(pool.total(), 100u);
   EXPECT_EQ(pool.weight_of(2), 40u);
@@ -504,7 +356,7 @@ TEST(ShardMerge, OccupiedPoolSplitRejoinInvariants) {
   // the part sizes and only allocated codes are occupied.
   std::vector<std::uint64_t> recombined(occ_codes.size(), 0);
   for (std::size_t t = 0; t < parts.size(); ++t) {
-    OccupiedPool part_pool;
+    SegmentedPool part_pool;
     part_pool.reset();
     std::uint64_t loaded = 0;
     for (std::size_t i = 0; i < occ_codes.size(); ++i) {
@@ -528,7 +380,7 @@ TEST(ShardMerge, OccupiedPoolSplitRejoinInvariants) {
 
 TEST(ShardMerge, OccupiedPoolResetClearsEverything) {
   std::vector<std::uint64_t> counts = {0, 5, 0, 3};
-  OccupiedPool pool;
+  SegmentedPool pool;
   pool.build(counts);
   Rng rng(7);
   pool.draw_remove(rng);

@@ -24,16 +24,16 @@ char** make_argv(std::vector<std::string>& storage) {
 
 TEST(BenchScaleParse, KnownFlagsAreApplied) {
   std::vector<std::string> args = {"bench", "--smoke", "--threads=3",
-                                   "--strategy=multinomial", "--micro"};
+                                   "--strategy=geometric_skip", "--micro"};
   const BenchScale s =
       BenchScale::from_args(static_cast<int>(args.size()), make_argv(args));
   EXPECT_TRUE(s.smoke);
   EXPECT_TRUE(s.quick);  // smoke implies quick
   EXPECT_TRUE(s.micro);
   EXPECT_EQ(s.threads, 3u);
-  EXPECT_EQ(s.strategy_name, "multinomial");
+  EXPECT_EQ(s.strategy_name, "geometric_skip");
   EXPECT_EQ(s.strategy_or(BatchStrategy::kAuto),
-            BatchStrategy::kMultinomial);
+            BatchStrategy::kGeometricSkip);
   EXPECT_EQ(s.trials(30), 1u);  // smoke: one trial
   EXPECT_EQ(s.sizes({8, 64, 512}), std::vector<std::uint32_t>{8});
 }
@@ -73,7 +73,7 @@ TEST(BenchScaleParse, FaultKnobsDefaultToZero) {
 using CliDeath = ::testing::Test;
 
 TEST(CliDeath, UnknownFlagIsAHardError) {
-  std::vector<std::string> args = {"bench", "--strateg=multinomial"};
+  std::vector<std::string> args = {"bench", "--strateg=geometric_skip"};
   EXPECT_EXIT(
       BenchScale::from_args(static_cast<int>(args.size()), make_argv(args)),
       ::testing::ExitedWithCode(2), "unknown flag");
@@ -84,6 +84,12 @@ TEST(CliDeath, BadStrategyValueIsAHardError) {
   EXPECT_EXIT(
       BenchScale::from_args(static_cast<int>(args.size()), make_argv(args)),
       ::testing::ExitedWithCode(2), "unknown --strategy value");
+  // The removed strategy fails the same way, naming the ones that remain.
+  std::vector<std::string> removed = {"bench", "--strategy=multinomial"};
+  EXPECT_EXIT(BenchScale::from_args(static_cast<int>(removed.size()),
+                                    make_argv(removed)),
+              ::testing::ExitedWithCode(2),
+              "'multinomial' \\(want geometric_skip \\| auto \\| tau\\)");
 }
 
 TEST(CliDeath, FaultDropOutOfRangeIsAHardError) {

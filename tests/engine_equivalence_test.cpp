@@ -70,8 +70,8 @@ static_assert(!KeyedPassiveProtocol<SilentNStateSSR>);
 
 // ISSUE 3: ResetProcess is enumerable (Section 3 phase experiments run
 // batched), both it and OneWayEpidemic expose the unkeyed passive
-// structure, and the deterministic-transition flag gates the multinomial
-// kernel's delta cache.
+// structure, and the deterministic-transition flag gates the tau tier's
+// delta cache.
 static_assert(EnumerableProtocol<ResetProcess>);
 static_assert(UnkeyedPassiveProtocol<ResetProcess>);
 static_assert(EnumerableProtocol<OneWayEpidemic>);
@@ -178,9 +178,9 @@ RunOptions optimal_silent_opts(std::uint32_t n) {
 }
 
 // kAuto must be a pure function of (configuration, seed): two runs with the
-// same seed are bit-identical in interactions, parallel time and counts.
-// n is above the auto population floor and the run starts timer-heavy, so
-// auto genuinely exercises the multinomial path here.
+// same seed are bit-identical in interactions, parallel time, counts and
+// the per-arm trace. n is above the pool floor and the run starts
+// timer-heavy, so auto enters the array arm from the occupied pool here.
 TEST(StrategyEquivalence, AutoIsBitStableForFixedSeed) {
   const std::uint32_t n = 20'000;
   const auto params = OptimalSilentParams::standard(n);
@@ -199,16 +199,19 @@ TEST(StrategyEquivalence, AutoIsBitStableForFixedSeed) {
   EXPECT_EQ(a.parallel_time(), b.parallel_time());
   EXPECT_EQ(a.counts(), b.counts());
   EXPECT_EQ(a.counters().resets_executed, b.counters().resets_executed);
-  EXPECT_EQ(a.stats().multinomial_batches, b.stats().multinomial_batches);
+  EXPECT_EQ(a.strategy_trace().steps, b.strategy_trace().steps);
+  EXPECT_EQ(a.strategy_trace().interactions, b.strategy_trace().interactions);
   // The dormant countdown has active density 1: auto resolved to the
-  // multinomial batch.
-  EXPECT_GT(a.stats().multinomial_batches, 0u);
+  // array arm.
+  EXPECT_GT(a.strategy_trace().steps[static_cast<std::size_t>(
+                StrategyArm::kArray)],
+            0u);
+  EXPECT_NO_THROW(a.audit());
 }
 
-// The auto rule's three verdicts: silent-heavy configurations resolve to
-// the geometric skip, timer-heavy ones with few occupied codes (above the
-// pool floor) to the multinomial batch, and dense rounds no batch can
-// amortize — every dense round below the pool floor — to the array arm.
+// The auto rule's two verdicts, above and below the pool floor:
+// silent-heavy configurations resolve to the geometric skip, timer-heavy
+// (dense) ones to the array arm.
 TEST(StrategyEquivalence, AutoResolvesFromDensityAndScale) {
   {
     const auto params = OptimalSilentParams::standard(20'000);
@@ -216,7 +219,7 @@ TEST(StrategyEquivalence, AutoResolvesFromDensityAndScale) {
     BatchSimulation<OptimalSilentSSR> timer_heavy(
         proto, optimal_silent_dormant_counts(params), 1,
         BatchStrategy::kAuto);
-    EXPECT_EQ(timer_heavy.resolved_arm(), StrategyArm::kMultinomial);
+    EXPECT_EQ(timer_heavy.resolved_arm(), StrategyArm::kArray);
     BatchSimulation<OptimalSilentSSR> silent_heavy(
         proto,
         optimal_silent_config(params, OsAdversary::kDuplicateRank, 1), 1,
@@ -239,35 +242,61 @@ TEST(StrategyEquivalence, AutoResolvesFromDensityAndScale) {
   }
 }
 
-// The controller's integer thresholds give the floating-point rule's
-// verdicts (density W / n(n-1) < 1/16; 4 occupied > sqrt(n)) at and
-// around both thresholds, perfect squares included.
+// The whole-run probe (engine=auto, strategy=auto): from n = 4096 on, a
+// start dense in effective pairs goes to the agent array when its null
+// structure is passive, however few codes it occupies; a diagonal one also
+// needs a dense occupancy, since its dense starts (every agent at one
+// rank) thin into null stretches that only the count engine's skip jumps.
+// Below n = 4096 every start stays on the count engine.
+TEST(StrategyEquivalence, ProbeRoutesDenseStartsByStructure) {
+  using SC = StrategyController;
+  const std::uint64_t n = SC::kDenseArrayMinPopulation;
+  const std::uint64_t dense = SC::dense_weight(n);
+  EXPECT_EQ(SC::engine_arm(n, 2, dense, true), StrategyArm::kArray);
+  EXPECT_EQ(SC::engine_arm(n, n, dense - 1, true), StrategyArm::kGeometricSkip);
+  EXPECT_EQ(SC::engine_arm(n, 1, n * (n - 1), false),
+            StrategyArm::kGeometricSkip);
+  EXPECT_EQ(SC::engine_arm(n, n / 8, dense, false), StrategyArm::kArray);
+  EXPECT_EQ(SC::engine_arm(n - 1, n - 1, (n - 1) * (n - 2), true),
+            StrategyArm::kGeometricSkip);
+  auto backend = [n](const char* protocol, const char* init) {
+    ScenarioSpec spec;
+    spec.protocol = protocol;
+    spec.init = init;
+    spec.until = "ptime";
+    spec.horizon_ptime = 1;
+    spec.n = static_cast<std::uint32_t>(n);
+    spec.seed = 5;
+    const ScenarioResult r = run_scenario(spec);
+    EXPECT_EQ(r.engine_arm, r.backend) << protocol << " " << init;
+    return r.backend;
+  };
+  EXPECT_EQ(backend("optimal-silent", "dormant-mix"), "array");
+  EXPECT_EQ(backend("reset-process", "mid-reset-mix"), "array");
+  EXPECT_EQ(backend("silent-nstate", "all-same"), "batch");
+  EXPECT_EQ(backend("optimal-silent", "duplicate-rank"), "batch");
+}
+
+// The controller's integer threshold gives the floating-point rule's
+// verdict (density W / n(n-1) < 1/16) at and around the threshold, for
+// populations whose n(n-1) is and is not a multiple of 16.
 TEST(StrategyEquivalence, IntegerThresholdsMatchFloatingPointRule) {
-  auto float_rule = [](std::uint64_t n, std::uint64_t w, std::uint64_t occ) {
+  auto float_rule = [](std::uint64_t n, std::uint64_t w) {
     const double density = static_cast<double>(w) /
                            (static_cast<double>(n) * static_cast<double>(n - 1));
-    if (density < 1.0 / 16.0) return StrategyArm::kGeometricSkip;
-    if (n < StrategyController::kAutoPoolMinPopulation)
-      return StrategyArm::kArray;
-    if (4.0 * static_cast<double>(occ) > std::sqrt(static_cast<double>(n)))
-      return StrategyArm::kArray;
-    return StrategyArm::kMultinomial;
+    return density < 1.0 / 16.0 ? StrategyArm::kGeometricSkip
+                                : StrategyArm::kArray;
   };
   std::vector<std::uint64_t> sizes = {2, 3, 16, 17, 1000, 4095, 4096, 4097,
                                       1u << 20, 1'000'000, 10'000'019};
   for (std::uint64_t r = 60; r < 70; ++r)
     for (std::uint64_t n : {r * r - 1, r * r, r * r + 1}) sizes.push_back(n);
   for (std::uint64_t n : sizes) {
-    const auto t = StrategyController::thresholds(n);
-    for (std::uint64_t w : {t.dense_weight - 1, t.dense_weight,
-                            t.dense_weight + 1, n * (n - 1)}) {
-      for (std::uint64_t occ : {std::uint64_t{1}, t.batch_occupied,
-                                t.batch_occupied + 1, n}) {
-        if (w == t.dense_weight - 1 && t.dense_weight == 0) continue;
-        EXPECT_EQ(StrategyController::step_strategy(t, w, occ),
-                  float_rule(n, w, occ))
-            << "n=" << n << " W=" << w << " occupied=" << occ;
-      }
+    const std::uint64_t dense = StrategyController::dense_weight(n);
+    for (std::uint64_t w : {dense - 1, dense, dense + 1, n * (n - 1)}) {
+      if (w == dense - 1 && dense == 0) continue;
+      EXPECT_EQ(StrategyController::step_strategy(dense, w), float_rule(n, w))
+          << "n=" << n << " W=" << w;
     }
   }
 }
@@ -298,24 +327,22 @@ TEST(StrategyEquivalence, AutoRoutesDenseRoundsToTheArrayArm) {
   EXPECT_GT(array_steps("optimal-silent", "auto"), 0u);
   EXPECT_EQ(array_steps("silent-nstate", "auto"), 0u);
   EXPECT_EQ(array_steps("optimal-silent", "geometric_skip"), 0u);
-  EXPECT_EQ(array_steps("optimal-silent", "multinomial"), 0u);
 }
 
 // Runs `sim` step by step, auditing every step, until `steps` steps have
 // run or the configuration is silent. Every `pin_every` steps (0 = never)
-// the strategy cycles auto -> geometric_skip -> auto -> multinomial, which
-// forces the engine out of the array arm and back in. Returns how many
-// times the resolved arm switched into or out of the array arm.
+// the strategy alternates auto -> geometric_skip, which forces the engine
+// out of the array arm and back in. Returns how many times the resolved
+// arm switched into or out of the array arm.
 template <class P>
 int audit_each_step(BatchSimulation<P>& sim, int steps, int pin_every) {
-  constexpr BatchStrategy kCycle[] = {
-      BatchStrategy::kAuto, BatchStrategy::kGeometricSkip,
-      BatchStrategy::kAuto, BatchStrategy::kMultinomial};
+  constexpr BatchStrategy kCycle[] = {BatchStrategy::kAuto,
+                                      BatchStrategy::kGeometricSkip};
   int switches = 0;
   bool was_array = sim.resolved_arm() == StrategyArm::kArray;
   for (int k = 0; k < steps; ++k) {
     if (pin_every > 0 && k % pin_every == 0)
-      sim.set_strategy(kCycle[(k / pin_every) % 4]);
+      sim.set_strategy(kCycle[(k / pin_every) % 2]);
     const bool is_array = sim.resolved_arm() == StrategyArm::kArray;
     if (is_array != was_array) ++switches;
     was_array = is_array;
@@ -344,24 +371,25 @@ TEST(ArrayArm, InvariantsHoldAcrossArmSwitches) {
     EXPECT_GE(audit_each_step(sim, 4000, 250), 8);
   }
   {
-    // Above the pool floor, left to the controller alone: the Resetting
-    // debris drains through array and multinomial rounds, so the pool
-    // repair on leaving the array arm is exercised too.
+    // At the pool floor: the Resetting debris drains on the array arm, and
+    // the pinning cycle forces exits and re-entries, so the pool repair on
+    // leaving the arm and the entry from the pool are exercised too (left
+    // to the controller alone the first exit comes ~10^5 steps in).
     const ResetProcess proto(4096, 12, 40);
     const auto& inits = reset_process_inits();
     BatchSimulation<ResetProcess> sim(
         proto, inits.counts(proto, "mid-reset-mix", 9), 9,
         BatchStrategy::kAuto);
-    EXPECT_GE(audit_each_step(sim, 12500, 0), 4);
-    for (StrategyArm arm : {StrategyArm::kArray, StrategyArm::kMultinomial})
+    EXPECT_GE(audit_each_step(sim, 12500, 250), 4);
+    for (StrategyArm arm : {StrategyArm::kArray, StrategyArm::kGeometricSkip})
       EXPECT_GT(sim.strategy_trace().steps[static_cast<std::size_t>(arm)], 0u)
           << to_string(arm);
   }
   {
     // The diagonal kernel: Silent-n-state-SSR with every agent at one rank
     // (dense, so auto takes the array arm) runs to silence through the
-    // pinning cycle, so array rounds and multinomial batches move the
-    // kernel lazily and each geometric step resyncs it first.
+    // pinning cycle, so array rounds move the kernel lazily and each
+    // geometric step resyncs it first.
     constexpr std::uint32_t kN = 128;
     std::vector<std::uint64_t> counts(kN, 0);
     counts[0] = kN;
@@ -369,8 +397,7 @@ TEST(ArrayArm, InvariantsHoldAcrossArmSwitches) {
                                          BatchStrategy::kAuto);
     EXPECT_GE(audit_each_step(sim, 20000, 40), 2);
     EXPECT_TRUE(sim.silent());
-    for (StrategyArm arm : {StrategyArm::kGeometricSkip, StrategyArm::kArray,
-                            StrategyArm::kMultinomial})
+    for (StrategyArm arm : {StrategyArm::kGeometricSkip, StrategyArm::kArray})
       EXPECT_GT(sim.strategy_trace().steps[static_cast<std::size_t>(arm)], 0u)
           << to_string(arm);
   }
@@ -516,10 +543,9 @@ std::string burst_cell_name(const char* protocol, const char* init,
 }
 
 // Optimal-Silent-SSR from its two dense starts. n = 512 and 1000 run to
-// stabilization. n = 4096 sits at the pool floor, where the occupied-code
-// guard sends sparse dense rounds to the multinomial batch, so bursts end
-// on a verdict change; it runs to a fixed horizon (a full run is tens of
-// seconds), which also covers the horizon stop.
+// stabilization. n = 4096 sits at the pool floor, so the array arm enters
+// from the occupied pool; it runs to a fixed horizon (a full run is tens
+// of seconds), which also covers the horizon stop.
 TEST(BurstBitIdentity, OptimalSilentMatchesPlainSteps) {
   const auto& inits = optimal_silent_inits();
   for (const char* init : {"uniform-random", "dormant-mix"}) {
@@ -529,15 +555,8 @@ TEST(BurstBitIdentity, OptimalSilentMatchesPlainSteps) {
       const std::uint64_t horizon =
           n < 4096 ? optimal_silent_opts(n).max_interactions
                    : 400ull * n;
-      const StrategyTrace trace = expect_bursts_replay_plain_steps(
-          proto, inits.counts(proto, init, 40 + n), 50 + n, FaultSpec{},
-          horizon, what);
-      if (n == 4096 && std::string(init) == "dormant-mix") {
-        EXPECT_GT(trace.steps[static_cast<std::size_t>(
-                      StrategyArm::kMultinomial)],
-                  0u)
-            << what;
-      }
+      expect_bursts_replay_plain_steps(proto, inits.counts(proto, init, 40 + n),
+                                       50 + n, FaultSpec{}, horizon, what);
     }
   }
 }

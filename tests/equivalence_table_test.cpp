@@ -4,8 +4,8 @@
 //
 // Each row names a cell (protocol, init, until, n, trials, faults,
 // topology) and one candidate: a count-engine strategy (geometric skip,
-// multinomial, auto), the tau-leaping tier, the active-edge ring engine or
-// a count-form protocol. The reference is the agent array running the
+// auto), the tau-leaping tier, the active-edge ring engine or a count-form
+// protocol. The reference is the agent array running the
 // row's protocol; for a count form (sublinear-*-count) it is the agent
 // array running the exact protocol the count form abstracts. Both sides go
 // through run_scenario with seeds derived from the row id, on the
@@ -49,8 +49,6 @@ struct Candidate {
 
 constexpr Candidate kSkip{"skip", "geometric_skip", "geometric_skip", false,
                           false};
-constexpr Candidate kMultinomial{"multinomial", "multinomial", "multinomial",
-                                 false, false};
 constexpr Candidate kAuto{"auto", "auto", "auto", false, false};
 constexpr Candidate kTau{"tau", "tau", "tau", true, false};
 constexpr Candidate kRingRle{"ring_rle", "auto", "ring_rle", false, false};
@@ -70,13 +68,10 @@ struct Row {
 const Row kRows[] = {
     // optimal-silent, Table 1 row 2: every init to ranked.
     {"optimal-silent", "uniform-random", "ranked", 8, 30, kSkip},
-    {"optimal-silent", "uniform-random", "ranked", 8, 30, kMultinomial},
     {"optimal-silent", "uniform-random", "ranked", 8, 30, kAuto},
     {"optimal-silent", "uniform-random", "ranked", 64, 30, kSkip},
-    {"optimal-silent", "uniform-random", "ranked", 64, 30, kMultinomial},
     {"optimal-silent", "uniform-random", "ranked", 64, 30, kAuto},
     {"optimal-silent", "uniform-random", "ranked", 512, 30, kSkip},
-    {"optimal-silent", "uniform-random", "ranked", 512, 30, kMultinomial},
     {"optimal-silent", "uniform-random", "ranked", 512, 30, kAuto},
     {"optimal-silent", "all-leaders", "ranked", 8, 16, kAuto},
     {"optimal-silent", "all-leaders", "ranked", 64, 16, kAuto},
@@ -110,26 +105,14 @@ const Row kRows[] = {
     // duplicate-rank detection latency, a bare meeting time that carries
     // the same 1/(1 - drop) dilation) ...
     {"optimal-silent", "uniform-random", "ranked", 8, 30, kSkip, {.drop = 0.1}},
-    {"optimal-silent", "uniform-random", "ranked", 8, 30, kMultinomial,
-     {.drop = 0.1}},
     {"optimal-silent", "uniform-random", "ranked", 8, 30, kSkip, {.drop = 0.5}},
-    {"optimal-silent", "uniform-random", "ranked", 8, 30, kMultinomial,
-     {.drop = 0.5}},
     {"optimal-silent", "uniform-random", "ranked", 64, 30, kSkip,
-     {.drop = 0.1}},
-    {"optimal-silent", "uniform-random", "ranked", 64, 30, kMultinomial,
      {.drop = 0.1}},
     {"optimal-silent", "uniform-random", "ranked", 64, 30, kSkip,
      {.drop = 0.5}},
-    {"optimal-silent", "uniform-random", "ranked", 64, 30, kMultinomial,
-     {.drop = 0.5}},
     {"optimal-silent", "duplicate-rank", "detected", 512, 30, kSkip,
      {.drop = 0.1}},
-    {"optimal-silent", "duplicate-rank", "detected", 512, 30, kMultinomial,
-     {.drop = 0.1}},
     {"optimal-silent", "duplicate-rank", "detected", 512, 30, kSkip,
-     {.drop = 0.5}},
-    {"optimal-silent", "duplicate-rank", "detected", 512, 30, kMultinomial,
      {.drop = 0.5}},
     // ... and each knob on auto, whose dense rounds run on the count
     // engine's array arm. One-way and churn rates scale as 1/n so runs
@@ -172,28 +155,19 @@ const Row kRows[] = {
     {"silent-nstate", "correct-ranking", "ranked", 512, 5, kAuto},
     {"silent-nstate", "duplicate-rank", "thinned", 8, 30, kSkip,
      {.oneway = 0.4}},
-    {"silent-nstate", "duplicate-rank", "thinned", 8, 30, kMultinomial,
-     {.oneway = 0.4}},
     {"silent-nstate", "duplicate-rank", "thinned", 64, 30, kSkip,
      {.oneway = 0.4}},
-    {"silent-nstate", "duplicate-rank", "thinned", 64, 30, kMultinomial,
-     {.oneway = 0.4}},
     {"silent-nstate", "duplicate-rank", "thinned", 512, 30, kSkip,
-     {.oneway = 0.4}},
-    {"silent-nstate", "duplicate-rank", "thinned", 512, 30, kMultinomial,
      {.oneway = 0.4}},
 
     // reset-process, the Section 3 harness.
     {"reset-process", "trigger-one", "drained", 8, 30, kSkip},
-    {"reset-process", "trigger-one", "drained", 8, 30, kMultinomial},
     {"reset-process", "trigger-one", "drained", 8, 30, kAuto},
     {"reset-process", "trigger-one", "drained", 8, 30, kTau},
     {"reset-process", "trigger-one", "drained", 64, 30, kSkip},
-    {"reset-process", "trigger-one", "drained", 64, 30, kMultinomial},
     {"reset-process", "trigger-one", "drained", 64, 30, kAuto},
     {"reset-process", "trigger-one", "drained", 64, 30, kTau},
     {"reset-process", "trigger-one", "drained", 512, 30, kSkip},
-    {"reset-process", "trigger-one", "drained", 512, 30, kMultinomial},
     {"reset-process", "trigger-one", "drained", 512, 30, kAuto},
     {"reset-process", "trigger-one", "drained", 512, 30, kTau},
     {"reset-process", "mid-reset-mix", "drained", 8, 16, kAuto},
@@ -207,8 +181,6 @@ const Row kRows[] = {
     {"one-way-epidemic", "single-infected", "complete", 8, 20, kAuto},
     {"one-way-epidemic", "single-infected", "complete", 64, 20, kAuto},
     {"one-way-epidemic", "single-infected", "complete", 128, 40, kSkip},
-    {"one-way-epidemic", "single-infected", "complete", 128, 40,
-     kMultinomial},
     {"one-way-epidemic", "single-infected", "complete", 512, 20, kAuto},
     {"one-way-epidemic", "residual-16", "complete", 8, 20, kAuto},
     {"one-way-epidemic", "residual-16", "complete", 64, 20, kAuto},
@@ -216,10 +188,8 @@ const Row kRows[] = {
     {"one-way-epidemic", "single-infected", "complete", 256, 30, kRingRle,
      {}, "ring"},
 
-    // obs25, defined for n = 3 only; its randomized interact() is the one
-    // the multinomial kernel must replay repetition by repetition.
+    // obs25, defined for n = 3 only, with a randomized interact().
     {"obs25", "all-leaders", "silent", 3, 60, kAuto},
-    {"obs25", "all-leaders", "silent", 3, 60, kMultinomial},
     {"obs25", "uniform-random", "silent", 3, 40, kAuto},
 
     // ring-ssle on the directed ring: the active-edge ring engine.

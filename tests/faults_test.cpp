@@ -4,8 +4,8 @@
 //  * contract checks: the ChurnableProtocol concept, and the agent array
 //    reports no crash (last_crashed() == -1) without churn;
 //  * bit-transparency: an all-zero FaultSpec (fault.drop=0) reproduces the
-//    undecorated engine bit for bit on array, geometric_skip and
-//    multinomial — the fault layer consumes zero extra randomness;
+//    undecorated engine bit for bit on array, geometric_skip and auto —
+//    the fault layer consumes zero extra randomness;
 //  * degenerate knobs: fault.drop=1 makes zero state changes on every
 //    engine; churn conserves the population size exactly;
 //  * hard errors: out-of-range knobs, churn > n, churn without a
@@ -18,7 +18,7 @@
 //    (holds forever) instead of inventing a number;
 //  * the count engine's array arm under faults: strategy=auto reaches the
 //    arm and finishes under drop, oneway and churn. Cross-engine CI overlap
-//    under faults (array vs geometric_skip, multinomial and auto) is in
+//    under faults (array vs geometric_skip and auto) is in
 //    tests/equivalence_table_test.cpp.
 #include <gtest/gtest.h>
 
@@ -130,8 +130,7 @@ TEST(FaultTransparency, ZeroSpecBatchMatchesPlainBatchBitForBit) {
       optimal_silent_config(proto.params(), OsAdversary::kUniformRandom, 5);
   const auto counts = counts_of(proto, agents);
   for (BatchStrategy strategy :
-       {BatchStrategy::kGeometricSkip, BatchStrategy::kMultinomial,
-        BatchStrategy::kAuto}) {
+       {BatchStrategy::kGeometricSkip, BatchStrategy::kAuto}) {
     BatchSimulation<OptimalSilentSSR> plain(proto, counts, 777, strategy);
     BatchSimulation<OptimalSilentSSR> faulty(proto, counts, 777, strategy);
     faulty.set_faults(FaultSpec{});
@@ -215,7 +214,7 @@ TEST(FaultDegenerate, DropOneIsProvableSilenceOnBatch) {
         proto,
         optimal_silent_config(proto.params(), OsAdversary::kUniformRandom, 9));
     for (BatchStrategy strategy :
-         {BatchStrategy::kGeometricSkip, BatchStrategy::kMultinomial}) {
+         {BatchStrategy::kGeometricSkip, BatchStrategy::kAuto}) {
       BatchSimulation<OptimalSilentSSR> sim(proto, counts, 3, strategy);
       sim.set_faults(spec);
       EXPECT_EQ(sim.step(), 0u) << to_string(strategy);
@@ -246,7 +245,7 @@ TEST(FaultDegenerate, ChurnConservesPopulationOnEveryEngine) {
     EXPECT_EQ(total_count(counts_of(proto, sim.states())), n);
   }
   for (BatchStrategy strategy :
-       {BatchStrategy::kGeometricSkip, BatchStrategy::kMultinomial}) {
+       {BatchStrategy::kGeometricSkip, BatchStrategy::kAuto}) {
     BatchSimulation<OptimalSilentSSR> sim(proto, counts, 52, strategy);
     sim.set_faults(spec);
     sim.run(20000);
@@ -366,7 +365,7 @@ TEST(FaultScenario, FaultedRunsAreStampedWithTheirKnobs) {
   EXPECT_EQ(array_r.failed, 0u);
 
   spec.engine = "batch";
-  spec.strategy = "multinomial";
+  spec.strategy = "auto";
   const ScenarioResult batch_r = run_scenario(spec);
   EXPECT_EQ(batch_r.backend, "batch");
   EXPECT_TRUE(batch_r.faulted);

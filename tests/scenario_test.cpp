@@ -12,7 +12,7 @@
 //  * determinism: per-trial values are bit-identical for any thread count;
 //  * acceptance: the Table-1 row-1 sweep reproduced from a ScenarioSpec
 //    has CIs overlapping the committed bench/acceptance values, and an
-//    adversarial initial condition runs on the multinomial strategy at
+//    adversarial initial condition runs on the geometric_skip strategy at
 //    n = 10^6.
 #include <gtest/gtest.h>
 
@@ -142,12 +142,18 @@ TEST(Registry, InexpressibleSpecsFailLoudly) {
                                      s.engine = "array";
                                      s.strategy = "tau";
                                    })},
-      {"multinomial on the ring (ring-ssle)",
-       make("ring-ssle", [](ScenarioSpec& s) { s.strategy = "multinomial"; })},
-      {"multinomial on the ring (epidemic)",
+      {"tau on the ring (ring-ssle)",
+       make("ring-ssle", [](ScenarioSpec& s) { s.strategy = "tau"; })},
+      {"tau on the ring (epidemic)",
        make("one-way-epidemic",
             [](ScenarioSpec& s) {
               s.topology = "ring";
+              s.strategy = "tau";
+            })},
+      {"the removed multinomial strategy",
+       make("optimal-silent",
+            [](ScenarioSpec& s) {
+              s.engine = "batch";
               s.strategy = "multinomial";
             })},
       {"ring-ssle on a line",
@@ -178,6 +184,16 @@ TEST(Registry, InexpressibleSpecsFailLoudly) {
   };
   for (const Case& c : cases)
     EXPECT_THROW(run_scenario(c.spec), std::invalid_argument) << c.what;
+  // The removed strategy's rejection names the ones that remain.
+  try {
+    run_scenario(make("optimal-silent",
+                      [](ScenarioSpec& s) { s.strategy = "multinomial"; }));
+    ADD_FAILURE() << "strategy=multinomial ran";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("(geometric_skip | auto | tau)"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 // The plan is what runs: for a default spec of every registered protocol,
@@ -193,7 +209,9 @@ TEST(Registry, PlanMatchesResult) {
     const ScenarioResult r = reg.run(plan);
     Engine settled = plan.engine;
     if (plan.engine == Engine::kProbe) {
-      EXPECT_FALSE(r.engine_arm.empty()) << e.name;
+      // The record names the engine the probe chose.
+      EXPECT_TRUE(r.engine_arm == "array" || r.engine_arm == "batch")
+          << e.name << ": engine_arm " << r.engine_arm;
       settled = r.engine_arm == "array" ? Engine::kArray : Engine::kBatch;
     } else {
       EXPECT_TRUE(r.engine_arm.empty()) << e.name;
@@ -405,16 +423,16 @@ TEST(ScenarioAcceptance, Table1Row1MatchesCommittedAcceptance) {
   }
 }
 
-// An adversarial initial condition on the multinomial strategy at n = 10^6:
-// the timer-heavy dormant-mix start (2 occupied states out of 35n), run on
-// a fixed parallel-time budget. The count-native generator means no agent
-// array is ever materialized.
-TEST(ScenarioAcceptance, AdversarialInitOnMultinomialAtMillion) {
+// An adversarial initial condition on the geometric_skip strategy at
+// n = 10^6: the timer-heavy dormant-mix start (2 occupied states out of
+// 35n), run on a fixed parallel-time budget. The count-native generator and
+// the pinned count path mean no agent array is ever materialized.
+TEST(ScenarioAcceptance, AdversarialInitOnGeometricSkipAtMillion) {
   ScenarioSpec spec;
   spec.protocol = "optimal-silent";
   spec.init = "dormant-mix";
   spec.engine = "batch";
-  spec.strategy = "multinomial";
+  spec.strategy = "geometric_skip";
   spec.until = "ptime";
   spec.horizon_ptime = 0.05;
   spec.n = 1'000'000;
@@ -422,7 +440,8 @@ TEST(ScenarioAcceptance, AdversarialInitOnMultinomialAtMillion) {
   spec.seed = 9;
   const ScenarioResult r = run_scenario(spec);
   EXPECT_EQ(r.backend, "batch");
-  EXPECT_EQ(r.strategy, "multinomial");
+  EXPECT_EQ(r.strategy, "geometric_skip");
+  EXPECT_EQ(r.trace.steps[static_cast<std::size_t>(StrategyArm::kArray)], 0u);
   EXPECT_EQ(r.failed, 0u);
   // The budget was actually simulated.
   EXPECT_GE(r.interactions_mean, 0.05 * 1e6);

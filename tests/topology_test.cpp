@@ -242,7 +242,7 @@ TEST(CompleteTransparency, PairedStepUnderFaults) {
 // keeps the baseline shape (topology resolved to "complete").
 TEST(CompleteTransparency, ScenarioMetricsBitIdentical) {
   for (const char* strategy :
-       {"auto", "geometric_skip", "multinomial", "tau"}) {
+       {"auto", "geometric_skip", "tau"}) {
     ScenarioSpec spec;
     spec.protocol = "one-way-epidemic";
     spec.n = 256;
@@ -500,15 +500,15 @@ TEST(TopologyErrors, InexpressibleScenarioSpecs) {
   batch_line.trials = 1;
   EXPECT_THROW(run_scenario(batch_line), std::invalid_argument);
 
-  // The ring count path has exactly one strategy; pinning a clique
-  // batching strategy on it is a contradiction, not a silent fallback.
-  ScenarioSpec ring_multinomial;
-  ring_multinomial.protocol = "one-way-epidemic";
-  ring_multinomial.n = 32;
-  ring_multinomial.topology = "ring";
-  ring_multinomial.strategy = "multinomial";
-  ring_multinomial.trials = 1;
-  EXPECT_THROW(run_scenario(ring_multinomial), std::invalid_argument);
+  // The ring count path has exactly one strategy; pinning the clique's
+  // tau-leaping tier on it is a contradiction, not a silent fallback.
+  ScenarioSpec ring_tau;
+  ring_tau.protocol = "one-way-epidemic";
+  ring_tau.n = 32;
+  ring_tau.topology = "ring";
+  ring_tau.strategy = "tau";
+  ring_tau.trials = 1;
+  EXPECT_THROW(run_scenario(ring_tau), std::invalid_argument);
 }
 
 // A non-ring topology on a batch-capable protocol demotes engine=auto to
