@@ -167,11 +167,10 @@ ScenarioResult drive(const ScenarioPlan& plan, const P& proto,
   // randomness is consumed from any trial stream) and routes dense starts
   // to the agent array, which no count engine can beat there (see
   // core/engine.h StrategyController). For a protocol with declared null
-  // structure a dense start must be dense in effective pairs: its exact
-  // active weight W is summed in the same pass over the occupied codes,
-  // and for a passive-structured protocol it decides alone. Pinning either
-  // field disables the override, so head-to-head strategy measurements
-  // stay pure.
+  // structure a dense start must also be dense in effective pairs: its
+  // exact active weight W is summed in the same pass over the occupied
+  // codes. Pinning either field disables the override, so head-to-head
+  // strategy measurements stay pure.
   Engine engine = plan.engine;
   std::string engine_arm;
   if constexpr (EnumerableProtocol<P>) {
@@ -182,8 +181,7 @@ ScenarioResult drive(const ScenarioPlan& plan, const P& proto,
       StrategyArm arm;
       if constexpr (StructuredProtocol<P>)
         arm = StrategyController::engine_arm(plan.n, profile.occupied,
-                                             profile.active_weight,
-                                             !DiagonalActiveProtocol<P>);
+                                             profile.active_weight);
       else
         arm = StrategyController::engine_arm(plan.n, profile.occupied);
       engine = arm == StrategyArm::kArray ? Engine::kArray : Engine::kBatch;

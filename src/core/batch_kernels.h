@@ -36,8 +36,7 @@
 //                           subtotals (weighted draws walk a Fenwick tree
 //                           over O(segments) subtotals plus one short
 //                           in-segment scan): the tau-leaping engine's
-//                           unit pools, and the occupied-code index the
-//                           count engine's array arm enters from
+//                           unit pools
 //   TransitionCache       - memoized (s1, s2) -> (s1', s2') transitions of
 //                           a deterministic protocol, for bulk application
 #pragma once

@@ -270,20 +270,16 @@ class BatchSimulation {
   // std::logic_error naming the first that fails: the counts sum to n;
   // inside the array arm, the agent array's histogram equals the counts
   // and every cached agent state encodes to its agent's code; the
-  // active-weight scalars, the Fenwick trees (once the pending lazy
-  // repairs are applied, on a copy) and the occupied pool equal a fresh
-  // build from the counts. O(|Q| + n) per call, for tests; it consumes no
-  // randomness and changes nothing.
+  // active-weight scalars and the Fenwick trees (once the pending lazy
+  // repairs are applied, on a copy) equal a fresh build from the counts.
+  // O(|Q| + n) per call, for tests; it consumes no randomness and changes
+  // nothing.
   void audit() const {
     auto fail = [](const char* what) {
       throw std::logic_error(std::string("BatchSimulation audit: ") + what);
     };
     std::uint64_t total = 0;
-    std::uint32_t occupied = 0;
-    for (std::uint64_t c : counts_) {
-      total += c;
-      if (c != 0) ++occupied;
-    }
+    for (std::uint64_t c : counts_) total += c;
     if (total != population_size()) fail("counts do not sum to n");
     if (in_array_) {
       std::vector<std::uint64_t> histogram(counts_.size(), 0);
@@ -296,13 +292,6 @@ class BatchSimulation {
     BatchSimulation synced = *this;
     synced.leave_array_arm();
     synced.resync_fenwicks();
-    if (synced.pool_.built()) {
-      for (std::uint32_t code = 0; code < counts_.size(); ++code)
-        if (counts_[code] != 0 && synced.pool_.weight_of(code) != counts_[code])
-          fail("occupied pool != counts");
-      if (synced.pool_.total() != total || synced.pool_.occupied() != occupied)
-        fail("occupied pool != counts");
-    }
     WeightedSampler fresh_counts;
     fresh_counts.build(counts_);
     if (!(synced.count_sampler_ == fresh_counts))
@@ -339,13 +328,6 @@ class BatchSimulation {
       throw std::invalid_argument("counts must sum to population size");
     count_sampler_.build(counts_);
     if constexpr (StructuredProtocol<P>) kernel_.build(protocol_, counts_);
-    // The occupied pool costs one O(|Q|) scan to build and O(log segments)
-    // per count change to maintain; it pays only where the array arm can
-    // run (kAuto, structured protocol) and n reaches the controller's pool
-    // floor. Elsewhere the array arm enters from a scan of counts_.
-    if (StructuredProtocol<P> && strategy_ == BatchStrategy::kAuto &&
-        population_size() >= StrategyController::kAutoPoolMinPopulation)
-      pool_.build(counts_);
   }
 
   static std::vector<std::uint64_t> counts_of(const P& protocol,
@@ -375,7 +357,7 @@ class BatchSimulation {
   }
 
   // Eager count change: counts, the full-|Q| count tree, the structure
-  // kernel's trees and scalars, and the occupied pool all move together.
+  // kernel's trees and scalars all move together.
   // Used by every individually-simulated interaction.
   void apply_count_delta(std::uint32_t s, std::int64_t delta) {
     const std::uint64_t old_count = counts_[s];
@@ -385,7 +367,6 @@ class BatchSimulation {
     if constexpr (StructuredProtocol<P>)
       kernel_.on_count_change(protocol_, s, protocol_.decode(s), old_count,
                               counts_[s], /*lazy=*/false);
-    if (pool_.built()) pool_.apply_delta(s, delta);
     last_deltas_.push_back(CountDelta{s, static_cast<std::int32_t>(delta)});
   }
 
@@ -523,7 +504,7 @@ class BatchSimulation {
   // scalars and the agent state cache current,
   // records the move for last_deltas(), and shows the change to obs with
   // interactions() at `now`. Returns obs's stop request. The Fenwick trees
-  // and the occupied pool are left stale until leave_array_arm().
+  // are left stale until leave_array_arm().
   template <class Observer>
   [[gnu::always_inline]] bool move_agent(std::uint32_t i, std::uint32_t code,
                                          const State& to, std::uint64_t now,
@@ -556,23 +537,15 @@ class BatchSimulation {
   // Lays the agents out from the counts in code order, each with its
   // decoded state (one decode per occupied code). The scheduler is
   // anonymous, so any fixed layout is exact, and this one consumes no
-  // randomness. Occupied codes come from the pool when it is built
-  // (O(occupied log occupied)), from a scan of counts_ otherwise; the
-  // entry histogram is kept for leave_array_arm()'s repair.
+  // randomness. Occupied codes come from one O(|Q|) scan of counts_, the
+  // order of the count engine's own set-up; the entry histogram is kept for
+  // leave_array_arm()'s repair.
   void enter_array_arm() {
     if (in_array_) return;
     array_entry_.clear();
-    if (pool_.built()) {
-      std::vector<std::uint32_t> codes;
-      pool_.occupied_codes(codes);
-      std::sort(codes.begin(), codes.end());
-      for (std::uint32_t code : codes)
+    for (std::uint32_t code = 0; code < counts_.size(); ++code)
+      if (counts_[code] != 0)
         array_entry_.push_back(CodeCount{code, counts_[code]});
-    } else {
-      for (std::uint32_t code = 0; code < counts_.size(); ++code)
-        if (counts_[code] != 0)
-          array_entry_.push_back(CodeCount{code, counts_[code]});
-    }
     agents_.clear();
     agents_.reserve(population_size());
     for (const CodeCount& e : array_entry_)
@@ -583,9 +556,9 @@ class BatchSimulation {
 
   // Repairs what the array arm left stale, once: every code whose count
   // moved since entry (the entry histogram plus the codes the agents hold
-  // now) is applied to the occupied pool and handed to the dirty-code
-  // resync, which repairs the Fenwick trees before the next geometric
-  // step. O(n + occupied at entry) hash operations.
+  // now) is handed to the dirty-code resync, which repairs the Fenwick
+  // trees before the next geometric step. O(n + occupied at entry) hash
+  // operations.
   void leave_array_arm() {
     if (!in_array_) return;
     array_diff_.clear();
@@ -596,9 +569,6 @@ class BatchSimulation {
       const auto code = static_cast<std::uint32_t>(array_diff_.key_at(slot));
       const std::uint64_t entry = array_diff_.value_at(slot);
       if (counts_[code] == entry) continue;
-      if (pool_.built())
-        pool_.apply_delta(code, static_cast<std::int64_t>(counts_[code]) -
-                                    static_cast<std::int64_t>(entry));
       dirty_codes_.find_or_insert(code, entry);  // first old value wins
       fenwicks_dirty_ = true;
     }
@@ -748,8 +718,6 @@ class BatchSimulation {
   std::vector<std::uint64_t> counts_;
   WeightedSampler count_sampler_;      // weight m_q: scheduler draws
   [[no_unique_address]] StructureKernel<P> kernel_;  // structured P only
-  SegmentedPool pool_;  // occupied codes; built only where the array arm
-                        // may run at n >= kAutoPoolMinPopulation
   Rng rng_;
   BatchStrategy strategy_ = BatchStrategy::kGeometricSkip;
   std::uint64_t interactions_ = 0;

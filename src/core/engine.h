@@ -169,12 +169,6 @@ struct StrategyController {
   // (most interactions are null: jump them).
   static constexpr std::uint64_t kSkipDensityDivisor = 16;
 
-  // The occupied pool's floor: a structured protocol under `auto` builds
-  // the count engine's occupied-code pool only at n >= this, where it lets
-  // the array arm enter in O(occupied log occupied) instead of one O(|Q|)
-  // scan of the counts.
-  static constexpr std::uint64_t kAutoPoolMinPopulation = 4096;
-
   // step_strategy's threshold for one population, as an exact integer
   // (computed once per engine, then compared against the live active
   // weight with no floating point):
@@ -198,23 +192,21 @@ struct StrategyController {
   }
 
   // The same decision for a protocol with an exact structured active
-  // weight W at the start. A start with few effective pairs (density below
-  // 1 / kSkipDensityDivisor, e.g. Silent-n-state-SSR from uniform-random
-  // states) spends its run in null stretches that only the count engine's
-  // geometric skip can jump, so it stays on the count engine however many
-  // codes it occupies. A dense start of a passive-structured protocol
-  // (`passive`: keyed or unkeyed) goes to the agent array however few codes
-  // it occupies: the count engine would run its dense rounds on the array
-  // arm, the same uniform walk plus count upkeep, and measured slower end
-  // to end on every such cell (README.md, "Occupancy regimes and strategy
-  // selection"). A diagonal protocol's dense start (few ranks, each shared
-  // by many agents) thins within a few rounds into Theta(n^2)-time null
-  // stretches, so it goes to the agent array only with a dense occupancy.
+  // weight W at the start: a start with many occupied codes but few
+  // effective pairs (density below 1 / kSkipDensityDivisor, e.g.
+  // Silent-n-state-SSR from uniform-random states) spends its run in null
+  // stretches that only the count engine's geometric skip can jump, so it
+  // stays on the count engine. A start dense in pairs but not in codes
+  // stays there too: it may thin into long null stretches within a few
+  // rounds (sublinear-*-count duplicate-names, whose detection wait the
+  // skip jumps and the agent array would walk slot by slot), and where it
+  // stays dense the count engine's array arm runs it.
   static StrategyArm engine_arm(std::uint64_t n, std::uint64_t occupancy,
-                                std::uint64_t active_weight, bool passive) {
-    if (n < kDenseArrayMinPopulation || active_weight < dense_weight(n))
-      return StrategyArm::kGeometricSkip;
-    return passive ? StrategyArm::kArray : engine_arm(n, occupancy);
+                                std::uint64_t active_weight) {
+    if (engine_arm(n, occupancy) == StrategyArm::kArray &&
+        active_weight >= dense_weight(n))
+      return StrategyArm::kArray;
+    return StrategyArm::kGeometricSkip;
   }
 
   // Per-step count-engine choice for protocols with an exact structured

@@ -179,8 +179,8 @@ RunOptions optimal_silent_opts(std::uint32_t n) {
 
 // kAuto must be a pure function of (configuration, seed): two runs with the
 // same seed are bit-identical in interactions, parallel time, counts and
-// the per-arm trace. n is above the pool floor and the run starts
-// timer-heavy, so auto enters the array arm from the occupied pool here.
+// the per-arm trace. The run starts timer-heavy, so auto enters the array
+// arm here.
 TEST(StrategyEquivalence, AutoIsBitStableForFixedSeed) {
   const std::uint32_t n = 20'000;
   const auto params = OptimalSilentParams::standard(n);
@@ -209,7 +209,7 @@ TEST(StrategyEquivalence, AutoIsBitStableForFixedSeed) {
   EXPECT_NO_THROW(a.audit());
 }
 
-// The auto rule's two verdicts, above and below the pool floor:
+// The auto rule's two verdicts, at n = 20000 and n = 256:
 // silent-heavy configurations resolve to the geometric skip, timer-heavy
 // (dense) ones to the array arm.
 TEST(StrategyEquivalence, AutoResolvesFromDensityAndScale) {
@@ -243,21 +243,22 @@ TEST(StrategyEquivalence, AutoResolvesFromDensityAndScale) {
 }
 
 // The whole-run probe (engine=auto, strategy=auto): from n = 4096 on, a
-// start dense in effective pairs goes to the agent array when its null
-// structure is passive, however few codes it occupies; a diagonal one also
-// needs a dense occupancy, since its dense starts (every agent at one
-// rank) thin into null stretches that only the count engine's skip jumps.
-// Below n = 4096 every start stays on the count engine.
-TEST(StrategyEquivalence, ProbeRoutesDenseStartsByStructure) {
+// start goes to the agent array only when it is dense in occupied codes
+// (occ * 8 >= n) and, for a structured protocol, in effective pairs too.
+// A start dense in pairs but occupying few codes stays on the count
+// engine: sublinear-*-count duplicate-names thins within a few rounds into
+// a detection wait that only the geometric skip jumps. Below n = 4096 every
+// start stays on the count engine.
+TEST(StrategyEquivalence, ProbeRoutesOnlyDenseOccupancyToTheArray) {
   using SC = StrategyController;
   const std::uint64_t n = SC::kDenseArrayMinPopulation;
   const std::uint64_t dense = SC::dense_weight(n);
-  EXPECT_EQ(SC::engine_arm(n, 2, dense, true), StrategyArm::kArray);
-  EXPECT_EQ(SC::engine_arm(n, n, dense - 1, true), StrategyArm::kGeometricSkip);
-  EXPECT_EQ(SC::engine_arm(n, 1, n * (n - 1), false),
-            StrategyArm::kGeometricSkip);
-  EXPECT_EQ(SC::engine_arm(n, n / 8, dense, false), StrategyArm::kArray);
-  EXPECT_EQ(SC::engine_arm(n - 1, n - 1, (n - 1) * (n - 2), true),
+  EXPECT_EQ(SC::engine_arm(n, 2, n * (n - 1)), StrategyArm::kGeometricSkip);
+  EXPECT_EQ(SC::engine_arm(n, n, dense - 1), StrategyArm::kGeometricSkip);
+  EXPECT_EQ(SC::engine_arm(n, n / 8 - 1, dense), StrategyArm::kGeometricSkip);
+  EXPECT_EQ(SC::engine_arm(n, n / 8, dense), StrategyArm::kArray);
+  EXPECT_EQ(SC::engine_arm(n, n / 8), StrategyArm::kArray);
+  EXPECT_EQ(SC::engine_arm(n - 1, n - 1, (n - 1) * (n - 2)),
             StrategyArm::kGeometricSkip);
   auto backend = [n](const char* protocol, const char* init) {
     ScenarioSpec spec;
@@ -271,10 +272,15 @@ TEST(StrategyEquivalence, ProbeRoutesDenseStartsByStructure) {
     EXPECT_EQ(r.engine_arm, r.backend) << protocol << " " << init;
     return r.backend;
   };
-  EXPECT_EQ(backend("optimal-silent", "dormant-mix"), "array");
-  EXPECT_EQ(backend("reset-process", "mid-reset-mix"), "array");
-  EXPECT_EQ(backend("silent-nstate", "all-same"), "batch");
+  EXPECT_EQ(backend("optimal-silent", "uniform-random"), "array");
+  EXPECT_EQ(backend("optimal-silent", "dormant-mix"), "batch");
   EXPECT_EQ(backend("optimal-silent", "duplicate-rank"), "batch");
+  EXPECT_EQ(backend("reset-process", "mid-reset-mix"), "batch");
+  EXPECT_EQ(backend("silent-nstate", "all-same"), "batch");
+  EXPECT_EQ(backend("silent-nstate", "uniform-random"), "batch");
+  for (const char* protocol : {"sublinear-hlog-count", "sublinear-h1-count"})
+    for (const char* init : {"duplicate-names", "mid-reset"})
+      EXPECT_EQ(backend(protocol, init), "batch") << protocol << " " << init;
 }
 
 // The controller's integer threshold gives the floating-point rule's
@@ -354,8 +360,8 @@ int audit_each_step(BatchSimulation<P>& sim, int steps, int pin_every) {
 
 // The array arm keeps the count-engine contract while it drives: after
 // every step the counts sum to n, the agent array's histogram equals the
-// counts, and the active-weight scalars, the Fenwick trees (repaired on
-// leaving the arm) and the occupied pool equal a fresh build. One engine
+// counts, and the active-weight scalars and the Fenwick trees (repaired on
+// leaving the arm) equal a fresh build. One engine
 // per structure kernel: keyed, unkeyed and diagonal.
 TEST(ArrayArm, InvariantsHoldAcrossArmSwitches) {
   {
@@ -371,10 +377,10 @@ TEST(ArrayArm, InvariantsHoldAcrossArmSwitches) {
     EXPECT_GE(audit_each_step(sim, 4000, 250), 8);
   }
   {
-    // At the pool floor: the Resetting debris drains on the array arm, and
-    // the pinning cycle forces exits and re-entries, so the pool repair on
-    // leaving the arm and the entry from the pool are exercised too (left
-    // to the controller alone the first exit comes ~10^5 steps in).
+    // n = 4096: the Resetting debris drains on the array arm, and the
+    // pinning cycle forces exits and re-entries, so the repair on leaving
+    // the arm and the re-entry scan are exercised at scale too (left to
+    // the controller alone the first exit comes ~10^5 steps in).
     const ResetProcess proto(4096, 12, 40);
     const auto& inits = reset_process_inits();
     BatchSimulation<ResetProcess> sim(
@@ -543,9 +549,8 @@ std::string burst_cell_name(const char* protocol, const char* init,
 }
 
 // Optimal-Silent-SSR from its two dense starts. n = 512 and 1000 run to
-// stabilization. n = 4096 sits at the pool floor, so the array arm enters
-// from the occupied pool; it runs to a fixed horizon (a full run is tens
-// of seconds), which also covers the horizon stop.
+// stabilization. n = 4096 runs to a fixed horizon (a full run is tens of
+// seconds), which also covers the horizon stop.
 TEST(BurstBitIdentity, OptimalSilentMatchesPlainSteps) {
   const auto& inits = optimal_silent_inits();
   for (const char* init : {"uniform-random", "dormant-mix"}) {

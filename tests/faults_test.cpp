@@ -452,7 +452,7 @@ TEST(FaultHeld, FaultFreeSilentRunHoldsForeverAndFails) {
 
 // --- The count engine's array arm under faults ------------------------------
 //
-// Below the pool floor, strategy=auto runs optimal-silent's dense reset and
+// At n < 4096, strategy=auto runs optimal-silent's dense reset and
 // timer rounds on the count engine's agent-code array, which draws the
 // fault law per slot: under each knob one ranked run from a uniform-random
 // start must reach the arm and finish, at each size. That its law matches
