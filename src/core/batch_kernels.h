@@ -358,13 +358,9 @@ class DiagonalKernel {
     return active_weights(n, 0, total_);
   }
 
-  // Pinned inline, as in every structure kernel: the array arm's per-change
-  // path (BatchSimulation::move_agent) calls it twice per agent move.
-  [[gnu::always_inline]] void on_count_change(const P&, std::uint32_t code,
-                                              const State&,
-                                              std::uint64_t old_count,
-                                              std::uint64_t new_count,
-                                              bool lazy) {
+  void on_count_change(const P&, std::uint32_t code, const State&,
+                       std::uint64_t old_count, std::uint64_t new_count,
+                       bool lazy) {
     if (!active_[code]) return;
     const std::int64_t dw = pair_weight_change(old_count, new_count);
     total_ = add_signed(total_, dw);
@@ -437,12 +433,9 @@ class KeyedPassiveKernel {
     return active_weights(n, restless_count_, diag_total_);
   }
 
-  [[gnu::always_inline]] void on_count_change(const P& protocol,
-                                              std::uint32_t code,
-                                              const State& st,
-                                              std::uint64_t old_count,
-                                              std::uint64_t new_count,
-                                              bool lazy) {
+  void on_count_change(const P& protocol, std::uint32_t code,
+                       const State& st, std::uint64_t old_count,
+                       std::uint64_t new_count, bool lazy) {
     const std::int64_t delta = static_cast<std::int64_t>(new_count) -
                                static_cast<std::int64_t>(old_count);
     if (protocol.is_passive(st)) {
@@ -586,12 +579,9 @@ class UnkeyedPassiveKernel {
     return active_weights(n, restless_count_, 0);
   }
 
-  [[gnu::always_inline]] void on_count_change(const P& protocol,
-                                              std::uint32_t code,
-                                              const State& st,
-                                              std::uint64_t old_count,
-                                              std::uint64_t new_count,
-                                              bool lazy) {
+  void on_count_change(const P& protocol, std::uint32_t code,
+                       const State& st, std::uint64_t old_count,
+                       std::uint64_t new_count, bool lazy) {
     if (protocol.is_passive(st)) return;
     const std::int64_t delta = static_cast<std::int64_t>(new_count) -
                                static_cast<std::int64_t>(old_count);

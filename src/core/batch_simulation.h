@@ -427,8 +427,16 @@ class BatchSimulation {
   // slots consumed; last_deltas() reports the final slot's changes. The
   // stats count the burst as the one-change steps it replays: one
   // effective slot per change (or per changeless n-slot run).
+  //
+  // The per-step functions of both count engines (this one,
+  // step_structured, step_general, RingSimulation::step) are flattened:
+  // GCC inlines their whole call tree (interact, encode, Rng::below,
+  // sample_geometric, the kernel, obs) whatever the translation unit's
+  // inlining budget, which in ppsle_run's one large unit otherwise
+  // outlines those callees. codegen.HotHelpersInline checks the built
+  // binary for out-of-line calls from them.
   template <class Observer>
-  std::uint64_t step_array(Observer& obs)
+  [[gnu::flatten]] std::uint64_t step_array(Observer& obs)
     requires StructuredProtocol<P>
   {
     enter_array_arm();
@@ -506,9 +514,8 @@ class BatchSimulation {
   // interactions() at `now`. Returns obs's stop request. The Fenwick trees
   // are left stale until leave_array_arm().
   template <class Observer>
-  [[gnu::always_inline]] bool move_agent(std::uint32_t i, std::uint32_t code,
-                                         const State& to, std::uint64_t now,
-                                         Observer& obs) {
+  bool move_agent(std::uint32_t i, std::uint32_t code, const State& to,
+                  std::uint64_t now, Observer& obs) {
     Agent& agent = agents_[i];
     slot_move_[slot_moves_++] = CodeMove{agent.code, code};
     array_count_delta(agent.code, agent.state, -1);
@@ -520,13 +527,10 @@ class BatchSimulation {
     return stop;
   }
 
-  // Pinned inline, like move_agent above and the structure kernels'
-  // on_count_change: with every stop and run() bursting, step_array has
-  // enough instantiations that GCC 12's unit-growth limit outlines these
-  // otherwise, which slows the array arm's per-change path.
-  [[gnu::always_inline]] void array_count_delta(std::uint32_t code,
-                                                const State& st,
-                                                std::int32_t delta) {
+  // One agent's count change on the array arm: counts_ and the kernel's
+  // active-weight scalars, lazily (the Fenwick trees stay stale).
+  void array_count_delta(std::uint32_t code, const State& st,
+                         std::int32_t delta) {
     const std::uint64_t old_count = counts_[code];
     counts_[code] = static_cast<std::uint64_t>(
         static_cast<std::int64_t>(old_count) + delta);
@@ -655,7 +659,7 @@ class BatchSimulation {
   // kernel. A candidate may still turn out null (an unkeyed protocol's
   // restless pairs need not all change); that costs one simulated
   // interaction, not a missed skip.
-  std::uint64_t step_structured() {
+  [[gnu::flatten]] std::uint64_t step_structured() {
     const std::uint64_t n = population_size();
     const ActiveWeights w = kernel_.weights(n);
     return geometric_step(w.total, [&] {
@@ -669,7 +673,7 @@ class BatchSimulation {
   // can certify the pair null, batch the whole run of consecutive
   // identical draws (Geometric in the pair's own probability) and then
   // redraw conditioned on "not that pair again" by rejection.
-  std::uint64_t step_general() {
+  [[gnu::flatten]] std::uint64_t step_general() {
     const std::uint64_t n = population_size();
     const auto [a, b] = sample_ordered_state_pair(rng_, count_sampler_, n);
 

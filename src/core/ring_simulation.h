@@ -135,8 +135,9 @@ class RingSimulation {
 
   // Advances past the next changeful slot (the skipped null stretch counts
   // as real interactions). Returns slots consumed, 0 iff provably stuck:
-  // zero active edges and no churn to revive them.
-  std::uint64_t step() {
+  // zero active edges and no churn to revive them. Flattened, like the
+  // batch engine's steps (see BatchSimulation::step_array).
+  [[gnu::flatten]] std::uint64_t step() {
     last_deltas_.clear();
     const bool churn_on = crash_q_ > 0.0;
     double p = static_cast<double>(active_.size()) / static_cast<double>(n_);
@@ -222,11 +223,8 @@ class RingSimulation {
     }
   }
 
-  // Re-probes edge e and moves it into or out of A. Always inlined: it
-  // sits on every changed position's path, and GCC's unit-wide inlining
-  // budget otherwise decides it from the size of the whole translation
-  // unit.
-  [[gnu::always_inline]] void refresh_edge(std::uint32_t e) {
+  // Re-probes edge e and moves it into or out of A.
+  void refresh_edge(std::uint32_t e) {
     const bool on = edge_active(e);
     const std::uint32_t s = slot_[e];
     if (on == (s != kInactive)) return;
