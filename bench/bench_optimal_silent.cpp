@@ -202,98 +202,6 @@ void experiment_dense_cliff(const BenchScale& scale, BenchReport& report) {
                "with engine=auto at n = 1e6)\n";
 }
 
-// ISSUE 7 acceptance leg: the approximate tau tier. Two cells:
-//
-//   * Matched 0.25-ptime window at n = 1e6 (dormant-mix): strategy=tau vs
-//     the best exact batch strategy over the SAME fixed interaction budget.
-//     Acceptance is tau >= 10x faster; the ratio is recorded as
-//     `tau_speedup` on the tau record. Every tau record is stamped
-//     approximate + tau_eps by report_scenario, which is what keeps it out
-//     of bench_compare's strict drift gate.
-//   * Full drain to certified silence at moderate n — the tau engine's
-//     silent() is exact (structured active weight == 0), so until=silent
-//     terminates on a real certificate, not a heuristic.
-//
-// Why the silence cell is NOT run at n = 1e6: the dormant conveyor forces
-// ~Dmax = 8n parallel time (every agent counts its own timer down), i.e.
-// ~8e12 scheduler interactions at n = 1e6. The tau engine compresses that
-// into >= ptime / kMaxLeapPtime ~ 125k macro-leaps — wall clock bounded by
-// leap count rather than interactions, minutes instead of centuries, but
-// still far too slow for a bench cell; the window cell above measures the
-// same regime at bench-friendly cost, and the printed note keeps the bound
-// honest.
-void experiment_tau_tier(const BenchScale& scale, BenchReport& report) {
-  const std::uint32_t n = 1'000'000;
-  const double window = 0.25;
-  const std::uint32_t trials = scale.smoke ? 1 : 3;
-  std::cout << "\n== ISSUE 7: approximate tau tier (dormant-mix window, n = "
-            << n << ", ptime " << window << ", " << trials
-            << " trial(s) per cell) ==\n";
-  auto run_window = [&](const char* strategy) {
-    ScenarioSpec spec;
-    spec.protocol = "optimal-silent";
-    spec.init = "dormant-mix";
-    spec.engine = "batch";
-    spec.strategy = strategy;
-    spec.until = "ptime";
-    spec.horizon_ptime = window;
-    spec.n = n;
-    spec.trials = trials;
-    spec.seed = 7100;
-    spec.threads = scale.threads;
-    return run_scenario(spec);
-  };
-  Table t({"strategy", "run s (mean)", "approximate", "speedup vs best exact"});
-  double best_exact = 0.0;
-  std::string best_name;
-  for (const char* strategy : {"geometric_skip", "auto"}) {
-    const ScenarioResult r = run_window(strategy);
-    report_scenario(report, "tau_window", r);
-    t.add_row({strategy, fmt(r.summary.mean, 5), "no", "-"});
-    if (best_name.empty() || r.summary.mean < best_exact) {
-      best_exact = r.summary.mean;
-      best_name = strategy;
-    }
-  }
-  const ScenarioResult tau = run_window("tau");
-  const double tau_speedup =
-      tau.summary.mean > 0 ? best_exact / tau.summary.mean : 0.0;
-  report_scenario(report, "tau_window", tau).set("tau_speedup", tau_speedup);
-  t.add_row({"tau", fmt(tau.summary.mean, 5), "YES", fmt(tau_speedup, 1)});
-  t.print();
-  std::cout << (tau_speedup >= 10.0 ? "PASS" : "FAIL") << ": tau is "
-            << fmt(tau_speedup, 1) << "x the best exact strategy ("
-            << best_name << ") over the same " << window
-            << "-ptime window (acceptance: >= 10x at n = 1e6)\n";
-
-  // Full drain to certified silence: tau reaches the until=silent
-  // certificate at moderate n (exact-comparable sizes; the CI-overlap
-  // harness in tests/approx_error_test.cpp checks the distribution).
-  const std::uint32_t sn = scale.smoke ? 256 : (scale.full ? 2048 : 512);
-  ScenarioSpec spec;
-  spec.protocol = "optimal-silent";
-  spec.init = "dormant-mix";
-  spec.engine = "batch";
-  spec.strategy = "tau";
-  spec.until = "silent";
-  spec.n = sn;
-  spec.trials = scale.trials(sn <= 512 ? 10 : 4);
-  spec.seed = 7200;
-  spec.threads = scale.threads;
-  const ScenarioResult drain = run_scenario(spec);
-  report_scenario(report, "tau_silence", drain);
-  std::cout << "tau to certified silence at n = " << sn << ": "
-            << fmt(drain.summary.mean, 1) << " +- "
-            << fmt(drain.summary.ci95, 1) << " parallel time over "
-            << drain.trials << " trials (approximate: "
-            << (drain.approximate ? "yes" : "NO (BUG)")
-            << ", eps = " << drain.tau_eps << ")\n"
-            << "note: n = 1e6 silence sits behind the dormant conveyor "
-               "(~8n parallel time, ~8e12 interactions; tau covers it in "
-               "~1.25e5 macro-leaps) — measured here through the window "
-               "cell instead\n";
-}
-
 // Lemma 4.2: probability that an awakening configuration has one leader.
 void experiment_awakening_leader(const BenchScale& scale,
                                  BenchReport& report) {
@@ -358,7 +266,6 @@ int main(int argc, char** argv) {
                "(Table 1 row 2) ===\n";
   ppsim::experiment_stabilization(scale, report);
   ppsim::experiment_dense_cliff(scale, report);
-  ppsim::experiment_tau_tier(scale, report);
   ppsim::experiment_tree_ranking(scale, report);
   ppsim::experiment_awakening_leader(scale, report);
   const std::string path = report.write();

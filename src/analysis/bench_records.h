@@ -3,27 +3,19 @@
 // bench_compare CLI and the unit tests that pin its semantics.
 //
 // Records are matched by identity key (bench, experiment, backend,
-// strategy, n, mode, approximate, tau_eps, abstracted — plus an occurrence
-// index for repeated keys); everything else is measurement. The
-// `approximate`, `tau_eps`, and `abstracted` fields are part of the
-// *identity*, not the measurement: a record produced by the approximate
-// tier (strategy=tau, stamped "approximate": true by the scenario API)
-// or by an abstracted protocol (a count-form quotient, stamped
-// "abstracted": true) is a different experiment class from an
-// exact record of the same shape, so the two never silently compare
-// against each other when a bench cell migrates between tiers.
+// strategy, n, mode, abstracted — plus an occurrence index for repeated
+// keys); everything else is measurement. The `abstracted` field is part of
+// the *identity*, not the measurement: a record produced by an abstracted
+// protocol (a count-form quotient, stamped "abstracted": true by the
+// scenario API) is a different experiment class from a concrete record of
+// the same shape, so the two never silently compare against each other.
 //
-// Approximate records are additionally exempt from --strict drift checks:
+// Abstracted records are additionally exempt from --strict drift checks:
 // strictness asserts that same code + same seeds reproduce the
-// deterministic fields bit-for-bit (see strict_field()), which is a
-// contract only the exact engines make. Approximate results are pure
-// functions of (seed, tau_eps) *for a fixed engine version*, but the whole
-// point of the tier is that the engine may legitimately re-tune its leap
-// controller between commits — so approximate cells are gated on wall time
-// only, and drift in their sampled values is never a CI failure.
-// Abstracted records get the same exemption for the same reason: the
-// quotient (bucket boundaries, witness truncation) may legitimately be
-// re-tuned between commits, so their sampled values are wall-gated only.
+// deterministic fields bit-for-bit (see strict_field()). The quotient
+// (bucket boundaries, witness truncation) may legitimately be re-tuned
+// between commits, so abstracted cells are gated on wall time only, and
+// drift in their sampled values is never a CI failure.
 //
 // Faulted records (fault injection: "faulted": true + the fault_drop /
 // fault_oneway / fault_churn knobs) join the identity the same way — a
@@ -56,15 +48,11 @@
 namespace ppsim::benchcmp {
 
 struct Record {
-  // Identity: bench|experiment|backend|strategy|n|mode|approximate|tau_eps|
-  //           abstracted|faulted|fault_drop|fault_oneway|fault_churn|#i
+  // Identity: bench|experiment|backend|strategy|n|mode|abstracted|faulted|
+  //           fault_drop|fault_oneway|fault_churn|topology|#i
   std::string key;
   std::map<std::string, double> metrics;  // numeric + boolean fields (0/1)
 
-  bool approximate() const {
-    const auto it = metrics.find("approximate");
-    return it != metrics.end() && it->second != 0.0;
-  }
   bool abstracted() const {
     const auto it = metrics.find("abstracted");
     return it != metrics.end() && it->second != 0.0;
@@ -125,9 +113,9 @@ inline bool load_dir(const std::string& dir,
       if (r.kind != JsonValue::Kind::kObject) continue;
       std::string key = bench->str;
       for (const char* field : {"experiment", "backend", "strategy", "n",
-                                "mode", "approximate", "tau_eps",
-                                "abstracted", "faulted", "fault_drop",
-                                "fault_oneway", "fault_churn", "topology"}) {
+                                "mode", "abstracted", "faulted",
+                                "fault_drop", "fault_oneway", "fault_churn",
+                                "topology"}) {
         key.push_back('|');
         key.append(identity_field(r, field));
       }
@@ -173,7 +161,6 @@ struct CompareStats {
   int regressions = 0;
   int improvements = 0;
   int drift = 0;
-  int approx_exempt = 0;      // approximate records --strict skipped over
   int abstracted_exempt = 0;  // abstracted records --strict skipped over
   int missing = 0;            // baseline-only records
   int added = 0;          // candidate-only records
@@ -182,7 +169,7 @@ struct CompareStats {
 
 // Diffs candidate against baseline: wall-clock gating for every matched
 // pair, strict drift for exact records only (see the header comment for
-// why approximate records are exempt). Findings are printed to `out`.
+// why abstracted records are exempt). Findings are printed to `out`.
 inline CompareStats compare(const std::map<std::string, Record>& base,
                             const std::map<std::string, Record>& cand,
                             const CompareOptions& opts,
@@ -224,10 +211,6 @@ inline CompareStats compare(const std::map<std::string, Record>& base,
       }
     }
     if (opts.strict) {
-      if (b.approximate() || c.approximate()) {
-        ++stats.approx_exempt;
-        continue;
-      }
       if (b.abstracted() || c.abstracted()) {
         ++stats.abstracted_exempt;
         continue;

@@ -414,8 +414,8 @@ void maybe_verify_silent(const E& engine, const RunOptions& opts,
 
 // Predicate front end: runs until done(engine) holds, checking it before
 // the first interaction and after every step (every interaction on the
-// agent array, every configuration change on a count engine — a tau leap
-// at its end). `done` must be O(1). Returns
+// agent array, every configuration change on a count engine). `done` must
+// be O(1). Returns
 // true iff it fired within `max_interactions`.
 template <class E, class Done>
 bool run_until(E& sim, Done done, std::uint64_t max_interactions) {

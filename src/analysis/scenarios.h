@@ -40,8 +40,8 @@
 //
 // Engine resolution happens once, in resolve() (core/registry.h):
 // engine=array runs the agent array; engine=batch a count engine
-// (BatchSimulation, TauLeapSimulation under strategy=tau, RingSimulation on
-// topology=ring) and is a hard error where none can run; engine=auto is
+// (BatchSimulation on the complete graph, RingSimulation on topology=ring)
+// and is a hard error where none can run; engine=auto is
 // batch where batch can run and the agent array elsewhere (other graphs
 // demote to it), except that with strategy=auto on the complete graph
 // drive()'s occupancy probe decides: StrategyController::engine_arm reads
@@ -52,19 +52,12 @@
 // fan-out (for_each_trial in analysis/experiments.h), so results are
 // bit-identical for any thread count.
 //
-// APPROXIMATE tier (opt-in, never auto-chosen):
-//   strategy = "tau" (+ tau.eps=E) runs trials on the tau-leaping count
-//   engine (core/tau_leap_simulation.h) — exact only in the small-leap
-//   limit. It stamps ScenarioResult.approximate = true + the resolved
-//   tau_eps; bench_compare exempts such records from strict drift checks
-//   against exact baselines.
-//
 // ABSTRACTED protocols: the sublinear-*-count entries run the truncated
 // count-form quotient of Sublinear-Time-SSR (protocols/sublinear_count.h)
 // rather than the concrete protocol, so every record they produce is
 // stamped ScenarioResult.abstracted = true regardless of engine —
-// bench_compare exempts abstracted records from strict drift the same way
-// it exempts approximate ones. The trunc.depth param (0 | 1, default 1)
+// bench_compare exempts abstracted records from strict drift checks
+// against exact baselines. The trunc.depth param (0 | 1, default 1)
 // selects the history-tree truncation depth.
 #pragma once
 
@@ -86,7 +79,6 @@
 #include "core/registry.h"
 #include "core/ring_simulation.h"
 #include "core/simulation.h"
-#include "core/tau_leap_simulation.h"
 #include "core/topology.h"
 #include "init/epidemic_init.h"
 #include "init/obs25_init.h"
@@ -127,15 +119,6 @@ std::uint32_t factor_constant(ParamReader& params, const std::string& name,
   return static_cast<std::uint32_t>(constant);
 }
 
-// Compile-time gate for the tau-leaping engine: deterministic transitions
-// (bulk application replays the cache), passive-structured null knowledge
-// (category enumeration), and — when observable — scalable counters.
-template <class P>
-inline constexpr bool kTauCapable =
-    EnumerableProtocol<P> && DeterministicProtocol<P> &&
-    (KeyedPassiveProtocol<P> || UnkeyedPassiveProtocol<P>) &&
-    (!ObservableProtocol<P> || ScalableCounters<ProtocolCounters<P>>);
-
 // A registry entry whose engine capabilities come from the protocol type:
 // resolve() picks engines from these flags and drive() compiles the same
 // engines from the same concepts, so the two cannot disagree.
@@ -144,7 +127,6 @@ ProtocolEntry entry_for() {
   ProtocolEntry e;
   e.batch_capable = EnumerableProtocol<P>;
   e.ring_capable = RingCompressibleProtocol<P>;
-  e.tau_capable = kTauCapable<P>;
   return e;
 }
 
@@ -221,13 +203,6 @@ ScenarioResult drive(const ScenarioPlan& plan, const P& proto,
                               engine_seed, plan.faults);
         record(sim);
       }
-    } else if (engine == Engine::kTau) {
-      if constexpr (kTauCapable<P>) {
-        TauLeapSimulation<P> sim(proto,
-                                 inits.counts(proto, plan.init, init_seed),
-                                 engine_seed, plan.tau_eps);
-        record(sim);
-      }
     } else if (engine == Engine::kBatch) {
       if constexpr (EnumerableProtocol<P>) {
         BatchSimulation<P> sim(proto,
@@ -265,8 +240,6 @@ ScenarioResult drive(const ScenarioPlan& plan, const P& proto,
     inter_sum += static_cast<double>(i);
   out.interactions_mean = inter_sum / static_cast<double>(trials);
   out.wall_seconds = total.seconds();
-  out.approximate = engine == Engine::kTau;
-  out.tau_eps = plan.tau_eps;
   out.faulted = faulted;
   if (faulted) out.faults = plan.faults;
   return out;
@@ -567,7 +540,7 @@ inline void register_sublinear_entry(ProtocolRegistry& reg,
 
 // One count-form entry (protocols/sublinear_count.h): the truncated
 // abstraction of the same parameter family, EnumerableProtocol and hence
-// batch/tau-capable. Every result is stamped abstracted = true —
+// batch-capable. Every result is stamped abstracted = true —
 // the protocol itself is a quotient, whatever the engine.
 inline void register_sublinear_count_entry(
     ProtocolRegistry& reg, const std::string& name,
@@ -642,7 +615,7 @@ inline void register_sublinear(ProtocolRegistry& reg) {
 }
 
 // Count-form truncated abstraction of the same rows (Table 1 rows 3-4 on
-// the batch/tau stack). The h1 variant's TH = Theta(n^{1/2}) blows
+// the count engine). The h1 variant's TH = Theta(n^{1/2}) blows
 // the witness-age axis up with n, so it stays a small-to-mid-n entry; the
 // hlog variant's TH = Theta(log n) keeps the state space ~O(log^2 n * TH)
 // and reaches n = 10^6 (bench_sublinear's count detection cells).
@@ -882,17 +855,13 @@ inline BenchRecord& report_scenario(BenchReport& report,
       .set(r.metric + "_p99", r.summary.p99)
       .set("interactions_mean", r.interactions_mean)
       .set("wall_seconds", r.wall_seconds);
-  // Approximate-tier honesty stamp (strategy=tau): consumers
+  // Abstracted-protocol honesty stamp (count-form quotients): consumers
   // (bench_compare) must never strict-diff these records' metric values
   // against exact baselines.
-  if (r.approximate)
-    rec.set("approximate", true).set("tau_eps", r.tau_eps);
-  // Abstracted-protocol honesty stamp (count-form quotients): same
-  // strict-diff exemption, orthogonal to `approximate`.
   if (r.abstracted) rec.set("abstracted", true);
   // Fault-injection honesty stamp: the knobs join the record identity
   // (a faulted cell never compares against its fault-free twin), but
-  // UNLIKE approximate/abstracted there is no strict-diff exemption —
+  // UNLIKE abstracted there is no strict-diff exemption —
   // seeded faults reproduce bit for bit.
   if (r.faulted)
     rec.set("faulted", true)

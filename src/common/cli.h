@@ -43,7 +43,7 @@ inline bool parse_thread_count(const std::string& text, std::uint32_t& out) {
 //                      PPSIM_THREADS; 0 = hardware concurrency). Never
 //                      changes results — only wall clock.
 //   --strategy=S       batching strategy for the count-based engine
-//                      (geometric_skip | auto | tau);
+//                      (geometric_skip | auto);
 //                      benches that honor it call strategy_or() and record
 //                      the choice in their BENCH_*.json metadata
 //   --fault.drop=P     fault injection (core/faults.h): interaction loss
@@ -116,7 +116,7 @@ struct BenchScale {
         BatchStrategy ignored;
         if (!parse_strategy(s.strategy_name, ignored)) {
           std::cerr << "unknown --strategy value '" << s.strategy_name
-                    << "' (want geometric_skip | auto | tau)\n";
+                    << "' (want geometric_skip | auto)\n";
           std::exit(2);
         }
       } else if (a.rfind("--fault.drop=", 0) == 0) {

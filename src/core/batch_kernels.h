@@ -7,8 +7,8 @@
 //   WeightedSampler       - Fenwick tree over per-state weights
 //                           (O(log |Q|) point update and weighted draw)
 //   FlatMap64             - open-addressing uint64 -> uint64 map used for
-//                           pair grouping, touched-multiset bookkeeping and
-//                           the per-(s1,s2) transition cache
+//                           dirty-code and dirty-key bookkeeping and the
+//                           segmented pool's slot index
 //   sample_ordered_state_pair
 //                         - the scheduler's exact ordered state-pair draw
 //   active_weights        - the structured active weight
@@ -24,9 +24,6 @@
 //                            (Optimal-Silent-SSR)
 //       UnkeyedPassiveKernel both passive => null, no key (ResetProcess,
 //                            one-way epidemics, the count-form quotients)
-//   ScalarActiveWeight    - W as scalars only (no Fenwick trees): the
-//                           tau-leaping engine's silence certification and
-//                           leap-size input
 //   occupancy_profile     - a count vector's occupied codes and W in one
 //                           pass, to classify a start before any engine
 //                           is built
@@ -35,10 +32,8 @@
 //                           256-code segments with per-segment weight
 //                           subtotals (weighted draws walk a Fenwick tree
 //                           over O(segments) subtotals plus one short
-//                           in-segment scan): the tau-leaping engine's
-//                           unit pools
-//   TransitionCache       - memoized (s1, s2) -> (s1', s2') transitions of
-//                           a deterministic protocol, for bulk application
+//                           in-segment scan); no engine caller, kept only
+//                           for perfbench's kernel timing
 #pragma once
 
 #include <algorithm>
@@ -117,7 +112,7 @@ class WeightedSampler {
   std::vector<std::uint64_t> tree_;  // 1-based internal indexing
 };
 
-// One count change applied by the last effective step (or leap):
+// One count change applied by the last effective step:
 // counts()[code] moved by delta. Lets analysis code (e.g. the generic
 // ranked-run harness) keep incremental trackers without rescanning O(|Q|)
 // counts.
@@ -127,17 +122,12 @@ struct CountDelta {
 };
 
 // Open-addressing hash map uint64 -> uint64 (linear probing, power-of-two
-// capacity, insertion-ordered iteration). The count engines' hot maps —
-// dirty codes, pair grouping, the transition cache — all live on this: no
-// per-node allocation, O(1) clear, deterministic iteration order (so every
-// consumer of the map is reproducible from the seed).
+// capacity, insertion-ordered iteration). The count engine's hot maps —
+// dirty codes and dirty keys — live on this: no per-node allocation, O(1)
+// clear, deterministic iteration order (so every consumer of the map is
+// reproducible from the seed).
 class FlatMap64 {
  public:
-  struct Entry {
-    std::uint64_t key;
-    std::uint64_t value;
-  };
-
   FlatMap64() { rehash(16); }
 
   void clear() {
@@ -157,7 +147,6 @@ class FlatMap64 {
   const std::vector<std::uint32_t>& entry_slots() const { return entries_; }
   std::uint64_t key_at(std::uint32_t slot) const { return keys_[slot]; }
   std::uint64_t value_at(std::uint32_t slot) const { return values_[slot]; }
-  std::uint64_t& value_ref(std::uint32_t slot) { return values_[slot]; }
 
   // Returns the value slot for `key`, inserting value `init` if absent;
   // sets `inserted` accordingly.
@@ -247,10 +236,6 @@ class FlatMap64 {
   std::uint32_t epoch_ = 1;
 };
 
-inline std::uint64_t pair_code_key(std::uint32_t a, std::uint32_t b) {
-  return (static_cast<std::uint64_t>(a) << 32) | b;
-}
-
 // The scheduler's exact ordered state-pair draw from a count Fenwick:
 // initiator ∝ counts, responder uniform over the other n-1 agents (the
 // same count vector with one agent in the initiator's state removed).
@@ -290,7 +275,7 @@ inline std::uint64_t add_signed(std::uint64_t x, std::int64_t d) {
 //   (3) both passive with the same key:           D = sum_k s_k (s_k - 1)
 // so W = A (m - 1) + (m - A) A + D. A diagonal protocol is the case A = 0
 // with D = sum over active q of m_q (m_q - 1); an unkeyed one has D = 0.
-// The kernels, ScalarActiveWeight and occupancy_profile all compute W here.
+// The kernels and occupancy_profile both compute W here.
 struct ActiveWeights {
   std::uint64_t restless = 0;  // A
   std::uint64_t diag = 0;      // D
@@ -643,55 +628,6 @@ using StructureKernel = std::conditional_t<
         std::conditional_t<UnkeyedPassiveProtocol<P>, UnkeyedPassiveKernel<P>,
                            NoStructureKernel>>>;
 
-// --- Scalar active-weight tracker -------------------------------------------
-
-// Maintains a passive-structured protocol's active weight W as scalars
-// only — no Fenwick trees, no O(|Q|) arrays — in O(1) per count change and
-// O(occupied) to rebuild. The geometric-skip kernels above also need to
-// *sample* the active pair, which costs them Fenwick trees over the whole
-// code space; the tau-leaping engine (core/tau_leap_simulation.h) only
-// needs W and its parts for silence certification and the leap-size bound,
-// and samples active units from its own occupied pools instead. Keyed key
-// counts live in a FlatMap64 keyed by the occupied passive keys.
-template <EnumerableProtocol P>
-  requires KeyedPassiveProtocol<P> || UnkeyedPassiveProtocol<P>
-class ScalarActiveWeight {
- public:
-  // counts[code] moved old_count -> new_count.
-  void on_count_change(const P& protocol, std::uint32_t code,
-                       std::uint64_t old_count, std::uint64_t new_count) {
-    const std::int64_t d = static_cast<std::int64_t>(new_count) -
-                           static_cast<std::int64_t>(old_count);
-    if (d == 0) return;
-    const typename P::State st = protocol.decode(code);
-    if (!protocol.is_passive(st)) {
-      restless_ = add_signed(restless_, d);
-    } else if constexpr (KeyedPassiveProtocol<P>) {
-      const std::uint32_t slot =
-          key_counts_.find_or_insert(protocol.passive_key(st), 0);
-      const std::uint64_t old_kc = key_counts_.value_at(slot);
-      const std::uint64_t new_kc = add_signed(old_kc, d);
-      key_counts_.value_ref(slot) = new_kc;
-      key_diag_ = add_signed(key_diag_, pair_weight_change(old_kc, new_kc));
-    }
-  }
-
-  // W and its parts for a population of m agents holding the tracked
-  // counts.
-  ActiveWeights weights(std::uint64_t m) const {
-    return active_weights(m, restless_, key_diag_);
-  }
-  std::uint64_t total(std::uint64_t m) const { return weights(m).total; }
-
-  // Keyed only: passive key -> passive-agent count (insertion-ordered).
-  const FlatMap64& key_counts() const { return key_counts_; }
-
- private:
-  std::uint64_t restless_ = 0;  // A
-  std::uint64_t key_diag_ = 0;  // sum_k s_k (s_k - 1) (keyed)
-  FlatMap64 key_counts_;        // keyed: s_k per occupied key
-};
-
 // A count vector's occupied-code count and, for a structured protocol, its
 // active weight W (0 otherwise), in one pass over the vector: scalars plus,
 // for keyed protocols, a dense per-key count array (no Fenwick tree, no
@@ -751,6 +687,10 @@ OccupancyProfile occupancy_profile(const P& protocol,
 //
 // Slot handles remain stable between structural mutations (apply_delta /
 // build / reset); draw/remove/restore never move slots.
+//
+// SegmentedPool has no engine caller; it is kept only for perfbench's
+// kernel timing (kernel.segmented_pool_draw_ns) and goes when that
+// benchmark drops the column.
 class SegmentedPool {
  public:
   // log2 of the code span per segment. 256 codes keeps a segment's member
@@ -760,9 +700,8 @@ class SegmentedPool {
 
   bool built() const { return built_; }
 
-  // Resets to a built-but-empty pool. The tau-leaping engine loads its
-  // active-unit pool this way: O(occupied) apply_delta calls instead of an
-  // O(|Q|) dense scan.
+  // Resets to a built-but-empty pool, to be loaded by O(occupied)
+  // apply_delta calls instead of an O(|Q|) dense scan.
   void reset() {
     codes_.clear();
     weights_.clear();
@@ -781,17 +720,6 @@ class SegmentedPool {
   std::uint64_t weight_of(std::uint32_t code) const {
     const std::uint64_t* slot = slot_of_.find(code);
     return slot == nullptr ? 0 : weights_[static_cast<std::size_t>(*slot)];
-  }
-
-  // Slot of `code`, when it has one (weight may still be 0 until the next
-  // compaction). Lets callers remove_bulk() at a known code — the
-  // tau-leaping engine conditions its responder draw on the initiator unit
-  // this way.
-  bool find_slot(std::uint32_t code, std::uint32_t& slot) const {
-    const std::uint64_t* s = slot_of_.find(code);
-    if (s == nullptr) return false;
-    slot = static_cast<std::uint32_t>(*s);
-    return true;
   }
 
   void build(const std::vector<std::uint64_t>& counts) {
@@ -843,12 +771,6 @@ class SegmentedPool {
   }
   std::uint32_t code_at(std::uint32_t slot) const { return codes_[slot]; }
   std::uint64_t weight_at(std::uint32_t slot) const { return weights_[slot]; }
-
-  // Appends every code of non-zero weight, in slot order.
-  void occupied_codes(std::vector<std::uint32_t>& out) const {
-    for (std::size_t i = 0; i < codes_.size(); ++i)
-      if (weights_[i] != 0) out.push_back(codes_[i]);
-  }
 
   // --- Segment directory ---------------------------------------------------
   std::uint32_t segment_count() const {
@@ -1025,70 +947,6 @@ class SegmentedPool {
   std::uint32_t zero_slots_ = 0;
   std::vector<Removed> removed_;
   bool built_ = false;
-};
-
-// Memoized transition table for deterministic protocols, keyed by the
-// ordered state-code pair: one decode/interact/encode per distinct (s1, s2)
-// ever seen, then every repetition is a table hit whose counter deltas are
-// applied in bulk via add_scaled: the tau-leaping engine
-// (core/tau_leap_simulation.h) applies its macro-leap category counts
-// through it.
-//
-// Only meaningful for DeterministicProtocol protocols (and, if observable,
-// ScalableCounters); callers gate on that — the template itself is left
-// unconstrained so engines can declare a member for any protocol and simply
-// never touch it outside a `if constexpr (cacheable)` branch.
-template <class P>
-class TransitionCache {
- public:
-  using State = typename P::State;
-  using Counters = ProtocolCounters<P>;
-
-  struct Entry {
-    std::uint32_t na = 0;
-    std::uint32_t nb = 0;
-    [[no_unique_address]] Counters counters_delta{};
-  };
-
-  // The memoized result of the ordered pair (a, b), computing it on first
-  // use. The rng is threaded through for signature uniformity only — a
-  // deterministic protocol never reads it.
-  const Entry& lookup(const P& protocol, std::uint32_t a, std::uint32_t b,
-                      Rng& rng) {
-    bool inserted = false;
-    std::uint32_t slot =
-        map_.find_or_insert(pair_code_key(a, b), 0, &inserted);
-    if (inserted) {
-      if (entries_.size() >= kMaxEntries) {
-        // Huge state spaces could make the cache grow without limit;
-        // dropping it is always safe (it is a pure memoization).
-        map_.clear();
-        entries_.clear();
-        slot = map_.find_or_insert(pair_code_key(a, b), 0);
-      }
-      Entry e;
-      State sa = protocol.decode(a);
-      State sb = protocol.decode(b);
-      if constexpr (ObservableProtocol<P>) {
-        Counters delta{};
-        protocol.interact(sa, sb, rng, delta);
-        e.counters_delta = delta;
-      } else {
-        protocol.interact(sa, sb, rng);
-      }
-      e.na = protocol.encode(sa);
-      e.nb = protocol.encode(sb);
-      map_.value_ref(slot) = entries_.size();
-      entries_.push_back(e);
-    }
-    return entries_[map_.value_at(slot)];
-  }
-
- private:
-  static constexpr std::size_t kMaxEntries = std::size_t{1} << 22;
-
-  FlatMap64 map_;  // (a << 32 | b) -> index into entries_
-  std::vector<Entry> entries_;
 };
 
 }  // namespace ppsim

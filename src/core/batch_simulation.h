@@ -147,10 +147,7 @@ class BatchSimulation {
   const std::vector<CountDelta>& last_deltas() const { return last_deltas_; }
 
   BatchStrategy strategy() const { return strategy_; }
-  void set_strategy(BatchStrategy s) {
-    reject_tau(s);
-    strategy_ = s;
-  }
+  void set_strategy(BatchStrategy s) { strategy_ = s; }
 
   // Fault injection (core/faults.h), compiled exactly into every count
   // path. Call before the first step. drop thins the changeful-slot
@@ -305,19 +302,7 @@ class BatchSimulation {
   }
 
  private:
-  // kTauLeap is a whole-engine choice, not a per-step path: the
-  // approximate macro-leap tier lives in TauLeapSimulation
-  // (core/tau_leap_simulation.h), which owns machinery this exact engine
-  // has no counterpart for.
-  static void reject_tau(BatchStrategy s) {
-    if (s == BatchStrategy::kTauLeap)
-      throw std::invalid_argument(
-          "strategy 'tau' runs on TauLeapSimulation "
-          "(core/tau_leap_simulation.h), not BatchSimulation");
-  }
-
   void init_samplers() {
-    reject_tau(strategy_);
     dense_weight_ = StrategyController::dense_weight(population_size());
     const std::uint32_t q = protocol_.num_states();
     if (counts_.size() != q)
@@ -439,7 +424,7 @@ class BatchSimulation {
   [[gnu::flatten]] std::uint64_t step_array(Observer& obs)
     requires StructuredProtocol<P>
   {
-    enter_array_arm();
+    if (!in_array_) enter_array_arm();
     const std::uint32_t n = population_size();
     const bool drop_on = faults_active_ && faults_.drop > 0.0;
     const bool oneway_on = faults_active_ && faults_.oneway > 0.0;
@@ -543,9 +528,9 @@ class BatchSimulation {
   // anonymous, so any fixed layout is exact, and this one consumes no
   // randomness. Occupied codes come from one O(|Q|) scan of counts_, the
   // order of the count engine's own set-up; the entry histogram is kept for
-  // leave_array_arm()'s repair.
-  void enter_array_arm() {
-    if (in_array_) return;
+  // leave_array_arm()'s repair. Kept out of line (cold: once per entry), so
+  // step_array's flatten does not copy it into every instantiation.
+  [[gnu::noinline]] void enter_array_arm() {
     array_entry_.clear();
     for (std::uint32_t code = 0; code < counts_.size(); ++code)
       if (counts_[code] != 0)
@@ -585,8 +570,10 @@ class BatchSimulation {
   // boot state. The eager count update requires clean Fenwick trees (an
   // eager delta on a lazily-dirty code would be double-counted at the next
   // resync), and it appends to last_deltas_ so rank trackers observing the
-  // count stream see churn like any other transition.
-  void crash_uniform_agent() {
+  // count stream see churn like any other transition. Kept out of line
+  // (cold: once per crash), so the flattened geometric steps do not copy
+  // the resync into every instantiation.
+  [[gnu::noinline]] void crash_uniform_agent() {
     if constexpr (ChurnableProtocol<P>) {
       resync_fenwicks();
       const std::uint32_t victim =

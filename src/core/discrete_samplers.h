@@ -12,11 +12,6 @@
 //                              inversion for mid-size draws with a small
 //                              standard deviation, HRUA (Stadlober's
 //                              ratio-of-uniforms with squeeze) for large
-//   sample_poisson           - cdf inversion for small means, PTRS
-//                              (Hörmann's transformed rejection) for large:
-//                              exact for all finite means; the arrival-count
-//                              primitive of the tau-leaping approximate tier
-//                              (core/tau_leap_simulation.h)
 //
 // sample_binomial and sample_hypergeometric have no engine caller; they are
 // kept only for perfbench's kernel timings (kernel.binomial_ns,
@@ -26,7 +21,7 @@
 // are reproducible from (params, seed) like everything else in the repo.
 // Exactness is validated against closed-form pmfs by chi-square tests in
 // tests/discrete_samplers_test.cpp (both binomial branches, the n*p ~ 10
-// boundary, both hypergeometric branches, both Poisson branches).
+// boundary, both hypergeometric branches).
 #pragma once
 
 #include <cmath>
@@ -397,74 +392,6 @@ inline std::uint64_t sample_hypergeometric(Rng& rng, std::uint64_t good,
   if (sd <= kHypergeometricTwoSidedMaxSd)
     return detail::hypergeometric_two_sided(rng, good, bad, sample);
   return detail::hypergeometric_hrua(rng, good, bad, sample);
-}
-
-namespace detail {
-
-// Poisson by inversion of the cdf via the pmf recurrence; exact, O(mean)
-// expected. Requires mean small enough that exp(-mean) does not underflow
-// (guaranteed by the dispatch threshold).
-inline std::uint64_t poisson_inversion(Rng& rng, double mean) {
-  const double r0 = std::exp(-mean);
-  for (;;) {
-    double r = r0;
-    double u = rng.unit();
-    std::uint64_t x = 0;
-    bool overflow = false;
-    while (u > r) {
-      u -= r;
-      ++x;
-      // The support is unbounded, but past mean + ~40 sd the residual mass
-      // is far below the 2^-53 resolution of u: any walk that gets there is
-      // a floating-point leak, not a sample. Redraw.
-      if (static_cast<double>(x) >
-          mean + 40.0 * std::sqrt(mean + 1.0) + 16.0) {
-        overflow = true;
-        break;
-      }
-      r *= mean / static_cast<double>(x);
-    }
-    if (!overflow) return x;
-  }
-}
-
-// PTRS (Poisson Transformed Rejection with Squeeze) of Hörmann 1993: exact
-// acceptance/rejection of a transformed-uniform candidate against the pmf
-// evaluated through log_gamma, with a squeeze region accepting ~88% of
-// candidates before any transcendental call. Requires mean >= 10.
-inline std::uint64_t poisson_ptrs(Rng& rng, double mean) {
-  const double slam = std::sqrt(mean);
-  const double loglam = std::log(mean);
-  const double b = 0.931 + 2.53 * slam;
-  const double a = -0.059 + 0.02483 * b;
-  const double invalpha = 1.1239 + 1.1328 / (b - 3.4);
-  const double vr = 0.9277 - 3.6224 / (b - 2.0);
-  for (;;) {
-    const double u = rng.unit() - 0.5;
-    const double v = 1.0 - rng.unit();  // in (0, 1]: safe under log()
-    const double us = 0.5 - std::fabs(u);
-    const double kf = std::floor((2.0 * a / us + b) * u + mean + 0.43);
-    if (kf < 0.0) continue;
-    if (us >= 0.07 && v <= vr) return static_cast<std::uint64_t>(kf);
-    if (us < 0.013 && v > us) continue;
-    if (std::log(v) + std::log(invalpha) - std::log(a / (us * us) + b) <=
-        kf * loglam - mean - log_gamma(kf + 1.0))
-      return static_cast<std::uint64_t>(kf);
-  }
-}
-
-}  // namespace detail
-
-// Number of arrivals of a Poisson process with the given expected count.
-// Exact for every finite mean >= 0; dispatches to cdf inversion below mean
-// 10 and to PTRS at or above it (the boundary both tests cross-validate).
-// mean == 0 returns 0 without consuming randomness.
-inline std::uint64_t sample_poisson(Rng& rng, double mean) {
-  if (!(mean >= 0.0) || !std::isfinite(mean))
-    throw std::invalid_argument("poisson mean not finite and >= 0");
-  if (mean == 0.0) return 0;
-  if (mean < 10.0) return detail::poisson_inversion(rng, mean);
-  return detail::poisson_ptrs(rng, mean);
 }
 
 }  // namespace ppsim

@@ -40,31 +40,17 @@ namespace ppsim {
 //                    skip for sparse rounds, and for dense rounds an
 //                    agent-code array held inside the count engine (see
 //                    StrategyController::step_strategy)
-//   kTauLeap       - APPROXIMATE: freeze the pair rates and advance a whole
-//                    macro-leap at once by drawing Poisson interaction
-//                    counts per (s1, s2) category
-//                    (core/tau_leap_simulation.h's TauLeapSimulation;
-//                    BatchSimulation itself rejects this value). Results
-//                    are a pure function of (seed, tau_eps) but are NOT
-//                    exact-in-distribution; every result that flows through
-//                    the scenario API is stamped approximate.
+//
+// Both strategies are exact in distribution.
 enum class BatchStrategy : std::uint8_t {
   kGeometricSkip,
   kAuto,
-  kTauLeap,
 };
-
-// Default leap-size knob: each leap targets kDefaultTauEps * n effective
-// interactions. At 0.05 the per-leap relative rate drift stays within a few
-// percent across the repo's protocols (quantified against the exact
-// engines by tests/approx_error_test.cpp).
-inline constexpr double kDefaultTauEps = 0.05;
 
 inline const char* to_string(BatchStrategy s) {
   switch (s) {
     case BatchStrategy::kGeometricSkip: return "geometric_skip";
     case BatchStrategy::kAuto: return "auto";
-    case BatchStrategy::kTauLeap: return "tau";
   }
   return "?";
 }
@@ -75,8 +61,6 @@ inline bool parse_strategy(const std::string& name, BatchStrategy& out) {
     out = BatchStrategy::kGeometricSkip;
   } else if (name == "auto") {
     out = BatchStrategy::kAuto;
-  } else if (name == "tau" || name == "tau_leap") {
-    out = BatchStrategy::kTauLeap;
   } else {
     return false;
   }
@@ -95,17 +79,15 @@ enum class StrategyArm : std::uint8_t {
   kArray = 0,
   kGeometricSkip = 1,
   kMultinomial = 2,  // never produced; kept until perfbench drops its column
-  kTauLeap = 3,
 };
 
-inline constexpr std::size_t kStrategyArmCount = 4;
+inline constexpr std::size_t kStrategyArmCount = 3;
 
 inline const char* to_string(StrategyArm a) {
   switch (a) {
     case StrategyArm::kArray: return "array";
     case StrategyArm::kGeometricSkip: return "geometric_skip";
     case StrategyArm::kMultinomial: return "multinomial";
-    case StrategyArm::kTauLeap: return "tau";
   }
   return "?";
 }
@@ -147,11 +129,6 @@ struct StrategyTrace {
 // selection") show is fastest there. Every input is derived from the
 // deterministic simulation state (never wall-clock), so decisions are a
 // pure function of the seed and all bit-determinism contracts survive.
-//
-// The tau-leap arm is never auto-chosen: it is approximate, and `auto`
-// promises an exact-in-distribution result.
-// Approximation is opt-in only (strategy=tau), and everything it produces
-// is stamped approximate downstream.
 struct StrategyController {
   // Whole-run arm choice (engine_arm): dense starts — occupancy at least
   // n / kDenseOccupancyDivisor — defeat every count engine, because with

@@ -65,8 +65,8 @@ concept ChurnableProtocol = Protocol<P> && requires(const P p) {
 // The three fault knobs. Plumbed through ScenarioSpec as
 // fault.drop= / fault.oneway= / fault.churn=; every ScenarioResult whose
 // spec had any knob non-zero is stamped `faulted: true` in the BENCH
-// envelope (the approximate/abstracted honesty pattern — but unlike those
-// tiers, faulted records keep the full bit-determinism contract: seeded
+// envelope (the abstracted honesty pattern — but unlike abstracted
+// records, faulted records keep the full bit-determinism contract: seeded
 // faults reproduce exactly, so they stay under bench_compare --strict).
 struct FaultSpec {
   double drop = 0.0;    // P(interaction lost), in [0, 1]

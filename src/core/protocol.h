@@ -12,8 +12,8 @@
 //   EnumerableProtocol  - finite state space coded as [0, num_states())
 //   NullPairProtocol    - can certify a pair as a no-op without randomness
 //   DeterministicProtocol  - interact() never consumes randomness, so the
-//                            batched engine may cache transitions per
-//                            ordered state pair and apply them in bulk
+//                            ring count engine may probe an edge's nullity
+//                            by a trial application
 //   DiagonalActiveProtocol - non-null pairs all have equal states
 //   KeyedPassiveProtocol   - null pairs are exactly "both passive, keys differ"
 //   UnkeyedPassiveProtocol - "both passive" is a *sufficient* condition for
@@ -102,9 +102,8 @@ concept NullPairProtocol =
 
 // Protocols declaring (kDeterministicInteract = true) that interact() is a
 // deterministic function of the two input states: it never reads the Rng.
-// The tau-leaping engine's TransitionCache relies on this to memoize
-// transitions per ordered (s1, s2) code pair and apply k repetitions as
-// one count update.
+// The ring count engine (core/ring_simulation.h) relies on this to decide
+// an edge's nullity by a trial application.
 template <class P>
 concept DeterministicProtocol = Protocol<P> && bool(P::kDeterministicInteract);
 
@@ -180,14 +179,6 @@ struct ProtocolCountersImpl<P> {
 // The counters struct an engine must own for protocol P.
 template <class P>
 using ProtocolCounters = typename detail::ProtocolCountersImpl<P>::type;
-
-// Counters that support bulk accumulation: c.add_scaled(delta, k) must be
-// equivalent to adding `delta` into `c` k times. Required for the
-// TransitionCache to cache the counter increments of a deterministic
-// transition alongside its state outputs.
-template <class C>
-concept ScalableCounters =
-    requires(C c, const C& delta, std::uint64_t k) { c.add_scaled(delta, k); };
 
 // Applies one transition, routing counters to observable protocols.
 template <Protocol P>

@@ -33,9 +33,8 @@ class RankTracker {
 
   // Count-engine form: `delta` agents entered (+) or left (-) `rank`.
   // Mirrors the CountDelta stream of BatchSimulation::last_deltas(). O(1)
-  // whatever |delta| (a tau leap reports net per-code deltas):
-  // only the count's before and after values decide whether `rank` is a
-  // singleton.
+  // whatever |delta|: only the count's before and after values decide
+  // whether `rank` is a singleton.
   void apply_delta(std::uint32_t rank, std::int64_t delta) {
     if (rank > n_) throw std::out_of_range("rank exceeds population size");
     const std::uint32_t before = counts_[rank];

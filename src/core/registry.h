@@ -45,8 +45,7 @@ struct ScenarioSpec {
   std::string engine = "auto";    // array | batch | auto ("" = auto: see
                                   // resolve(), and the occupancy probe in
                                   // analysis/scenarios.h)
-  std::string strategy = "auto";  // geometric_skip | auto | tau
-                                  // (APPROXIMATE tau-leaping)
+  std::string strategy = "auto";  // geometric_skip | auto
   std::string until;           // stop condition name ("" = entry default)
   std::uint64_t max_interactions = 0;  // hard horizon (0 = entry default)
   double horizon_ptime = 0.0;  // until=ptime: the fixed parallel-time budget
@@ -55,16 +54,10 @@ struct ScenarioSpec {
   std::uint32_t trials = 1;
   std::uint64_t seed = 1;      // base seed; trial t runs derive_seed(seed, t)
   std::uint32_t threads = 0;   // trial fan-out (0 = env/hardware)
-  double tau_eps = 0.0;        // strategy=tau: leap-size knob ("tau.eps=",
-                               // 0 = kDefaultTauEps). Approximate results
-                               // are pure functions of (seed, tau_eps) and
-                               // stamped as such.
   FaultSpec faults;            // fault.drop= / fault.oneway= / fault.churn=
                                // (core/faults.h). Exact on array, batch and
-                               // ring; rejected on the approximate tier
-                               // (tau), whose error bounds assume the
-                               // fault-free transition rates. Any non-zero
-                               // knob stamps the result `faulted`.
+                               // ring. Any non-zero knob stamps the result
+                               // `faulted`.
   std::string topology;        // interaction graph (core/topology.h):
                                // "" | complete | ring | line | star |
                                // mesh:RxC | torus:RxC | custom:<path>.
@@ -189,7 +182,7 @@ struct ScenarioPlan {
   // on the complete graph of an enumerable protocol: drive()
   // (analysis/scenarios.h) settles it to kArray or kBatch from trial 0's
   // initial occupancy, so no spec field decides it.
-  enum class Engine { kArray, kBatch, kTau, kRing, kProbe };
+  enum class Engine { kArray, kBatch, kRing, kProbe };
 
   std::string protocol;
   std::uint32_t n = 0;
@@ -199,7 +192,6 @@ struct ScenarioPlan {
   Engine engine = Engine::kArray;
   BatchStrategy strategy = BatchStrategy::kAuto;
   Topology topology = Topology::complete(2);
-  double tau_eps = 0.0;          // resolved leap knob; 0 off the tau engine
   FaultSpec faults;
   std::uint64_t seed = 1;
   std::uint32_t threads = 0;
@@ -225,9 +217,8 @@ struct ScenarioPlan {
 
   // Two specs with one identity run the same trials and produce the same
   // record: aliases ("" / auto, geometric / geometric_skip, "" / the
-  // protocol's fixed topology, tau.eps 0 / its default) and fields the
-  // engine ignores (the strategy on the agent array, ptime off
-  // until=ptime) are resolved away.
+  // protocol's fixed topology) and fields the engine ignores (the strategy
+  // on the agent array, ptime off until=ptime) are resolved away.
   std::string identity() const {
     auto num = [](double v) {
       char buf[32];
@@ -237,7 +228,7 @@ struct ScenarioPlan {
     std::string id =
         protocol + "|n=" + std::to_string(n) + "|" + init + "|" + until +
         "|engine=" + std::to_string(static_cast<int>(engine)) + "/" +
-        strategy_name(engine) + "/" + num(tau_eps) + "|" + topology.spec() +
+        strategy_name(engine) + "|" + topology.spec() +
         "|faults=" + num(faults.drop) + "/" + num(faults.oneway) + "/" +
         num(faults.churn) + "|seed=" + std::to_string(seed) + "|trials=" +
         std::to_string(trials) + "|threads=" + std::to_string(threads) +
@@ -279,27 +270,19 @@ struct ScenarioResult {
   double wall_seconds = 0.0;           // whole scenario (all trials)
   double interactions_mean = 0.0;      // per trial
 
-  // Honesty stamp for the approximate tier (strategy=tau):
-  // true means the values are NOT exact-in-distribution and must never be
-  // strict-diffed against exact baselines (bench_compare exempts them).
-  bool approximate = false;
-  double tau_eps = 0.0;  // resolved knob behind an approximate result
-
   // Honesty stamp for state-abstracted protocols (e.g. the count-form
   // Sublinear-Time-SSR quotient): the *protocol itself* is a truncated
   // abstraction of the one named in the experiment, so values can diverge
-  // from the concrete dynamics even under an exact engine. Orthogonal to
-  // `approximate` (an abstracted protocol run under tau carries both).
-  // bench_compare exempts abstracted records from --strict drift the same
-  // way it exempts approximate ones.
+  // from the concrete dynamics even under an exact engine, so
+  // bench_compare exempts abstracted records from --strict drift.
   bool abstracted = false;
 
   // Honesty stamp for fault injection: true means the scheduler layer was
   // unreliable (some fault knob non-zero), so values measure behaviour
   // under the FaultSpec's law, not the paper's fault-free model. UNLIKE
-  // approximate/abstracted, faulted results keep the full bit-determinism
-  // contract — seeded faults reproduce exactly, so bench_compare --strict
-  // still applies. The knobs are part of the record identity.
+  // abstracted, faulted results keep the full bit-determinism contract —
+  // seeded faults reproduce exactly, so bench_compare --strict still
+  // applies. The knobs are part of the record identity.
   bool faulted = false;
   FaultSpec faults;  // echoed spec (all-zero when faulted == false)
 };
@@ -314,7 +297,6 @@ struct ProtocolEntry {
   // (analysis/scenarios.h entry_for<P>), never written by hand:
   bool batch_capable = false;  // enumerable: the count engines run it
   bool ring_capable = false;   // ... and the ring count engine too
-  bool tau_capable = false;    // ... and the tau-leaping engine too
   std::uint32_t fixed_n = 0;   // nonzero: protocol is defined only at this n
   std::uint32_t default_n = 64;
   std::string fixed_topology;  // nonempty: the only graph the protocol is
@@ -378,7 +360,7 @@ inline ScenarioPlan resolve(const ProtocolEntry& entry,
   const std::string strategy = spec.strategy.empty() ? "auto" : spec.strategy;
   if (!parse_strategy(strategy, plan.strategy))
     fail("unknown strategy '" + strategy +
-         "' (geometric_skip | auto | tau)");
+         "' (geometric_skip | auto)");
 
   // Interaction graph (core/topology.h). "" = the protocol's fixed graph
   // if it has one, else complete = the classical scheduler, bit for bit.
@@ -415,22 +397,18 @@ inline ScenarioPlan resolve(const ProtocolEntry& entry,
   if (spec.tail_ptime) check_window("tail", *spec.tail_ptime);
   plan.tail_ptime = spec.tail_ptime;
   plan.max_interactions = spec.max_interactions;
-  if (!std::isfinite(spec.tau_eps) || spec.tau_eps < 0.0)
-    fail("tau.eps must be finite and >= 0");
 
   // Engine choice. The clique count engines compile the complete graph's
   // pair law, so a non-complete topology leaves engine=auto on the agent
   // array, except the directed ring, which has its own active-edge count
   // engine (core/ring_simulation.h) for protocols with enumerable,
   // deterministic transitions.
-  const bool tau = plan.strategy == BatchStrategy::kTauLeap;
   if (engine != "array" && entry.batch_capable) {
     if (plan.topology.is_complete())
-      plan.engine = tau ? Engine::kTau
-                        : (engine == "auto" &&
-                                   plan.strategy == BatchStrategy::kAuto
-                               ? Engine::kProbe
-                               : Engine::kBatch);
+      plan.engine = engine == "auto" &&
+                            plan.strategy == BatchStrategy::kAuto
+                        ? Engine::kProbe
+                        : Engine::kBatch;
     else if (plan.topology.kind() == TopologyKind::kRing &&
              entry.ring_capable)
       plan.engine = Engine::kRing;
@@ -449,30 +427,6 @@ inline ScenarioPlan resolve(const ProtocolEntry& entry,
          "engine (topology=ring, engine auto or batch); the agent array "
          "has no O(1) test for it on topology '" + plan.topology.spec() +
          "'");
-  if (plan.engine == Engine::kRing &&
-      plan.strategy != BatchStrategy::kAuto &&
-      plan.strategy != BatchStrategy::kGeometricSkip)
-    fail("the ring count path runs its own active-edge geometric "
-         "skip; strategy '" + strategy +
-         "' is not available on topology=ring (use auto, geometric_skip, "
-         "or engine=array)");
-  // APPROXIMATE tier: tau-leaping is strictly opt-in (never reachable from
-  // strategy=auto) and stamps the result. Running exact where the spec
-  // asked for it would mislabel the result, and faults are exact-tier only:
-  // the approximate engine's error bounds assume the fault-free rates.
-  if (tau) {
-    if (plan.engine != Engine::kTau)
-      fail("strategy 'tau' needs the count engine on the complete graph "
-           "(enumerable protocol, engine != array)");
-    if (!entry.tau_capable)
-      fail("protocol '" + who +
-           "' cannot run the tau-leaping engine (needs deterministic, "
-           "passive-structured transitions)");
-    if (plan.faults.active())
-      fail("fault injection is exact-tier only (strategy=tau is "
-           "approximate; use array, geometric_skip or auto)");
-    plan.tau_eps = spec.tau_eps > 0.0 ? spec.tau_eps : kDefaultTauEps;
-  }
   return plan;
 }
 

@@ -119,7 +119,7 @@ inline const InitialConditionSet<SublinearCountSSR>& sublinear_count_inits() {
 
     // The instant after a reset wave has zeroed out: everyone dormant with a
     // fresh delay timer and an empty name — the regime where the dormant
-    // conveyor (and its tau behavior) dominates. No Rng draws.
+    // conveyor dominates. No Rng draws.
     s.add({"post-wave",
            "everyone dormant at delaytimer = Dmax with an empty name",
            [](const P& p, std::uint64_t) {

@@ -104,20 +104,10 @@ class OptimalSilentSSR {
     std::uint64_t timeout_triggers = 0;    // line 16: errorcount hit 0
     std::uint64_t resets_executed = 0;     // Protocol 4 invocations
     std::uint64_t recruits = 0;            // binary-tree rank assignments
-
-    // ScalableCounters: lets the TransitionCache account k cached
-    // repetitions of one deterministic transition in O(1).
-    void add_scaled(const Counters& d, std::uint64_t k) {
-      collision_triggers += d.collision_triggers * k;
-      timeout_triggers += d.timeout_triggers * k;
-      resets_executed += d.resets_executed * k;
-      recruits += d.recruits * k;
-    }
   };
 
   // interact() never reads the Rng (Protocol 3 is a deterministic
-  // transition table), so the batched engine may cache transitions per
-  // ordered state-code pair.
+  // transition table).
   static constexpr bool kDeterministicInteract = true;
 
   explicit OptimalSilentSSR(OptimalSilentParams params) : params_(params) {

@@ -5,8 +5,7 @@
 // interaction-history tree) is quasi-exponential, which defeats the
 // EnumerableProtocol coding every fast engine depends on. This file defines
 // a canonical truncated quotient of that state with a state space polynomial
-// in n, so the dynamics run on BatchSimulation (geometric skip / auto) and
-// the tau tier.
+// in n, so the dynamics run on BatchSimulation (geometric skip / auto).
 //
 // The abstraction, field by field:
 //
@@ -99,18 +98,10 @@ class SublinearCountSSR {
     std::uint64_t resets_executed = 0;
     std::uint64_t rank_updates = 0;
     std::uint64_t coin_bits = 0;
-
-    // ScalableCounters: bulk accounting for the TransitionCache.
-    void add_scaled(const Counters& d, std::uint64_t k) {
-      collision_triggers += d.collision_triggers * k;
-      resets_executed += d.resets_executed * k;
-      rank_updates += d.rank_updates * k;
-      coin_bits += d.coin_bits * k;
-    }
   };
 
-  // interact() never reads the Rng: transitions are cacheable per ordered
-  // state-code pair (the tau tier's TransitionCache).
+  // interact() never reads the Rng (the ring count engine's nullity probe
+  // relies on it).
   static constexpr bool kDeterministicInteract = true;
 
   // Unkeyed passive structure: see is_passive below.

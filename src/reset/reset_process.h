@@ -44,15 +44,10 @@ class ResetProcess {
   // Engine-owned per-interaction event counters (ObservableProtocol).
   struct Counters {
     std::uint64_t resets_executed = 0;  // population-wide Reset() count
-
-    // ScalableCounters: bulk accounting for the TransitionCache.
-    void add_scaled(const Counters& d, std::uint64_t k) {
-      resets_executed += d.resets_executed * k;
-    }
   };
 
-  // interact() never reads the Rng: transitions are cacheable per ordered
-  // state-code pair (the tau tier's TransitionCache).
+  // interact() never reads the Rng (the ring count engine's nullity probe
+  // relies on it).
   static constexpr bool kDeterministicInteract = true;
 
   // Unkeyed passive structure: two Computing agents are always null.

@@ -1,7 +1,6 @@
 // Unit tests for the sampling kernels of core/batch_kernels.h: the flat
 // hash map, the occupied-code pool, the extracted pair sampler, and the
-// occupied pool's reset/reload path (the tau-leaping engine loads its
-// active-unit pool through it).
+// occupied pool's reset/reload path.
 #include <gtest/gtest.h>
 
 #include <cmath>

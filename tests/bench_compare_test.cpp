@@ -1,9 +1,8 @@
 // Unit tests for the bench_compare core (analysis/bench_records.h):
 // record identity, loading, wall-clock gating, and — the part that guards
-// the approximate tier's honesty contract — the rule that records stamped
-// "approximate": true are wall-time gated like everything else but NEVER
-// strict-diffed, and never silently matched against exact records of the
-// same shape.
+// the honesty stamps — the rule that records stamped "abstracted": true
+// are wall-time gated like everything else but NEVER strict-diffed, and
+// never silently matched against concrete records of the same shape.
 #include "analysis/bench_records.h"
 
 #include <filesystem>
@@ -43,102 +42,6 @@ fs::path fresh_dir(const std::string& leaf) {
   return dir;
 }
 
-// An exact record and an approximate record with identical shape fields
-// must land under different identity keys: migrating a bench cell onto the
-// approximate tier is a new experiment class, not a drift/regression
-// against the exact history.
-TEST(BenchRecords, ApproximateIsASeparateIdentityClass) {
-  const fs::path base = fresh_dir("identity/base");
-  const fs::path cand = fresh_dir("identity/cand");
-  const std::string shape =
-      "\"experiment\": \"silence\", \"backend\": \"batch\", "
-      "\"strategy\": \"tau\", \"n\": 1024";
-  write_bench(base, "t",
-              {"{" + shape + ", \"wall_seconds\": 1.0, "
-               "\"parallel_time\": 4705}"});
-  write_bench(cand, "t",
-              {"{" + shape + ", \"approximate\": true, \"tau_eps\": 0.05, "
-               "\"wall_seconds\": 9.0, \"parallel_time\": 7087}"});
-
-  const auto b = load(base), c = load(cand);
-  ASSERT_EQ(b.size(), 1u);
-  ASSERT_EQ(c.size(), 1u);
-  EXPECT_NE(b.begin()->first, c.begin()->first);
-  EXPECT_FALSE(b.begin()->second.approximate());
-  EXPECT_TRUE(c.begin()->second.approximate());
-
-  CompareOptions opts;
-  opts.strict = true;
-  std::ostringstream out;
-  const CompareStats stats = compare(b, c, opts, out);
-  EXPECT_EQ(stats.compared, 0);     // no shared key -> no wall comparison
-  EXPECT_EQ(stats.drift, 0);        // and certainly no drift
-  EXPECT_EQ(stats.missing, 1);
-  EXPECT_EQ(stats.added, 1);
-  EXPECT_FALSE(stats.failed());
-}
-
-// Strict mode must flag bit-for-bit drift in exact records and must NOT
-// flag value changes in approximate ones (same key: same tau_eps, same
-// shape — only the sampled values moved, which the approximate tier is
-// allowed to do between commits).
-TEST(BenchRecords, StrictDriftExemptsApproximateRecords) {
-  const fs::path base = fresh_dir("strict/base");
-  const fs::path cand = fresh_dir("strict/cand");
-  const std::string exact_shape =
-      "\"experiment\": \"silence\", \"backend\": \"batch\", "
-      "\"strategy\": \"multinomial\", \"n\": 512";
-  const std::string approx_shape =
-      "\"experiment\": \"silence\", \"backend\": \"batch\", "
-      "\"strategy\": \"tau\", \"n\": 512, \"approximate\": true, "
-      "\"tau_eps\": 0.05";
-  write_bench(base, "t",
-              {"{" + exact_shape + ", \"wall_seconds\": 1.0, "
-               "\"interactions\": 1000, \"parallel_time\": 2.0}",
-               "{" + approx_shape + ", \"wall_seconds\": 0.1, "
-               "\"interactions\": 900, \"parallel_time\": 1.9}"});
-  write_bench(cand, "t",
-              {"{" + exact_shape + ", \"wall_seconds\": 1.0, "
-               "\"interactions\": 1001, \"parallel_time\": 2.1}",
-               "{" + approx_shape + ", \"wall_seconds\": 0.1, "
-               "\"interactions\": 1234, \"parallel_time\": 7.7}"});
-
-  CompareOptions opts;
-  opts.strict = true;
-  std::ostringstream out;
-  const CompareStats stats = compare(load(base), load(cand), opts, out);
-  EXPECT_EQ(stats.compared, 2);
-  EXPECT_EQ(stats.drift, 2);  // interactions + parallel_time, exact only
-  EXPECT_EQ(stats.approx_exempt, 1);
-  EXPECT_TRUE(stats.failed());
-  EXPECT_NE(out.str().find("multinomial"), std::string::npos);
-  EXPECT_EQ(out.str().find("tau"), std::string::npos)
-      << "approximate record leaked into drift output:\n"
-      << out.str();
-}
-
-// The exemption is from strictness only: approximate records still go
-// through the wall-clock regression gate.
-TEST(BenchRecords, ApproximateRecordsStillWallTimeGated) {
-  const fs::path base = fresh_dir("wall/base");
-  const fs::path cand = fresh_dir("wall/cand");
-  const std::string shape =
-      "\"experiment\": \"window\", \"backend\": \"batch\", "
-      "\"strategy\": \"tau\", \"n\": 1000000, \"approximate\": true, "
-      "\"tau_eps\": 0.05";
-  write_bench(base, "t", {"{" + shape + ", \"wall_seconds\": 1.0}"});
-  write_bench(cand, "t", {"{" + shape + ", \"wall_seconds\": 3.0}"});
-
-  CompareOptions opts;
-  opts.strict = true;
-  std::ostringstream out;
-  const CompareStats stats = compare(load(base), load(cand), opts, out);
-  EXPECT_EQ(stats.compared, 1);
-  EXPECT_EQ(stats.regressions, 1);
-  EXPECT_EQ(stats.drift, 0);
-  EXPECT_TRUE(stats.failed());
-}
-
 // Regressions need BOTH the relative threshold and the absolute
 // min_seconds floor; improvements mirror the same band.
 TEST(BenchRecords, WallGateNeedsRelativeAndAbsoluteGrowth) {
@@ -159,9 +62,9 @@ TEST(BenchRecords, WallGateNeedsRelativeAndAbsoluteGrowth) {
 }
 
 // Abstracted records (count-form protocol quotients, stamped
-// "abstracted": true by the scenario API) mirror the approximate
-// treatment: a separate identity class from exact records of the same
-// shape, exempt from --strict drift, still wall-time gated.
+// "abstracted": true by the scenario API) are a separate identity class
+// from concrete records of the same shape, exempt from --strict drift,
+// still wall-time gated.
 TEST(BenchRecords, AbstractedIsASeparateIdentityClass) {
   const fs::path base = fresh_dir("abs-identity/base");
   const fs::path cand = fresh_dir("abs-identity/cand");
@@ -218,34 +121,6 @@ TEST(BenchRecords, StrictDriftExemptsAbstractedRecordsButWallGates) {
   EXPECT_EQ(stats.abstracted_exempt, 1);
   EXPECT_EQ(stats.regressions, 1);  // 3x wall growth still fails the gate
   EXPECT_TRUE(stats.failed());
-}
-
-// A record can be both approximate and abstracted (count-form quotient run
-// under tau); the approximate exemption fires first and the record is
-// counted once.
-TEST(BenchRecords, ApproximateAndAbstractedStack) {
-  const fs::path base = fresh_dir("abs-both/base");
-  const fs::path cand = fresh_dir("abs-both/cand");
-  const std::string shape =
-      "\"experiment\": \"drain\", \"backend\": \"batch\", "
-      "\"strategy\": \"tau\", \"n\": 4096, \"approximate\": true, "
-      "\"tau_eps\": 0.05, \"abstracted\": true";
-  write_bench(base, "t",
-              {"{" + shape + ", \"wall_seconds\": 0.5, "
-               "\"interactions\": 100}"});
-  write_bench(cand, "t",
-              {"{" + shape + ", \"wall_seconds\": 0.5, "
-               "\"interactions\": 999}"});
-
-  CompareOptions opts;
-  opts.strict = true;
-  std::ostringstream out;
-  const CompareStats stats = compare(load(base), load(cand), opts, out);
-  EXPECT_EQ(stats.compared, 1);
-  EXPECT_EQ(stats.drift, 0);
-  EXPECT_EQ(stats.approx_exempt, 1);
-  EXPECT_EQ(stats.abstracted_exempt, 0);
-  EXPECT_FALSE(stats.failed());
 }
 
 // A faulted record (fault injection, stamped "faulted": true + knobs) is a
@@ -307,7 +182,6 @@ TEST(BenchRecords, StrictDriftStillAppliesToFaultedRecords) {
   const CompareStats stats = compare(load(base), load(cand), opts, out);
   EXPECT_EQ(stats.compared, 1);
   EXPECT_EQ(stats.drift, 2);  // interactions + parallel_time both moved
-  EXPECT_EQ(stats.approx_exempt, 0);
   EXPECT_EQ(stats.abstracted_exempt, 0);
   EXPECT_TRUE(stats.failed());
 }
@@ -392,17 +266,17 @@ TEST(BenchRecords, LoaderKeepsBoolsAndOccurrenceIndices) {
   const fs::path dir = fresh_dir("loader");
   const std::string shape =
       "\"experiment\": \"rep\", \"backend\": \"batch\", "
-      "\"strategy\": \"tau\", \"n\": 8, \"approximate\": true, "
-      "\"tau_eps\": 0.01";
+      "\"strategy\": \"auto\", \"n\": 8, \"abstracted\": true, "
+      "\"fault_drop\": 0.01";
   write_bench(dir, "t",
               {"{" + shape + ", \"wall_seconds\": 0.5}",
                "{" + shape + ", \"wall_seconds\": 0.6}"});
   const auto recs = load(dir);
   ASSERT_EQ(recs.size(), 2u);
   for (const auto& [key, rec] : recs) {
-    EXPECT_TRUE(rec.approximate());
-    EXPECT_EQ(rec.metrics.at("approximate"), 1.0);
-    EXPECT_EQ(rec.metrics.at("tau_eps"), 0.01);
+    EXPECT_TRUE(rec.abstracted());
+    EXPECT_EQ(rec.metrics.at("abstracted"), 1.0);
+    EXPECT_EQ(rec.metrics.at("fault_drop"), 0.01);
     EXPECT_NE(key.find("|#"), std::string::npos);
   }
 }

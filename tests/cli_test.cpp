@@ -84,12 +84,14 @@ TEST(CliDeath, BadStrategyValueIsAHardError) {
   EXPECT_EXIT(
       BenchScale::from_args(static_cast<int>(args.size()), make_argv(args)),
       ::testing::ExitedWithCode(2), "unknown --strategy value");
-  // The removed strategy fails the same way, naming the ones that remain.
-  std::vector<std::string> removed = {"bench", "--strategy=multinomial"};
-  EXPECT_EXIT(BenchScale::from_args(static_cast<int>(removed.size()),
-                                    make_argv(removed)),
-              ::testing::ExitedWithCode(2),
-              "'multinomial' \\(want geometric_skip \\| auto \\| tau\\)");
+  // Removed strategies fail the same way, naming the ones that remain.
+  for (const std::string name : {"multinomial", "tau"}) {
+    std::vector<std::string> removed = {"bench", "--strategy=" + name};
+    EXPECT_EXIT(BenchScale::from_args(static_cast<int>(removed.size()),
+                                      make_argv(removed)),
+                ::testing::ExitedWithCode(2),
+                "'" + name + "' \\(want geometric_skip \\| auto\\)");
+  }
 }
 
 TEST(CliDeath, FaultDropOutOfRangeIsAHardError) {

@@ -31,12 +31,13 @@ set(flattened "BatchSimulation.*step_array"
               "BatchSimulation<.*>::step_structured\\(\\)"
               "BatchSimulation<.*>::step_general\\(\\)"
               "RingSimulation<.*>::step\\(\\)")
-# Calls a flattened function may keep, each a cold path GCC cannot inline.
-# FlatMap64's insert recurses through grow(), so flatten stops there; the
-# geometric steps reach it only through a churn crash's Fenwick resync,
-# once per crash.
-set(cold_calls "ppsim::FlatMap64::find_or_insert\\("
-               "ppsim::FlatMap64::grow\\(")
+# Calls a flattened function may keep, each a cold path kept out of line.
+# The array arm's entry fill (O(|Q|) scan of the counts, once per entry)
+# and a churn crash (a Fenwick resync and two eager count deltas, once per
+# crash) are [[gnu::noinline]]: flattened into every step instantiation
+# they only grew the binary.
+set(cold_calls "ppsim::BatchSimulation<.*>::enter_array_arm\\("
+               "ppsim::BatchSimulation<.*>::crash_uniform_agent\\(")
 list(JOIN cold_calls "|" cold_call)
 # Helpers of the unflattened agent array that must have no text symbol.
 # `operator<=>` is matched with its Name argument only.

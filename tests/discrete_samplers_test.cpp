@@ -13,7 +13,6 @@
 #include <cmath>
 #include <cstdint>
 #include <functional>
-#include <limits>
 #include <stdexcept>
 #include <vector>
 
@@ -81,8 +80,9 @@ struct BinomialCase {
   const char* label;
 };
 
-// Print a case as its label (see PoissonCase): the raw bytes include the
-// label's address, which would make the registered test names unstable.
+// Print a case as its label. Without this gtest prints the raw bytes,
+// which include the label's address; that address moves with every load
+// of the binary, so the registered test names would not be stable.
 void PrintTo(const BinomialCase& c, std::ostream* os) { *os << c.label; }
 
 class BinomialPmf : public ::testing::TestWithParam<BinomialCase> {};
@@ -197,83 +197,6 @@ INSTANTIATE_TEST_SUITE_P(
         // Deep HRUA (sd ~ 38; larger populations overflow the reference
         // pmf's log_gamma accuracy, not the sampler's).
         HyperCase{150000, 150000, 6000, "hrua deep 150k/150k/6k"}));
-
-// --- poisson ----------------------------------------------------------------
-
-double poisson_pmf(double mean, std::uint64_t k) {
-  if (mean == 0.0) return k == 0 ? 1.0 : 0.0;
-  const double kd = static_cast<double>(k);
-  return std::exp(kd * std::log(mean) - mean - log_gamma(kd + 1.0));
-}
-
-TEST(Poisson, EdgeCases) {
-  Rng rng(3);
-  EXPECT_EQ(sample_poisson(rng, 0.0), 0u);
-  EXPECT_THROW(sample_poisson(rng, -0.5), std::invalid_argument);
-  EXPECT_THROW(sample_poisson(rng, std::nan("")), std::invalid_argument);
-  EXPECT_THROW(sample_poisson(rng, std::numeric_limits<double>::infinity()),
-               std::invalid_argument);
-}
-
-struct PoissonCase {
-  double mean;
-  const char* label;
-};
-
-// Print a case as its label. Without this gtest prints the raw bytes,
-// which include the label's address; that address moves with every load
-// of the binary, so the registered test names would not be stable.
-void PrintTo(const PoissonCase& c, std::ostream* os) { *os << c.label; }
-
-class PoissonPmf : public ::testing::TestWithParam<PoissonCase> {};
-
-TEST_P(PoissonPmf, ChiSquareAgainstExactPmf) {
-  const auto& c = GetParam();
-  Rng rng(0x9015 + static_cast<std::uint64_t>(c.mean * 64.0));
-  const std::uint32_t trials = 200'000;
-  std::vector<std::uint64_t> xs(trials);
-  for (auto& x : xs) x = sample_poisson(rng, c.mean);
-  // Truncate the (infinite) support far enough out that the missing tail
-  // is < 1e-9 of the mass and a 200k-trial sample cannot plausibly land
-  // beyond it.
-  const std::uint64_t hi = static_cast<std::uint64_t>(
-      c.mean + 14.0 * std::sqrt(c.mean) + 30.0);
-  expect_matches_pmf(
-      xs, hi, [&](std::uint64_t k) { return poisson_pmf(c.mean, k); },
-      c.label);
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    Branches, PoissonPmf,
-    ::testing::Values(
-        // Inversion branch: tiny and moderate means (the tau engine's
-        // per-category regime for rare interaction categories).
-        PoissonCase{0.4, "inversion mean=0.4"},
-        PoissonCase{3.2, "inversion mean=3.2"},
-        // Dispatch boundary from both sides: mean 9.9 stays on inversion,
-        // 10.1 crosses into PTRS.
-        PoissonCase{9.9, "inversion boundary mean=9.9"},
-        PoissonCase{10.1, "ptrs boundary mean=10.1"},
-        // Deep PTRS.
-        PoissonCase{40.0, "ptrs mean=40"},
-        PoissonCase{320.0, "ptrs mean=320"}));
-
-TEST(Poisson, LargeMeanAndVariance) {
-  Rng rng(8);
-  const double mean = 50'000.0;
-  const std::uint32_t trials = 20'000;
-  double sum = 0.0, sum2 = 0.0;
-  for (std::uint32_t i = 0; i < trials; ++i) {
-    const double x = static_cast<double>(sample_poisson(rng, mean));
-    sum += x;
-    sum2 += x * x;
-  }
-  const double got_mean = sum / trials;
-  const double got_var = sum2 / trials - got_mean * got_mean;
-  const double se_mean = std::sqrt(mean / trials);
-  EXPECT_NEAR(got_mean, mean, 5.0 * se_mean);
-  EXPECT_NEAR(got_var, mean, 0.05 * mean);
-}
 
 }  // namespace
 }  // namespace ppsim

@@ -70,8 +70,8 @@ static_assert(!KeyedPassiveProtocol<SilentNStateSSR>);
 
 // ISSUE 3: ResetProcess is enumerable (Section 3 phase experiments run
 // batched), both it and OneWayEpidemic expose the unkeyed passive
-// structure, and the deterministic-transition flag gates the tau tier's
-// delta cache.
+// structure, and the deterministic-transition flag gates the ring count
+// engine's nullity probe.
 static_assert(EnumerableProtocol<ResetProcess>);
 static_assert(UnkeyedPassiveProtocol<ResetProcess>);
 static_assert(EnumerableProtocol<OneWayEpidemic>);
@@ -84,9 +84,6 @@ static_assert(DeterministicProtocol<OptimalSilentSSR>);
 static_assert(DeterministicProtocol<ResetProcess>);
 static_assert(DeterministicProtocol<OneWayEpidemic>);
 static_assert(!DeterministicProtocol<Obs25SSLE>);  // interact() draws Rng
-
-static_assert(ScalableCounters<OptimalSilentSSR::Counters>);
-static_assert(ScalableCounters<ResetProcess::Counters>);
 
 static_assert(StrategyEngine<BatchSimulation<OptimalSilentSSR>>);
 static_assert(StrategyEngine<BatchSimulation<SilentNStateSSR>>);

@@ -4,17 +4,16 @@
 //
 // Each row names a cell (protocol, init, until, n, trials, faults,
 // topology) and one candidate: a count-engine strategy (geometric skip,
-// auto), the tau-leaping tier, the active-edge ring engine or a count-form
-// protocol. The reference is the agent array running the
-// row's protocol; for a count form (sublinear-*-count) it is the agent
-// array running the exact protocol the count form abstracts. Both sides go
-// through run_scenario with seeds derived from the row id, on the
-// scenario's trial threads, so each row's values are bit-identical at any
-// thread count. Each row asserts:
+// auto), the active-edge ring engine or a count-form protocol. The
+// reference is the agent array running the row's protocol; for a count
+// form (sublinear-*-count) it is the agent array running the exact
+// protocol the count form abstracts. Both sides go through run_scenario
+// with seeds derived from the row id, on the scenario's trial threads, so
+// each row's values are bit-identical at any thread count. Each row
+// asserts:
 //   * no failed trial on either side;
-//   * the stamps its candidate must carry (backend, strategy, approximate
-//     with its resolved tau_eps, abstracted) and the faults and topology
-//     both sides echo;
+//   * the stamps its candidate must carry (backend, strategy, abstracted)
+//     and the faults and topology both sides echo;
 //   * overlapping 95% CIs, widened once for the whole table:
 //     family_widen(std::size(kRows)).
 // Two controls keep the table honest: every candidate resolves to a
@@ -43,16 +42,13 @@ struct Candidate {
   const char* label;     // row-id suffix
   const char* strategy;  // spec strategy (engine=batch)
   const char* stamp;     // resolved strategy the record echoes
-  bool approximate;      // tau-leaping
   bool count_form;       // runs <protocol>-count: stamped abstracted
 };
 
-constexpr Candidate kSkip{"skip", "geometric_skip", "geometric_skip", false,
-                          false};
-constexpr Candidate kAuto{"auto", "auto", "auto", false, false};
-constexpr Candidate kTau{"tau", "tau", "tau", true, false};
-constexpr Candidate kRingRle{"ring_rle", "auto", "ring_rle", false, false};
-constexpr Candidate kCountForm{"count_form", "auto", "auto", false, true};
+constexpr Candidate kSkip{"skip", "geometric_skip", "geometric_skip", false};
+constexpr Candidate kAuto{"auto", "auto", "auto", false};
+constexpr Candidate kRingRle{"ring_rle", "auto", "ring_rle", false};
+constexpr Candidate kCountForm{"count_form", "auto", "auto", true};
 
 struct Row {
   const char* protocol;
@@ -97,10 +93,6 @@ const Row kRows[] = {
     {"optimal-silent", "single-leader", "ranked", 8, 16, kAuto},
     {"optimal-silent", "single-leader", "ranked", 64, 16, kAuto},
     {"optimal-silent", "single-leader", "ranked", 512, 8, kAuto},
-    // The approximate tier on its two protocols.
-    {"optimal-silent", "dormant-mix", "silent", 8, 30, kTau},
-    {"optimal-silent", "dormant-mix", "silent", 64, 30, kTau},
-    {"optimal-silent", "dormant-mix", "silent", 512, 30, kTau},
     // Faults: message loss on the batched strategies (at n = 512 the
     // duplicate-rank detection latency, a bare meeting time that carries
     // the same 1/(1 - drop) dilation) ...
@@ -163,13 +155,10 @@ const Row kRows[] = {
     // reset-process, the Section 3 harness.
     {"reset-process", "trigger-one", "drained", 8, 30, kSkip},
     {"reset-process", "trigger-one", "drained", 8, 30, kAuto},
-    {"reset-process", "trigger-one", "drained", 8, 30, kTau},
     {"reset-process", "trigger-one", "drained", 64, 30, kSkip},
     {"reset-process", "trigger-one", "drained", 64, 30, kAuto},
-    {"reset-process", "trigger-one", "drained", 64, 30, kTau},
     {"reset-process", "trigger-one", "drained", 512, 30, kSkip},
     {"reset-process", "trigger-one", "drained", 512, 30, kAuto},
-    {"reset-process", "trigger-one", "drained", 512, 30, kTau},
     {"reset-process", "mid-reset-mix", "drained", 8, 16, kAuto},
     {"reset-process", "mid-reset-mix", "drained", 64, 16, kAuto},
     {"reset-process", "mid-reset-mix", "drained", 512, 16, kAuto},
@@ -286,13 +275,9 @@ TEST_P(EquivalenceTable, CandidateMatchesReference) {
 
   EXPECT_EQ(ref.backend, "array");
   EXPECT_EQ(ref.strategy, "");
-  EXPECT_FALSE(ref.approximate);
-  EXPECT_EQ(ref.tau_eps, 0.0);
   EXPECT_FALSE(ref.abstracted);
   EXPECT_EQ(cand.backend, "batch");
   EXPECT_EQ(cand.strategy, row.candidate.stamp);
-  EXPECT_EQ(cand.approximate, row.candidate.approximate);
-  EXPECT_EQ(cand.tau_eps, row.candidate.approximate ? kDefaultTauEps : 0.0);
   EXPECT_EQ(cand.abstracted, row.candidate.count_form);
   const std::string topology = *row.topology ? row.topology : "complete";
   for (const ScenarioResult* r : {&ref, &cand}) {

@@ -9,8 +9,7 @@
 //  * degenerate knobs: fault.drop=1 makes zero state changes on every
 //    engine; churn conserves the population size exactly;
 //  * hard errors: out-of-range knobs, churn > n, churn without a
-//    churn_state(), count-engine faults on an unstructured protocol,
-//    faults on the approximate tier (tau);
+//    churn_state(), count-engine faults on an unstructured protocol;
 //  * scenario plumbing: faulted runs are stamped `faulted` with the knobs
 //    echoed, fault-free runs are not;
 //  * the `held` stop condition: holding time is measured under churn on
@@ -322,17 +321,6 @@ TEST(FaultErrors, CountEngineFaultsNeedStructuredProtocol) {
   spec.drop = 0.1;
   EXPECT_THROW(sim.set_faults(spec), std::invalid_argument);
   sim.set_faults(FaultSpec{});  // all-zero stays a no-op, not an error
-}
-
-TEST(FaultErrors, ApproximateTierRejectsFaults) {
-  ScenarioSpec spec;
-  spec.protocol = "optimal-silent";
-  spec.n = 64;
-  spec.engine = "batch";
-  spec.strategy = "tau";
-  spec.trials = 1;
-  spec.faults.drop = 0.1;
-  EXPECT_THROW(run_scenario(spec), std::invalid_argument);
 }
 
 TEST(FaultErrors, ScenarioValidatesKnobRanges) {

@@ -176,23 +176,20 @@ TEST(Registry, InexpressibleSpecsFailLoudly) {
               s.until = "silent";
               s.topology = "line";
             })},
-      {"nan tau.eps", make("optimal-silent",
-                           [](ScenarioSpec& s) {
-                             s.strategy = "tau";
-                             s.tau_eps = std::numeric_limits<double>::quiet_NaN();
-                           })},
   };
   for (const Case& c : cases)
     EXPECT_THROW(run_scenario(c.spec), std::invalid_argument) << c.what;
-  // The removed strategy's rejection names the ones that remain.
-  try {
-    run_scenario(make("optimal-silent",
-                      [](ScenarioSpec& s) { s.strategy = "multinomial"; }));
-    ADD_FAILURE() << "strategy=multinomial ran";
-  } catch (const std::invalid_argument& e) {
-    EXPECT_NE(std::string(e.what()).find("(geometric_skip | auto | tau)"),
-              std::string::npos)
-        << e.what();
+  // A removed strategy's rejection names the ones that remain.
+  for (const char* removed : {"multinomial", "tau", "tau_leap"}) {
+    try {
+      run_scenario(make("optimal-silent",
+                        [&](ScenarioSpec& s) { s.strategy = removed; }));
+      ADD_FAILURE() << "strategy=" << removed << " ran";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("(geometric_skip | auto)"),
+                std::string::npos)
+          << e.what();
+    }
   }
 }
 
@@ -224,9 +221,7 @@ TEST(Registry, PlanMatchesResult) {
     EXPECT_EQ(r.until, e.default_until) << e.name;
     EXPECT_EQ(r.topology, plan.topology.spec()) << e.name;
     EXPECT_EQ(r.n, plan.n) << e.name;
-    EXPECT_EQ(r.tau_eps, plan.tau_eps) << e.name;
     EXPECT_EQ(r.trials, plan.trials) << e.name;
-    EXPECT_EQ(r.approximate, plan.engine == Engine::kTau) << e.name;
   }
   // ring-ssle's fixed topology and the complete graph elsewhere.
   auto default_plan = [&reg](const char* protocol) {

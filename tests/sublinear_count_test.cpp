@@ -349,7 +349,6 @@ TEST(SublinearCountScenario, EveryRecordIsStampedAbstracted) {
   spec.seed = 101;
   const ScenarioResult r = run_scenario(spec);
   EXPECT_TRUE(r.abstracted);
-  EXPECT_FALSE(r.approximate);
   EXPECT_EQ(r.backend, "batch");
   EXPECT_EQ(r.failed, 0u);
 
@@ -357,21 +356,6 @@ TEST(SublinearCountScenario, EveryRecordIsStampedAbstracted) {
   spec.engine = "array";
   const ScenarioResult concrete = run_scenario(spec);
   EXPECT_FALSE(concrete.abstracted);
-}
-
-TEST(SublinearCountScenario, RunsOnTauTier) {
-  ScenarioSpec spec;
-  spec.protocol = "sublinear-hlog-count";
-  spec.init = "duplicate-names";
-  spec.until = "detected";
-  spec.n = 256;
-  spec.trials = 3;
-  spec.seed = 202;
-  spec.strategy = "tau";
-  const ScenarioResult tau = run_scenario(spec);
-  EXPECT_TRUE(tau.abstracted);
-  EXPECT_TRUE(tau.approximate);  // the two stamps compose
-  EXPECT_GT(tau.tau_eps, 0.0);
 }
 
 TEST(SublinearCountScenario, TruncDepthParamAndGuards) {

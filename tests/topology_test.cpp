@@ -241,8 +241,7 @@ TEST(CompleteTransparency, PairedStepUnderFaults) {
 // single measured value on any engine/strategy, and the resolved record
 // keeps the baseline shape (topology resolved to "complete").
 TEST(CompleteTransparency, ScenarioMetricsBitIdentical) {
-  for (const char* strategy :
-       {"auto", "geometric_skip", "tau"}) {
+  for (const char* strategy : {"auto", "geometric_skip"}) {
     ScenarioSpec spec;
     spec.protocol = "one-way-epidemic";
     spec.n = 256;
@@ -500,8 +499,8 @@ TEST(TopologyErrors, InexpressibleScenarioSpecs) {
   batch_line.trials = 1;
   EXPECT_THROW(run_scenario(batch_line), std::invalid_argument);
 
-  // The ring count path has exactly one strategy; pinning the clique's
-  // tau-leaping tier on it is a contradiction, not a silent fallback.
+  // The removed tau-leaping strategy is an unknown name on the ring too,
+  // not a silent fallback to the ring count path.
   ScenarioSpec ring_tau;
   ring_tau.protocol = "one-way-epidemic";
   ring_tau.n = 32;

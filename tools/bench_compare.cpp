@@ -15,16 +15,12 @@
 //                            same seeds must reproduce them bit-for-bit,
 //                            so any change means the simulated process
 //                            changed and the baseline needs a deliberate
-//                            refresh. Records stamped "approximate": true
-//                            (the strategy=tau tier) are a separate class:
+//                            refresh. Records stamped "abstracted": true
+//                            (count-form protocol quotients, e.g.
+//                            sublinear-*-count) are a separate class:
 //                            wall-time gated like everything else, but
-//                            never strict-diffed — the tau-leaping engine
-//                            may re-tune between commits, and its sampled
-//                            values carry no bit-for-bit contract.
-//                            Records stamped "abstracted": true (count-form
-//                            protocol quotients, e.g. sublinear-*-count) get
-//                            the same treatment: the abstraction itself may
-//                            be re-tuned, so they are wall-gated only.
+//                            never strict-diffed — the abstraction itself
+//                            may be re-tuned between commits.
 //       [--host-gate]        key the baseline by this machine's fingerprint
 //                            (CPU model + core count, common/host.h): if
 //                            <baseline_dir>/<fingerprint-slug>/ exists, use
@@ -140,10 +136,9 @@ int main(int argc, char** argv) {
   std::printf(
       "\nbench_compare: %d wall-clock comparisons, %d regressions "
       "(> %.0f%% and > %.2fs growth), %d improvements, %d drifted "
-      "(%d approximate + %d abstracted records exempt), %d baseline-only, "
-      "%d new\n",
+      "(%d abstracted records exempt), %d baseline-only, %d new\n",
       stats.compared, stats.regressions, opts.threshold * 100.0,
-      opts.min_seconds, stats.improvements, stats.drift, stats.approx_exempt,
+      opts.min_seconds, stats.improvements, stats.drift,
       stats.abstracted_exempt, stats.missing, stats.added);
   return stats.failed() ? 1 : 0;
 }

@@ -14,7 +14,7 @@
 //   ppsle_run --scenario key=val [key=val ...]
 //       Run one scenario. Keys: protocol, n, init, engine, strategy,
 //       until, trials, seed, threads, max_interactions, ptime, tail,
-//       tau.eps, fault.drop, fault.oneway, fault.churn, topology, label,
+//       fault.drop, fault.oneway, fault.churn, topology, label,
 //       param.<name> (protocol-constant override, e.g.
 //       param.rmax_factor=2). Unknown keys/values are hard errors, and so
 //       are n, trials and threads above UINT32_MAX.
@@ -115,10 +115,6 @@ void apply_kv(ScenarioSpec& spec, std::string& label, const std::string& key,
     spec.horizon_ptime = parse_double(key, value);
   } else if (key == "tail") {
     spec.tail_ptime = parse_double(key, value);
-  } else if (key == "tau.eps") {
-    // Approximate-tier knob: the tau-leap size (strategy=tau). 0 keeps the
-    // engine default.
-    spec.tau_eps = parse_double(key, value);
   } else if (key == "fault.drop") {
     // Fault-injection knobs (core/faults.h). Like every other spec field
     // they are checked by resolve(). Any non-zero knob stamps the record
@@ -140,7 +136,7 @@ void apply_kv(ScenarioSpec& spec, std::string& label, const std::string& key,
   } else {
     usage_error("unknown scenario key '" + key +
                 "' (known: protocol n init engine strategy until "
-                "trials seed threads max_interactions ptime tail tau.eps "
+                "trials seed threads max_interactions ptime tail "
                 "fault.drop fault.oneway fault.churn topology label "
                 "param.<name>)");
   }
