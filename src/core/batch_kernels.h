@@ -6,9 +6,6 @@
 //
 //   WeightedSampler       - Fenwick tree over per-state weights
 //                           (O(log |Q|) point update and weighted draw)
-//   FlatMap64             - open-addressing uint64 -> uint64 map used for
-//                           dirty-code and dirty-key bookkeeping and the
-//                           segmented pool's slot index
 //   sample_ordered_state_pair
 //                         - the scheduler's exact ordered state-pair draw
 //   active_weights        - the structured active weight
@@ -17,7 +14,7 @@
 //   StructureKernel<P>    - the geometric-skip kernel of P's declared null
 //                           structure, picked once by protocol type; all
 //                           three share one member set (build, weights,
-//                           on_count_change, resync, sample_pair, audit):
+//                           on_count_change, sample_pair, same_weights):
 //       DiagonalKernel       non-null pairs have equal states
 //                            (Silent-n-state-SSR)
 //       KeyedPassiveKernel   null iff both passive with distinct keys
@@ -27,16 +24,15 @@
 //   occupancy_profile     - a count vector's occupied codes and W in one
 //                           pass, to classify a start before any engine
 //                           is built
-//   SegmentedPool         - weighted pool over the *occupied* subset of a
-//                           huge code space, clustered into contiguous
-//                           256-code segments with per-segment weight
-//                           subtotals (weighted draws walk a Fenwick tree
-//                           over O(segments) subtotals plus one short
+//   SegmentedPool         - weighted without-replacement draws over the
+//                           *occupied* codes of a huge code space, built
+//                           once into contiguous 256-code segments with
+//                           weight subtotals (a draw walks a Fenwick tree
+//                           over the O(segments) subtotals plus one short
 //                           in-segment scan); no engine caller, kept only
 //                           for perfbench's kernel timing
 #pragma once
 
-#include <algorithm>
 #include <cstdint>
 #include <stdexcept>
 #include <type_traits>
@@ -55,10 +51,14 @@ class WeightedSampler {
   WeightedSampler() : tree_(1, 0) {}
   explicit WeightedSampler(std::uint32_t size) : tree_(size + 1, 0) {}
 
+  // All `size` weights zero, reusing the tree's storage: a rebuild never
+  // holds two trees at once.
+  void reset(std::uint32_t size) { tree_.assign(size + 1, 0); }
+
   // O(size) bulk construction from a full weight vector (replaces any
   // existing content) — point-adds would cost O(size log size).
   void build(const std::vector<std::uint64_t>& weights) {
-    tree_.assign(weights.size() + 1, 0);
+    reset(static_cast<std::uint32_t>(weights.size()));
     for (std::uint32_t i = 1; i < tree_.size(); ++i) {
       tree_[i] += weights[i - 1];
       const std::uint32_t parent = i + (i & (~i + 1));
@@ -121,121 +121,6 @@ struct CountDelta {
   std::int32_t delta;
 };
 
-// Open-addressing hash map uint64 -> uint64 (linear probing, power-of-two
-// capacity, insertion-ordered iteration). The count engine's hot maps —
-// dirty codes and dirty keys — live on this: no per-node allocation, O(1)
-// clear, deterministic iteration order (so every consumer of the map is
-// reproducible from the seed).
-class FlatMap64 {
- public:
-  FlatMap64() { rehash(16); }
-
-  void clear() {
-    entries_.clear();
-    ++epoch_;
-    if (epoch_ == 0) {  // epoch counter wrapped: hard reset the stamps
-      std::fill(stamps_.begin(), stamps_.end(), 0);
-      epoch_ = 1;
-    }
-  }
-
-  std::size_t size() const { return entries_.size(); }
-  bool empty() const { return entries_.empty(); }
-
-  // Insertion-ordered live entries. Values are indices into the slot
-  // table's value storage; use value_at / entry iteration below.
-  const std::vector<std::uint32_t>& entry_slots() const { return entries_; }
-  std::uint64_t key_at(std::uint32_t slot) const { return keys_[slot]; }
-  std::uint64_t value_at(std::uint32_t slot) const { return values_[slot]; }
-
-  // Returns the value slot for `key`, inserting value `init` if absent;
-  // sets `inserted` accordingly.
-  std::uint32_t find_or_insert(std::uint64_t key, std::uint64_t init,
-                               bool* inserted = nullptr) {
-    if (entries_.size() * 2 >= capacity()) grow();
-    std::uint32_t slot = probe(key);
-    if (stamps_[slot] != epoch_) {
-      stamps_[slot] = epoch_;
-      keys_[slot] = key;
-      values_[slot] = init;
-      entries_.push_back(slot);
-      if (inserted != nullptr) *inserted = true;
-    } else if (inserted != nullptr) {
-      *inserted = false;
-    }
-    return slot;
-  }
-
-  // Returns a pointer to the value for `key`, or nullptr when absent.
-  std::uint64_t* find(std::uint64_t key) {
-    const std::uint32_t slot = probe(key);
-    return stamps_[slot] == epoch_ ? &values_[slot] : nullptr;
-  }
-  const std::uint64_t* find(std::uint64_t key) const {
-    const std::uint32_t slot = probe(key);
-    return stamps_[slot] == epoch_ ? &values_[slot] : nullptr;
-  }
-
-  void add(std::uint64_t key, std::int64_t delta) {
-    const std::uint32_t slot = find_or_insert(key, 0);
-    values_[slot] = static_cast<std::uint64_t>(
-        static_cast<std::int64_t>(values_[slot]) + delta);
-  }
-
- private:
-  std::uint32_t capacity() const {
-    return static_cast<std::uint32_t>(keys_.size());
-  }
-
-  static std::uint64_t mix(std::uint64_t x) {
-    x ^= x >> 33;
-    x *= 0xff51afd7ed558ccdULL;
-    x ^= x >> 33;
-    x *= 0xc4ceb9fe1a85ec53ULL;
-    x ^= x >> 33;
-    return x;
-  }
-
-  std::uint32_t probe(std::uint64_t key) const {
-    std::uint32_t slot = static_cast<std::uint32_t>(mix(key)) & mask_;
-    while (stamps_[slot] == epoch_ && keys_[slot] != key)
-      slot = (slot + 1) & mask_;
-    return slot;
-  }
-
-  void rehash(std::uint32_t cap) {
-    keys_.assign(cap, 0);
-    values_.assign(cap, 0);
-    stamps_.assign(cap, 0);
-    mask_ = cap - 1;
-    epoch_ = 1;
-  }
-
-  void grow() {
-    std::vector<std::uint64_t> old_keys;
-    std::vector<std::uint64_t> old_values;
-    old_keys.reserve(entries_.size());
-    old_values.reserve(entries_.size());
-    for (std::uint32_t slot : entries_) {
-      old_keys.push_back(keys_[slot]);
-      old_values.push_back(values_[slot]);
-    }
-    entries_.clear();
-    rehash(capacity() * 2);
-    for (std::size_t i = 0; i < old_keys.size(); ++i) {
-      const std::uint32_t slot = find_or_insert(old_keys[i], old_values[i]);
-      values_[slot] = old_values[i];
-    }
-  }
-
-  std::vector<std::uint64_t> keys_;
-  std::vector<std::uint64_t> values_;
-  std::vector<std::uint32_t> stamps_;  // slot live iff stamp == epoch_
-  std::vector<std::uint32_t> entries_;
-  std::uint32_t mask_ = 0;
-  std::uint32_t epoch_ = 1;
-};
-
 // The scheduler's exact ordered state-pair draw from a count Fenwick:
 // initiator ∝ counts, responder uniform over the other n-1 agents (the
 // same count vector with one agent in the initiator's state removed).
@@ -282,6 +167,8 @@ struct ActiveWeights {
   std::uint64_t w1 = 0;        // A (m - 1)
   std::uint64_t w2 = 0;        // (m - A) A
   std::uint64_t total = 0;     // W = w1 + w2 + D
+
+  bool operator==(const ActiveWeights&) const = default;
 };
 
 inline ActiveWeights active_weights(std::uint64_t m, std::uint64_t restless,
@@ -304,17 +191,14 @@ inline ActiveWeights active_weights(std::uint64_t m, std::uint64_t restless,
 //   on_count_change(protocol, code, state, old, new, lazy)
 //                              counts[code] moved old -> new (state encodes
 //                              to code); when `lazy`, only the scalars move
-//                              and the Fenwick trees wait for the resync;
-//   resync_code(protocol, code, old, new), then finish_resync()
-//                              repair the trees for each code a lazy
-//                              stretch moved, then once at the end;
+//                              and the Fenwick trees go stale;
 //   sample_pair(rng, protocol, count_sampler, counts, n, weights)
 //                              the next active ordered state pair (W > 0);
 //   same_weights(other)        equal scalars and trees (engine audits).
 // The scalars are always current (silent() and the auto-strategy density
-// test read them); the Fenwick trees may go stale while the array arm
-// drives the run, and are resynced by the engine before the next
-// geometric-skip step.
+// test read them); the Fenwick trees go stale while the array arm drives
+// the run, and the engine rebuilds the kernel from the counts when it
+// leaves the arm.
 
 // Diagonal: every non-null pair has equal states, so D = sum over active q
 // of m_q (m_q - 1) and the colliding state is drawn ∝ m_q (m_q - 1).
@@ -352,15 +236,6 @@ class DiagonalKernel {
     if (!lazy && dw != 0) sampler_.add(code, dw);
   }
 
-  void resync_code(const P&, std::uint32_t code, std::uint64_t old_count,
-                   std::uint64_t new_count) {
-    if (!active_[code]) return;
-    const std::int64_t dw = pair_weight_change(old_count, new_count);
-    if (dw != 0) sampler_.add(code, dw);
-  }
-
-  void finish_resync() {}
-
   std::pair<std::uint32_t, std::uint32_t> sample_pair(
       Rng& rng, const P&, WeightedSampler&, const std::vector<std::uint64_t>&,
       std::uint64_t, const ActiveWeights&) const {
@@ -389,7 +264,7 @@ class KeyedPassiveKernel {
 
   void build(const P& protocol, const std::vector<std::uint64_t>& counts) {
     const std::uint32_t q = protocol.num_states();
-    restless_ = WeightedSampler(q);
+    restless_.reset(q);
     key_counts_.assign(protocol.num_passive_keys(), 0);
     restless_count_ = 0;
     diag_total_ = 0;
@@ -411,7 +286,6 @@ class KeyedPassiveKernel {
       diag_total_ += key_w[k];
     }
     key_sampler_.build(key_w);
-    dirty_keys_.clear();
   }
 
   ActiveWeights weights(std::uint64_t n) const {
@@ -434,32 +308,6 @@ class KeyedPassiveKernel {
       restless_count_ = add_signed(restless_count_, delta);
       if (!lazy) restless_.add(code, delta);
     }
-  }
-
-  // Repairs the restless Fenwick for one dirtied code; a passive code's
-  // change is summed per key here and the key Fenwick is repaired once per
-  // key in finish_resync().
-  void resync_code(const P& protocol, std::uint32_t code,
-                   std::uint64_t old_count, std::uint64_t new_count) {
-    const std::int64_t d = static_cast<std::int64_t>(new_count) -
-                           static_cast<std::int64_t>(old_count);
-    const State st = protocol.decode(code);
-    if (protocol.is_passive(st)) {
-      if (d != 0) dirty_keys_.add(protocol.passive_key(st), d);
-      return;
-    }
-    if (d != 0) restless_.add(code, d);
-  }
-
-  void finish_resync() {
-    for (std::uint32_t slot : dirty_keys_.entry_slots()) {
-      const auto k = static_cast<std::uint32_t>(dirty_keys_.key_at(slot));
-      const auto net = static_cast<std::int64_t>(dirty_keys_.value_at(slot));
-      const std::uint64_t old_kc = add_signed(key_counts_[k], -net);
-      const std::int64_t dw = pair_weight_change(old_kc, key_counts_[k]);
-      if (dw != 0) key_sampler_.add(k, dw);
-    }
-    dirty_keys_.clear();
   }
 
   std::pair<std::uint32_t, std::uint32_t> sample_pair(
@@ -535,7 +383,6 @@ class KeyedPassiveKernel {
   std::vector<std::uint64_t> key_counts_;   // s_k: passive agents per key
   std::uint64_t restless_count_ = 0;        // A (scalar mirror, always live)
   std::uint64_t diag_total_ = 0;            // D (scalar mirror, always live)
-  FlatMap64 dirty_keys_;                    // key -> net change at resync
 };
 
 // Unkeyed passive: a pair of two passive agents is null
@@ -549,7 +396,7 @@ class UnkeyedPassiveKernel {
 
   void build(const P& protocol, const std::vector<std::uint64_t>& counts) {
     const std::uint32_t q = protocol.num_states();
-    restless_ = WeightedSampler(q);
+    restless_.reset(q);
     restless_count_ = 0;
     for (std::uint32_t s = 0; s < q; ++s) {
       if (counts[s] == 0) continue;
@@ -573,16 +420,6 @@ class UnkeyedPassiveKernel {
     restless_count_ = add_signed(restless_count_, delta);
     if (!lazy) restless_.add(code, delta);
   }
-
-  void resync_code(const P& protocol, std::uint32_t code,
-                   std::uint64_t old_count, std::uint64_t new_count) {
-    if (protocol.is_passive(protocol.decode(code))) return;
-    const std::int64_t d = static_cast<std::int64_t>(new_count) -
-                           static_cast<std::int64_t>(old_count);
-    if (d != 0) restless_.add(code, d);
-  }
-
-  void finish_resync() {}
 
   std::pair<std::uint32_t, std::uint32_t> sample_pair(
       Rng& rng, const P& protocol, WeightedSampler& count_sampler,
@@ -670,23 +507,19 @@ OccupancyProfile occupancy_profile(const P& protocol,
 
 // --- Segmented occupied pool -----------------------------------------------
 
-// Weighted pool over the occupied subset of a huge code space. Where the
-// full-|Q| Fenwick tree of the geometric-skip paths is O(|Q|) memory (280 MB
-// for Optimal-Silent-SSR at n = 10^6, so every draw is ~25 DRAM misses),
-// this pool indexes only the occupied codes — O(min(n, |Q|)) slots, usually
-// cache-resident — and supports weighted without-replacement draws with a
-// restore step.
+// Weighted without-replacement draws over the occupied subset of a huge
+// code space. Where the full-|Q| Fenwick tree of the geometric-skip paths is
+// O(|Q|) memory (280 MB for Optimal-Silent-SSR at n = 10^6, so every draw is
+// ~25 DRAM misses), this pool indexes only the occupied codes —
+// O(min(n, |Q|)) slots, usually cache-resident.
 //
-// The occupied codes are clustered into *segments*: all codes sharing
+// build() scans the codes in ascending order, so slots and segments come
+// out in code order. A *segment* holds the occupied codes sharing
 // code >> kSegShift (a contiguous 256-code span of the state space; state
-// encodings place related states in nearby codes, so occupied codes arrive
-// clustered). Each segment carries a weight subtotal and its member slots
-// sorted by code, and the sampling Fenwick tree runs over the O(segments)
-// subtotals rather than the O(occupied) raw codes. A weighted draw is one
-// shallow Fenwick walk plus a short in-segment scan.
-//
-// Slot handles remain stable between structural mutations (apply_delta /
-// build / reset); draw/remove/restore never move slots.
+// encodings place related states in nearby codes, so occupied codes
+// cluster) with its weight subtotal, and the sampling Fenwick tree runs
+// over the O(segments) subtotals rather than the O(occupied) raw codes. A
+// weighted draw is one shallow Fenwick walk plus a short in-segment scan.
 //
 // SegmentedPool has no engine caller; it is kept only for perfbench's
 // kernel timing (kernel.segmented_pool_draw_ns) and goes when that
@@ -700,74 +533,38 @@ class SegmentedPool {
 
   bool built() const { return built_; }
 
-  // Resets to a built-but-empty pool, to be loaded by O(occupied)
-  // apply_delta calls instead of an O(|Q|) dense scan.
-  void reset() {
+  void build(const std::vector<std::uint64_t>& counts) {
     codes_.clear();
     weights_.clear();
-    slot_of_.clear();
     slot_seg_.clear();
     segments_.clear();
-    seg_of_.clear();
-    total_ = 0;
-    zero_slots_ = 0;
     removed_.clear();
-    rebuild_seg_fenwick();
+    total_ = 0;
+    std::uint32_t span = 0;  // code >> kSegShift of the last segment
+    for (std::uint32_t code = 0; code < counts.size(); ++code) {
+      if (counts[code] == 0) continue;
+      if (segments_.empty() || code >> kSegShift != span) {
+        span = code >> kSegShift;
+        segments_.emplace_back();
+      }
+      const auto slot = static_cast<std::uint32_t>(codes_.size());
+      codes_.push_back(code);
+      weights_.push_back(counts[code]);
+      slot_seg_.push_back(static_cast<std::uint32_t>(segments_.size()) - 1);
+      segments_.back().slots.push_back(slot);
+      segments_.back().weight += counts[code];
+      total_ += counts[code];
+    }
+    std::vector<std::uint64_t> subtotals;
+    subtotals.reserve(segments_.size());
+    for (const Segment& seg : segments_) subtotals.push_back(seg.weight);
+    seg_fenwick_.build(subtotals);
     built_ = true;
   }
 
-  // Current weight of `code` (0 when the code has no slot).
-  std::uint64_t weight_of(std::uint32_t code) const {
-    const std::uint64_t* slot = slot_of_.find(code);
-    return slot == nullptr ? 0 : weights_[static_cast<std::size_t>(*slot)];
-  }
-
-  void build(const std::vector<std::uint64_t>& counts) {
-    reset();
-    // Pre-size pass: count the occupied codes and their distinct segments
-    // up front so the slot arrays are allocated once and the segment
-    // Fenwick never doubles mid-build. Wide code spaces with scattered
-    // occupancy — the count-form sublinear quotients put thousands of
-    // occupied codes across thousands of segments — otherwise pay a
-    // geometric ladder of O(cap) rebuild_seg_fenwick calls inside
-    // ensure_slot.
-    std::uint32_t occ = 0;
-    std::uint32_t segs = 0;
-    std::uint64_t last_seg = ~std::uint64_t{0};
-    for (std::uint32_t code = 0; code < counts.size(); ++code) {
-      if (counts[code] == 0) continue;
-      ++occ;
-      const std::uint64_t seg_id = code >> kSegShift;
-      if (seg_id != last_seg) {
-        ++segs;
-        last_seg = seg_id;
-      }
-    }
-    codes_.reserve(occ);
-    weights_.reserve(occ);
-    slot_seg_.reserve(occ);
-    segments_.reserve(segs);
-    std::uint32_t cap = 16;
-    while (cap < segs) cap *= 2;
-    seg_fenwick_ = WeightedSampler(cap);
-    for (std::uint32_t code = 0; code < counts.size(); ++code) {
-      if (counts[code] == 0) continue;
-      bool fresh = false;
-      const std::uint32_t slot = ensure_slot(code, &fresh);
-      weights_[slot] = counts[code];
-      const std::uint32_t seg = slot_seg_[slot];
-      segments_[seg].weight += counts[code];
-      total_ += counts[code];
-    }
-    rebuild_seg_fenwick();
-  }
-
   std::uint64_t total() const { return total_; }
-  std::uint32_t slots() const {
-    return static_cast<std::uint32_t>(codes_.size());
-  }
   std::uint32_t occupied() const {
-    return static_cast<std::uint32_t>(codes_.size()) - zero_slots_;
+    return static_cast<std::uint32_t>(codes_.size());
   }
   std::uint32_t code_at(std::uint32_t slot) const { return codes_[slot]; }
   std::uint64_t weight_at(std::uint32_t slot) const { return weights_[slot]; }
@@ -779,8 +576,7 @@ class SegmentedPool {
   std::uint64_t segment_weight(std::uint32_t seg) const {
     return segments_[seg].weight;
   }
-  // Member slots of a segment, sorted by code. Zero-weight members stay
-  // listed until the next compaction (weighted scans skip them naturally).
+  // Member slots of a segment, sorted by code.
   const std::vector<std::uint32_t>& segment_slots(std::uint32_t seg) const {
     return segments_[seg].slots;
   }
@@ -806,146 +602,36 @@ class SegmentedPool {
     --segments_[seg].weight;
     --weights_[slot];
     --total_;
-    removed_.push_back(Removed{slot, 1});
+    removed_.push_back(slot);
     return slot;
-  }
-
-  // Removes `k` units at `slot` (recorded for restore_removed()).
-  void remove_bulk(std::uint32_t slot, std::uint64_t k) {
-    if (k == 0) return;
-    const std::uint32_t seg = slot_seg_[slot];
-    seg_fenwick_.add(seg, -static_cast<std::int64_t>(k));
-    segments_[seg].weight -= k;
-    weights_[slot] -= k;
-    total_ -= k;
-    removed_.push_back(Removed{slot, k});
   }
 
   // Restores every unit removed since the last restore, returning the pool
   // to "weights == counts" state.
   void restore_removed() {
-    for (const Removed& r : removed_) {
-      const std::uint32_t seg = slot_seg_[r.slot];
-      seg_fenwick_.add(seg, static_cast<std::int64_t>(r.k));
-      segments_[seg].weight += r.k;
-      weights_[r.slot] += r.k;
-      total_ += r.k;
+    for (std::uint32_t slot : removed_) {
+      const std::uint32_t seg = slot_seg_[slot];
+      seg_fenwick_.add(seg, 1);
+      ++segments_[seg].weight;
+      ++weights_[slot];
+      ++total_;
     }
     removed_.clear();
   }
 
-  // Permanent count change (counts[code] += delta), creating the slot (and
-  // its segment) on demand. Must not be called while removals are
-  // outstanding.
-  void apply_delta(std::uint32_t code, std::int64_t delta) {
-    if (delta == 0) return;
-    bool fresh = false;
-    const std::uint32_t slot = ensure_slot(code, &fresh);
-    const std::uint64_t old = weights_[slot];
-    weights_[slot] = static_cast<std::uint64_t>(
-        static_cast<std::int64_t>(old) + delta);
-    total_ = static_cast<std::uint64_t>(static_cast<std::int64_t>(total_) +
-                                        delta);
-    const std::uint32_t seg = slot_seg_[slot];
-    segments_[seg].weight = static_cast<std::uint64_t>(
-        static_cast<std::int64_t>(segments_[seg].weight) + delta);
-    seg_fenwick_.add(seg, delta);
-    if (old == 0 && weights_[slot] != 0 && !fresh) --zero_slots_;
-    if (old != 0 && weights_[slot] == 0) ++zero_slots_;
-    maybe_compact();
-  }
-
  private:
-  struct Removed {
-    std::uint32_t slot;
-    std::uint64_t k;
-  };
-
   struct Segment {
     std::uint64_t weight = 0;          // sum of member weights
     std::vector<std::uint32_t> slots;  // member slots, sorted by code
   };
 
-  // Slot for `code`, creating it (weight 0) and its segment on demand.
-  std::uint32_t ensure_slot(std::uint32_t code, bool* fresh) {
-    bool inserted = false;
-    const std::uint32_t map_slot =
-        slot_of_.find_or_insert(code, codes_.size(), &inserted);
-    *fresh = inserted;
-    if (!inserted)
-      return static_cast<std::uint32_t>(slot_of_.value_at(map_slot));
-    const auto slot = static_cast<std::uint32_t>(codes_.size());
-    codes_.push_back(code);
-    weights_.push_back(0);
-    const std::uint64_t seg_id = code >> kSegShift;
-    bool seg_inserted = false;
-    const std::uint32_t seg_map =
-        seg_of_.find_or_insert(seg_id, segments_.size(), &seg_inserted);
-    std::uint32_t seg;
-    if (seg_inserted) {
-      seg = static_cast<std::uint32_t>(segments_.size());
-      segments_.push_back(Segment{});
-      if (segments_.size() > seg_fenwick_.size()) rebuild_seg_fenwick();
-    } else {
-      seg = static_cast<std::uint32_t>(seg_of_.value_at(seg_map));
-    }
-    auto& members = segments_[seg].slots;
-    const auto it = std::lower_bound(
-        members.begin(), members.end(), code,
-        [this](std::uint32_t s, std::uint32_t c) { return codes_[s] < c; });
-    members.insert(it, slot);
-    slot_seg_.push_back(seg);
-    return slot;
-  }
-
-  void rebuild_seg_fenwick() {
-    std::uint32_t cap = 16;
-    while (cap < segments_.size()) cap *= 2;
-    std::vector<std::uint64_t> w(cap, 0);
-    for (std::size_t i = 0; i < segments_.size(); ++i) w[i] = segments_[i].weight;
-    seg_fenwick_ = WeightedSampler(cap);
-    seg_fenwick_.build(w);
-  }
-
-  void maybe_compact() {
-    if (codes_.size() < 64 || zero_slots_ * 2 < codes_.size()) return;
-    std::vector<std::uint32_t> codes;
-    std::vector<std::uint64_t> weights;
-    codes.reserve(codes_.size() - zero_slots_);
-    weights.reserve(codes_.size() - zero_slots_);
-    for (std::size_t i = 0; i < codes_.size(); ++i) {
-      if (weights_[i] == 0) continue;
-      codes.push_back(codes_[i]);
-      weights.push_back(weights_[i]);
-    }
-    const std::uint64_t saved_total = total_;
-    codes_.clear();
-    weights_.clear();
-    slot_of_.clear();
-    slot_seg_.clear();
-    segments_.clear();
-    seg_of_.clear();
-    zero_slots_ = 0;
-    for (std::size_t i = 0; i < codes.size(); ++i) {
-      bool fresh = false;
-      const std::uint32_t slot = ensure_slot(codes[i], &fresh);
-      weights_[slot] = weights[i];
-      segments_[slot_seg_[slot]].weight += weights[i];
-    }
-    total_ = saved_total;
-    rebuild_seg_fenwick();
-  }
-
-  std::vector<std::uint32_t> codes_;    // slot -> code
-  std::vector<std::uint64_t> weights_;  // slot -> current weight
-  FlatMap64 slot_of_;                   // code -> slot
-  std::vector<std::uint32_t> slot_seg_; // slot -> segment index
-  std::vector<Segment> segments_;       // insertion-ordered
-  FlatMap64 seg_of_;                    // code >> kSegShift -> segment index
-  WeightedSampler seg_fenwick_;         // over segment subtotals (pow-2 cap)
+  std::vector<std::uint32_t> codes_;     // slot -> code, ascending
+  std::vector<std::uint64_t> weights_;   // slot -> current weight
+  std::vector<std::uint32_t> slot_seg_;  // slot -> segment index
+  std::vector<Segment> segments_;        // in code order
+  WeightedSampler seg_fenwick_;          // over segment subtotals
   std::uint64_t total_ = 0;
-  std::uint32_t zero_slots_ = 0;
-  std::vector<Removed> removed_;
+  std::vector<std::uint32_t> removed_;   // one entry per removed unit
   bool built_ = false;
 };
 

@@ -52,16 +52,17 @@
 // The array arm does not touch the geometric path's Fenwick trees (the
 // full-|Q| count tree is hundreds of MB for Optimal-Silent-SSR at
 // n >= 10^6, so per-delta updates there would dominate). It keeps counts_
-// and the active-weight *scalars* current, diffs its entry histogram
-// against the counts once when it is left, and the diverged codes are
-// replayed into the trees before the next geometric-skip step.
+// and the active-weight *scalars* current, and the trees are rebuilt from
+// the counts once, when it is left. Entering already scans all |Q| counts,
+// so the rebuild costs the same order; a Fenwick tree is a linear function
+// of its weights, so every later draw is what incremental updates would
+// have given, bit for bit.
 //
 // BatchSimulation<P> satisfies the Engine, CountEngine and StrategyEngine
 // concepts of core/engine.h; protocol event counters live engine-side
 // (counters()).
 #pragma once
 
-#include <algorithm>
 #include <cstdint>
 #include <stdexcept>
 #include <string>
@@ -239,7 +240,6 @@ class BatchSimulation {
       (void)obs;
     }
     leave_array_arm();
-    resync_fenwicks();
     std::uint64_t consumed;
     if constexpr (StructuredProtocol<P>) {
       consumed = step_structured();
@@ -267,10 +267,9 @@ class BatchSimulation {
   // std::logic_error naming the first that fails: the counts sum to n;
   // inside the array arm, the agent array's histogram equals the counts
   // and every cached agent state encodes to its agent's code; the
-  // active-weight scalars and the Fenwick trees (once the pending lazy
-  // repairs are applied, on a copy) equal a fresh build from the counts.
-  // O(|Q| + n) per call, for tests; it consumes no randomness and changes
-  // nothing.
+  // active-weight scalars A, D and W equal a fresh build from the counts,
+  // and off the arm so do the Fenwick trees. O(|Q| + n) per call, for
+  // tests; it consumes no randomness and changes nothing.
   void audit() const {
     auto fail = [](const char* what) {
       throw std::logic_error(std::string("BatchSimulation audit: ") + what);
@@ -286,19 +285,19 @@ class BatchSimulation {
         if (protocol_.encode(a.state) != a.code)
           fail("agent state cache does not encode to the agent array");
     }
-    BatchSimulation synced = *this;
-    synced.leave_array_arm();
-    synced.resync_fenwicks();
-    WeightedSampler fresh_counts;
-    fresh_counts.build(counts_);
-    if (!(synced.count_sampler_ == fresh_counts))
-      fail("count Fenwick != counts");
     if constexpr (StructuredProtocol<P>) {
       StructureKernel<P> fresh;
       fresh.build(protocol_, counts_);
-      if (!synced.kernel_.same_weights(fresh))
+      if (!(kernel_.weights(population_size()) ==
+            fresh.weights(population_size())))
+        fail("active-weight scalars != fresh build");
+      if (!in_array_ && !kernel_.same_weights(fresh))
         fail("structure kernel != fresh build");
     }
+    if (in_array_) return;
+    WeightedSampler fresh_counts;
+    fresh_counts.build(counts_);
+    if (!(count_sampler_ == fresh_counts)) fail("count Fenwick != counts");
   }
 
  private:
@@ -311,6 +310,12 @@ class BatchSimulation {
     for (std::uint32_t s = 0; s < q; ++s) total += counts_[s];
     if (total != protocol_.population_size())
       throw std::invalid_argument("counts must sum to population size");
+    build_trees();
+  }
+
+  // The count tree and the structure kernel, from counts_ (each reusing
+  // its storage).
+  void build_trees() {
     count_sampler_.build(counts_);
     if constexpr (StructuredProtocol<P>) kernel_.build(protocol_, counts_);
   }
@@ -353,23 +358,6 @@ class BatchSimulation {
       kernel_.on_count_change(protocol_, s, protocol_.decode(s), old_count,
                               counts_[s], /*lazy=*/false);
     last_deltas_.push_back(CountDelta{s, static_cast<std::int32_t>(delta)});
-  }
-
-  void resync_fenwicks() {
-    if (!fenwicks_dirty_) return;
-    for (std::uint32_t slot : dirty_codes_.entry_slots()) {
-      const auto code = static_cast<std::uint32_t>(dirty_codes_.key_at(slot));
-      const std::uint64_t old_count = dirty_codes_.value_at(slot);
-      const std::uint64_t now = counts_[code];
-      const std::int64_t d = static_cast<std::int64_t>(now) -
-                             static_cast<std::int64_t>(old_count);
-      if (d != 0) count_sampler_.add(code, d);
-      if constexpr (StructuredProtocol<P>)
-        kernel_.resync_code(protocol_, code, old_count, now);
-    }
-    if constexpr (StructuredProtocol<P>) kernel_.finish_resync();
-    dirty_codes_.clear();
-    fenwicks_dirty_ = false;
   }
 
   // Applies interact() to one (a, b) state pair drawn by the scheduler and
@@ -497,7 +485,7 @@ class BatchSimulation {
   // scalars and the agent state cache current,
   // records the move for last_deltas(), and shows the change to obs with
   // interactions() at `now`. Returns obs's stop request. The Fenwick trees
-  // are left stale until leave_array_arm().
+  // are left stale until leave_array_arm() rebuilds them.
   template <class Observer>
   bool move_agent(std::uint32_t i, std::uint32_t code, const State& to,
                   std::uint64_t now, Observer& obs) {
@@ -524,58 +512,38 @@ class BatchSimulation {
   }
 
   // Lays the agents out from the counts in code order, each with its
-  // decoded state (one decode per occupied code). The scheduler is
-  // anonymous, so any fixed layout is exact, and this one consumes no
-  // randomness. Occupied codes come from one O(|Q|) scan of counts_, the
-  // order of the count engine's own set-up; the entry histogram is kept for
-  // leave_array_arm()'s repair. Kept out of line (cold: once per entry), so
-  // step_array's flatten does not copy it into every instantiation.
+  // decoded state (one decode per occupied code), in one O(|Q|) scan of
+  // counts_. The scheduler is anonymous, so any fixed layout is exact, and
+  // this one consumes no randomness. Kept out of line (cold: once per
+  // entry), so step_array's flatten does not copy it into every
+  // instantiation.
   [[gnu::noinline]] void enter_array_arm() {
-    array_entry_.clear();
-    for (std::uint32_t code = 0; code < counts_.size(); ++code)
-      if (counts_[code] != 0)
-        array_entry_.push_back(CodeCount{code, counts_[code]});
     agents_.clear();
     agents_.reserve(population_size());
-    for (const CodeCount& e : array_entry_)
-      agents_.insert(agents_.end(), e.count,
-                     Agent{protocol_.decode(e.code), e.code});
+    for (std::uint32_t code = 0; code < counts_.size(); ++code)
+      if (counts_[code] != 0)
+        agents_.insert(agents_.end(), counts_[code],
+                       Agent{protocol_.decode(code), code});
     in_array_ = true;
   }
 
-  // Repairs what the array arm left stale, once: every code whose count
-  // moved since entry (the entry histogram plus the codes the agents hold
-  // now) is handed to the dirty-code resync, which repairs the Fenwick
-  // trees before the next geometric step. O(n + occupied at entry) hash
-  // operations.
+  // Rebuilds the Fenwick trees the array arm left stale from the counts,
+  // once per leave: O(|Q|), the order of the entry scan.
   void leave_array_arm() {
     if (!in_array_) return;
-    array_diff_.clear();
-    for (const CodeCount& e : array_entry_)
-      array_diff_.find_or_insert(e.code, e.count);
-    for (const Agent& a : agents_) array_diff_.find_or_insert(a.code, 0);
-    for (std::uint32_t slot : array_diff_.entry_slots()) {
-      const auto code = static_cast<std::uint32_t>(array_diff_.key_at(slot));
-      const std::uint64_t entry = array_diff_.value_at(slot);
-      if (counts_[code] == entry) continue;
-      dirty_codes_.find_or_insert(code, entry);  // first old value wins
-      fenwicks_dirty_ = true;
-    }
+    build_trees();
     in_array_ = false;
   }
 
   // --- Churn ---------------------------------------------------------------
 
-  // End-of-slot crash: reset one uniformly random agent to the protocol's
-  // boot state. The eager count update requires clean Fenwick trees (an
-  // eager delta on a lazily-dirty code would be double-counted at the next
-  // resync), and it appends to last_deltas_ so rank trackers observing the
-  // count stream see churn like any other transition. Kept out of line
-  // (cold: once per crash), so the flattened geometric steps do not copy
-  // the resync into every instantiation.
+  // End-of-slot crash on the geometric paths: reset one uniformly random
+  // agent to the protocol's boot state. The eager count update appends to
+  // last_deltas_ so rank trackers observing the count stream see churn like
+  // any other transition. Kept out of line (cold: once per crash), so the
+  // flattened geometric steps do not copy it into every instantiation.
   [[gnu::noinline]] void crash_uniform_agent() {
     if constexpr (ChurnableProtocol<P>) {
-      resync_fenwicks();
       const std::uint32_t victim =
           count_sampler_.find(rng_.below(population_size()));
       if (victim != churn_code_) {
@@ -715,20 +683,13 @@ class BatchSimulation {
   BatchStepStats stats_;
   StrategyTrace trace_;
   std::vector<CountDelta> last_deltas_;
-  FlatMap64 dirty_codes_;  // code -> count the Fenwick trees still reflect
-  bool fenwicks_dirty_ = false;
   std::uint64_t dense_weight_ = 0;  // the auto verdict's bound
-  // Array arm (kAuto only): each agent's state and code while in_array_,
-  // the counts at entry, and leave_array_arm()'s scratch map. State and
-  // code share one element, so a slot's two agents cost two cache lines,
-  // as on the agent array.
+  // Array arm (kAuto only): each agent's state and code while in_array_.
+  // State and code share one element, so a slot's two agents cost two
+  // cache lines, as on the agent array.
   struct Agent {
     State state;
     std::uint32_t code;
-  };
-  struct CodeCount {
-    std::uint32_t code;
-    std::uint64_t count;
   };
   // The current slot's agent moves (a pair and a crash at most), kept in
   // place of per-change last_deltas_ pushes (measured ~1.5x slower end to
@@ -741,8 +702,6 @@ class BatchSimulation {
   std::vector<Agent> agents_;
   CodeMove slot_move_[3] = {};
   std::uint32_t slot_moves_ = 0;
-  std::vector<CodeCount> array_entry_;
-  FlatMap64 array_diff_;
   bool in_array_ = false;
   FaultSpec faults_{};  // all-zero (and bit-transparent) unless set_faults()
   bool faults_active_ = false;

@@ -33,9 +33,9 @@ set(flattened "BatchSimulation.*step_array"
               "RingSimulation<.*>::step\\(\\)")
 # Calls a flattened function may keep, each a cold path kept out of line.
 # The array arm's entry fill (O(|Q|) scan of the counts, once per entry)
-# and a churn crash (a Fenwick resync and two eager count deltas, once per
-# crash) are [[gnu::noinline]]: flattened into every step instantiation
-# they only grew the binary.
+# and a churn crash on the geometric paths (a count-tree draw and two eager
+# count deltas, once per crash) are [[gnu::noinline]]: flattened into
+# every step instantiation they only grew the binary.
 set(cold_calls "ppsim::BatchSimulation<.*>::enter_array_arm\\("
                "ppsim::BatchSimulation<.*>::crash_uniform_agent\\(")
 list(JOIN cold_calls "|" cold_call)

@@ -357,9 +357,9 @@ int audit_each_step(BatchSimulation<P>& sim, int steps, int pin_every) {
 
 // The array arm keeps the count-engine contract while it drives: after
 // every step the counts sum to n, the agent array's histogram equals the
-// counts, and the active-weight scalars and the Fenwick trees (repaired on
-// leaving the arm) equal a fresh build. One engine
-// per structure kernel: keyed, unkeyed and diagonal.
+// counts, and the active-weight scalars equal a fresh build; off the arm
+// the Fenwick trees (rebuilt on leaving it) do too. One engine per
+// structure kernel: keyed, unkeyed and diagonal.
 TEST(ArrayArm, InvariantsHoldAcrossArmSwitches) {
   {
     // Dense from the start; pinning forces eight exits and re-entries.
@@ -391,8 +391,8 @@ TEST(ArrayArm, InvariantsHoldAcrossArmSwitches) {
   {
     // The diagonal kernel: Silent-n-state-SSR with every agent at one rank
     // (dense, so auto takes the array arm) runs to silence through the
-    // pinning cycle, so array rounds move the kernel lazily and each
-    // geometric step resyncs it first.
+    // pinning cycle, so array rounds move the kernel lazily and leaving
+    // the arm rebuilds its tree.
     constexpr std::uint32_t kN = 128;
     std::vector<std::uint64_t> counts(kN, 0);
     counts[0] = kN;

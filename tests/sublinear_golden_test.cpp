@@ -24,7 +24,6 @@
 
 #include <cmath>
 #include <fstream>
-#include <map>
 #include <set>
 #include <sstream>
 #include <stdexcept>
@@ -40,7 +39,7 @@ namespace {
 struct GoldenCell {
   ScenarioSpec spec;
   std::string label;
-  const JsonValue* expect = nullptr;
+  JsonValue expect;
 };
 
 JsonValue fixture(const std::string& name) {
@@ -66,11 +65,9 @@ std::string spell(const JsonValue& value) {
 }
 
 std::vector<GoldenCell> cells(const std::string& name) {
-  static std::map<std::string, JsonValue> loaded;
-  auto it = loaded.find(name);
-  if (it == loaded.end()) it = loaded.emplace(name, fixture(name)).first;
+  const JsonValue root = fixture(name);
   std::vector<GoldenCell> out;
-  for (const JsonValue& cell : it->second.get("cells")->items) {
+  for (const JsonValue& cell : root.get("cells")->items) {
     GoldenCell g;
     for (const auto& [key, value] : cell.get("spec")->fields) {
       const auto number = static_cast<std::uint64_t>(value.num);
@@ -98,7 +95,7 @@ std::vector<GoldenCell> cells(const std::string& name) {
       g.label += " " + key + "=" + spell(value);
     }
     g.spec.threads = 1;
-    g.expect = cell.get("expect");
+    g.expect = *cell.get("expect");
     out.push_back(std::move(g));
   }
   return out;
@@ -113,7 +110,7 @@ void expect_records_match(const std::string& name) {
     for (std::size_t i = 0; i < kStrategyArmCount; ++i)
       if (r.trace.steps[i] != 0) ++arms;
     std::size_t checked = 0;
-    for (const auto& [field, value] : g.expect->fields) {
+    for (const auto& [field, value] : g.expect.fields) {
       ASSERT_TRUE(value.is_number()) << field;
       double got = 0.0;
       bool known = true;
@@ -185,9 +182,8 @@ TEST(CountEngineGolden, FixtureCoversEveryKernelAndArm) {
     EXPECT_EQ(g.spec.engine, "batch") << g.label;
     protocols.insert(g.spec.protocol);
     strategies.insert(g.spec.strategy);
-    const JsonValue* array = g.expect->get("arm_array_steps");
-    const JsonValue* skip = g.expect->get("arm_geometric_skip_steps");
-    const bool crosses = array != nullptr && skip != nullptr;
+    const bool crosses = g.expect.get("arm_array_steps") != nullptr &&
+                         g.expect.get("arm_geometric_skip_steps") != nullptr;
     if (g.spec.strategy == "auto") {
       EXPECT_TRUE(crosses) << g.label;
     }
