@@ -57,7 +57,7 @@ void BM_NameCompare(benchmark::State& state) {
 }
 BENCHMARK(BM_NameCompare);
 
-// Roster::unite on each of its three paths. Every iteration unites fresh
+// Roster::unite on each of its four paths. Every iteration unites fresh
 // copies of the two rosters (two reference-count increments each), so the
 // inputs stay as built.
 void BM_RosterUnionDisjoint(benchmark::State& state) {
@@ -91,6 +91,23 @@ void BM_RosterUnionSuperset(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_RosterUnionSuperset)->Arg(64)->Arg(1024);
+
+void BM_RosterUnionEqual(benchmark::State& state) {
+  // Equal contents in distinct storages: one full walk, then both take the
+  // storage first in the order.
+  const auto size = static_cast<std::uint32_t>(state.range(0));
+  Roster a, b;
+  for (std::uint32_t i = 0; i < size; ++i) {
+    a.insert(Name::from_bits(i, 40));
+    b.insert(Name::from_bits(i, 40));
+  }
+  for (auto _ : state) {
+    Roster x = a, y = b;
+    benchmark::DoNotOptimize(Roster::unite(x, y, size));
+    benchmark::DoNotOptimize(x);
+  }
+}
+BENCHMARK(BM_RosterUnionEqual)->Arg(64)->Arg(1024);
 
 void BM_RosterUnionShared(benchmark::State& state) {
   // The steady-state fast path: both rosters share storage.

@@ -353,17 +353,17 @@ inline void register_silent_nstate(ProtocolRegistry& reg) {
     ParamReader(plan.params).finish();  // no overridable constants
     const SilentNStateSSR proto(n);
     const auto& inits = silent_nstate_inits();
-    if (plan.until == "ranked")
-      return sd::execute_ranked(plan, proto, inits, kOpenHorizon);
-    if (plan.until == "held") {
-      // Entry needs the Theta(n^2)-time stabilization first: ~20x the exact
-      // worst-case expectation (n-1)C(n,2), saturated to the open horizon.
-      const double cap =
-          20.0 * silent_nstate_worst_expected_interactions(n) + 16777216.0;
-      return sd::execute_ranked(
-          plan, proto, inits,
-          cap > 9e18 ? kOpenHorizon : static_cast<std::uint64_t>(cap));
-    }
+    // Each stop event comes within the Theta(n^2)-time stabilization (held
+    // needs it first): the horizon is ~20x the exact worst-case expectation
+    // (n-1)C(n,2), plus 2^24, saturated to the open horizon. Under churn the
+    // event may never come (crashed agents boot at rank 0); such a trial
+    // fails at the horizon instead of running forever.
+    const double cap =
+        20.0 * silent_nstate_worst_expected_interactions(n) + 16777216.0;
+    const std::uint64_t horizon =
+        cap > 9e18 ? kOpenHorizon : static_cast<std::uint64_t>(cap);
+    if (plan.until == "ranked" || plan.until == "held")
+      return sd::execute_ranked(plan, proto, inits, horizon);
     if (plan.until == "thinned") {
       // Rank 0 holds at most one agent. From `duplicate-rank` this is the
       // Observation 2.6 meeting time (the duplicated pair must interact
@@ -374,7 +374,7 @@ inline void register_silent_nstate(ProtocolRegistry& reg) {
                           const SilentNStateSSR::State& s) {
         return s.rank == 0;
       };
-      return sd::execute_event(plan, proto, inits, kOpenHorizon,
+      return sd::execute_event(plan, proto, inits, horizon,
                                holders_stop(at_rank_0, 1));
     }
     return sd::execute_ptime(plan, proto, inits);

@@ -9,16 +9,29 @@
 //     itself (line 5) are one pass, `unite`: a single merge walk counts the
 //     keys only in a, only in b and in both, and stops with "ghost" as soon
 //     as the count passes n, leaving both rosters untouched;
-//   - only a strict two-sided union allocates. When one roster already holds
-//     every name of the other, the other adopts its storage (a's when the
-//     contents are equal), so after the population converges all agents
-//     share one immutable vector and every roster operation is O(1): pointer
-//     equality spreads like an epidemic.
+//   - only a strict two-sided union allocates. When one roster holds every
+//     name of the other (a strict superset), the other adopts its storage.
+//     When the contents are equal but the storages differ, both take the
+//     storage that comes first in a fixed total order (the storage address,
+//     std::less). So after the contents converge all agents come to share
+//     one immutable vector, and every roster operation is O(1).
+//
+// Why the order: with "the responder adopts the initiator's storage" on
+// equal contents, each meeting copies one side's storage onto the other at
+// random, which is the voter model: a storage can also be lost, and the
+// population needs Theta(n) parallel time to reach consensus on one. Under
+// the order, the first storage among the holders of some contents is never
+// given up in an equal-content meeting, and every holder it meets takes it,
+// in either role: it spreads as a two-way epidemic and reaches every holder
+// of those contents in O(log n) parallel time. Only storage identity
+// depends on the order; contents, ghost verdicts and ranks do not, so a
+// run's trajectory is the same whichever storage wins.
 #pragma once
 
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <utility>
 #include <vector>
@@ -79,7 +92,8 @@ class Roster {
   // untouched, when |a U b| > cap (a ghost name); otherwise sets both to
   // a U b, sharing one storage, and returns true. O(1) when the storage is
   // already shared; otherwise one merge walk, plus one allocating merge
-  // only when each roster holds a name the other lacks.
+  // only when each roster holds a name the other lacks. On equal contents
+  // the surviving storage is the first in storage order (see the header).
   [[gnu::always_inline]] static bool unite(Roster& a, Roster& b,
                                            std::size_t cap) {
     if (a.keys_ == b.keys_) return a.size() <= cap;
@@ -102,7 +116,7 @@ class Roster {
     const std::size_t only_b = steps - i + (nb - j);
     const std::size_t total = steps + (na - i) + (nb - j);
     if (total > cap) return false;
-    if (only_b == 0) {
+    if (only_b == 0 && (only_a != 0 || storage_precedes(a, b))) {
       b.keys_ = a.keys_;
     } else if (only_a == 0) {
       a.keys_ = b.keys_;
@@ -122,6 +136,12 @@ class Roster {
 
   bool shares_storage_with(const Roster& other) const {
     return keys_ == other.keys_;
+  }
+
+  // The fixed total order on storages by which `unite` picks the survivor
+  // for equal contents: whether a's storage comes before b's.
+  static bool storage_precedes(const Roster& a, const Roster& b) {
+    return std::less<const Keys*>{}(a.keys_.get(), b.keys_.get());
   }
 
  private:

@@ -271,8 +271,12 @@ class RingSimulation {
   }
 
   // --- churn ------------------------------------------------------------
+  //
+  // The crash and the crash fast-forward are cold (once per crash) and kept
+  // out of line: flattened into every step instantiation they only grew
+  // the binary.
 
-  void crash_uniform_agent() {
+  [[gnu::noinline]] void crash_uniform_agent() {
     if constexpr (ChurnableProtocol<P>) {
       const auto victim = static_cast<std::uint32_t>(rng_.below(n_));
       if (codes_[victim] != churn_code_) set_position(victim, churn_code_);
@@ -289,7 +293,7 @@ class RingSimulation {
   // No changeful interaction can precede the next crash: consume the
   // countdown's null slots, crash at the countdown's own slot, redraw.
   // Always consumes >= 1 slot, so a churning engine never reports stuck.
-  std::uint64_t crash_fast_forward() {
+  [[gnu::noinline]] std::uint64_t crash_fast_forward() {
     const std::uint64_t consumed = crash_countdown_;
     interactions_ += consumed;
     crash_countdown_ = 0;

@@ -32,12 +32,15 @@ set(flattened "BatchSimulation.*step_array"
               "BatchSimulation<.*>::step_general\\(\\)"
               "RingSimulation<.*>::step\\(\\)")
 # Calls a flattened function may keep, each a cold path kept out of line.
-# The array arm's entry fill (O(|Q|) scan of the counts, once per entry)
-# and a churn crash on the geometric paths (a count-tree draw and two eager
-# count deltas, once per crash) are [[gnu::noinline]]: flattened into
+# The array arm's entry fill (O(|Q|) scan of the counts, once per entry),
+# a churn crash on the geometric paths (a count-tree draw and two eager
+# count deltas, once per crash), and the ring's churn crash and crash
+# fast-forward (once per crash) are [[gnu::noinline]]: flattened into
 # every step instantiation they only grew the binary.
 set(cold_calls "ppsim::BatchSimulation<.*>::enter_array_arm\\("
-               "ppsim::BatchSimulation<.*>::crash_uniform_agent\\(")
+               "ppsim::BatchSimulation<.*>::crash_uniform_agent\\("
+               "ppsim::RingSimulation<.*>::crash_uniform_agent\\("
+               "ppsim::RingSimulation<.*>::crash_fast_forward\\(")
 list(JOIN cold_calls "|" cold_call)
 # Helpers of the unflattened agent array that must have no text symbol.
 # `operator<=>` is matched with its Name argument only.

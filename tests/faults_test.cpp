@@ -438,6 +438,35 @@ TEST(FaultHeld, FaultFreeSilentRunHoldsForeverAndFails) {
   for (double v : r.values) EXPECT_EQ(v, -1.0);
 }
 
+// --- Finite default horizons under churn ------------------------------------
+
+// silent-nstate boots a crashed agent at rank 0, so under churn ranked and
+// thinned may never come. Each such trial must fail at the default horizon
+// (~20x the worst-case stabilization) instead of running forever. For
+// thinned, one crash per slot keeps rank 0 crowded.
+TEST(FaultHorizon, ChurnedSilentNStateFailsAtTheHorizon) {
+  struct Row {
+    const char* until;
+    std::uint32_t n;
+    double churn;
+  };
+  for (const Row row : {Row{"ranked", 128, 0.05}, Row{"thinned", 32, 32.0}}) {
+    ScenarioSpec spec;
+    spec.protocol = "silent-nstate";
+    spec.init = "all-same";
+    spec.until = row.until;
+    spec.engine = "batch";
+    spec.strategy = "auto";
+    spec.n = row.n;
+    spec.trials = 1;
+    spec.seed = 10;
+    spec.faults.churn = row.churn;
+    const ScenarioResult r = run_scenario(spec);
+    EXPECT_EQ(r.failed, 1u) << row.until;
+    EXPECT_EQ(r.values, std::vector<double>{-1.0}) << row.until;
+  }
+}
+
 // --- The count engine's array arm under faults ------------------------------
 //
 // At n < 4096, strategy=auto runs optimal-silent's dense reset and

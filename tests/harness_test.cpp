@@ -3,8 +3,13 @@
 // window — the three engineering layers the benchmarks lean on.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <vector>
+
 #include "analysis/convergence.h"
 #include "common/roster.h"
+#include "core/rng.h"
 #include "core/simulation.h"
 #include "init/silent_nstate_init.h"
 #include "init/sublinear_init.h"
@@ -106,10 +111,49 @@ TEST(RosterCow, EqualContentsConvergeToOneStorage) {
     b.insert(Name::from_bits(v, 5));
   }
   EXPECT_FALSE(a.shares_storage_with(b));
-  const Roster a0 = a;
+  const Roster a0 = a, b0 = b;
+  const Roster& first = Roster::storage_precedes(a0, b0) ? a0 : b0;
   ASSERT_TRUE(Roster::unite(a, b, 2));
   EXPECT_TRUE(a.shares_storage_with(b));
-  EXPECT_TRUE(a.shares_storage_with(a0));  // equal contents: a's storage
+  // Equal contents: the storage first in the order survives, in either role.
+  EXPECT_TRUE(a.shares_storage_with(first));
+  Roster c = b0, d = a0;
+  ASSERT_TRUE(Roster::unite(c, d, 2));
+  EXPECT_TRUE(c.shares_storage_with(first));
+  EXPECT_TRUE(d.shares_storage_with(first));
+}
+
+// Equal rosters in distinct storages coalesce to one storage within
+// O(log n) parallel time: the first storage in the order is never given up
+// on an equal-content meeting, so it spreads as a two-way epidemic. (With
+// "the responder takes the initiator's storage" the storages follow a voter
+// model, which needs Theta(n) parallel time and leaves several storages
+// after these 4 ln n units.)
+TEST(RosterCow, EqualRostersCoalesceLikeAnEpidemic) {
+  for (const std::uint32_t n : {64u, 256u, 512u}) {
+    std::vector<Name> names;
+    for (std::uint32_t i = 0; i < n; ++i)
+      names.push_back(Name::from_bits(i, 10));
+    std::vector<Roster> rosters;
+    for (std::uint32_t i = 0; i < n; ++i)
+      rosters.push_back(Roster::from_names(names));  // one storage each
+    const auto pairs = static_cast<std::uint64_t>(
+        std::ceil(4.0 * n * std::log(static_cast<double>(n))));
+    Rng rng(23);
+    for (std::uint64_t k = 0; k < pairs; ++k) {
+      const auto i = static_cast<std::uint32_t>(rng.below(n));
+      auto j = static_cast<std::uint32_t>(rng.below(n - 1));
+      j += j >= i;
+      ASSERT_TRUE(Roster::unite(rosters[i], rosters[j], n));
+    }
+    std::vector<const Roster*> storages;
+    for (const Roster& r : rosters)
+      if (std::none_of(storages.begin(), storages.end(), [&](const Roster* s) {
+            return r.shares_storage_with(*s);
+          }))
+        storages.push_back(&r);
+    EXPECT_EQ(storages.size(), 1u) << "n = " << n;
+  }
 }
 
 TEST(RosterCow, SharedStorageUnionIsExact) {
