@@ -12,9 +12,10 @@
 //   - only a strict two-sided union allocates. When one roster holds every
 //     name of the other (a strict superset), the other adopts its storage.
 //     When the contents are equal but the storages differ, both take the
-//     storage that comes first in a fixed total order (the storage address,
-//     std::less). So after the contents converge all agents come to share
-//     one immutable vector, and every roster operation is O(1).
+//     storage that comes first in a fixed total order: the older one, by a
+//     serial number each storage gets when it is made. So after the contents
+//     converge all agents come to share one immutable vector, and every
+//     roster operation is O(1).
 //
 // Why the order: with "the responder adopts the initiator's storage" on
 // equal contents, each meeting copies one side's storage onto the other at
@@ -26,12 +27,21 @@
 // of those contents in O(log n) parallel time. Only storage identity
 // depends on the order; contents, ghost verdicts and ranks do not, so a
 // run's trajectory is the same whichever storage wins.
+//
+// Why creation order and not the storage address: addresses depend on the
+// allocator's layout, which moves with address-space randomization and
+// with which trials a worker thread ran before. Under the address order the
+// same seed made different storages win from one process to the next, and
+// with them a different number of roster walks. A trial makes all its
+// storages on one thread, so their serials follow the trajectory alone;
+// and the older storage has had longer to spread, so it is usually the one
+// most holders already share.
 #pragma once
 
 #include <algorithm>
+#include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <utility>
 #include <vector>
@@ -44,11 +54,11 @@ class Roster {
   using Keys = std::vector<std::uint64_t>;
 
  public:
-  Roster() : keys_(empty_storage()) {}
+  Roster() : storage_(empty_storage()) {}
 
   static Roster singleton(const Name& name) {
     Roster r;
-    r.keys_ = std::make_shared<const Keys>(Keys{name.preorder_index()});
+    r.storage_ = make_storage(Keys{name.preorder_index()});
     return r;
   }
 
@@ -61,31 +71,31 @@ class Roster {
     std::sort(keys.begin(), keys.end());
     keys.erase(std::unique(keys.begin(), keys.end()), keys.end());
     Roster r;
-    r.keys_ = std::make_shared<const Keys>(std::move(keys));
+    r.storage_ = make_storage(std::move(keys));
     return r;
   }
 
-  std::size_t size() const { return keys_->size(); }
+  std::size_t size() const { return keys().size(); }
 
   bool contains(const Name& n) const {
-    return std::binary_search(keys_->begin(), keys_->end(),
+    return std::binary_search(keys().begin(), keys().end(),
                               n.preorder_index());
   }
 
   void insert(const Name& n) {
     if (contains(n)) return;
-    Keys copy = *keys_;  // copy-on-write
+    Keys copy = keys();  // copy-on-write
     const std::uint64_t key = n.preorder_index();
     copy.insert(std::lower_bound(copy.begin(), copy.end(), key), key);
-    keys_ = std::make_shared<const Keys>(std::move(copy));
+    storage_ = make_storage(std::move(copy));
   }
 
   // 1-based lexicographic position of `n` among the roster entries. Defined
   // even when n is absent (adversarial states); equals 1 + #entries < n.
   std::uint32_t lexicographic_rank(const Name& n) const {
-    auto it = std::lower_bound(keys_->begin(), keys_->end(),
+    auto it = std::lower_bound(keys().begin(), keys().end(),
                                n.preorder_index());
-    return static_cast<std::uint32_t>(it - keys_->begin()) + 1;
+    return static_cast<std::uint32_t>(it - keys().begin()) + 1;
   }
 
   // Protocol 5 lines 2 and 5 together. Returns false, leaving both rosters
@@ -96,9 +106,9 @@ class Roster {
   // the surviving storage is the first in storage order (see the header).
   [[gnu::always_inline]] static bool unite(Roster& a, Roster& b,
                                            std::size_t cap) {
-    if (a.keys_ == b.keys_) return a.size() <= cap;
-    const std::uint64_t* x = a.keys_->data();
-    const std::uint64_t* y = b.keys_->data();
+    if (a.storage_ == b.storage_) return a.size() <= cap;
+    const std::uint64_t* x = a.keys().data();
+    const std::uint64_t* y = b.keys().data();
     const std::size_t na = a.size();
     const std::size_t nb = b.size();
     // Each step consumes the smaller head, or both heads when equal, so
@@ -117,40 +127,54 @@ class Roster {
     const std::size_t total = steps + (na - i) + (nb - j);
     if (total > cap) return false;
     if (only_b == 0 && (only_a != 0 || storage_precedes(a, b))) {
-      b.keys_ = a.keys_;
+      b.storage_ = a.storage_;
     } else if (only_a == 0) {
-      a.keys_ = b.keys_;
+      a.storage_ = b.storage_;
     } else {
       Keys out(total);
       std::set_union(x, x + na, y, y + nb, out.begin());
-      a.keys_ = std::make_shared<const Keys>(std::move(out));
-      b.keys_ = a.keys_;
+      a.storage_ = make_storage(std::move(out));
+      b.storage_ = a.storage_;
     }
     return true;
   }
 
   // Content equality (pointer fast path).
   friend bool operator==(const Roster& a, const Roster& b) {
-    return a.keys_ == b.keys_ || *a.keys_ == *b.keys_;
+    return a.storage_ == b.storage_ || a.keys() == b.keys();
   }
 
   bool shares_storage_with(const Roster& other) const {
-    return keys_ == other.keys_;
+    return storage_ == other.storage_;
   }
 
   // The fixed total order on storages by which `unite` picks the survivor
-  // for equal contents: whether a's storage comes before b's.
+  // for equal contents: whether a's storage was made before b's.
   static bool storage_precedes(const Roster& a, const Roster& b) {
-    return std::less<const Keys*>{}(a.keys_.get(), b.keys_.get());
+    return a.storage_->serial < b.storage_->serial;
   }
 
  private:
-  static const std::shared_ptr<const Keys>& empty_storage() {
-    static const auto empty = std::make_shared<const Keys>();
+  struct Storage {
+    std::uint64_t serial;  // creation order, unique in the process
+    Keys keys;             // sorted, unique preorder indices
+  };
+
+  // The shared empty storage takes serial 0, so it precedes every other.
+  static std::shared_ptr<const Storage> make_storage(Keys keys) {
+    static std::atomic<std::uint64_t> next{1};
+    return std::make_shared<const Storage>(
+        Storage{next.fetch_add(1, std::memory_order_relaxed), std::move(keys)});
+  }
+
+  static const std::shared_ptr<const Storage>& empty_storage() {
+    static const auto empty = std::make_shared<const Storage>(Storage{0, {}});
     return empty;
   }
 
-  std::shared_ptr<const Keys> keys_;  // sorted, unique preorder indices
+  const Keys& keys() const { return storage_->keys; }
+
+  std::shared_ptr<const Storage> storage_;
 };
 
 }  // namespace ppsim

@@ -112,7 +112,10 @@ TEST(RosterCow, EqualContentsConvergeToOneStorage) {
   }
   EXPECT_FALSE(a.shares_storage_with(b));
   const Roster a0 = a, b0 = b;
-  const Roster& first = Roster::storage_precedes(a0, b0) ? a0 : b0;
+  // The order is creation order: a's storage was made first.
+  EXPECT_TRUE(Roster::storage_precedes(a0, b0));
+  EXPECT_FALSE(Roster::storage_precedes(b0, a0));
+  const Roster& first = a0;
   ASSERT_TRUE(Roster::unite(a, b, 2));
   EXPECT_TRUE(a.shares_storage_with(b));
   // Equal contents: the storage first in the order survives, in either role.
